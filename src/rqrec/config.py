@@ -35,9 +35,15 @@ class PipelineConfig:
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
 
     def validate(self) -> None:
+        if not self.k_report or min(self.k_report) < 1:
+            raise ValueError(f"k_report must list at least one K, each >= 1, "
+                             f"got {self.k_report}")
         if self.k_retrieve < max(self.k_report):
             raise ValueError(f"k_retrieve ({self.k_retrieve}) must be >= "
                              f"max reported K ({max(self.k_report)})")
+        if not 1 <= self.analysis_k <= self.k_retrieve:
+            raise ValueError(f"analysis_k must be in 1..k_retrieve ({self.k_retrieve}), "
+                             f"got {self.analysis_k}")
         if not 1 <= self.templates <= 10:
             raise ValueError(f"templates must be in 1..10, got {self.templates}")
         if not 0.0 <= self.alpha <= 1.0:

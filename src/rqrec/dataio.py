@@ -47,9 +47,6 @@ class SplitDataset:
     test: dict[str, str]
     dropped_users: list[str] = field(default_factory=list, compare=False)
 
-    def train_items(self) -> set[str]:
-        return {i for seq in self.train.values() for i in seq}
-
 
 @dataclass
 class EmbeddingMatrix:
@@ -229,8 +226,3 @@ def write_embedding_matrix(emb: EmbeddingMatrix, path: str | Path) -> None:
             if not np.all(np.isfinite(vec)):
                 raise ValueError(f"row {item!r} has non-finite values")
             fh.write(item + " " + " ".join(repr(float(v)) for v in vec) + "\n")
-
-
-def check_finite(name: str, arr: np.ndarray) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise ValueError(f"{name}: non-finite values")

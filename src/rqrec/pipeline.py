@@ -22,7 +22,8 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
                      write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
-from .rerank import fuse_and_rank, score_items, write_score_breakdown
+from .rerank import (SelfConsistencyScore, fuse_and_rank, rank_scores, score_items,
+                     write_score_breakdown)
 from .retrieval import (RankedList, beam_search_constrained, read_ranked_lists,
                         write_ranked_lists)
 from .rqvae import (assign_codes, load_code_table, resolve_collisions,
@@ -259,30 +260,27 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     _write_manifest(cfg, "retrieve", inputs, outputs)
 
 
-def _group_by_user(lists: list[RankedList]) -> dict[str, list[RankedList]]:
-    grouped: dict[str, list[RankedList]] = {}
-    for rl in lists:
-        grouped.setdefault(rl.user, []).append(rl)
-    return grouped
+def _lists_by_user(ceid_lists: list[RankedList], seid_lists: list[RankedList],
+                   max_templates: int) -> dict[str, tuple[list[RankedList], list[RankedList]]]:
+    """Each user's (ceid, seid) lists with template id <= max_templates, users sorted."""
+    grouped: dict[str, tuple[list[RankedList], list[RankedList]]] = {}
+    for side, lists in enumerate((ceid_lists, seid_lists)):
+        for rl in lists:
+            if rl.template_id <= max_templates:
+                grouped.setdefault(rl.user, ([], []))[side].append(rl)
+    return {user: grouped[user] for user in sorted(grouped)}
 
 
 def fuse_all_users(ceid_lists: list[RankedList], seid_lists: list[RankedList],
                    alpha: float, tau: float, k_out: int,
-                   max_templates: int | None = None) -> dict[str, RankedList]:
-    """Per-user fusion; optionally restrict to template ids <= max_templates."""
-    def keep(rl: RankedList) -> bool:
-        return max_templates is None or rl.template_id <= max_templates
-
-    by_user_c = _group_by_user([rl for rl in ceid_lists if keep(rl)])
-    by_user_s = _group_by_user([rl for rl in seid_lists if keep(rl)])
-    fused = {}
-    for user in sorted(set(by_user_c) | set(by_user_s)):
-        fused[user] = fuse_and_rank(by_user_c.get(user, []), by_user_s.get(user, []),
-                                    alpha, tau, k_out)
-    return fused
+                   max_templates: int) -> dict[str, RankedList]:
+    """Per-user fusion over the lists with template id <= max_templates."""
+    return {user: fuse_and_rank(c, s, alpha, tau, k_out)
+            for user, (c, s) in _lists_by_user(ceid_lists, seid_lists, max_templates).items()}
 
 
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
+    """Fuse each user's lists; fused.jsonl and the breakdown share one scoring pass."""
     mode = mode or cfg.mode
     needed = []
     if mode != "seid-only":
@@ -293,17 +291,17 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     ceid = read_ranked_lists(cfg.out_dir / "ranked_ceid.jsonl") if mode != "seid-only" else []
     seid = read_ranked_lists(cfg.out_dir / "ranked_seid.jsonl") if mode != "ceid-only" else []
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
-    fused = fuse_all_users(ceid, seid, alpha, cfg.tau, cfg.k_retrieve,
-                           max_templates=cfg.templates)
+    fused: list[RankedList] = []
+    breakdown: dict[str, dict[str, SelfConsistencyScore]] = {}
+    for user, (c, s) in _lists_by_user(ceid, seid, cfg.templates).items():
+        scores = score_items(c, s, alpha, cfg.tau)
+        fused.append(rank_scores(user, scores, cfg.k_retrieve))
+        if cfg.breakdown:
+            breakdown[user] = scores
     out = cfg.out_dir / "fused.jsonl"
-    write_ranked_lists([fused[u] for u in sorted(fused)], out)
+    write_ranked_lists(fused, out)
     outputs = {"fused.jsonl": out}
     if cfg.breakdown:
-        by_user_c = _group_by_user(ceid)
-        by_user_s = _group_by_user(seid)
-        breakdown = {u: score_items(by_user_c.get(u, []), by_user_s.get(u, []),
-                                    alpha, cfg.tau)
-                     for u in sorted(fused)}
         bpath = cfg.out_dir / "score_breakdown.tsv"
         write_score_breakdown(breakdown, bpath)
         outputs["score_breakdown.tsv"] = bpath

@@ -83,6 +83,15 @@ def index_score(pc: PositionCollection, alpha: float, tau: float) -> float:
     return alpha * conf_score(pc, tau) + (1.0 - alpha) * cons_score(pc, tau)
 
 
+def _index_terms(pc: PositionCollection | None, alpha: float, tau: float
+                 ) -> tuple[float, float, float, int]:
+    """(Conf, Cons, S^x, appearances) for one index type; zeros if the item is absent."""
+    if pc is None:
+        return 0.0, 0.0, 0.0, 0
+    conf, cons = conf_score(pc, tau), cons_score(pc, tau)
+    return conf, cons, alpha * conf + (1.0 - alpha) * cons, len(pc.positions)
+
+
 def score_items(ceid_lists: list[RankedList], seid_lists: list[RankedList],
                 alpha: float, tau: float) -> dict[str, SelfConsistencyScore]:
     """Full per-item breakdown over both index types."""
@@ -92,37 +101,31 @@ def score_items(ceid_lists: list[RankedList], seid_lists: list[RankedList],
     pos_s = collect_positions(seid_lists)
     scores: dict[str, SelfConsistencyScore] = {}
     for item in set(pos_c) | set(pos_s):
-        sc = SelfConsistencyScore(item=item)
-        if item in pos_c:
-            pc = pos_c[item]
-            sc.conf_c = conf_score(pc, tau)
-            sc.cons_c = cons_score(pc, tau)
-            sc.s_c = alpha * sc.conf_c + (1.0 - alpha) * sc.cons_c
-            sc.appearances += len(pc.positions)
-        if item in pos_s:
-            ps = pos_s[item]
-            sc.conf_s = conf_score(ps, tau)
-            sc.cons_s = cons_score(ps, tau)
-            sc.s_s = alpha * sc.conf_s + (1.0 - alpha) * sc.cons_s
-            sc.appearances += len(ps.positions)
-        sc.s_total = sc.s_c + sc.s_s
-        scores[item] = sc
+        conf_c, cons_c, s_c, n_c = _index_terms(pos_c.get(item), alpha, tau)
+        conf_s, cons_s, s_s, n_s = _index_terms(pos_s.get(item), alpha, tau)
+        scores[item] = SelfConsistencyScore(item, conf_c, cons_c, s_c, conf_s, cons_s, s_s,
+                                            s_total=s_c + s_s, appearances=n_c + n_s)
     return scores
+
+
+def rank_scores(user: str, scores: dict[str, SelfConsistencyScore],
+                k_out: int) -> RankedList:
+    """Top-k_out of one user's scores; ties break by appearance count then item id."""
+    ordered = sorted(scores.values(),
+                     key=lambda s: (-s.s_total, -s.appearances, s.item))
+    return RankedList(user=user, index_type="fused", template_id=0,
+                      entries=[(s.item, s.s_total) for s in ordered[:k_out]])
 
 
 def fuse_and_rank(ceid_lists: list[RankedList], seid_lists: list[RankedList],
                   alpha: float, tau: float, k_out: int) -> RankedList:
-    """Final top-k_out fusion; ties break by appearance count then item id.
+    """Final top-k_out fusion of one user's lists.
 
     Single-index ablations pass an empty list for the dropped side; Conf-only
     and Cons-only ablations set alpha to 1 or 0.
     """
     scores = score_items(ceid_lists, seid_lists, alpha, tau)
-    ordered = sorted(scores.values(),
-                     key=lambda s: (-s.s_total, -s.appearances, s.item))
-    user = (ceid_lists or seid_lists)[0].user
-    return RankedList(user=user, index_type="fused", template_id=0,
-                      entries=[(s.item, s.s_total) for s in ordered[:k_out]])
+    return rank_scores((ceid_lists or seid_lists)[0].user, scores, k_out)
 
 
 def write_score_breakdown(scores_by_user: dict[str, dict[str, SelfConsistencyScore]],

@@ -204,52 +204,93 @@ def decode(model: RqVaeModel, z: np.ndarray) -> np.ndarray:
     return out
 
 
-# ---------------------------------------------------------------------------
-# Losses
+def _named_arrays(enc_w: list[np.ndarray], enc_b: list[np.ndarray],
+                  dec_w: list[np.ndarray], dec_b: list[np.ndarray],
+                  codebooks: list[np.ndarray]) -> dict[str, np.ndarray]:
+    out: dict[str, np.ndarray] = {}
+    for k, (w, b) in enumerate(zip(enc_w, enc_b)):
+        out[f"enc{k}_w"], out[f"enc{k}_b"] = w, b
+    for k, (w, b) in enumerate(zip(dec_w, dec_b)):
+        out[f"dec{k}_w"], out[f"dec{k}_b"] = w, b
+    for l, vectors in enumerate(codebooks):
+        out[f"cb{l}"] = vectors
+    return out
 
-def forward_loss(model: RqVaeModel, batch: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Forward pass: returns (x_star, codes, l_rec, l_rq, l_total), batch means."""
+
+def parameter_arrays(model: RqVaeModel) -> dict[str, np.ndarray]:
+    """Live views of every trained array (encoder, decoder, codebooks) by stable name.
+
+    The optimizer, the checkpoint writer and the gradient check all use this
+    one dict, in this order.
+    """
+    return _named_arrays(model.encoder_weights, model.encoder_biases,
+                         model.decoder_weights, model.decoder_biases,
+                         [cb.vectors for cb in model.codebooks])
+
+
+# ---------------------------------------------------------------------------
+# Losses and gradients
+
+@dataclass
+class _ForwardPass:
+    x_star: np.ndarray
+    codes: np.ndarray          # (B, L)
+    residuals: np.ndarray      # (B, L+1, d), residuals[:, 0] = z
+    l_rec: float
+    l_rq: float
+    enc_caches: list[tuple[np.ndarray, np.ndarray]]
+    dec_caches: list[tuple[np.ndarray, np.ndarray]]
+
+
+def _forward(model: RqVaeModel, batch: np.ndarray) -> _ForwardPass:
+    """Encode, quantize and decode one batch; losses are batch means."""
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("batch must be non-empty and 2-D")
-    z = encode(model, batch)
+    z, enc_caches = _mlp_forward(model.encoder_weights, model.encoder_biases, batch)
     codes, residuals, z_star = quantize_batch(z, model.codebooks)
-    x_star = decode(model, z_star)
+    x_star, dec_caches = _mlp_forward(model.decoder_weights, model.decoder_biases, z_star)
     l_rec = float(np.mean(np.sum((batch - x_star) ** 2, axis=1)))
     # numerically both sg branches share the same value: (1 + beta) * ||r_l||^2
     level_err = np.sum(residuals[:, 1:] ** 2, axis=2)       # (B, L): ||r_{l-1} - e||^2
     l_rq = float((1.0 + model.config.beta) * np.mean(np.sum(level_err, axis=1)))
-    return x_star, codes, l_rec, l_rq, l_rec + l_rq
+    return _ForwardPass(x_star, codes, residuals, l_rec, l_rq, enc_caches, dec_caches)
 
 
-def _forward_backward(model: RqVaeModel, batch: np.ndarray):
-    """Loss values plus analytic gradients for all parameter groups."""
+def forward_loss(model: RqVaeModel, batch: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
+    """Forward pass: returns (x_star, codes, l_rec, l_rq, l_total), batch means."""
+    fp = _forward(model, batch)
+    return fp.x_star, fp.codes, fp.l_rec, fp.l_rq, fp.l_rec + fp.l_rq
+
+
+def _forward_backward(model: RqVaeModel, batch: np.ndarray
+                      ) -> tuple[_ForwardPass, dict[str, np.ndarray]]:
+    """The forward pass plus the analytic gradient of every parameter array.
+
+    Names and order follow parameter_arrays. The optimizer steps on this
+    gradient, and gradient_check verifies it.
+    """
     n = batch.shape[0]
     beta = model.config.beta
-    z, enc_caches = _mlp_forward(model.encoder_weights, model.encoder_biases, batch)
-    codes, residuals, z_star = quantize_batch(z, model.codebooks)
-    x_star, dec_caches = _mlp_forward(model.decoder_weights, model.decoder_biases, z_star)
-
-    l_rec = float(np.mean(np.sum((batch - x_star) ** 2, axis=1)))
-    level_err = np.sum(residuals[:, 1:] ** 2, axis=2)
-    l_rq = float((1.0 + beta) * np.mean(np.sum(level_err, axis=1)))
+    fp = _forward(model, batch)
+    residuals = fp.residuals
 
     # decoder gradients from the reconstruction loss
-    d_xstar = 2.0 * (x_star - batch) / n
-    dec_gw, dec_gb, d_zstar = _mlp_backward(model.decoder_weights, dec_caches, d_xstar)
+    d_xstar = 2.0 * (fp.x_star - batch) / n
+    dec_gw, dec_gb, d_zstar = _mlp_backward(model.decoder_weights, fp.dec_caches, d_xstar)
 
     # encoder: straight-through reconstruction gradient + commitment branch
     d_z = d_zstar + (2.0 * beta / n) * residuals[:, 1:].sum(axis=1)
-    enc_gw, enc_gb, _ = _mlp_backward(model.encoder_weights, enc_caches, d_z)
+    enc_gw, enc_gb, _ = _mlp_backward(model.encoder_weights, fp.enc_caches, d_z)
 
     # codebooks: sg-protected term, grad e_w = (2/B) * sum_{c_l=w} (e_w - r_{l-1})
     cb_grads = []
     for l, cb in enumerate(model.codebooks):
         g = np.zeros_like(cb.vectors)
-        np.add.at(g, codes[:, l], (-2.0 / n) * residuals[:, l + 1])
+        np.add.at(g, fp.codes[:, l], (-2.0 / n) * residuals[:, l + 1])
         cb_grads.append(g)
 
-    return l_rec, l_rq, codes, enc_gw, enc_gb, dec_gw, dec_gb, cb_grads
+    return fp, _named_arrays(enc_gw, enc_gb, dec_gw, dec_gb, cb_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -276,16 +317,6 @@ class _AdamW:
             self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
             update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
             p -= lr * (update + self.weight_decay * p)
-
-
-def parameter_arrays(model: RqVaeModel) -> dict[str, np.ndarray]:
-    """Live views of encoder/decoder parameters keyed by stable names."""
-    out: dict[str, np.ndarray] = {}
-    for k, (w, b) in enumerate(zip(model.encoder_weights, model.encoder_biases)):
-        out[f"enc{k}_w"], out[f"enc{k}_b"] = w, b
-    for k, (w, b) in enumerate(zip(model.decoder_weights, model.decoder_biases)):
-        out[f"dec{k}_w"], out[f"dec{k}_b"] = w, b
-    return out
 
 
 def _layer_dims(d_in: int, d_out: int, cfg: RqVaeConfig) -> list[int]:
@@ -346,10 +377,7 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
     n = x.shape[0]
     rng = np.random.default_rng([cfg.seed, 1])  # stream separate from init's
 
-    params = parameter_arrays(model)
-    for l, cb in enumerate(model.codebooks):
-        params[f"cb{l}"] = cb.vectors
-    opt = _AdamW(params, cfg.weight_decay)
+    opt = _AdamW(parameter_arrays(model), cfg.weight_decay)
 
     model.loss_history.append(_eval_losses(model, x))
     for epoch in range(cfg.epochs):
@@ -359,22 +387,14 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
         for start in range(0, n, cfg.batch_size):
             batch = x[perm[start:start + cfg.batch_size]]
             try:
-                (l_rec, l_rq, codes, enc_gw, enc_gb,
-                 dec_gw, dec_gb, cb_grads) = _forward_backward(model, batch)
+                fp, grads = _forward_backward(model, batch)
             except ValueError as exc:  # non-finite activations inside the quantizer
                 raise RuntimeError(f"non-finite loss at epoch {epoch}") from exc
-            if not np.isfinite(l_rec + l_rq):
+            if not np.isfinite(fp.l_rec + fp.l_rq):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            grads = {}
-            for k in range(len(enc_gw)):
-                grads[f"enc{k}_w"], grads[f"enc{k}_b"] = enc_gw[k], enc_gb[k]
-            for k in range(len(dec_gw)):
-                grads[f"dec{k}_w"], grads[f"dec{k}_b"] = dec_gw[k], dec_gb[k]
-            for l, g in enumerate(cb_grads):
-                grads[f"cb{l}"] = g
             opt.step(grads, lr)
             for l in range(len(model.codebooks)):
-                used[l][np.unique(codes[:, l])] = True
+                used[l][np.unique(fp.codes[:, l])] = True
         for l, cb in enumerate(model.codebooks):
             dead = np.flatnonzero(~used[l])
             if dead.size:
@@ -394,43 +414,32 @@ def _eval_losses(model: RqVaeModel, x: np.ndarray) -> tuple[float, float]:
 # ---------------------------------------------------------------------------
 # Gradient checking
 
-def recon_loss_gradients(model: RqVaeModel, batch: np.ndarray) -> dict[str, np.ndarray]:
-    """Analytic reconstruction-loss gradients for encoder/decoder parameters.
-
-    Codes are frozen at the current quantization; the encoder gradient is the
-    straight-through path only (no commitment branch, matching gradient_check).
-    """
-    n = batch.shape[0]
-    z, enc_caches = _mlp_forward(model.encoder_weights, model.encoder_biases, batch)
-    _, _, z_star = quantize_batch(z, model.codebooks)
-    x_star, dec_caches = _mlp_forward(model.decoder_weights, model.decoder_biases, z_star)
-    d_xstar = 2.0 * (x_star - batch) / n
-    dec_gw, dec_gb, d_zstar = _mlp_backward(model.decoder_weights, dec_caches, d_xstar)
-    enc_gw, enc_gb, _ = _mlp_backward(model.encoder_weights, enc_caches, d_zstar)
-    out: dict[str, np.ndarray] = {}
-    for k in range(len(enc_gw)):
-        out[f"enc{k}_w"], out[f"enc{k}_b"] = enc_gw[k], enc_gb[k]
-    for k in range(len(dec_gw)):
-        out[f"dec{k}_w"], out[f"dec{k}_b"] = dec_gw[k], dec_gb[k]
-    return out
-
-
 def finite_difference_gradients(model: RqVaeModel, batch: np.ndarray,
                                 epsilon: float) -> dict[str, np.ndarray]:
-    """Central differences of the straight-through surrogate reconstruction loss.
+    """Central differences of the straight-through surrogate of the training loss.
 
-    The quantization offset z* - z is frozen at the base point so the surrogate
-    is differentiable and matches the straight-through analytic gradient.
+    Codes and every stop-gradient operand are frozen at the base point, so the
+    surrogate is differentiable and its gradient is the one training uses:
+
+        mean ||x - dec(z + sg(z* - z))||^2 + beta * mean sum_l ||z - sg(C_l)||^2
+            + mean sum_l ||sg(r_{l-1}) - e_{c_l}||^2,   with C_l = z - r_l.
     """
-    n = batch.shape[0]
     z0 = encode(model, batch)
-    _, _, z_star0 = quantize_batch(z0, model.codebooks)
+    codes, residuals, z_star0 = quantize_batch(z0, model.codebooks)
     offset = z_star0 - z0
+    anchors = z0[:, None, :] - residuals[:, 1:]     # C_l, (B, L, d)
+    targets = residuals[:, :-1]                      # r_{l-1}, (B, L, d)
+    beta = model.config.beta
 
     def surrogate() -> float:
         z = encode(model, batch)
         x_star = decode(model, z + offset)
-        return float(np.mean(np.sum((batch - x_star) ** 2, axis=1)))
+        rec = np.mean(np.sum((batch - x_star) ** 2, axis=1))
+        commit = np.mean(np.sum((z[:, None, :] - anchors) ** 2, axis=(1, 2)))
+        picked = np.stack([cb.vectors[codes[:, l]]
+                           for l, cb in enumerate(model.codebooks)], axis=1)
+        codebook = np.mean(np.sum((targets - picked) ** 2, axis=(1, 2)))
+        return float(rec + beta * commit + codebook)
 
     out: dict[str, np.ndarray] = {}
     for name, arr in parameter_arrays(model).items():
@@ -461,12 +470,12 @@ def max_relative_error(analytic: dict[str, np.ndarray],
 
 
 def gradient_check(model: RqVaeModel, batch: np.ndarray, epsilon: float = 1e-5) -> float:
-    """Max relative error between analytic and central finite-difference gradients."""
+    """Max relative error between the training gradient and central finite differences."""
     if batch.shape[0] > 8:
         raise ValueError("gradient_check expects a small batch (<= 8 rows)")
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in [1e-6, 1e-3], got {epsilon}")
-    analytic = recon_loss_gradients(model, batch)
+    _, analytic = _forward_backward(model, batch)
     numeric = finite_difference_gradients(model, batch, epsilon)
     return max_relative_error(analytic, numeric)
 
@@ -534,13 +543,11 @@ CKPT_MAGIC = "RQVAE_CKPT v1"
 
 def save_model(model: RqVaeModel, prefix: str | Path) -> None:
     prefix = Path(prefix)
-    arrays: list[tuple[str, np.ndarray]] = list(parameter_arrays(model).items())
-    arrays += [(f"cb{l}", cb.vectors) for l, cb in enumerate(model.codebooks)]
     cfg = model.config
     cfg_line = " ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
     lines = [CKPT_MAGIC, f"input_dim {model.input_dim}", f"config {cfg_line}"]
     blob = bytearray()
-    for name, arr in arrays:
+    for name, arr in parameter_arrays(model).items():
         lines.append("array " + name + " " + " ".join(str(s) for s in arr.shape))
         blob += arr.astype("<f8").tobytes()
     prefix.with_suffix(".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -568,22 +575,15 @@ def load_model(prefix: str | Path) -> RqVaeModel:
         arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
         offset += count * 8
         arrays[name] = arr
-    enc_w, enc_b, dec_w, dec_b = [], [], [], []
-    k = 0
-    while f"enc{k}_w" in arrays:
-        enc_w.append(arrays[f"enc{k}_w"])
-        enc_b.append(arrays[f"enc{k}_b"])
-        k += 1
-    k = 0
-    while f"dec{k}_w" in arrays:
-        dec_w.append(arrays[f"dec{k}_w"])
-        dec_b.append(arrays[f"dec{k}_b"])
-        k += 1
-    codebooks = []
-    l = 0
-    while f"cb{l}" in arrays:
-        codebooks.append(Codebook(level=l + 1, vectors=arrays[f"cb{l}"]))
-        l += 1
-    return RqVaeModel(encoder_weights=enc_w, encoder_biases=enc_b,
-                      decoder_weights=dec_w, decoder_biases=dec_b,
+
+    def numbered(pattern: str) -> list[np.ndarray]:
+        # parameter_arrays names: enc0_w, enc1_w, ... up to the first gap
+        out: list[np.ndarray] = []
+        while pattern.format(len(out)) in arrays:
+            out.append(arrays[pattern.format(len(out))])
+        return out
+
+    codebooks = [Codebook(level=l + 1, vectors=v) for l, v in enumerate(numbered("cb{}"))]
+    return RqVaeModel(encoder_weights=numbered("enc{}_w"), encoder_biases=numbered("enc{}_b"),
+                      decoder_weights=numbered("dec{}_w"), decoder_biases=numbered("dec{}_b"),
                       codebooks=codebooks, config=cfg, input_dim=input_dim)

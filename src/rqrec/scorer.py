@@ -133,11 +133,6 @@ def train_markov_scorer(streams: dict[str, list[str]], template_id: int,
     return scorer
 
 
-def next_token_logprobs(scorer: MarkovScorer, context: list[str],
-                        candidates) -> dict[str, float]:
-    return scorer.next_token_logprobs(context, candidates)
-
-
 # ---------------------------------------------------------------------------
 # Checkpoints: header lines, then sorted `context-tokens<TAB>token<TAB>count` rows
 

@@ -1,8 +1,7 @@
-"""Code-token vocabularies, prompt templates, and prefix tries for constrained decoding."""
+"""Code-token vocabularies and prefix tries for constrained decoding."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
 
 from .rqvae import ItemCodeTable
@@ -10,8 +9,6 @@ from .rqvae import ItemCodeTable
 INDEX_TYPES = ("ceid", "seid")
 _TYPE_LABEL = {"ceid": "CeID", "seid": "SeID"}
 _INDICATOR = {"ceid": "<C>", "seid": "<S>"}
-
-N_TEMPLATES = 10
 
 
 def code_token(index_type: str, level: int, word: int) -> str:
@@ -37,10 +34,6 @@ class TokenVocab:
 
     tokens: list[str]
     kinds: dict[str, str]
-
-    def code_tokens(self, index_type: str) -> list[str]:
-        label = f"<{_TYPE_LABEL[index_type]}_"
-        return [t for t in self.tokens if t.startswith(label)]
 
 
 def build_vocabulary(tables: list[ItemCodeTable]) -> TokenVocab:
@@ -76,54 +69,6 @@ def write_vocab(vocab: TokenVocab, path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
         for tok in vocab.tokens:
             fh.write(f"{tok}\t{vocab.kinds[tok]}\n")
-
-
-# ---------------------------------------------------------------------------
-# Prompt templates
-
-def load_templates() -> dict[int, str]:
-    text = resources.files(__package__).joinpath("resources/templates.txt").read_text("utf-8")
-    out: dict[int, str] = {}
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        num, body = line.split("\t", 1)
-        out[int(num)] = body
-    return out
-
-
-_TEMPLATES: dict[int, str] | None = None
-
-
-def render_prompt(user: str, history: list[str], table: ItemCodeTable,
-                  template_id: int) -> tuple[str, list[str]]:
-    """Fill one of the 10 templates and return (prompt text, flat code-token stream).
-
-    The user id goes into the placeholder attached to "user_"/"User_"; the item
-    sequence (each item as item_<indicator><code tokens>) fills the remaining
-    placeholder. The token stream carries code tokens only, in history order.
-    """
-    global _TEMPLATES
-    if _TEMPLATES is None:
-        _TEMPLATES = load_templates()
-    if template_id not in _TEMPLATES:
-        raise ValueError(f"template_id must be in 1..{N_TEMPLATES}, got {template_id}")
-    ind = indicator_token(table.index_type)
-    rendered_items = []
-    stream: list[str] = []
-    for item in history:
-        toks = item_tokens(table, item)
-        rendered_items.append("item_" + ind + "".join(toks))
-        stream.extend(toks)
-    template = _TEMPLATES[template_id]
-    # the user slot is the placeholder directly following "user_" / "User_"
-    for marker in ("User_{ }", "user_{ }"):
-        if marker in template:
-            template = template.replace(marker, marker[: len("user_")] + user, 1)
-            break
-    text = template.replace("{ }", ", ".join(rendered_items), 1)
-    text += f" Given {ind}, predict {ind}."
-    return text, stream
 
 
 # ---------------------------------------------------------------------------

@@ -17,10 +17,10 @@ from rqrec.pipeline import run_stage, stage_evaluate, stage_rerank
 from rqrec.rerank import fuse_and_rank, score_items
 from rqrec.retrieval import (RankedList, beam_search_constrained,
                              exhaustive_topk_oracle)
-from rqrec.rqvae import (Codebook, RqVaeConfig, finite_difference_gradients,
-                         gradient_check, initialize_model, max_relative_error,
-                         parameter_arrays, quantize_residual,
-                         recon_loss_gradients, resolve_collisions, train_rqvae)
+from rqrec.rqvae import (Codebook, RqVaeConfig, _forward_backward,
+                         finite_difference_gradients, gradient_check,
+                         initialize_model, max_relative_error, parameter_arrays,
+                         quantize_residual, resolve_collisions, train_rqvae)
 from rqrec.vocab import build_prefix_trie, code_token
 
 
@@ -67,7 +67,7 @@ def test_criterion_02_gradient_check():
         worst = max(worst, err)
         assert err < 1e-3
         # negative control: doubling one gradient entry must blow the check
-        analytic = recon_loss_gradients(model, batch)
+        _, analytic = _forward_backward(model, batch)
         numeric = finite_difference_gradients(model, batch, 1e-5)
         name = max(analytic, key=lambda k: float(np.max(np.abs(analytic[k]))))
         idx = np.unravel_index(np.argmax(np.abs(analytic[name])), analytic[name].shape)

@@ -67,6 +67,17 @@ def test_config_validation_before_work(tmp_path):
         load_config(write_config(tmp_path, **{"retrieval.k": 3}))
     with pytest.raises(ValueError, match="alpha"):
         load_config(write_config(tmp_path, **{"rerank.alpha": 1.5}))
+    with pytest.raises(ValueError, match="k_report"):
+        load_config(write_config(tmp_path, **{"eval.k_report": ""}))
+    with pytest.raises(ValueError, match="k_report"):
+        load_config(write_config(tmp_path, **{"eval.k_report": "-3"}))
+    with pytest.raises(ValueError, match="k_report"):
+        load_config(write_config(tmp_path, **{"eval.k_report": "5,0"}))
+    with pytest.raises(ValueError, match="analysis_k"):
+        load_config(write_config(tmp_path, **{"eval.analysis_k": 50}))
+    with pytest.raises(ValueError, match="analysis_k"):
+        load_config(write_config(tmp_path, **{"eval.analysis_k": 0}))
+    assert load_config(write_config(tmp_path, **{"eval.analysis_k": 20})).analysis_k == 20
 
 
 def test_missing_upstream_names_stage(tmp_path):
@@ -85,6 +96,49 @@ def pipeline_run(tmp_path_factory):
     cfg = load_config(path)
     run_stage(cfg, "all", synthetic=True)
     return tmp, path, cfg
+
+
+# sha256 of every artifact of the run above except the manifest_*.json files,
+# which embed the absolute out_dir. A change that moves any of these bytes is
+# either a bug or an intentional format/behaviour change that re-pins them and
+# says why in CHANGES.md.
+GOLDEN_DIGESTS = {
+    "chr.csv": "2c04098a472055ba220766c6fdfa52b0d5410f0d131c2cb6c841bdf10d8ed934",
+    "codes_ceid.tsv": "702c784c84ce86a0163b902c59ea9fda75164894e4cb6e92cf58d80a51d9a6c0",
+    "codes_seid.tsv": "dbc039f6cb33355cb968e69b086e6e933340b2e42532765c83a6a4737be00a99",
+    "collab.emb": "94725804778a8a2cb61940e4e6fe40812a74da8f0a2de69f491d9d66365d66db",
+    "fused.jsonl": "ffdd68ade1db74063c2f086f1a99354b9ee66176dffb7f25c775f480529394a9",
+    "interactions.tsv": "11780222bcc2bda48643da9e02e75fc54cf0856ed0565d84fb67d53c6ed5deb7",
+    "metrics.csv": "14b59926beacd4bf10543c1f226aad964ca8ca9075b789c1bffce658d00d9fb5",
+    "per_matrix_ceid.csv": "5802a9eda9d5e488d5946c4320749ff1382a55db5e91370a54d12d0e1c120488",
+    "per_matrix_seid.csv": "b533b1332f343e95ee83c9adba84277910151d456644211002630c300f6d004e",
+    "ranked_ceid.jsonl": "af2683596cfa75c8d9b1855857bc72b6412cee10bbb5fe3b6ba8879b5ae3f9e0",
+    "ranked_seid.jsonl": "dca8b8ac1c1168be7c2b2af12cf5d813108d9b07284d2cd288515096f6e733a9",
+    "rqvae_ceid.bin": "5233c4492907dd7961bfa90c47c3bf5dd7e38112b808a394b180139a75d7bfab",
+    "rqvae_ceid.manifest": "1c9392470baa350dfe7f58581f827e3bb2786a80217c8fcda65d96a1f31cabce",
+    "rqvae_seid.bin": "60d05c9f58d6f82dbc914428da200a7090513f7b1252223966109f8aa2931ec6",
+    "rqvae_seid.manifest": "239dd696c153b8edaee742d3cdafdc55f7725c07bee8de693d5640013e71243b",
+    "scorer_ceid_t1.txt": "25314dc44f896982a6bf9b143a1b1c33c1c831e9d54de900afce9658606aa443",
+    "scorer_ceid_t2.txt": "1467cc80e732a3d36a44302628e2cda889679d0d4463fcd01217bdde2b756cde",
+    "scorer_ceid_t3.txt": "fcff44347cf8b8c4645ec0b983237531d23e4dccd2ddf1cd64bfa06453b2b6f3",
+    "scorer_seid_t1.txt": "8cba39d38a4a026153b09e44426b6ce3dee3c48483d33e4ec5add09cd92fc4b2",
+    "scorer_seid_t2.txt": "db7ec9621068a2c9104c656e067dda6e7e3fbb602d699a98b622b995aa068c5f",
+    "scorer_seid_t3.txt": "4661b08199a1f493a22c2d8cc72a68f812a9c04206145d1c8d270d5602bc090c",
+    "semantic.emb": "2465c4bb017ebadb3305aa484066a244371fe607309db2a2b39164e5db770b5b",
+    "template_sweep.csv": "190e16d8c3f58936add3a5f81a53d5126f9b9b963aa844701590c9ed83b19fc4",
+    "test.tsv": "841549674b3aec0110a7af4f79b0c5b574f85e51aa1e09f1490e233d20663a6e",
+    "train.tsv": "1c99702ad175e391ab65710275e43a417a6906911a16a1699b634ddad4522098",
+    "valid.tsv": "56e42462b56ad7c0842e87844440e186ad0507415b071f111e5a2d26d19b1990",
+    "vocab.tsv": "bb469c0282fb4cf0eca7bbfee713544ef2dcc47c63b0b58df8164d1f25042040",
+}
+
+
+def test_golden_artifact_digests(pipeline_run):
+    import hashlib
+    _, _, cfg = pipeline_run
+    got = {name: hashlib.sha256((cfg.out_dir / name).read_bytes()).hexdigest()
+           for name in GOLDEN_DIGESTS}
+    assert got == GOLDEN_DIGESTS
 
 
 EXPECTED_ARTIFACTS = [
@@ -172,6 +226,46 @@ def test_rerank_breakdown_table(pipeline_run):
     assert float(row[8]) == pytest.approx(float(row[4]) + float(row[7]), abs=1e-12)
     stage_rerank(cfg)
     assert (cfg.out_dir / "fused.jsonl").read_bytes() == fused
+
+
+def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatch):
+    import rqrec.pipeline
+    from rqrec.retrieval import read_ranked_lists
+    _, _, cfg = pipeline_run
+    fused_bytes = (cfg.out_dir / "fused.jsonl").read_bytes()
+    scored_users = []
+    score_items = rqrec.pipeline.score_items
+
+    def counting(ceid_lists, seid_lists, alpha, tau):
+        scored_users.append((ceid_lists or seid_lists)[0].user)
+        return score_items(ceid_lists, seid_lists, alpha, tau)
+
+    monkeypatch.setattr(rqrec.pipeline, "score_items", counting)
+    templates = cfg.templates
+    cfg.templates, cfg.breakdown = 2, True  # the lists on disk hold 3 templates
+    try:
+        stage_rerank(cfg)
+    finally:
+        cfg.templates, cfg.breakdown = templates, False
+    monkeypatch.undo()
+    rows = [ln.split("\t") for ln in
+            (cfg.out_dir / "score_breakdown.tsv").read_text().splitlines()[1:]]
+    s_total = {(r[0], r[1]): float(r[8]) for r in rows}
+    capped: set[tuple[str, str]] = set()
+    for index_type in ("ceid", "seid"):
+        for rl in read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl"):
+            if rl.template_id <= 2:
+                capped.update((rl.user, item) for item in rl.items())
+    assert set(s_total) == capped
+    entries = [(rec["user"], item, score)
+               for rec in map(json.loads, (cfg.out_dir / "fused.jsonl").read_text().splitlines())
+               for item, score in zip(rec["items"], rec["scores"])]
+    assert entries
+    disagree = [e for e in entries if s_total[e[0], e[1]] != e[2]]
+    assert not disagree, f"{len(disagree)} of {len(entries)} fused entries disagree"
+    assert sorted(scored_users) == sorted({user for user, _ in capped})  # once per user
+    stage_rerank(cfg)
+    assert (cfg.out_dir / "fused.jsonl").read_bytes() == fused_bytes
 
 
 def test_per_matrix_zero_diagonal(pipeline_run):

@@ -3,8 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from rqrec.scorer import (MarkovScorer, ScorerConfig, load_scorer,
-                          next_token_logprobs, save_scorer,
+from rqrec.scorer import (MarkovScorer, ScorerConfig, load_scorer, save_scorer,
                           train_markov_scorer)
 
 
@@ -74,7 +73,7 @@ def test_renormalization_sums_to_one():
         n_c = int(rng.integers(1, 12))
         cands = list(rng.choice(vocab, size=n_c, replace=False))
         ctx = [vocab[rng.integers(0, 12)] for _ in range(int(rng.integers(0, 6)))]
-        lp = next_token_logprobs(sc, ctx, cands)
+        lp = sc.next_token_logprobs(ctx, cands)
         assert abs(sum(math.exp(v) for v in lp.values()) - 1.0) <= 1e-9
         assert all(math.isfinite(v) for v in lp.values())
 

@@ -2,8 +2,7 @@ import pytest
 
 from rqrec.rqvae import ItemCodeTable
 from rqrec.vocab import (allowed_next, build_prefix_trie, build_vocabulary,
-                         code_token, indicator_token, item_tokens,
-                         render_prompt, write_vocab)
+                         code_token, indicator_token, item_tokens, write_vocab)
 
 
 def table_of(codes, index_type="ceid"):
@@ -55,50 +54,9 @@ def test_vocab_dump(tmp_path):
     assert all("\t" in ln for ln in lines)
 
 
-TOY = table_of({"x1": (5, 2, 7, 0), "x2": (5, 2, 1, 0)})
-
-
-def test_render_prompt_template_one():
-    text, stream = render_prompt("u1", ["x1"], TOY, 1)
-    assert text.startswith("User_u1 has purchased : item_<C><CeID_1,5>")
-    assert text.endswith("Given <C>, predict <C>.")
-    assert stream == ["<CeID_1,5>", "<CeID_2,2>", "<CeID_3,7>", "<CeID_4,0>"]
-
-
-def test_render_prompt_stream_length():
-    text, stream = render_prompt("u1", ["x1", "x2", "x1"], TOY, 2)
-    assert len(stream) == 3 * TOY.code_len_total
-
-
-def test_render_templates_share_token_stream():
-    t1, s1 = render_prompt("u9", ["x1", "x2"], TOY, 1)
-    t7, s7 = render_prompt("u9", ["x1", "x2"], TOY, 7)
-    assert t1 != t7
-    assert s1 == s7
-
-
-def test_render_prompt_template_ten_user_slot():
-    text, _ = render_prompt("u42", ["x1"], TOY, 10)
-    assert "user_u42" in text
-    assert text.startswith("After buying items : item_<C>")
-    assert "{ }" not in text
-
-
-def test_render_prompt_seid_instruction():
-    seid = table_of({"x1": (1, 0)}, "seid")
-    text, stream = render_prompt("u1", ["x1"], seid, 3)
-    assert "item_<S><SeID_1,1><SeID_2,0>" in text
-    assert text.endswith("Given <S>, predict <S>.")
-
-
-def test_render_prompt_unknown_item():
+def test_item_tokens_unknown_item():
     with pytest.raises(ValueError, match="zzz"):
-        render_prompt("u1", ["zzz"], TOY, 1)
-
-
-def test_render_prompt_bad_template():
-    with pytest.raises(ValueError):
-        render_prompt("u1", ["x1"], TOY, 11)
+        item_tokens(table_of({"x1": (5, 2, 7, 0)}), "zzz")
 
 
 def test_trie_single_item():
