@@ -84,12 +84,20 @@ def chr_avg(t1_sets: list[HitSet], t2_sets: list[HitSet]) -> float:
 
 
 def per_matrix(sets: list[HitSet]) -> tuple[list[list[float]], list[int]]:
-    """|T| x |T| matrix with cell (i, j) = PER(t_i; t_j); diagonal is 0."""
+    """|T| x |T| matrix with cell (i, j) = PER(t_i; t_j); diagonal is 0.
+
+    PER is 0/0 for a template with an empty hit set: its row is all nan,
+    with a warning, so one template without hits does not stop the analysis.
+    """
     if len(sets) < 2:
         raise ValueError("per_matrix needs at least 2 templates")
     ids = [h.template_id for h in sets]
     matrix = []
     for h1 in sets:
+        if not h1.users:
+            log.warning("per_matrix: template %d has no hits, its row is nan", h1.template_id)
+            matrix.append([math.nan] * len(sets))
+            continue
         row = []
         for h2 in sets:
             row.append(0.0 if h1.template_id == h2.template_id else per(h1, h2))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 from pathlib import Path
 
 from . import __version__
@@ -24,11 +25,11 @@ from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import (SelfConsistencyScore, fuse_and_rank, rank_scores, score_items,
                      write_score_breakdown)
-from .retrieval import (RankedList, beam_search_constrained, read_ranked_lists,
+from .retrieval import (RankedList, beam_search_users, read_ranked_lists,
                         write_ranked_lists)
 from .rqvae import (assign_codes, load_code_table, resolve_collisions,
                     save_model, train_rqvae, write_code_table)
-from .scorer import load_scorer, save_scorer, train_markov_scorer
+from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
 from .synth import generate_synthetic
 from .vocab import build_prefix_trie, build_vocabulary, item_tokens, write_vocab
 
@@ -208,21 +209,30 @@ def _token_streams(split: SplitDataset, table) -> dict[str, list[str]]:
 
 
 def stage_train_scorers(cfg: PipelineConfig) -> None:
+    """One n-gram counting pass per index type, then one scorer per template.
+
+    The manifest records the n-gram rows per order of every scorer.
+    """
     inputs = _require(cfg, "train-scorers", "train.tsv",
                       "codes_ceid.tsv", "codes_seid.tsv")
     split = load_split(cfg.out_dir)
     outputs: dict[str, Path] = {}
+    ngram_rows: dict[str, list[int]] = {}
     for index_type in ("ceid", "seid"):
         table = load_code_table(cfg.out_dir / f"codes_{index_type}.tsv", index_type)
         streams = _token_streams(split, table)
         vocab = sorted({code_tok for item in table.codes
                         for code_tok in item_tokens(table, item)})
+        index = count_ngrams(streams, cfg.scorer.order, vocab)
         for t in range(1, cfg.templates + 1):
-            scorer = train_markov_scorer(streams, t, cfg.scorer, index_type, vocab)
+            scorer = train_markov_scorer(streams, t, cfg.scorer, index_type, vocab,
+                                         index=index)
             path = cfg.out_dir / f"scorer_{index_type}_t{t}.txt"
             save_scorer(scorer, path)
             outputs[path.name] = path
-    _write_manifest(cfg, "train-scorers", inputs, outputs)
+            ngram_rows[f"{index_type}_t{t}"] = scorer.ngram_rows()
+    _write_manifest(cfg, "train-scorers", inputs, outputs,
+                    extra={"ngram_rows": ngram_rows})
 
 
 def stage_retrieve(cfg: PipelineConfig) -> None:
@@ -230,7 +240,10 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
 
     The inference context is the train history plus the held-out validation
     item (everything observed before the test item), truncated to max_len
-    items; scorers themselves were trained on train histories only.
+    items; scorers themselves were trained on train histories only. Each
+    (index type, template) is one search over all users. The manifest
+    records, per index type, the lists written, the (beam, child) pairs
+    scored and the users without a list (no codable history).
     """
     needed = ["train.tsv", "valid.tsv", "codes_ceid.tsv", "codes_seid.tsv"]
     needed += [f"scorer_{x}_t{t}.txt" for x in ("ceid", "seid")
@@ -242,22 +255,28 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
                for u, seq in split.train.items()},
         valid={}, test={})
     outputs: dict[str, Path] = {}
+    counters: dict[str, dict[str, int]] = {}
     for index_type in ("ceid", "seid"):
         table = load_code_table(cfg.out_dir / f"codes_{index_type}.tsv", index_type)
         trie = build_prefix_trie(table)
         streams = _token_streams(context_split, table)
+        users = sorted(streams)
+        contexts = [streams[user] for user in users]
         results: list[RankedList] = []
+        pairs = 0
         for t in range(1, cfg.templates + 1):
             scorer = load_scorer(cfg.out_dir / f"scorer_{index_type}_t{t}.txt")
-            for user in sorted(streams):
-                rl = beam_search_constrained(scorer, trie, streams[user],
-                                             cfg.k_retrieve, user=user, template_id=t)
-                results.append(rl)
+            lists, scored = beam_search_users(scorer, trie, contexts, cfg.k_retrieve,
+                                              users, template_id=t)
+            results += lists
+            pairs += scored
         path = cfg.out_dir / f"ranked_{index_type}.jsonl"
         write_ranked_lists(results, path)
         outputs[path.name] = path
+        counters[index_type] = {"lists": len(results), "pairs_scored": pairs,
+                                "users_without_list": len(context_split.train) - len(users)}
         log.info("retrieve: %s wrote %d lists", index_type, len(results))
-    _write_manifest(cfg, "retrieve", inputs, outputs)
+    _write_manifest(cfg, "retrieve", inputs, outputs, extra={"counters": counters})
 
 
 def _lists_by_user(ceid_lists: list[RankedList], seid_lists: list[RankedList],
@@ -347,8 +366,14 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     chr_path = cfg.out_dir / "chr.csv"
     with chr_path.open("w", encoding="utf-8") as fh:
         fh.write("direction,value\n")
-        fh.write(f"ceid_vs_seid,{chr_avg(sets_by_type['ceid'], sets_by_type['seid'])!r}\n")
-        fh.write(f"seid_vs_ceid,{chr_avg(sets_by_type['seid'], sets_by_type['ceid'])!r}\n")
+        for t1, t2 in (("ceid", "seid"), ("seid", "ceid")):
+            if any(h.users for h in sets_by_type[t2]):
+                value = chr_avg(sets_by_type[t1], sets_by_type[t2])
+            else:
+                log.warning("analyze: no %s template has a hit, CHR %s_vs_%s is nan",
+                            t2, t1, t2)
+                value = math.nan
+            fh.write(f"{t1}_vs_{t2},{value!r}\n")
     outputs["chr.csv"] = chr_path
     sweep_path = cfg.out_dir / "template_sweep.csv"
     with sweep_path.open("w", encoding="utf-8") as fh:

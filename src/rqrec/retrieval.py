@@ -3,12 +3,19 @@
 All complete code sequences share one length, so beam scores are plain sums of
 token log-probabilities with no length normalization. Score ties break by
 lexicographic code tuple.
+
+`beam_search_users` searches many users in one pass: the trie becomes
+per-depth child arrays, every step scores the (beam x child) pairs of all
+users together, and one `np.lexsort` keeps each user's top k.
+`beam_search_constrained` is the same search for one user.
 """
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
+
+import numpy as np
 
 from .rqvae import ItemCodeTable
 from .vocab import PrefixTrie, code_token
@@ -25,12 +32,69 @@ class RankedList:
         return [item for item, _ in self.entries]
 
 
-def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
-                            k: int, user: str = "", template_id: int = 0) -> RankedList:
-    """Beam search over exactly trie.depth steps, width k.
+@dataclass
+class _TrieLevels:
+    """The trie as per-depth arrays.
 
-    Candidate tokens at each step are the trie edges leaving the beam prefix;
-    the scorer renormalizes over exactly that candidate set.
+    Nodes at depth d are numbered in code-tuple order, so a node's number is
+    its tie-break key. Row n of `child[d]` lists node n's children (numbers at
+    depth d + 1) in sorted-token order, -1 after the last; `tokens[d][n]` are
+    their tokens and `paths[d][n]` the tokens from the root to node n.
+    """
+
+    child: list[np.ndarray]
+    tokens: list[list[list[str]]]
+    paths: list[list[list[str]]]
+    items: list[str]
+
+
+def _trie_levels(trie: PrefixTrie) -> _TrieLevels:
+    levels = _TrieLevels([], [], [], [])
+    nodes, paths = [trie.root], [[]]
+    for _ in range(trie.depth):
+        kids = sorted(((p, kid.word, tok, kid) for p, node in enumerate(nodes)
+                       for tok, kid in node.children.items()), key=lambda x: x[:2])
+        number = {kid: n for n, (*_, kid) in enumerate(kids)}
+        child = np.full((len(nodes), max(len(n.children) for n in nodes)), -1, dtype=np.int64)
+        tokens = [sorted(node.children) for node in nodes]
+        for p, node in enumerate(nodes):
+            child[p, :len(tokens[p])] = [number[node.children[t]] for t in tokens[p]]
+        levels.child.append(child)
+        levels.tokens.append(tokens)
+        levels.paths.append(paths)
+        paths = [paths[p] + [tok] for p, _, tok, _ in kids]
+        nodes = [node for *_, node in kids]
+    levels.items = [node.item for node in nodes]
+    return levels
+
+
+def _token_id_levels(scorer, levels: _TrieLevels) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Per depth: the scorer's ids of each node's child tokens (-1 after the
+    last) and of its path from the root."""
+    cand_ids, path_ids = [], []
+    for child, tokens, paths in zip(levels.child, levels.tokens, levels.paths):
+        cand = np.full(child.shape, -1, dtype=np.int64)
+        for n, row in enumerate(tokens):
+            cand[n, :len(row)] = scorer.token_ids(row)
+        unknown = np.argwhere((cand < 0) & (child >= 0))
+        if len(unknown):
+            n, c = unknown[0]
+            raise ValueError(f"candidate token {tokens[n][c]!r} not in vocabulary")
+        cand_ids.append(cand)
+        path_ids.append(np.array([scorer.token_ids(path) for path in paths],
+                                 dtype=np.int64).reshape(len(paths), -1))
+    return cand_ids, path_ids
+
+
+def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: int,
+                      users: list[str], template_id: int = 0
+                      ) -> tuple[list[RankedList], int]:
+    """Beam search for every user at once; also returns the (beam, child) pairs scored.
+
+    Each user's list is what a search of that user alone gives. A scorer
+    with `candidate_logprobs` (MarkovScorer) scores all beams of a step in
+    one call; any other scorer is asked row by row through
+    `next_token_logprobs`.
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
@@ -39,23 +103,60 @@ def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
     vocab = getattr(scorer, "vocab", None)
     if vocab is not None:
         known = set(vocab)
-        for t in context:
-            if t not in known:
-                raise ValueError(f"unknown context token {t!r}")
-    # beam entries: (score, code-word tuple, node, generated tokens)
-    beams = [(0.0, (), trie.root, ())]
-    for _ in range(trie.depth):
-        expanded = []
-        for score, code, node, toks in beams:
-            logps = scorer.next_token_logprobs(context + list(toks),
-                                               tuple(node.children))
-            for tok, child in node.children.items():
-                expanded.append((score + logps[tok], code + (child.word,),
-                                 child, toks + (tok,)))
-        expanded.sort(key=lambda b: (-b[0], b[1]))
-        beams = expanded[:k]
-    return RankedList(user=user, index_type=trie.index_type, template_id=template_id,
-                      entries=[(node.item, score) for score, _, node, _ in beams])
+        for context in contexts:
+            for t in context:
+                if t not in known:
+                    raise ValueError(f"unknown context token {t!r}")
+    levels = _trie_levels(trie)
+    native = hasattr(scorer, "candidate_logprobs")
+    if native:
+        user_ctx = scorer.context_matrix(contexts)
+        cand_ids, path_ids = _token_id_levels(scorer, levels)
+    user = np.arange(len(contexts))
+    node = np.zeros(len(contexts), dtype=np.int64)
+    score = np.zeros(len(contexts))
+    pairs = 0
+    for d in range(trie.depth):
+        kids = levels.child[d][node]
+        if native:
+            # each beam's last `order` tokens: the user's context, then its path
+            ctx = np.concatenate([user_ctx[user], path_ids[d][node]], axis=1)[:, d:]
+            logp = scorer.candidate_logprobs(ctx, cand_ids[d][node])
+        else:
+            logp = np.full(kids.shape, -np.inf)
+            for r, (u, n) in enumerate(zip(user.tolist(), node.tolist())):
+                tokens = levels.tokens[d][n]
+                lp = scorer.next_token_logprobs(contexts[u] + levels.paths[d][n],
+                                                tuple(tokens))
+                logp[r, :len(tokens)] = [lp[t] for t in tokens]
+        rows, cols = np.nonzero(kids >= 0)
+        pairs += len(rows)
+        cand_user, cand_node = user[rows], kids[rows, cols]
+        cand_score = score[rows] + logp[rows, cols]
+        # per user: score descending, ties by code tuple (= node number)
+        order = np.lexsort((cand_node, -cand_score, cand_user))
+        cand_user = cand_user[order]
+        rank = np.arange(len(order)) - np.searchsorted(cand_user, cand_user)
+        top = order[rank < k]
+        user, node, score = cand_user[rank < k], cand_node[top], cand_score[top]
+    bounds = np.searchsorted(user, np.arange(len(contexts) + 1)).tolist()
+    items = [levels.items[n] for n in node.tolist()]
+    scores = score.tolist()
+    lists = [RankedList(user=name, index_type=trie.index_type, template_id=template_id,
+                        entries=list(zip(items[lo:hi], scores[lo:hi])))
+             for name, lo, hi in zip(users, bounds, bounds[1:])]
+    return lists, pairs
+
+
+def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
+                            k: int, user: str = "", template_id: int = 0) -> RankedList:
+    """Beam search over exactly trie.depth steps, width k, for one context.
+
+    Candidate tokens at each step are the trie edges leaving the beam prefix;
+    the scorer renormalizes over exactly that candidate set.
+    """
+    lists, _ = beam_search_users(scorer, trie, [context], k, [user], template_id)
+    return lists[0]
 
 
 def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],

@@ -28,7 +28,7 @@ class HashScorer:
     def next_token_logprobs(self, context, candidates):
         if not candidates:
             raise ValueError("candidate set is empty")
-        ctx = tuple(context[len(context) - self.order:])
+        ctx = tuple(context[max(0, len(context) - self.order):])
         cand = sorted(candidates)
         weights = [self._weight(ctx, t) for t in cand]
         total = sum(weights)

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -165,3 +167,12 @@ def test_hit_sets_builder():
     assert sets[1].users == set()
     sets2 = hit_sets(by_template, test, k=2)
     assert sets2[0].users == {"u1"} and sets2[1].users == {"u1"}
+
+
+def test_per_matrix_nan_row_for_template_without_hits(caplog):
+    sets = [HitSet(1, {"a", "b"}), HitSet(2, set()), HitSet(3, {"b"})]
+    matrix, ids = per_matrix(sets)
+    assert ids == [1, 2, 3]
+    assert all(math.isnan(v) for v in matrix[1])
+    assert matrix[0] == [0.0, 1.0, 0.5] and matrix[2] == [0.0, 1.0, 0.0]
+    assert "template 2 has no hits" in caplog.text

@@ -118,12 +118,12 @@ GOLDEN_DIGESTS = {
     "rqvae_ceid.manifest": "1c9392470baa350dfe7f58581f827e3bb2786a80217c8fcda65d96a1f31cabce",
     "rqvae_seid.bin": "60d05c9f58d6f82dbc914428da200a7090513f7b1252223966109f8aa2931ec6",
     "rqvae_seid.manifest": "239dd696c153b8edaee742d3cdafdc55f7725c07bee8de693d5640013e71243b",
-    "scorer_ceid_t1.txt": "25314dc44f896982a6bf9b143a1b1c33c1c831e9d54de900afce9658606aa443",
-    "scorer_ceid_t2.txt": "1467cc80e732a3d36a44302628e2cda889679d0d4463fcd01217bdde2b756cde",
-    "scorer_ceid_t3.txt": "fcff44347cf8b8c4645ec0b983237531d23e4dccd2ddf1cd64bfa06453b2b6f3",
-    "scorer_seid_t1.txt": "8cba39d38a4a026153b09e44426b6ce3dee3c48483d33e4ec5add09cd92fc4b2",
-    "scorer_seid_t2.txt": "db7ec9621068a2c9104c656e067dda6e7e3fbb602d699a98b622b995aa068c5f",
-    "scorer_seid_t3.txt": "4661b08199a1f493a22c2d8cc72a68f812a9c04206145d1c8d270d5602bc090c",
+    "scorer_ceid_t1.txt": "742d6716105a7ccb5a9505b70296d7989db193ad52ae7850a6d89d6474c3f4bc",
+    "scorer_ceid_t2.txt": "7e42a2abc2dd963f808f570eebe1f7550814fe4ea53814b276e9d0469b3afed3",
+    "scorer_ceid_t3.txt": "016a5e4836e525c7ae9a801aaba5ade0ed577841cf761c3dbfc07d91c4bf5856",
+    "scorer_seid_t1.txt": "2b8071c4bbb39e7db59214ad870bd1c7cfb397eab4c88b7bf3889193e33d2b24",
+    "scorer_seid_t2.txt": "413916a6fb43864d7f711cbbc5df7be55325dd8241acb50e97c78b8e928a4885",
+    "scorer_seid_t3.txt": "7e08b0c225602210a0b61da5c22815f351bf486649795a4b13f6329e988a51c2",
     "semantic.emb": "2465c4bb017ebadb3305aa484066a244371fe607309db2a2b39164e5db770b5b",
     "template_sweep.csv": "190e16d8c3f58936add3a5f81a53d5126f9b9b963aa844701590c9ed83b19fc4",
     "test.tsv": "841549674b3aec0110a7af4f79b0c5b574f85e51aa1e09f1490e233d20663a6e",
@@ -319,3 +319,58 @@ def test_cli_seed_flag_changes_outputs(tmp_path):
     assert main(["prepare", "--config", str(path), "--synthetic",
                  "--seed", "123", "-q"]) == 0
     assert (tmp_path / "run" / "train.tsv").read_bytes() != first
+
+
+def test_manifest_counters_deterministic(pipeline_run):
+    from rqrec.pipeline import stage_retrieve, stage_train_scorers
+    _, _, cfg = pipeline_run
+
+    def counters():
+        train = json.loads((cfg.out_dir / "manifest_train_scorers.json").read_text())
+        retrieve = json.loads((cfg.out_dir / "manifest_retrieve.json").read_text())
+        return train["ngram_rows"], retrieve["counters"]
+
+    ngram_rows, retrieval = counters()
+    assert sorted(ngram_rows) == [f"{x}_t{t}" for x in ("ceid", "seid") for t in (1, 2, 3)]
+    assert all(len(rows) == cfg.scorer.order + 1 and min(rows) > 0
+               for rows in ngram_rows.values())
+    n_users = len({ln.split("\t")[0]
+                   for ln in (cfg.out_dir / "train.tsv").read_text().splitlines()})
+    for index_type in ("ceid", "seid"):
+        c = retrieval[index_type]
+        written = (cfg.out_dir / f"ranked_{index_type}.jsonl").read_text().splitlines()
+        assert c["lists"] == len(written) == 3 * (n_users - c["users_without_list"])
+        assert c["pairs_scored"] >= c["lists"] * cfg.k_retrieve
+    stage_train_scorers(cfg)
+    stage_retrieve(cfg)
+    assert counters() == (ngram_rows, retrieval)
+
+
+def test_analyze_reports_nan_for_templates_without_hits(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import stage_analyze
+    _, _, cfg = pipeline_run
+    out = tmp_path / "unlucky"
+    shutil.copytree(cfg.out_dir, out)
+    test = dict(ln.split("\t") for ln in (out / "test.tsv").read_text().splitlines())
+    # no seid list and no ceid template-2 list holds the user's test item
+    for index_type in ("ceid", "seid"):
+        path = out / f"ranked_{index_type}.jsonl"
+        recs = [json.loads(ln) for ln in path.read_text().splitlines()]
+        for rec in recs:
+            if index_type == "seid" or rec["template"] == 2:
+                keep = [j for j, item in enumerate(rec["items"]) if item != test[rec["user"]]]
+                rec["items"] = [rec["items"][j] for j in keep]
+                rec["scores"] = [rec["scores"][j] for j in keep]
+        path.write_text("".join(json.dumps(rec) + "\n" for rec in recs))
+    stage_analyze(dataclasses.replace(cfg, out_dir=out))
+    ceid = [ln.split(",") for ln in (out / "per_matrix_ceid.csv").read_text().splitlines()[1:]]
+    assert ceid[1][1:] == ["nan"] * 3
+    assert float(ceid[0][1]) == 0.0 and ceid[0][2] != "nan"
+    seid = [ln.split(",") for ln in (out / "per_matrix_seid.csv").read_text().splitlines()[1:]]
+    assert all(row[1:] == ["nan"] * 3 for row in seid)
+    chr_rows = (out / "chr.csv").read_text().splitlines()
+    assert chr_rows[1] == "ceid_vs_seid,nan"
+    assert chr_rows[2] == "seid_vs_ceid,1.0"

@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import HashScorer, UniformScorer, random_code_table
-from rqrec.retrieval import (beam_search_constrained, exhaustive_topk_oracle,
-                             parse_ranked_list, ranked_list_record,
+from rqrec.retrieval import (beam_search_constrained, beam_search_users,
+                             exhaustive_topk_oracle, parse_ranked_list, ranked_list_record,
                              read_ranked_lists, write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
 from rqrec.scorer import ScorerConfig, train_markov_scorer
@@ -141,3 +141,52 @@ def test_jsonl_roundtrip(tmp_path):
     rec = ranked_list_record(lists[0])
     assert parse_ranked_list(rec) == lists[0]
     assert rec.startswith('{"user": "u0", "index_type": "ceid", "template": 1,')
+
+
+class CallsOnly:
+    """Exposes only the `next_token_logprobs` contract of the scorer it wraps."""
+
+    def __init__(self, scorer):
+        self.vocab = scorer.vocab
+        self.next_token_logprobs = scorer.next_token_logprobs
+
+
+def batch_setup(seed):
+    rng = np.random.default_rng(seed)
+    table = random_code_table(rng, 45, 6)
+    trie = build_prefix_trie(table)
+    vocab = sorted({code_token("ceid", l + 1, w)
+                    for tup in table.codes.values() for l, w in enumerate(tup)})
+    streams = {f"u{k}": list(rng.choice(vocab, size=24)) for k in range(8)}
+    # histories from empty to longer than the scorer order, in one batch
+    contexts = [list(rng.choice(vocab, size=n)) for n in (0, 1, 2, 3, 5, 8, 13, 20)]
+    users = [f"v{k}" for k in range(len(contexts))]
+    return trie, vocab, streams, contexts, users
+
+
+@pytest.mark.parametrize("kind", ["markov", "hash"])
+def test_batched_search_equals_single_user_search(kind):
+    trie, vocab, streams, contexts, users = batch_setup(44)
+    if kind == "markov":
+        sc = train_markov_scorer(streams, 2, ScorerConfig(order=4, seed=3), "ceid", vocab=vocab)
+    else:
+        sc = HashScorer(seed=4, vocab=vocab, order=4)
+    for k in (1, 7, 20):
+        lists, pairs = beam_search_users(sc, trie, contexts, k, users, template_id=2)
+        assert [rl.user for rl in lists] == users
+        assert pairs > 0
+        for user, context, rl in zip(users, contexts, lists):
+            single = beam_search_constrained(sc, trie, context, k, user=user, template_id=2)
+            assert rl == single
+            assert len(rl.entries) == min(k, trie.size)
+
+
+@pytest.mark.parametrize("order", [0, 3, 6])
+def test_batched_markov_search_equals_per_call_search(order):
+    # the array path and the next_token_logprobs path give the same bytes
+    trie, vocab, streams, contexts, users = batch_setup(45)
+    sc = train_markov_scorer(streams, 1, ScorerConfig(order=order), "ceid", vocab=vocab)
+    native, native_pairs = beam_search_users(sc, trie, contexts, 10, users)
+    per_call, per_call_pairs = beam_search_users(CallsOnly(sc), trie, contexts, 10, users)
+    assert native == per_call
+    assert native_pairs == per_call_pairs

@@ -3,13 +3,24 @@ import math
 import numpy as np
 import pytest
 
-from rqrec.scorer import (MarkovScorer, ScorerConfig, load_scorer, save_scorer,
-                          train_markov_scorer)
+from rqrec.scorer import (MarkovScorer, ScorerConfig, count_ngrams, load_scorer,
+                          save_scorer, train_markov_scorer)
 
 
 def cfg(**kw):
     return ScorerConfig(**{"order": 2, "delta": 0.1, "backoff_lambda": 0.4,
                            "seed": 0, **kw})
+
+
+def counts(sc):
+    """The scorer's n-gram keys and counts per order, as comparable lists."""
+    return [(keys.tolist(), c.tolist())
+            for keys, c in zip(sc.tables.ngram_keys, sc.tables.counts)]
+
+
+def totals(sc):
+    return [(keys.tolist(), t.tolist())
+            for keys, t in zip(sc.tables.ctx_keys, sc.tables.totals)]
 
 
 def test_repeating_stream_count_dominance():
@@ -31,12 +42,12 @@ def test_train_deterministic():
     streams = {f"u{k}": [f"t{rng.integers(0, 5)}" for _ in range(8)] for k in range(6)}
     a = train_markov_scorer(streams, 1, cfg(), "ceid")
     b = train_markov_scorer(streams, 1, cfg(), "ceid")
-    assert a.counts == b.counts and a.totals == b.totals
+    assert counts(a) == counts(b) and totals(a) == totals(b)
     # bootstrap templates are deterministic too, but differ from the full data
     a3 = train_markov_scorer(streams, 3, cfg(), "ceid")
     b3 = train_markov_scorer(streams, 3, cfg(), "ceid")
-    assert a3.counts == b3.counts
-    assert a3.counts != a.counts
+    assert counts(a3) == counts(b3)
+    assert counts(a3) != counts(a)
 
 
 def test_single_candidate_logprob_zero():
@@ -103,7 +114,7 @@ def test_bootstrap_seeded_by_template():
     streams = {f"u{k}": [f"w{k}"] * (k + 1) for k in range(8)}
     s2 = train_markov_scorer(streams, 2, cfg(), "ceid")
     s5 = train_markov_scorer(streams, 5, cfg(), "ceid")
-    assert s2.counts != s5.counts  # different template seeds resample differently
+    assert counts(s2) != counts(s5)  # different template seeds resample differently
 
 
 def test_empty_streams_error():
@@ -137,6 +148,123 @@ def test_checkpoint_roundtrip(tmp_path):
     assert back.backoff_lambda == sc.backoff_lambda
     assert back.template_id == 4 and back.index_type == "seid"
     assert back.vocab == sc.vocab
-    assert back.counts == sc.counts and back.totals == sc.totals
+    assert counts(back) == counts(sc) and totals(back) == totals(sc)
     ctx = [sc.vocab[0], sc.vocab[1]]
     assert back.next_token_logprobs(ctx, sc.vocab) == sc.next_token_logprobs(ctx, sc.vocab)
+
+
+def reference_logprobs(streams, template_id, config, vocab, context, candidates):
+    """The smoothed backoff model from scratch: n-gram dicts counted by scanning
+    the (resampled) streams, then the scalar formula per candidate, Python's
+    sum and math.log."""
+    users = sorted(u for u, s in streams.items() if s)
+    if template_id == 1:
+        chosen = users
+    else:
+        rng = np.random.default_rng([config.seed, template_id])
+        chosen = [users[j] for j in rng.integers(0, len(users), size=len(users))]
+    ngrams: dict[tuple[str, ...], int] = {}
+    ctx_totals: dict[tuple[str, ...], int] = {}
+    for u in chosen:
+        s = streams[u]
+        for i in range(len(s)):
+            for k in range(min(config.order, i) + 1):
+                ngrams[tuple(s[i - k:i + 1])] = ngrams.get(tuple(s[i - k:i + 1]), 0) + 1
+                ctx_totals[tuple(s[i - k:i])] = ctx_totals.get(tuple(s[i - k:i]), 0) + 1
+    tail = context[max(0, len(context) - config.order):]
+    v, d, lam = len(vocab), config.delta, config.backoff_lambda
+    probs = []
+    for tok in sorted(candidates):
+        p = (ngrams.get((tok,), 0) + d) / (ctx_totals.get((), 0) + d * v)
+        for k in range(1, len(tail) + 1):
+            ctx = tuple(tail[len(tail) - k:])
+            s = (ngrams.get(ctx + (tok,), 0) + d) / (ctx_totals.get(ctx, 0) + d * v)
+            p = (1.0 - lam) * s + lam * p
+        probs.append(p)
+    total = sum(probs)
+    return {t: math.log(p / total) for t, p in zip(sorted(candidates), probs)}
+
+
+def test_logprobs_bitwise_equal_to_bruteforce_reference():
+    rng = np.random.default_rng(21)
+    checked = 0
+    for trial in range(60):
+        n_vocab = int(rng.integers(1, 10))
+        vocab = [f"t{k}" for k in range(n_vocab)]
+        streams = {f"u{j}": [vocab[x] for x in rng.integers(0, n_vocab, int(rng.integers(0, 16)))]
+                   for j in range(int(rng.integers(1, 7)))}
+        streams["u0"] = streams["u0"] or [vocab[0]]
+        config = cfg(order=trial % 5, seed=trial, delta=[0.1, 0.25, 1.0][trial % 3])
+        template_id = 1 + trial % 3
+        sc = train_markov_scorer(streams, template_id, config, "ceid", vocab=vocab)
+        for _ in range(15):
+            # contexts shorter and longer than the order, some holding an OOV token
+            context = [vocab[x] if rng.random() > 0.2 else "<OOV>"
+                       for x in rng.integers(0, n_vocab, int(rng.integers(0, 7)))]
+            cands = list(rng.choice(vocab, size=int(rng.integers(1, n_vocab + 1)), replace=False))
+            want = reference_logprobs(streams, template_id, config, vocab, context, cands)
+            assert sc.next_token_logprobs(context, cands) == want
+            checked += 1
+    assert checked == 900
+
+
+def test_oov_context_token_differs_from_short_history():
+    streams = {"u": ["a", "b", "a", "b", "b", "a"]}
+    sc = train_markov_scorer(streams, 1, cfg(order=2), "ceid")
+    short = sc.next_token_logprobs(["a"], ["a", "b"])
+    with_oov = sc.next_token_logprobs(["<OOV>", "a"], ["a", "b"])
+    assert short != with_oov  # the OOV position still adds a zero-count order
+    assert with_oov == reference_logprobs(streams, 1, cfg(order=2), ["a", "b"],
+                                          ["<OOV>", "a"], ["a", "b"])
+
+
+def test_add_stream_matches_training():
+    rng = np.random.default_rng(22)
+    vocab = [f"t{k}" for k in range(6)]
+    streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 6, 12)] for k in range(5)}
+    trained = train_markov_scorer(streams, 1, cfg(order=3), "ceid", vocab=vocab)
+    grown = MarkovScorer(order=3, delta=0.1, backoff_lambda=0.4, template_id=1,
+                         index_type="ceid", vocab=vocab)
+    for u in sorted(streams):
+        grown.add_stream(streams[u])
+    assert counts(grown) == counts(trained) and totals(grown) == totals(trained)
+
+
+def test_shared_index_matches_own_count():
+    rng = np.random.default_rng(23)
+    vocab = [f"t{k}" for k in range(7)]
+    streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 7, int(rng.integers(1, 20)))]
+               for k in range(8)}
+    index = count_ngrams(streams, 3, vocab)
+    for t in (1, 2, 7):
+        own = train_markov_scorer(streams, t, cfg(order=3), "ceid", vocab=vocab)
+        shared = train_markov_scorer(streams, t, cfg(order=3), "ceid", vocab=vocab,
+                                     index=index)
+        assert counts(own) == counts(shared) and totals(own) == totals(shared)
+    with pytest.raises(ValueError, match="does not match"):
+        train_markov_scorer(streams, 1, cfg(order=2), "ceid", vocab=vocab, index=index)
+
+
+def test_load_refuses_v1_checkpoint(tmp_path):
+    p = tmp_path / "scorer_ceid_t1.txt"
+    p.write_text("MARKOV_SCORER v1\nindex_type ceid\ntemplate 1\norder 1\n"
+                 "delta 0.1\nlambda 0.4\nvocab a b\ncounts\n\ta\t2\na\tb\t1\n")
+    with pytest.raises(ValueError, match="train-scorers"):
+        load_scorer(p)
+
+
+def test_load_refuses_truncated_checkpoint(tmp_path):
+    sc = train_markov_scorer({"u": ["a", "b", "a", "c", "b"]}, 1, cfg(order=2), "ceid")
+    p = tmp_path / "scorer_ceid_t1.txt"
+    save_scorer(sc, p)
+    lines = p.read_text().splitlines()
+    assert lines[-1].startswith("count2 ")
+    p.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")  # one value short
+    with pytest.raises(ValueError, match="train-scorers"):
+        load_scorer(p)
+    p.write_text("\n".join(lines[:-2]) + "\n")  # the last two arrays missing
+    with pytest.raises(ValueError, match="train-scorers"):
+        load_scorer(p)
+    p.write_text("\n".join(ln for ln in lines if not ln.startswith("ngrams ")) + "\n")
+    with pytest.raises(ValueError, match="lacks ngrams.*train-scorers"):
+        load_scorer(p)
