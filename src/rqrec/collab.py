@@ -63,16 +63,12 @@ def build_adjacency(train: dict[str, list[str]],
     u_index = {u: k for k, u in enumerate(users)}
     i_index = {i: k for k, i in enumerate(items)}
     pairs = sorted({(u_index[u], i_index[i]) for u, seq in train.items() for i in seq})
-    u_deg = np.zeros(len(users))
-    i_deg = np.zeros(len(items))
-    for u, i in pairs:
-        u_deg[u] += 1
-        i_deg[i] += 1
-    u_rows = np.array([u for u, _ in pairs], dtype=np.int64)
-    i_rows = np.array([i for _, i in pairs], dtype=np.int64) + len(users)
-    w = 1.0 / np.sqrt(u_deg[u_rows] * i_deg[i_rows - len(users)])
+    u_rows, i_rows = np.array(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    u_deg = np.bincount(u_rows, minlength=len(users)).astype(np.float64)
+    i_deg = np.bincount(i_rows, minlength=len(items)).astype(np.float64)
+    w = 1.0 / np.sqrt(u_deg[u_rows] * i_deg[i_rows])
     return NormalizedAdjacency(n_users=len(users), n_items=len(items),
-                               user_rows=u_rows, item_rows=i_rows, weights=w)
+                               user_rows=u_rows, item_rows=i_rows + len(users), weights=w)
 
 
 def propagate(adjacency: NormalizedAdjacency, embeddings: np.ndarray, layers: int) -> np.ndarray:
@@ -118,25 +114,22 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     items = sorted({i for seq in split.train.values() for i in seq})
     adj = build_adjacency(split.train, users, items)
     n_users, n_items = len(users), len(items)
-    i_index = {i: k for k, i in enumerate(items)}
 
     rng = np.random.default_rng(cfg.seed)
     scale = 0.1 / np.sqrt(cfg.dim)
     emb = rng.uniform(-scale, scale, size=(n_users + n_items, cfg.dim))
 
-    # distinct observed pairs, and per-user positive sets for negative sampling
-    pair_list = sorted({(uk, i_index[i])
-                        for uk, u in enumerate(users) for i in split.train[u]})
-    u_idx = np.array([u for u, _ in pair_list], dtype=np.int64)
-    pos_idx = np.array([i for _, i in pair_list], dtype=np.int64) + n_users
+    # the graph's edges are the distinct observed pairs; per-user positive
+    # sets drive negative sampling
+    u_idx, pos_idx = adj.user_rows, adj.item_rows
     pos_sets = [set() for _ in range(n_users)]
-    for u, i in pair_list:
+    for u, i in zip(u_idx.tolist(), (pos_idx - n_users).tolist()):
         pos_sets[u].add(i)
 
     losses: list[float] = []
     for epoch in range(cfg.epochs):
         prop = propagate(adj, emb, cfg.layers)
-        reps = np.repeat(np.arange(len(pair_list)), cfg.neg_samples_per_positive)
+        reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
         neg = rng.integers(0, n_items, size=len(reps))
         for k in range(len(reps)):
             seen = pos_sets[u_idx[reps[k]]]

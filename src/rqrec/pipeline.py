@@ -273,8 +273,12 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
         path = cfg.out_dir / f"ranked_{index_type}.jsonl"
         write_ranked_lists(results, path)
         outputs[path.name] = path
+        without = len(context_split.train) - len(users)
         counters[index_type] = {"lists": len(results), "pairs_scored": pairs,
-                                "users_without_list": len(context_split.train) - len(users)}
+                                "users_without_list": without}
+        if without:
+            log.warning("retrieve: %s: %d users get no list (no coded item in their "
+                        "history)", index_type, without)
         log.info("retrieve: %s wrote %d lists", index_type, len(results))
     _write_manifest(cfg, "retrieve", inputs, outputs, extra={"counters": counters})
 

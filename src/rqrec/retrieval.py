@@ -4,9 +4,9 @@ All complete code sequences share one length, so beam scores are plain sums of
 token log-probabilities with no length normalization. Score ties break by
 lexicographic code tuple.
 
-`beam_search_users` searches many users in one pass: the trie becomes
-per-depth child arrays, every step scores the (beam x child) pairs of all
-users together, and one `np.lexsort` keeps each user's top k.
+`beam_search_users` searches many users in one pass over the trie's per-depth
+child arrays: every step scores the (beam x child) pairs of all users
+together, and one `np.lexsort` keeps each user's top k.
 `beam_search_constrained` is the same search for one user.
 """
 from __future__ import annotations
@@ -32,47 +32,11 @@ class RankedList:
         return [item for item, _ in self.entries]
 
 
-@dataclass
-class _TrieLevels:
-    """The trie as per-depth arrays.
-
-    Nodes at depth d are numbered in code-tuple order, so a node's number is
-    its tie-break key. Row n of `child[d]` lists node n's children (numbers at
-    depth d + 1) in sorted-token order, -1 after the last; `tokens[d][n]` are
-    their tokens and `paths[d][n]` the tokens from the root to node n.
-    """
-
-    child: list[np.ndarray]
-    tokens: list[list[list[str]]]
-    paths: list[list[list[str]]]
-    items: list[str]
-
-
-def _trie_levels(trie: PrefixTrie) -> _TrieLevels:
-    levels = _TrieLevels([], [], [], [])
-    nodes, paths = [trie.root], [[]]
-    for _ in range(trie.depth):
-        kids = sorted(((p, kid.word, tok, kid) for p, node in enumerate(nodes)
-                       for tok, kid in node.children.items()), key=lambda x: x[:2])
-        number = {kid: n for n, (*_, kid) in enumerate(kids)}
-        child = np.full((len(nodes), max(len(n.children) for n in nodes)), -1, dtype=np.int64)
-        tokens = [sorted(node.children) for node in nodes]
-        for p, node in enumerate(nodes):
-            child[p, :len(tokens[p])] = [number[node.children[t]] for t in tokens[p]]
-        levels.child.append(child)
-        levels.tokens.append(tokens)
-        levels.paths.append(paths)
-        paths = [paths[p] + [tok] for p, _, tok, _ in kids]
-        nodes = [node for *_, node in kids]
-    levels.items = [node.item for node in nodes]
-    return levels
-
-
-def _token_id_levels(scorer, levels: _TrieLevels) -> tuple[list[np.ndarray], list[np.ndarray]]:
+def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per depth: the scorer's ids of each node's child tokens (-1 after the
     last) and of its path from the root."""
     cand_ids, path_ids = [], []
-    for child, tokens, paths in zip(levels.child, levels.tokens, levels.paths):
+    for child, tokens, paths in zip(trie.child, trie.tokens, trie.paths):
         cand = np.full(child.shape, -1, dtype=np.int64)
         for n, row in enumerate(tokens):
             cand[n, :len(row)] = scorer.token_ids(row)
@@ -98,7 +62,7 @@ def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: in
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if trie.size == 0:
+    if not trie.items:
         raise ValueError("trie is empty")
     vocab = getattr(scorer, "vocab", None)
     if vocab is not None:
@@ -107,17 +71,16 @@ def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: in
             for t in context:
                 if t not in known:
                     raise ValueError(f"unknown context token {t!r}")
-    levels = _trie_levels(trie)
     native = hasattr(scorer, "candidate_logprobs")
     if native:
         user_ctx = scorer.context_matrix(contexts)
-        cand_ids, path_ids = _token_id_levels(scorer, levels)
+        cand_ids, path_ids = _token_id_levels(scorer, trie)
     user = np.arange(len(contexts))
     node = np.zeros(len(contexts), dtype=np.int64)
     score = np.zeros(len(contexts))
     pairs = 0
     for d in range(trie.depth):
-        kids = levels.child[d][node]
+        kids = trie.child[d][node]
         if native:
             # each beam's last `order` tokens: the user's context, then its path
             ctx = np.concatenate([user_ctx[user], path_ids[d][node]], axis=1)[:, d:]
@@ -125,8 +88,8 @@ def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: in
         else:
             logp = np.full(kids.shape, -np.inf)
             for r, (u, n) in enumerate(zip(user.tolist(), node.tolist())):
-                tokens = levels.tokens[d][n]
-                lp = scorer.next_token_logprobs(contexts[u] + levels.paths[d][n],
+                tokens = trie.tokens[d][n]
+                lp = scorer.next_token_logprobs(contexts[u] + trie.paths[d][n],
                                                 tuple(tokens))
                 logp[r, :len(tokens)] = [lp[t] for t in tokens]
         rows, cols = np.nonzero(kids >= 0)
@@ -140,7 +103,7 @@ def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: in
         top = order[rank < k]
         user, node, score = cand_user[rank < k], cand_node[top], cand_score[top]
     bounds = np.searchsorted(user, np.arange(len(contexts) + 1)).tolist()
-    items = [levels.items[n] for n in node.tolist()]
+    items = [trie.items[n] for n in node.tolist()]
     scores = score.tolist()
     lists = [RankedList(user=name, index_type=trie.index_type, template_id=template_id,
                         entries=list(zip(items[lo:hi], scores[lo:hi])))

@@ -529,6 +529,8 @@ def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
             code_len = len(tup) - 1
         elif len(tup) - 1 != code_len:
             raise ValueError(f"{path}:{lineno}: inconsistent code length")
+        if parts[0] in codes:
+            raise ValueError(f"{path}:{lineno}: duplicate item {parts[0]!r}")
         codes[parts[0]] = tup
     if not codes:
         raise ValueError(f"{path}: empty code table")

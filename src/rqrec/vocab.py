@@ -1,8 +1,14 @@
-"""Code-token vocabularies and prefix tries for constrained decoding."""
+"""Code-token vocabularies and prefix tries for constrained decoding.
+
+A `PrefixTrie` is built once per index type, straight from the code table, as
+the per-depth child arrays that the batched beam search reads.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
+
+import numpy as np
 
 from .rqvae import ItemCodeTable
 
@@ -74,71 +80,51 @@ def write_vocab(vocab: TokenVocab, path: str | Path) -> None:
 # ---------------------------------------------------------------------------
 # Prefix trie
 
-class TrieNode:
-    __slots__ = ("children", "item", "word")
-
-    def __init__(self) -> None:
-        self.children: dict[str, TrieNode] = {}
-        self.item: str | None = None
-        self.word: int | None = None  # code word on the incoming edge
-
-
 @dataclass
 class PrefixTrie:
-    root: TrieNode
-    depth: int
+    """The table's code-token paths as per-depth arrays, one leaf per item.
+
+    Nodes at depth d are numbered in code-tuple order, so a node's number is
+    its tie-break key. Row n of `child[d]` lists node n's children (numbers at
+    depth d + 1) in sorted-token order, -1 after the last; `tokens[d][n]` are
+    their tokens and `paths[d][n]` the tokens from the root to node n.
+    `items[n]` is the item at leaf n.
+    """
+
     index_type: str
-    size: int = 0
-
-    def walk(self, prefix: list[str]) -> TrieNode:
-        node = self.root
-        for tok in prefix:
-            if tok not in node.children:
-                raise ValueError(f"prefix token {tok!r} not in trie")
-            node = node.children[tok]
-        return node
-
-    def items(self) -> list[tuple[str, list[str]]]:
-        out: list[tuple[str, list[str]]] = []
-
-        def rec(node: TrieNode, path: list[str]) -> None:
-            if node.item is not None:
-                out.append((node.item, list(path)))
-            for tok in sorted(node.children):
-                path.append(tok)
-                rec(node.children[tok], path)
-                path.pop()
-
-        rec(self.root, [])
-        return out
+    depth: int
+    child: list[np.ndarray]
+    tokens: list[list[list[str]]]
+    paths: list[list[list[str]]]
+    items: list[str]
 
 
 def build_prefix_trie(table: ItemCodeTable) -> PrefixTrie:
-    """Trie containing exactly the table's (L+1)-token paths, one terminal per item."""
-    trie = PrefixTrie(root=TrieNode(), depth=table.code_len_total,
-                      index_type=table.index_type)
-    for item in sorted(table.codes):
-        tup = table.codes[item]
+    """Trie containing exactly the table's (L+1)-token paths."""
+    for item, tup in sorted(table.codes.items()):
         if len(tup) != table.code_len_total:
             raise ValueError(f"item {item!r} has code length {len(tup)}, "
                              f"expected {table.code_len_total}")
-        node = trie.root
-        for level, word in enumerate(tup, start=1):
-            tok = code_token(table.index_type, level, word)
-            child = node.children.get(tok)
-            if child is None:
-                child = TrieNode()
-                child.word = word
-                node.children[tok] = child
-            node = child
-        if node.item is not None:
-            raise ValueError(f"duplicate code tuple {tup} for items "
-                             f"{node.item!r} and {item!r}")
-        node.item = item
-        trie.size += 1
+    rows = sorted((tup, item) for item, tup in table.codes.items())
+    for (tup, a), (nxt, b) in zip(rows, rows[1:]):
+        if tup == nxt:
+            raise ValueError(f"duplicate code tuple {tup} for items {a!r} and {b!r}")
+    trie = PrefixTrie(table.index_type, table.code_len_total, [], [], [],
+                      [item for _, item in rows])
+    nodes, paths = {(): 0}, [[]]  # prefix -> number, and path, of the nodes at depth d
+    for d in range(trie.depth):
+        kids = list(dict.fromkeys(tup[:d + 1] for tup, _ in rows))  # numbered in code-tuple order
+        parent = [nodes[kid[:-1]] for kid in kids]
+        token = [code_token(trie.index_type, d + 1, kid[-1]) for kid in kids]
+        children: list[list[int]] = [[] for _ in nodes]
+        for n in sorted(range(len(kids)), key=token.__getitem__):
+            children[parent[n]].append(n)
+        child = np.full((len(nodes), max(map(len, children), default=0)), -1, dtype=np.int64)
+        for p, row in enumerate(children):
+            child[p, :len(row)] = row
+        trie.child.append(child)
+        trie.tokens.append([[token[n] for n in row] for row in children])
+        trie.paths.append(paths)
+        nodes = {kid: n for n, kid in enumerate(kids)}
+        paths = [paths[p] + [tok] for p, tok in zip(parent, token)]
     return trie
-
-
-def allowed_next(trie: PrefixTrie, prefix: list[str]) -> set[str]:
-    """Edge labels leaving the prefix node; empty at terminals, error off-trie."""
-    return set(trie.walk(prefix).children)

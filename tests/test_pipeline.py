@@ -374,3 +374,24 @@ def test_analyze_reports_nan_for_templates_without_hits(pipeline_run, tmp_path):
     chr_rows = (out / "chr.csv").read_text().splitlines()
     assert chr_rows[1] == "ceid_vs_seid,nan"
     assert chr_rows[2] == "seid_vs_ceid,1.0"
+
+
+def test_retrieve_warns_about_users_without_list(pipeline_run, tmp_path, caplog):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import stage_retrieve
+    _, _, cfg = pipeline_run
+    out = tmp_path / "uncoded"
+    shutil.copytree(cfg.out_dir, out)
+    before = json.loads((out / "manifest_retrieve.json").read_text())["counters"]
+    assert all(c["users_without_list"] == 0 for c in before.values())
+    # a new user whose only item is in no code table
+    with (out / "train.tsv").open("a", encoding="utf-8") as fh:
+        fh.write("u_uncoded\ti_uncoded\n")
+    stage_retrieve(dataclasses.replace(cfg, out_dir=out))
+    after = json.loads((out / "manifest_retrieve.json").read_text())["counters"]
+    for index_type in ("ceid", "seid"):
+        assert after[index_type]["users_without_list"] == 1
+        assert after[index_type]["lists"] == before[index_type]["lists"]
+        assert f"retrieve: {index_type}: 1 users get no list" in caplog.text

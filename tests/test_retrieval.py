@@ -82,6 +82,33 @@ def test_beam_full_width_equals_oracle_with_markov_scorer():
     assert len(got.entries) == len(table.codes)
 
 
+def test_beam_equals_oracle_with_two_digit_code_words():
+    # code words >= 10 make token-string order ("<CeID_1,10>" < "<CeID_1,2>")
+    # differ from numeric order: the oracle normalizes over sorted tokens and
+    # breaks ties by code tuple, so both orders of the trie must match it
+    rng = np.random.default_rng(21)
+    for trial in range(40):
+        table = random_code_table(rng, int(rng.integers(30, 61)), int(rng.integers(11, 16)))
+        trie = build_prefix_trie(table)
+        vocab = sorted({code_token("ceid", l + 1, w)
+                        for tup in table.codes.values() for l, w in enumerate(tup)})
+        streams = {f"u{k}": list(rng.choice(vocab, size=30)) for k in range(6)}
+        sc = train_markov_scorer(streams, 1, ScorerConfig(order=3, seed=trial), "ceid",
+                                 vocab=vocab)
+        ctx = streams["u0"][:int(rng.integers(0, 8))]
+        got = beam_search_constrained(sc, trie, ctx, len(table.codes))
+        assert got.entries == exhaustive_topk_oracle(sc, table, ctx, len(table.codes)).entries
+
+
+def test_uniform_ties_break_by_numeric_code_tuple():
+    # item names and token strings both order "10" before "2"; code tuples do not
+    codes = {f"i{w}": (w, 0, 0, 0) for w in range(12)}
+    table = table_of(codes)
+    rl = beam_search_constrained(UniformScorer(), build_prefix_trie(table), [], 12)
+    assert rl.items() == [f"i{w}" for w in range(12)]
+    assert rl == exhaustive_topk_oracle(UniformScorer(), table, [], 12)
+
+
 def test_oracle_k_bounds():
     rng = np.random.default_rng(3)
     table = random_code_table(rng, 9, 3)
@@ -178,7 +205,7 @@ def test_batched_search_equals_single_user_search(kind):
         for user, context, rl in zip(users, contexts, lists):
             single = beam_search_constrained(sc, trie, context, k, user=user, template_id=2)
             assert rl == single
-            assert len(rl.entries) == min(k, trie.size)
+            assert len(rl.entries) == min(k, len(trie.items))
 
 
 @pytest.mark.parametrize("order", [0, 3, 6])

@@ -362,6 +362,13 @@ def test_code_table_file_roundtrip(tmp_path):
     assert load_code_table(p, "ceid") == table
 
 
+def test_code_table_duplicate_item_is_error(tmp_path):
+    p = tmp_path / "codes.tsv"
+    p.write_text("A\t5\t2\t0\nC\t1\t1\t0\nA\t5\t2\t1\n")
+    with pytest.raises(ValueError, match=r"codes\.tsv:3: duplicate item 'A'"):
+        load_code_table(p, "ceid")
+
+
 # ---------------------------------------------------------------------------
 # checkpointing
 

@@ -1,8 +1,8 @@
 import pytest
 
 from rqrec.rqvae import ItemCodeTable
-from rqrec.vocab import (allowed_next, build_prefix_trie, build_vocabulary,
-                         code_token, indicator_token, item_tokens, write_vocab)
+from rqrec.vocab import (build_prefix_trie, build_vocabulary, code_token, indicator_token,
+                         item_tokens, write_vocab)
 
 
 def table_of(codes, index_type="ceid"):
@@ -59,62 +59,80 @@ def test_item_tokens_unknown_item():
         item_tokens(table_of({"x1": (5, 2, 7, 0)}), "zzz")
 
 
+def leaf_of(trie, tokens):
+    """Follow `tokens` down the child arrays; the node number reached."""
+    node = 0
+    for d, tok in enumerate(tokens):
+        node = int(trie.child[d][node, trie.tokens[d][node].index(tok)])
+    return node
+
+
 def test_trie_single_item():
     trie = build_prefix_trie(table_of({"only": (3, 1, 4, 0)}))
-    assert trie.size == 1
-    items = trie.items()
-    assert items == [("only", ["<CeID_1,3>", "<CeID_2,1>", "<CeID_3,4>", "<CeID_4,0>"])]
+    assert trie.items == ["only"] and trie.depth == 4
+    assert [c.tolist() for c in trie.child] == [[[0]]] * 4
+    assert trie.tokens == [[["<CeID_1,3>"]], [["<CeID_2,1>"]], [["<CeID_3,4>"]], [["<CeID_4,0>"]]]
+    assert trie.paths[3] == [["<CeID_1,3>", "<CeID_2,1>", "<CeID_3,4>"]]
 
 
 def test_trie_shared_prefix_branches():
     trie = build_prefix_trie(table_of({"a": (0, 0, 0, 0), "b": (0, 0, 1, 0)}))
-    assert allowed_next(trie, []) == {"<CeID_1,0>"}
-    branch = allowed_next(trie, ["<CeID_1,0>", "<CeID_2,0>"])
-    assert branch == {"<CeID_3,0>", "<CeID_3,1>"}
+    assert trie.tokens[0] == [["<CeID_1,0>"]]
+    assert trie.tokens[2] == [["<CeID_3,0>", "<CeID_3,1>"]]
+    assert trie.paths[2] == [["<CeID_1,0>", "<CeID_2,0>"]]
+    assert trie.child[2].tolist() == [[0, 1]]
+    assert trie.child[3].tolist() == [[0], [1]]  # one terminal token below each branch
+
+
+def test_trie_nodes_in_code_order_children_in_token_order():
+    # "<CeID_1,10>" sorts before "<CeID_1,2>", but code word 2 is node 0
+    trie = build_prefix_trie(table_of({"a": (10, 0), "b": (2, 0), "c": (10, 1)}))
+    assert trie.tokens[0] == [["<CeID_1,10>", "<CeID_1,2>"]]
+    assert trie.child[0].tolist() == [[1, 0]]
+    assert trie.paths[1] == [["<CeID_1,2>"], ["<CeID_1,10>"]]
+    assert trie.items == ["b", "a", "c"]
 
 
 def test_trie_terminal_count():
     codes = {f"i{k}": (k, 0, 0, 0) for k in range(17)}
     trie = build_prefix_trie(table_of(codes))
-    assert trie.size == 17
-    assert len(trie.items()) == 17
-
-
-def test_allowed_next_terminal_empty():
-    trie = build_prefix_trie(table_of({"a": (1, 2, 3, 0)}))
-    path = ["<CeID_1,1>", "<CeID_2,2>", "<CeID_3,3>", "<CeID_4,0>"]
-    assert allowed_next(trie, path) == set()
-
-
-def test_allowed_next_off_trie_is_error():
-    trie = build_prefix_trie(table_of({"a": (1, 2)}))
-    with pytest.raises(ValueError):
-        allowed_next(trie, ["<CeID_1,9>"])
+    assert len(trie.items) == 17
+    assert trie.items == [f"i{k}" for k in range(17)]
+    assert trie.child[0].shape == (1, 17)
 
 
 def test_trie_duplicate_tuple_is_error():
     table = ItemCodeTable(index_type="ceid", code_len=1,
                           codes={"a": (1, 0), "b": (1, 0)})
-    with pytest.raises(ValueError, match="duplicate"):
+    with pytest.raises(ValueError, match="duplicate code tuple .* 'a' and 'b'"):
+        build_prefix_trie(table)
+
+
+def test_trie_wrong_code_length_is_error():
+    table = ItemCodeTable(index_type="ceid", code_len=2,
+                          codes={"a": (1, 0, 0), "b": (1, 0)})
+    with pytest.raises(ValueError, match="'b' has code length 2, expected 3"):
         build_prefix_trie(table)
 
 
 def test_trie_bijection_and_extendability():
     codes = {"a": (0, 0, 0, 0), "b": (0, 0, 1, 0), "c": (2, 1, 1, 1),
-             "d": (2, 1, 1, 2), "e": (2, 0, 0, 0)}
+             "d": (2, 1, 1, 2), "e": (2, 0, 0, 0), "f": (12, 0, 3, 0)}
     table = table_of(codes)
     trie = build_prefix_trie(table)
-    # walking each item's own tokens reaches its terminal
+    # walking each item's own tokens reaches its leaf
     for item in codes:
-        node = trie.walk(item_tokens(table, item))
-        assert node.item == item
-    # every allowed token extends to some terminal
-    def check(prefix, depth):
-        nxt = allowed_next(trie, prefix)
-        if depth == trie.depth:
-            assert nxt == set()
-            return
-        assert nxt
-        for tok in nxt:
-            check(prefix + [tok], depth + 1)
-    check([], 0)
+        assert trie.items[leaf_of(trie, item_tokens(table, item))] == item
+    assert sorted(trie.items) == sorted(codes)
+    for d in range(trie.depth):
+        child, tokens, paths = trie.child[d], trie.tokens[d], trie.paths[d]
+        n_next = len(trie.items) if d + 1 == trie.depth else len(trie.paths[d + 1])
+        # every node has a child, and each child is listed exactly once
+        assert all(row for row in tokens)
+        assert sorted(child[child >= 0].tolist()) == list(range(n_next))
+        for n, row in enumerate(tokens):
+            assert row == sorted(row)
+            assert (child[n] >= 0).sum() == len(row)
+            if d + 1 < trie.depth:
+                for tok, kid in zip(row, child[n].tolist()):
+                    assert trie.paths[d + 1][kid] == paths[n] + [tok]
