@@ -19,36 +19,29 @@ class HitSet:
     users: set[str]
 
 
-def hit_at_k(lists: dict[str, RankedList], test: dict[str, str], k: int) -> float:
-    """Fraction of test users whose held-out item is within the first k entries."""
+def _target_positions(metric: str, lists: dict[str, RankedList], test: dict[str, str],
+                      k: int) -> list[int]:
+    """0-based position of each test item found within its user's first k entries."""
     if not test:
         raise ValueError("empty test split")
     missing = sum(1 for u in test if u not in lists)
     if missing:
-        log.warning("hit@%d: %d user(s) missing a ranked list, counted as misses", k, missing)
-    hits = 0
-    for u, target in test.items():
-        rl = lists.get(u)
-        if rl is not None and target in rl.items()[:k]:
-            hits += 1
-    return hits / len(test)
+        log.warning("%s@%d: %d user(s) missing a ranked list, counted as misses",
+                    metric, k, missing)
+    tops = ((lists[u].items()[:k], target) for u, target in test.items() if u in lists)
+    return [top.index(target) for top, target in tops if target in top]
+
+
+def hit_at_k(lists: dict[str, RankedList], test: dict[str, str], k: int) -> float:
+    """Fraction of test users whose held-out item is within the first k entries."""
+    return len(_target_positions("hit", lists, test, k)) / len(test)
 
 
 def ndcg_at_k(lists: dict[str, RankedList], test: dict[str, str], k: int) -> float:
     """Single-relevant-item NDCG: gain 1/log2(rank + 2) at 0-based rank < k."""
-    if not test:
-        raise ValueError("empty test split")
-    missing = sum(1 for u in test if u not in lists)
-    if missing:
-        log.warning("ndcg@%d: %d user(s) missing a ranked list, counted as misses", k, missing)
-    total = 0.0
-    for u, target in test.items():
-        rl = lists.get(u)
-        if rl is None:
-            continue
-        top = rl.items()[:k]
-        if target in top:
-            total += 1.0 / math.log2(top.index(target) + 2)
+    total = 0.0  # a plain loop: sum() of floats is compensated from Python 3.12 on
+    for position in _target_positions("ndcg", lists, test, k):
+        total += 1.0 / math.log2(position + 2)
     return total / len(test)
 
 

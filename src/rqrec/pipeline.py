@@ -23,8 +23,7 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
                      write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
-from .rerank import (SelfConsistencyScore, fuse_and_rank, rank_scores, score_items,
-                     write_score_breakdown)
+from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
 from .retrieval import (RankedList, beam_search_users, read_ranked_lists,
                         write_ranked_lists)
 from .rqvae import (assign_codes, load_code_table, resolve_collisions,
@@ -283,23 +282,10 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     _write_manifest(cfg, "retrieve", inputs, outputs, extra={"counters": counters})
 
 
-def _lists_by_user(ceid_lists: list[RankedList], seid_lists: list[RankedList],
-                   max_templates: int) -> dict[str, tuple[list[RankedList], list[RankedList]]]:
-    """Each user's (ceid, seid) lists with template id <= max_templates, users sorted."""
-    grouped: dict[str, tuple[list[RankedList], list[RankedList]]] = {}
-    for side, lists in enumerate((ceid_lists, seid_lists)):
-        for rl in lists:
-            if rl.template_id <= max_templates:
-                grouped.setdefault(rl.user, ([], []))[side].append(rl)
-    return {user: grouped[user] for user in sorted(grouped)}
-
-
-def fuse_all_users(ceid_lists: list[RankedList], seid_lists: list[RankedList],
-                   alpha: float, tau: float, k_out: int,
+def fuse_all_users(ranks: RankArrays, alpha: float, tau: float, k_out: int,
                    max_templates: int) -> dict[str, RankedList]:
     """Per-user fusion over the lists with template id <= max_templates."""
-    return {user: fuse_and_rank(c, s, alpha, tau, k_out)
-            for user, (c, s) in _lists_by_user(ceid_lists, seid_lists, max_templates).items()}
+    return {rl.user: rl for rl in top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)}
 
 
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
@@ -311,22 +297,17 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     if mode != "ceid-only":
         needed.append("ranked_seid.jsonl")
     inputs = _require(cfg, "rerank", *needed)
-    ceid = read_ranked_lists(cfg.out_dir / "ranked_ceid.jsonl") if mode != "seid-only" else []
-    seid = read_ranked_lists(cfg.out_dir / "ranked_seid.jsonl") if mode != "ceid-only" else []
+    ranks = RankArrays()
+    for name in ("ranked_ceid.jsonl", "ranked_seid.jsonl"):
+        ranks.add(read_ranked_lists(inputs[name]) if name in inputs else [])
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
-    fused: list[RankedList] = []
-    breakdown: dict[str, dict[str, SelfConsistencyScore]] = {}
-    for user, (c, s) in _lists_by_user(ceid, seid, cfg.templates).items():
-        scores = score_items(c, s, alpha, cfg.tau)
-        fused.append(rank_scores(user, scores, cfg.k_retrieve))
-        if cfg.breakdown:
-            breakdown[user] = scores
+    scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
     out = cfg.out_dir / "fused.jsonl"
-    write_ranked_lists(fused, out)
+    write_ranked_lists(top_k(scores, cfg.k_retrieve), out)
     outputs = {"fused.jsonl": out}
     if cfg.breakdown:
         bpath = cfg.out_dir / "score_breakdown.tsv"
-        write_score_breakdown(breakdown, bpath)
+        write_score_breakdown(scores, bpath)
         outputs["score_breakdown.tsv"] = bpath
     _write_manifest(cfg, "rerank", inputs, outputs,
                     extra={"mode": mode, "alpha": alpha})
@@ -355,14 +336,15 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     split = load_split(cfg.out_dir)
     outputs: dict[str, Path] = {}
     sets_by_type = {}
-    ranked = {}
+    ranks = RankArrays()
     for index_type in ("ceid", "seid"):
         lists = read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl")
-        ranked[index_type] = lists
+        ranks.add(lists)
         by_template: dict[int, dict[str, RankedList]] = {}
         for rl in lists:
             by_template.setdefault(rl.template_id, {})[rl.user] = rl
         sets_by_type[index_type] = hit_sets(by_template, split.test, cfg.analysis_k)
+        del lists, by_template  # one index type's lists in memory at a time
         matrix, ids = per_matrix(sets_by_type[index_type])
         path = cfg.out_dir / f"per_matrix_{index_type}.csv"
         write_per_matrix(matrix, ids, path)
@@ -384,8 +366,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         ks = sorted(cfg.k_report)
         fh.write("num_templates," + ",".join(f"hit@{k},ndcg@{k}" for k in ks) + "\n")
         for t in range(2, cfg.templates + 1):
-            fused = fuse_all_users(ranked["ceid"], ranked["seid"],
-                                   cfg.alpha, cfg.tau, cfg.k_retrieve, max_templates=t)
+            fused = fuse_all_users(ranks, cfg.alpha, cfg.tau, cfg.k_retrieve, max_templates=t)
             cells = []
             for k in ks:
                 cells += [hit_at_k(fused, split.test, k), ndcg_at_k(fused, split.test, k)]

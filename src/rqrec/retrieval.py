@@ -181,7 +181,11 @@ def write_ranked_lists(lists: list[RankedList], path: str | Path) -> None:
 
 def read_ranked_lists(path: str | Path) -> list[RankedList]:
     out = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line:
-            out.append(parse_ranked_list(line))
+    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+        try:
+            if line:
+                out.append(parse_ranked_list(line))
+        except (ValueError, KeyError, TypeError) as exc:
+            raise ValueError(f"{path}:{lineno}: malformed ranked list ({exc!r}); rerun "
+                             "'retrieve' ('rerank' for fused.jsonl) to rewrite it") from None
     return out

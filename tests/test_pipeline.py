@@ -233,14 +233,14 @@ def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatc
     from rqrec.retrieval import read_ranked_lists
     _, _, cfg = pipeline_run
     fused_bytes = (cfg.out_dir / "fused.jsonl").read_bytes()
-    scored_users = []
-    score_items = rqrec.pipeline.score_items
+    caps = []
+    score_pairs = rqrec.pipeline.score_pairs
 
-    def counting(ceid_lists, seid_lists, alpha, tau):
-        scored_users.append((ceid_lists or seid_lists)[0].user)
-        return score_items(ceid_lists, seid_lists, alpha, tau)
+    def counting(ranks, alpha, tau, max_templates):
+        caps.append(max_templates)
+        return score_pairs(ranks, alpha, tau, max_templates)
 
-    monkeypatch.setattr(rqrec.pipeline, "score_items", counting)
+    monkeypatch.setattr(rqrec.pipeline, "score_pairs", counting)
     templates = cfg.templates
     cfg.templates, cfg.breakdown = 2, True  # the lists on disk hold 3 templates
     try:
@@ -263,9 +263,37 @@ def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatc
     assert entries
     disagree = [e for e in entries if s_total[e[0], e[1]] != e[2]]
     assert not disagree, f"{len(disagree)} of {len(entries)} fused entries disagree"
-    assert sorted(scored_users) == sorted({user for user, _ in capped})  # once per user
+    assert caps == [2]  # one scoring pass feeds fused.jsonl and the breakdown
     stage_rerank(cfg)
     assert (cfg.out_dir / "fused.jsonl").read_bytes() == fused_bytes
+
+
+def test_duplicate_template_line_rejected(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+    _, _, cfg = pipeline_run
+    out = tmp_path / "dup"
+    shutil.copytree(cfg.out_dir, out)
+    path = out / "ranked_seid.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[4])
+    path.write_text("".join(lines[:5] + lines[4:]))
+    with pytest.raises(ValueError, match=f"duplicate template id {rec['template']} "
+                                         f"for user '{rec['user']}'"):
+        stage_rerank(dataclasses.replace(cfg, out_dir=out))
+
+
+def test_template_sweep_full_row_equals_metrics(pipeline_run):
+    from rqrec.pipeline import stage_evaluate
+    _, _, cfg = pipeline_run
+    stage_rerank(cfg)
+    stage_evaluate(cfg)
+    rows = (cfg.out_dir / "metrics.csv").read_text().splitlines()[1:]
+    metrics = {f"{m}@{k}": v for m, k, v in (row.split(",") for row in rows)}
+    lines = (cfg.out_dir / "template_sweep.csv").read_text().splitlines()
+    sweep = dict(zip(lines[0].split(",")[1:], lines[-1].split(",")[1:]))
+    assert lines[-1].split(",")[0] == str(cfg.templates)
+    assert sweep == metrics
 
 
 def test_per_matrix_zero_diagonal(pipeline_run):
@@ -395,3 +423,26 @@ def test_retrieve_warns_about_users_without_list(pipeline_run, tmp_path, caplog)
         assert after[index_type]["users_without_list"] == 1
         assert after[index_type]["lists"] == before[index_type]["lists"]
         assert f"retrieve: {index_type}: 1 users get no list" in caplog.text
+
+
+def test_cli_malformed_ranked_list_names_line(pipeline_run, tmp_path, capsys):
+    import shutil
+    _, path, cfg = pipeline_run
+    for case in ("truncated", "no_template"):
+        out = tmp_path / case
+        shutil.copytree(cfg.out_dir, out)
+        ranked = out / "ranked_ceid.jsonl"
+        lines = ranked.read_text().splitlines(keepends=True)
+        if case == "truncated":
+            lines[-1] = lines[-1][:len(lines[-1]) // 2]
+        else:
+            rec = json.loads(lines[6])
+            del rec["template"]
+            lines[6] = json.dumps(rec) + "\n"
+        ranked.write_text("".join(lines))
+        assert main(["rerank", "--config", str(path), "-q",
+                     "--set", f"paths.out_dir={out}"]) == 1
+        err = capsys.readouterr().err
+        lineno = len(lines) if case == "truncated" else 7
+        assert f"{ranked}:{lineno}: malformed ranked list" in err
+        assert "rerun 'retrieve'" in err

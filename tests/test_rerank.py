@@ -1,7 +1,9 @@
+import math
+
+import numpy as np
 import pytest
 
-from rqrec.rerank import (PositionCollection, collect_positions, cons_score,
-                          conf_score, fuse_and_rank, index_score, score_items)
+from rqrec.rerank import RankArrays, fuse_and_rank, score_items, score_pairs, top_k
 from rqrec.retrieval import RankedList
 
 
@@ -10,72 +12,81 @@ def rl(user, index_type, template, items):
                       entries=[(i, -float(r)) for r, i in enumerate(items)])
 
 
-def pc(*positions, item="x", index_type="ceid"):
-    return PositionCollection(item=item, index_type=index_type,
-                              positions=list(positions))
+def placed(*positions):
+    """One ceid list per position, with item x at that 0-based rank."""
+    return [rl("u", "ceid", t, [f"f{t}_{j}" for j in range(p)] + ["x"])
+            for t, p in enumerate(positions, 1)]
+
+
+def x_score(*positions, alpha=0.8, tau=10.0):
+    return score_items(placed(*positions), [], alpha, tau)["x"]
 
 
 def test_collect_positions_basic():
+    # positions a [0, 1, 2], b [1, 0, 1], c [2], d [2], e [0]
     lists = [rl("u", "ceid", 1, ["a", "b", "c"]),
              rl("u", "ceid", 2, ["b", "a", "d"]),
              rl("u", "ceid", 3, ["e", "b", "a"])]
-    got = collect_positions(lists)
-    assert got["a"].positions == [0, 1, 2]
-    assert got["b"].positions == [1, 0, 1]
-    assert got["d"].positions == [2]
+    got = score_items(lists, [], alpha=0.8, tau=10.0)
+    assert {item: s.appearances for item, s in got.items()} == {
+        "a": 3, "b": 3, "c": 1, "d": 1, "e": 1}
+    assert got["a"].conf_c == math.exp(-1.0 / 10.0)
+    assert got["a"].cons_c == pytest.approx(math.exp(-0.1), abs=1e-12)  # sample stdev 1
+    assert got["b"].conf_c == math.exp(-(2 / 3) / 10.0)
+    assert got["b"].cons_c == pytest.approx(math.exp(-math.sqrt(1 / 3) / 10), abs=1e-12)
+    assert (got["d"].conf_c, got["d"].cons_c) == (math.exp(-0.2), 0.0)
     assert "z" not in got
 
 
 def test_collect_positions_all_top():
     lists = [rl("u", "ceid", t, ["a", "b"]) for t in range(1, 11)]
-    assert collect_positions(lists)["a"].positions == [0] * 10
+    a = score_items(lists, [], alpha=0.8, tau=10.0)["a"]
+    assert (a.conf_c, a.cons_c, a.appearances) == (1.0, 1.0, 10)
 
 
 def test_collect_positions_duplicate_template_error():
     lists = [rl("u", "ceid", 1, ["a"]), rl("u", "ceid", 1, ["b"])]
-    with pytest.raises(ValueError, match="duplicate"):
-        collect_positions(lists)
+    with pytest.raises(ValueError, match="duplicate template id 1 for user 'u'"):
+        score_items(lists, [], alpha=0.8, tau=10.0)
 
 
 def test_collect_positions_mixed_user_error():
-    with pytest.raises(ValueError):
-        collect_positions([rl("u", "ceid", 1, ["a"]), rl("v", "ceid", 2, ["a"])])
+    with pytest.raises(ValueError, match="more than one user"):
+        score_items([rl("u", "ceid", 1, ["a"]), rl("v", "ceid", 2, ["a"])], [], 0.8, 10.0)
+    with pytest.raises(ValueError, match="more than one user"):
+        fuse_and_rank([rl("u", "ceid", 1, ["a"])], [rl("v", "seid", 1, ["a"])],
+                      0.8, 10.0, 5)
 
 
 def test_conf_examples():
-    assert conf_score(pc(0, 0, 0), 10.0) == 1.0
+    assert x_score(0, 0, 0).conf_c == 1.0
     # mean 3, tau 10: exp(-0.3)
-    assert conf_score(pc(1, 3, 5), 10.0) == pytest.approx(0.7408182206817179, abs=1e-9)
-    assert conf_score(pc(2, 2), 10.0) > conf_score(pc(3, 3), 10.0)  # strictly decreasing
-
-
-def test_conf_empty_error():
-    with pytest.raises(ValueError):
-        conf_score(pc(), 10.0)
+    assert x_score(1, 3, 5).conf_c == pytest.approx(0.7408182206817179, abs=1e-9)
+    assert x_score(2, 2).conf_c > x_score(3, 3).conf_c  # strictly decreasing
 
 
 def test_cons_examples():
-    assert cons_score(pc(2, 2, 2), 10.0) == 1.0
+    assert x_score(2, 2, 2).cons_c == 1.0
     # sample stdev of {1,3} = sqrt(2)
-    assert cons_score(pc(1, 3), 10.0) == pytest.approx(0.8681234453945849, abs=1e-9)
-    assert cons_score(pc(5), 10.0) == 0.0  # singleton sentinel
+    assert x_score(1, 3).cons_c == pytest.approx(0.8681234453945849, abs=1e-9)
+    assert x_score(5).cons_c == 0.0  # singleton sentinel
 
 
 def test_index_score_examples():
-    assert index_score(pc(0, 0), 0.8, 10.0) == pytest.approx(1.0)
+    assert x_score(0, 0).s_c == pytest.approx(1.0)
     # singleton: 0.8 * exp(-0.5) + 0.2 * 0
-    assert index_score(pc(5), 0.8, 10.0) == pytest.approx(0.4852245277701068, abs=1e-9)
-    assert index_score(pc(1, 3, 5), 1.0, 10.0) == conf_score(pc(1, 3, 5), 10.0)
+    assert x_score(5).s_c == pytest.approx(0.4852245277701068, abs=1e-9)
+    assert x_score(1, 3, 5, alpha=1.0).s_c == x_score(1, 3, 5).conf_c
 
 
 def test_conf_invariant_to_permutation():
-    assert conf_score(pc(1, 4, 7), 10.0) == conf_score(pc(7, 1, 4), 10.0)
+    assert x_score(1, 4, 7).conf_c == x_score(7, 1, 4).conf_c
 
 
 def test_cons_shift_invariant_conf_strictly_drops():
-    base, shifted = pc(1, 3, 6), pc(4, 6, 9)
-    assert cons_score(base, 10.0) == pytest.approx(cons_score(shifted, 10.0), abs=1e-12)
-    assert conf_score(shifted, 10.0) < conf_score(base, 10.0)
+    base, shifted = x_score(1, 3, 6), x_score(4, 6, 9)
+    assert base.cons_c == pytest.approx(shifted.cons_c, abs=1e-12)
+    assert shifted.conf_c < base.conf_c
 
 
 # hand-built 2-template x 2-index toy; expected values from direct evaluation
@@ -179,12 +190,11 @@ def test_tie_break_appearance_count_then_item_id():
 
 def test_conf_monotone_under_rank_zero_additions():
     # the mean rank can only drop when a rank-0 appearance is added
-    import numpy as np
     rng = np.random.default_rng(21)
     for _ in range(100):
         positions = [int(p) for p in rng.integers(0, 20, size=rng.integers(1, 8))]
-        before = conf_score(pc(*positions), 10.0)
-        after = conf_score(pc(*(positions + [0])), 10.0)
+        before = x_score(*positions).conf_c
+        after = x_score(*positions, 0).conf_c
         assert after >= before - 1e-12
 
 
@@ -193,3 +203,68 @@ def test_reranking_is_pure_postprocessing():
     snapshot = [(x.user, x.template_id, list(x.entries)) for x in before]
     fuse_and_rank(before, [], alpha=0.5, tau=10.0, k_out=2)
     assert snapshot == [(x.user, x.template_id, list(x.entries)) for x in before]
+
+
+def reference_scores(ceid_lists, seid_lists, alpha, tau):
+    """The per-item formula with scalar Python floats and left-to-right sums."""
+    out = {}
+    for side, lists in enumerate((ceid_lists, seid_lists)):
+        positions = {}
+        for lst in lists:
+            for rank, (item, _) in enumerate(lst.entries):
+                positions.setdefault(item, []).append(rank)
+        for item, pos in positions.items():
+            n, total, sq = len(pos), 0, 0.0
+            for p in pos:
+                total += p
+            mean = total / n
+            for p in pos:
+                sq += (p - mean) ** 2
+            conf = math.exp(-mean / tau)
+            cons = math.exp(-math.sqrt(sq / (n - 1)) / tau) if n > 1 else 0.0
+            terms = out.setdefault(item, [0.0] * 6 + [0])
+            terms[3 * side:3 * side + 3] = [conf, cons, alpha * conf + (1.0 - alpha) * cons]
+            terms[6] += n
+    return {item: (*t[:6], t[2] + t[5], t[6]) for item, t in out.items()}
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_batched_fusion_equals_per_item_reference_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    items = [f"i{j:02d}" for j in range(40)]
+    lists = {"ceid": [], "seid": []}
+    for u in range(25):
+        for index_type in lists:
+            for t in rng.permutation(6)[:rng.integers(0, 7)] + 1:  # templates in file order
+                size = 0 if u == 3 else rng.integers(1, 12)  # u3: empty lists only
+                picks = rng.choice(items, size=size, replace=False)
+                lists[index_type].append(rl(f"u{u}", index_type, int(t), list(picks)))
+    for alpha in (0.8, 1.0, 0.0):
+        for cap in (1, 3, 6):
+            for sides in (("ceid", "seid"), ("ceid",), ("seid",)):
+                chosen = [lists[t] if t in sides else [] for t in ("ceid", "seid")]
+                ranks = RankArrays()
+                for side in chosen:
+                    ranks.add(side)
+                scores = score_pairs(ranks, alpha, 10.0, max_templates=cap)
+                fused = {f.user: f for f in top_k(scores, 7)}
+                users = sorted({x.user for side in chosen for x in side if x.template_id <= cap})
+                assert list(fused) == users
+                for user in users:
+                    mine = [[x for x in side if x.user == user and x.template_id <= cap]
+                            for side in chosen]
+                    ref = reference_scores(*mine, alpha, 10.0)
+                    got = {scores.items[i]: tuple(scores.columns[c][j] for c in scores.columns)
+                           for j, i in enumerate(scores.item.tolist())
+                           if scores.users[scores.user[j]] == user}
+                    assert got == ref
+                    best = sorted(ref, key=lambda i: (-ref[i][6], -ref[i][7], i))[:7]
+                    assert fused[user].entries == [(i, ref[i][6]) for i in best]
+                    assert fuse_and_rank(*mine, alpha, 10.0, 7) == fused[user]
+
+
+def test_squared_deviations_round_like_the_scalar_formula():
+    # ranks where glibc's pow(d, 2) and numpy's d * d lead to different Cons
+    positions = (982, 264, 151, 109, 34, 1)
+    got = x_score(*positions)
+    assert tuple(got)[1:] == reference_scores(placed(*positions), [], 0.8, 10.0)["x"]
