@@ -81,12 +81,9 @@ def propagate(adjacency: NormalizedAdjacency, embeddings: np.ndarray, layers: in
     return acc / (layers + 1)
 
 
-def bpr_loss(propagated: np.ndarray, u_idx: np.ndarray,
-             pos_idx: np.ndarray, neg_idx: np.ndarray) -> float:
-    """Mean -log sigmoid(score(u, pos) - score(u, neg)) over triples."""
-    s_pos = np.sum(propagated[u_idx] * propagated[pos_idx], axis=1)
-    s_neg = np.sum(propagated[u_idx] * propagated[neg_idx], axis=1)
-    return float(np.mean(np.logaddexp(0.0, -(s_pos - s_neg))))
+def bpr_loss(diff: np.ndarray) -> float:
+    """Mean -log sigmoid(diff) over triples, diff = score(u, pos) - score(u, neg)."""
+    return float(np.mean(np.logaddexp(0.0, -diff)))
 
 
 @dataclass
@@ -141,7 +138,7 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
 
         with np.errstate(invalid="ignore", over="ignore"):
             diff = np.sum(prop[tu] * (prop[tp] - prop[tn]), axis=1)
-            loss = float(np.mean(np.logaddexp(0.0, -diff)))
+            loss = bpr_loss(diff)
         if not np.isfinite(loss):
             raise RuntimeError(f"collaborative training diverged at epoch {epoch}")
         losses.append(loss)

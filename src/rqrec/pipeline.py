@@ -208,7 +208,7 @@ def _token_streams(split: SplitDataset, table) -> dict[str, list[str]]:
 
 
 def stage_train_scorers(cfg: PipelineConfig) -> None:
-    """One n-gram counting pass per index type, then one scorer per template.
+    """One n-gram counting pass and one checkpoint per index type, holding every template.
 
     The manifest records the n-gram rows per order of every scorer.
     """
@@ -223,13 +223,13 @@ def stage_train_scorers(cfg: PipelineConfig) -> None:
         vocab = sorted({code_tok for item in table.codes
                         for code_tok in item_tokens(table, item)})
         index = count_ngrams(streams, cfg.scorer.order, vocab)
-        for t in range(1, cfg.templates + 1):
-            scorer = train_markov_scorer(streams, t, cfg.scorer, index_type, vocab,
-                                         index=index)
-            path = cfg.out_dir / f"scorer_{index_type}_t{t}.txt"
-            save_scorer(scorer, path)
-            outputs[path.name] = path
-            ngram_rows[f"{index_type}_t{t}"] = scorer.ngram_rows()
+        scorers = [train_markov_scorer(streams, t, cfg.scorer, index_type, vocab, index=index)
+                   for t in range(1, cfg.templates + 1)]
+        path = cfg.out_dir / f"scorer_{index_type}.txt"
+        save_scorer(scorers, path)
+        outputs[path.name] = path
+        for scorer in scorers:
+            ngram_rows[f"{index_type}_t{scorer.template_id}"] = scorer.ngram_rows()
     _write_manifest(cfg, "train-scorers", inputs, outputs,
                     extra={"ngram_rows": ngram_rows})
 
@@ -244,10 +244,8 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     records, per index type, the lists written, the (beam, child) pairs
     scored and the users without a list (no codable history).
     """
-    needed = ["train.tsv", "valid.tsv", "codes_ceid.tsv", "codes_seid.tsv"]
-    needed += [f"scorer_{x}_t{t}.txt" for x in ("ceid", "seid")
-               for t in range(1, cfg.templates + 1)]
-    inputs = _require(cfg, "retrieve", *needed)
+    inputs = _require(cfg, "retrieve", "train.tsv", "valid.tsv", "codes_ceid.tsv",
+                      "codes_seid.tsv", "scorer_ceid.txt", "scorer_seid.txt")
     split = load_split(cfg.out_dir)
     context_split = SplitDataset(
         train={u: (seq + [split.valid[u]] if u in split.valid else seq)[-cfg.max_len:]
@@ -261,12 +259,17 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
         streams = _token_streams(context_split, table)
         users = sorted(streams)
         contexts = [streams[user] for user in users]
+        ckpt = inputs[f"scorer_{index_type}.txt"]
+        scorers = load_scorer(ckpt)
+        if scorers[0].index_type != index_type or len(scorers) < cfg.templates:
+            raise PipelineError("retrieve", f"{ckpt} holds {len(scorers)} "
+                                f"{scorers[0].index_type} template(s), {cfg.templates} "
+                                f"{index_type} needed; rerun the 'train-scorers' stage")
         results: list[RankedList] = []
         pairs = 0
-        for t in range(1, cfg.templates + 1):
-            scorer = load_scorer(cfg.out_dir / f"scorer_{index_type}_t{t}.txt")
+        for scorer in scorers[:cfg.templates]:
             lists, scored = beam_search_users(scorer, trie, contexts, cfg.k_retrieve,
-                                              users, template_id=t)
+                                              users, template_id=scorer.template_id)
             results += lists
             pairs += scored
         path = cfg.out_dir / f"ranked_{index_type}.jsonl"

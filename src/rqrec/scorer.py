@@ -19,7 +19,7 @@ operations per order.
 Template variants: template 1 trains on the full per-user streams; template
 t > 1 trains on a bootstrap resample (with replacement) of user streams seeded
 by (cfg.seed, t), emulating prompt-induced diversity. `count_ngrams` numbers
-every n-gram occurrence once; each template is then one weighted `bincount`.
+every n-gram once; each template is one weighted `bincount` over that numbering.
 """
 from __future__ import annotations
 
@@ -63,6 +63,14 @@ class NgramTables:
         def none() -> list[np.ndarray]:
             return [np.zeros(0, dtype=np.int64) for _ in range(order + 1)]
         return cls(none(), none(), none(), none())
+
+    @classmethod
+    def from_counts(cls, ctx_keys: list[np.ndarray], ngram_keys: list[np.ndarray],
+                    counts: list[np.ndarray], v: int) -> NgramTables:
+        """Tables whose context totals are the sums of their n-gram counts."""
+        totals = [np.bincount(keys // v, weights=c, minlength=len(ctx)).astype(np.int64)
+                  for ctx, keys, c in zip(ctx_keys, ngram_keys, counts)]
+        return cls(list(ctx_keys), totals, list(ngram_keys), list(counts))
 
 
 def _find(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
@@ -176,17 +184,9 @@ class MarkovScorer:
         logp = self.candidate_logprobs(self.context_matrix([context]), ids)
         return dict(zip(cand, logp[0].tolist()))
 
-    def stream_nll(self, stream: list[str]) -> float:
-        """Mean negative log-probability over the full vocabulary (held-out use)."""
-        nll = 0.0
-        for i in range(len(stream)):
-            lp = self.next_token_logprobs(stream[:i], self.vocab)
-            nll -= lp[stream[i]]
-        return nll / max(1, len(stream))
-
     def ngram_rows(self) -> list[int]:
-        """Number of distinct n-grams per order."""
-        return [len(keys) for keys in self.tables.ngram_keys]
+        """Number of distinct n-grams with a nonzero count, per order."""
+        return [int(np.count_nonzero(c)) for c in self.tables.counts]
 
 
 # ---------------------------------------------------------------------------
@@ -210,27 +210,14 @@ class NgramIndex:
     owners: list[np.ndarray]
 
     def tables(self, weights: np.ndarray) -> NgramTables:
-        """Tables counting user j's stream weights[j] times, zero rows dropped."""
-        v = self.vocab_size
-        out = NgramTables([], [], [], [])
-        new_ids = np.zeros(1, dtype=np.int64)
-        for k in range(len(self.ngram_keys)):
-            n_ctx = len(self.ctx_keys[k])
-            count = np.bincount(self.ngram_ids[k], weights=weights[self.owners[k]],
-                                minlength=len(self.ngram_keys[k])).astype(np.int64)
-            ctx_of = self.ngram_keys[k] // v
-            total = np.bincount(ctx_of, weights=count, minlength=n_ctx).astype(np.int64)
-            keep_ctx = total > 0
-            keep = count > 0
-            # contexts renumbered over the kept ones; key order is unchanged
-            # because a kept context's suffix is kept too
-            parent = self.ctx_keys[k] // v
-            out.ctx_keys.append((new_ids[parent] * v + self.ctx_keys[k] % v)[keep_ctx])
-            out.totals.append(total[keep_ctx])
-            new_ids = np.cumsum(keep_ctx) - 1
-            out.ngram_keys.append(new_ids[ctx_of[keep]] * v + self.ngram_keys[k][keep] % v)
-            out.counts.append(count[keep])
-        return out
+        """Tables counting user j's stream weights[j] times, over the shared keys.
+
+        A key with count 0 (total 0) scores as an absent one, and a context
+        with total 0 has only zero-total extensions, so the zero rows are kept.
+        """
+        counts = [np.bincount(ids, weights=weights[own], minlength=len(keys)).astype(np.int64)
+                  for ids, own, keys in zip(self.ngram_ids, self.owners, self.ngram_keys)]
+        return NgramTables.from_counts(self.ctx_keys, self.ngram_keys, counts, self.vocab_size)
 
 
 def count_ngrams(streams: dict[str, list[str]], order: int,
@@ -327,78 +314,89 @@ def train_markov_scorer(streams: dict[str, list[str]], template_id: int,
 
 
 # ---------------------------------------------------------------------------
-# Checkpoints: header lines, then per order k the lines `ctx<k>`, `ngram<k>` and
-# `count<k>`, each followed by its integers in decimal. Totals are recomputed.
+# Checkpoints: one file per index type. Header lines, then per order k the lines
+# `ctx<k>` and `ngram<k>`, shared by templates 1..T, and one line `count<k>_t<t>`
+# per template, each followed by its integers in decimal. Totals are recomputed.
 
-SCORER_MAGIC = "MARKOV_SCORER v2"
+SCORER_MAGIC = "MARKOV_SCORER v3"
 
 
 def _array_line(name: str, values: np.ndarray) -> str:
     return " ".join([name, *map(str, values.tolist())])
 
 
-def save_scorer(scorer: MarkovScorer, path: str | Path) -> None:
-    tab = scorer.tables
+def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
+    """Write the scorers of templates 1..T of one index type, which share their keys."""
+    if not scorers:
+        raise ValueError("no scorers to save")
+    first = scorers[0]
+    for t, sc in enumerate(scorers, start=1):
+        if (sc.template_id != t
+                or (sc.index_type, sc.order, sc.delta, sc.backoff_lambda, sc.vocab)
+                != (first.index_type, first.order, first.delta, first.backoff_lambda,
+                    first.vocab)
+                or not all(map(np.array_equal, sc.tables.ctx_keys + sc.tables.ngram_keys,
+                               first.tables.ctx_keys + first.tables.ngram_keys))):
+            raise ValueError(f"scorer {t} of {len(scorers)} is not template {t} with the "
+                             "index type, order, smoothing, vocab and keys of template 1")
+    tab = first.tables
     lines = [SCORER_MAGIC,
-             f"index_type {scorer.index_type}",
-             f"template {scorer.template_id}",
-             f"order {scorer.order}",
-             f"delta {scorer.delta!r}",
-             f"lambda {scorer.backoff_lambda!r}",
-             "vocab " + " ".join(scorer.vocab),
+             f"index_type {first.index_type}",
+             f"templates {len(scorers)}",
+             f"order {first.order}",
+             f"delta {first.delta!r}",
+             f"lambda {first.backoff_lambda!r}",
+             "vocab " + " ".join(first.vocab),
              "contexts " + " ".join(str(len(x)) for x in tab.ctx_keys),
              "ngrams " + " ".join(str(len(x)) for x in tab.ngram_keys),
              "counts"]
-    for k in range(scorer.order + 1):
+    for k in range(first.order + 1):
         lines += [_array_line(f"ctx{k}", tab.ctx_keys[k]),
-                  _array_line(f"ngram{k}", tab.ngram_keys[k]),
-                  _array_line(f"count{k}", tab.counts[k])]
+                  _array_line(f"ngram{k}", tab.ngram_keys[k])]
+        lines += [_array_line(f"count{k}_t{sc.template_id}", sc.tables.counts[k])
+                  for sc in scorers]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
-def load_scorer(path: str | Path) -> MarkovScorer:
+def load_scorer(path: str | Path) -> list[MarkovScorer]:
+    """The scorers of templates 1..T; they share one set of key arrays."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
     rerun = "; rerun the 'train-scorers' stage"
     if not lines or lines[0] != SCORER_MAGIC:
         found = lines[0] if lines else "an empty file"
         raise ValueError(f"{path}: expected a {SCORER_MAGIC} checkpoint, found {found!r}{rerun}")
-    header: dict[str, str] = {}
-    body_at = None
-    for k, line in enumerate(lines[1:], start=1):
-        if line == "counts":
-            body_at = k + 1
-            break
-        key, _, value = line.partition(" ")
-        header[key] = value
-    if body_at is None:
+    if "counts" not in lines:
         raise ValueError(f"{path}: missing counts section{rerun}")
-    missing = [key for key in ("index_type", "template", "order", "delta", "lambda",
+    body_at = lines.index("counts") + 1
+    header = dict(line.partition(" ")[::2] for line in lines[1:body_at - 1])
+    missing = [key for key in ("index_type", "templates", "order", "delta", "lambda",
                                "vocab", "contexts", "ngrams") if key not in header]
     if missing:
         raise ValueError(f"{path}: header lacks {', '.join(missing)}{rerun}")
-    order = int(header["order"])
+    order, n_templates = int(header["order"]), int(header["templates"])
     vocab = header["vocab"].split(" ") if header["vocab"] else []
-    sizes = {"ctx": [int(x) for x in header["contexts"].split()],
-             "ngram": [int(x) for x in header["ngrams"].split()]}
+    ctx_sizes = [int(x) for x in header["contexts"].split()]
+    ngram_sizes = [int(x) for x in header["ngrams"].split()]
+    per_order = 2 + n_templates
     body = lines[body_at:]
-    if len(body) != 3 * (order + 1) or any(len(s) != order + 1 for s in sizes.values()):
-        raise ValueError(f"{path}: expected {3 * (order + 1)} array lines for order "
-                         f"{order}, found {len(body)}{rerun}")
-    arrays: dict[str, list[np.ndarray]] = {"ctx": [], "ngram": [], "count": []}
+    if (n_templates < 1 or len(body) != per_order * (order + 1)
+            or len(ctx_sizes) != order + 1 or len(ngram_sizes) != order + 1):
+        raise ValueError(f"{path}: expected {per_order * (order + 1)} array lines for "
+                         f"order {order} and {n_templates} templates, found "
+                         f"{len(body)}{rerun}")
+    rows: list[list[np.ndarray]] = [[] for _ in range(per_order)]
     for n, line in enumerate(body):
-        k, name = n // 3, ("ctx", "ngram", "count")[n % 3]
+        k, j = divmod(n, per_order)
+        name = f"ctx{k}" if j == 0 else f"ngram{k}" if j == 1 else f"count{k}_t{j - 1}"
+        want = ctx_sizes[k] if j == 0 else ngram_sizes[k]
         tag, *values = line.split(" ")
-        want = sizes["ctx" if name == "ctx" else "ngram"][k]
-        if tag != f"{name}{k}" or len(values) != want:
+        if tag != name or len(values) != want:
             raise ValueError(f"{path}: line {tag!r} holds {len(values)} values, "
-                             f"header says {name}{k} has {want}{rerun}")
-        arrays[name].append(np.array(values, dtype=np.int64))
-    v = len(vocab)
-    totals = [np.bincount(keys // v, weights=counts, minlength=len(ctx)).astype(np.int64)
-              for ctx, keys, counts in zip(arrays["ctx"], arrays["ngram"], arrays["count"])]
-    return MarkovScorer(order=order, delta=float(header["delta"]),
-                        backoff_lambda=float(header["lambda"]),
-                        template_id=int(header["template"]),
-                        index_type=header["index_type"], vocab=vocab,
-                        tables=NgramTables(arrays["ctx"], totals,
-                                           arrays["ngram"], arrays["count"]))
+                             f"header says {name} has {want}{rerun}")
+        rows[j].append(np.array(values, dtype=np.int64))
+    ctx_keys, ngram_keys, *counts = rows
+    return [MarkovScorer(order=order, delta=float(header["delta"]),
+                         backoff_lambda=float(header["lambda"]), template_id=t,
+                         index_type=header["index_type"], vocab=vocab,
+                         tables=NgramTables.from_counts(ctx_keys, ngram_keys, c, len(vocab)))
+            for t, c in enumerate(counts, start=1)]

@@ -101,7 +101,8 @@ def test_heldout_ranking_loss_decreases():
         u_idx = np.array([u_id] * len(held_items) * len(negs))
         pos = np.array([item_pos[i] for i in held_items for _ in negs])
         neg = np.array([item_pos[n] for _ in held_items for n in negs])
-        return bpr_loss(state.vectors, u_idx, pos, neg)
+        v = state.vectors
+        return bpr_loss(np.sum(v[u_idx] * v[pos], axis=1) - np.sum(v[u_idx] * v[neg], axis=1))
 
     assert heldout_loss(120) < heldout_loss(1)
 

@@ -118,12 +118,8 @@ GOLDEN_DIGESTS = {
     "rqvae_ceid.manifest": "1c9392470baa350dfe7f58581f827e3bb2786a80217c8fcda65d96a1f31cabce",
     "rqvae_seid.bin": "60d05c9f58d6f82dbc914428da200a7090513f7b1252223966109f8aa2931ec6",
     "rqvae_seid.manifest": "239dd696c153b8edaee742d3cdafdc55f7725c07bee8de693d5640013e71243b",
-    "scorer_ceid_t1.txt": "742d6716105a7ccb5a9505b70296d7989db193ad52ae7850a6d89d6474c3f4bc",
-    "scorer_ceid_t2.txt": "7e42a2abc2dd963f808f570eebe1f7550814fe4ea53814b276e9d0469b3afed3",
-    "scorer_ceid_t3.txt": "016a5e4836e525c7ae9a801aaba5ade0ed577841cf761c3dbfc07d91c4bf5856",
-    "scorer_seid_t1.txt": "2b8071c4bbb39e7db59214ad870bd1c7cfb397eab4c88b7bf3889193e33d2b24",
-    "scorer_seid_t2.txt": "413916a6fb43864d7f711cbbc5df7be55325dd8241acb50e97c78b8e928a4885",
-    "scorer_seid_t3.txt": "7e08b0c225602210a0b61da5c22815f351bf486649795a4b13f6329e988a51c2",
+    "scorer_ceid.txt": "b695932a2c5adc2eea4bd1d0e88321541d42c4a5ae2783bd236f83a329eb775b",
+    "scorer_seid.txt": "85e9e6677b2eddea1f4dc525e5e960b8a1b9e0f1143fbb58727c53b5517304bc",
     "semantic.emb": "2465c4bb017ebadb3305aa484066a244371fe607309db2a2b39164e5db770b5b",
     "template_sweep.csv": "190e16d8c3f58936add3a5f81a53d5126f9b9b963aa844701590c9ed83b19fc4",
     "test.tsv": "841549674b3aec0110a7af4f79b0c5b574f85e51aa1e09f1490e233d20663a6e",
@@ -154,8 +150,8 @@ def test_all_emits_artifacts(pipeline_run):
     _, _, cfg = pipeline_run
     for name in EXPECTED_ARTIFACTS:
         assert (cfg.out_dir / name).exists(), name
-    for t in range(1, 4):
-        assert (cfg.out_dir / f"scorer_ceid_t{t}.txt").exists()
+    for index_type in ("ceid", "seid"):
+        assert (cfg.out_dir / f"scorer_{index_type}.txt").exists()
 
 
 def test_metrics_within_bounds(pipeline_run):
@@ -372,6 +368,23 @@ def test_manifest_counters_deterministic(pipeline_run):
     stage_train_scorers(cfg)
     stage_retrieve(cfg)
     assert counters() == (ngram_rows, retrieval)
+
+
+def test_retrieve_refuses_checkpoint_without_the_templates(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import stage_retrieve
+    _, _, cfg = pipeline_run
+    out = tmp_path / "short"
+    shutil.copytree(cfg.out_dir, out)
+    with pytest.raises(PipelineError, match="holds 3 ceid template.*4 ceid needed.*"
+                                            "train-scorers"):
+        stage_retrieve(dataclasses.replace(cfg, out_dir=out, templates=4))
+    shutil.copy(out / "scorer_seid.txt", out / "scorer_ceid.txt")
+    with pytest.raises(PipelineError, match="holds 3 seid template.*3 ceid needed.*"
+                                            "train-scorers"):
+        stage_retrieve(dataclasses.replace(cfg, out_dir=out))
 
 
 def test_analyze_reports_nan_for_templates_without_hits(pipeline_run, tmp_path):

@@ -106,7 +106,12 @@ def test_order_n_beats_unigram_on_structured_data():
     held = walk(200)
     hi = train_markov_scorer(train, 1, cfg(order=2), "ceid", vocab=vocab)
     uni = train_markov_scorer(train, 1, cfg(order=0), "ceid", vocab=vocab)
-    assert hi.stream_nll(held) <= uni.stream_nll(held)
+
+    def mean_nll(sc):
+        return -sum(sc.next_token_logprobs(held[:i], vocab)[held[i]]
+                    for i in range(len(held))) / len(held)
+
+    assert mean_nll(hi) <= mean_nll(uni)
 
 
 def test_bootstrap_seeded_by_template():
@@ -140,17 +145,35 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     streams = {f"u{k}": [f"t{rng.integers(0, 6)}" for _ in range(15)]
                for k in range(5)}
-    sc = train_markov_scorer(streams, 4, cfg(order=3, delta=0.25), "seid")
+    index = count_ngrams(streams, 3, sorted({t for s in streams.values() for t in s}))
+    scorers = [train_markov_scorer(streams, t, cfg(order=3, delta=0.25), "seid", index=index)
+               for t in range(1, 5)]
     p = tmp_path / "scorer.txt"
-    save_scorer(sc, p)
-    back = load_scorer(p)
-    assert back.order == sc.order and back.delta == sc.delta
-    assert back.backoff_lambda == sc.backoff_lambda
-    assert back.template_id == 4 and back.index_type == "seid"
-    assert back.vocab == sc.vocab
-    assert counts(back) == counts(sc) and totals(back) == totals(sc)
-    ctx = [sc.vocab[0], sc.vocab[1]]
-    assert back.next_token_logprobs(ctx, sc.vocab) == sc.next_token_logprobs(ctx, sc.vocab)
+    save_scorer(scorers, p)
+    loaded = load_scorer(p)
+    assert [b.template_id for b in loaded] == [1, 2, 3, 4]
+    for sc, back in zip(scorers, loaded):
+        assert back.order == sc.order and back.delta == sc.delta
+        assert back.backoff_lambda == sc.backoff_lambda
+        assert back.index_type == "seid" and back.vocab == sc.vocab
+        assert counts(back) == counts(sc) and totals(back) == totals(sc)
+        assert back.tables.ngram_keys[3] is loaded[0].tables.ngram_keys[3]
+        ctx = [sc.vocab[0], sc.vocab[1]]
+        assert back.next_token_logprobs(ctx, sc.vocab) == sc.next_token_logprobs(ctx, sc.vocab)
+
+
+def test_save_refuses_mismatched_scorers(tmp_path):
+    streams = {"u": ["a", "b", "a", "c"], "v": ["c", "b"]}
+    one, two = (train_markov_scorer(streams, t, cfg(), "ceid") for t in (1, 2))
+    p = tmp_path / "scorer.txt"
+    for bad in ([], [two], [one, one],
+                [one, train_markov_scorer(streams, 2, cfg(), "seid")],
+                [one, train_markov_scorer(streams, 2, cfg(delta=0.5), "ceid")],
+                [one, train_markov_scorer({"u": ["a", "b"]}, 2, cfg(), "ceid",
+                                          vocab=one.vocab)]):
+        with pytest.raises(ValueError):
+            save_scorer(bad, p)
+    assert not p.exists()
 
 
 def reference_logprobs(streams, template_id, config, vocab, context, candidates):
@@ -245,25 +268,35 @@ def test_shared_index_matches_own_count():
         train_markov_scorer(streams, 1, cfg(order=2), "ceid", vocab=vocab, index=index)
 
 
-def test_load_refuses_v1_checkpoint(tmp_path):
-    p = tmp_path / "scorer_ceid_t1.txt"
-    p.write_text("MARKOV_SCORER v1\nindex_type ceid\ntemplate 1\norder 1\n"
-                 "delta 0.1\nlambda 0.4\nvocab a b\ncounts\n\ta\t2\na\tb\t1\n")
+@pytest.mark.parametrize("old", [
+    "MARKOV_SCORER v1\nindex_type ceid\ntemplate 1\norder 1\n"
+    "delta 0.1\nlambda 0.4\nvocab a b\ncounts\n\ta\t2\na\tb\t1\n",
+    "MARKOV_SCORER v2\nindex_type ceid\ntemplate 1\norder 0\ndelta 0.1\nlambda 0.4\n"
+    "vocab a b\ncontexts 1\nngrams 2\ncounts\nctx0 0\nngram0 0 1\ncount0 2 1\n",
+], ids=["v1", "v2"])
+def test_load_refuses_v1_checkpoint(tmp_path, old):
+    p = tmp_path / "scorer_ceid.txt"
+    p.write_text(old)
     with pytest.raises(ValueError, match="train-scorers"):
         load_scorer(p)
 
 
 def test_load_refuses_truncated_checkpoint(tmp_path):
-    sc = train_markov_scorer({"u": ["a", "b", "a", "c", "b"]}, 1, cfg(order=2), "ceid")
-    p = tmp_path / "scorer_ceid_t1.txt"
-    save_scorer(sc, p)
+    streams = {"u": ["a", "b", "a", "c", "b"], "v": ["c", "a", "b"]}
+    scorers = [train_markov_scorer(streams, t, cfg(order=2), "ceid") for t in (1, 2)]
+    p = tmp_path / "scorer_ceid.txt"
+    save_scorer(scorers, p)
     lines = p.read_text().splitlines()
-    assert lines[-1].startswith("count2 ")
+    assert lines[-1].startswith("count2_t2 ")
     p.write_text("\n".join(lines[:-1] + [lines[-1].rsplit(" ", 1)[0]]) + "\n")  # one value short
     with pytest.raises(ValueError, match="train-scorers"):
         load_scorer(p)
     p.write_text("\n".join(lines[:-2]) + "\n")  # the last two arrays missing
     with pytest.raises(ValueError, match="train-scorers"):
+        load_scorer(p)
+    # template 2's order-1 count line dropped: the line count no longer fits
+    p.write_text("\n".join(ln for ln in lines if not ln.startswith("count1_t2 ")) + "\n")
+    with pytest.raises(ValueError, match="2 templates.*train-scorers"):
         load_scorer(p)
     p.write_text("\n".join(ln for ln in lines if not ln.startswith("ngrams ")) + "\n")
     with pytest.raises(ValueError, match="lacks ngrams.*train-scorers"):
