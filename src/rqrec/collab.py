@@ -34,6 +34,40 @@ class CollabConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
+# Columns summed per bincount call: bounds the int64 flat index to 16 entries
+# per scattered row, whatever the width of the rows.
+_BLOCK = 16
+
+
+def _flat_index(rows: np.ndarray, width: int) -> np.ndarray:
+    """Cell ids `row * width + col` of a (len(rows), width) block, row-major."""
+    return (np.asarray(rows, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
+
+
+def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray,
+                     flat: np.ndarray | None = None) -> np.ndarray:
+    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`.
+
+    Bitwise equal to the unbuffered scatter `np.add`'s `at` method makes:
+    `np.bincount` adds its weights to each cell in input order, as that does.
+    Columns go in blocks of `min(d, _BLOCK)`, the last one padded with zero
+    columns, so one flat index serves every block; `flat` may pass it in,
+    built by `_flat_index(rows, min(d, _BLOCK))`.
+    """
+    d = values.shape[1]
+    width = min(d, _BLOCK)
+    if flat is None:
+        flat = _flat_index(rows, width)
+    out = np.empty((n_rows, -(-d // width) * width))
+    for c in range(0, d, width):
+        block = values[:, c:c + width]
+        if block.shape[1] < width:
+            block = np.pad(block, ((0, 0), (0, width - block.shape[1])))
+        out[:, c:c + width] = np.bincount(flat, weights=block.ravel(),
+                                          minlength=n_rows * width).reshape(n_rows, width)
+    return out if out.shape[1] == d else np.ascontiguousarray(out[:, :d])
+
+
 @dataclass
 class NormalizedAdjacency:
     """Symmetric-normalized bipartite graph over stacked [users; items] rows."""
@@ -43,19 +77,37 @@ class NormalizedAdjacency:
     user_rows: np.ndarray   # edge endpoints, user side (global row index)
     item_rows: np.ndarray   # edge endpoints, item side (global row index)
     weights: np.ndarray     # 1/sqrt(deg_u * deg_i) per edge
+    # both directions of every edge, user side first: destination rows, source
+    # rows and weights, and the flat destination index for the last width seen
+    _dst: np.ndarray = field(init=False, repr=False)
+    _src: np.ndarray = field(init=False, repr=False)
+    _w: np.ndarray = field(init=False, repr=False)
+    _flat: np.ndarray | None = field(default=None, init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        self._dst = np.concatenate([self.user_rows, self.item_rows])
+        self._src = np.concatenate([self.item_rows, self.user_rows])
+        self._w = np.concatenate([self.weights, self.weights])[:, None]
 
     @property
     def n_nodes(self) -> int:
         return self.n_users + self.n_items
 
     def apply(self, x: np.ndarray) -> np.ndarray:
-        """One normalized-adjacency multiplication A_hat @ x."""
+        """One normalized-adjacency multiplication A_hat @ x.
+
+        One ordered scatter over both directions: user rows and item rows are
+        disjoint, so every output cell sums the same terms in the same order
+        as one scatter per direction.
+        """
         if x.shape[0] != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} rows, got {x.shape[0]}")
-        out = np.zeros_like(x)
-        np.add.at(out, self.user_rows, self.weights[:, None] * x[self.item_rows])
-        np.add.at(out, self.item_rows, self.weights[:, None] * x[self.user_rows])
-        return out
+        width = min(x.shape[1], _BLOCK)
+        if self._flat is None or self._flat.size != self._dst.size * width:
+            self._flat = _flat_index(self._dst, width)
+        vals = x[self._src]
+        vals *= self._w
+        return scatter_add_rows(self.n_nodes, self._dst, vals, self._flat)
 
 
 def build_adjacency(train: dict[str, list[str]],
@@ -94,12 +146,51 @@ class CollabState:
     items: list[str]
     vectors: np.ndarray           # (n_users + n_items, dim)
     loss_history: list[float] = field(default_factory=list)
+    edges: int = 0                # distinct observed (user, item) pairs
+    negatives_redrawn: int = 0    # draws beyond the first per triple, all epochs
 
     def item_matrix(self) -> EmbeddingMatrix:
         rows = {item: self.vectors[len(self.users) + k].copy()
                 for k, item in enumerate(self.items)}
         return EmbeddingMatrix(dim=self.vectors.shape[1], rows=rows,
                                source_tag="collaborative")
+
+    def counters(self) -> dict[str, float | int | None]:
+        """Deterministic training counters for the stage manifest."""
+        return {"edges": self.edges,
+                "loss_first": self.loss_history[0] if self.loss_history else None,
+                "loss_last": self.loss_history[-1] if self.loss_history else None,
+                "negatives_redrawn": self.negatives_redrawn}
+
+
+def _sample_negatives(rng: np.random.Generator, users: np.ndarray, edge_keys: np.ndarray,
+                      degree: np.ndarray, n_items: int) -> tuple[np.ndarray, int]:
+    """One uniform item per triple, redrawn while it is a positive of its user.
+
+    `edge_keys` are the sorted `u * n_items + i` keys of the observed pairs.
+    Draws go in triple order, so the RNG stream is that of checking every
+    triple in turn. A user who owns every item keeps the first draw. Returns
+    the negatives and the number of redraws.
+    """
+    neg = rng.integers(0, n_items, size=len(users))
+    keys = users * n_items + neg
+    at = np.minimum(np.searchsorted(edge_keys, keys), len(edge_keys) - 1)
+    hits = np.flatnonzero(edge_keys[at] == keys)
+    if not len(hits):
+        return neg, 0
+    positives = set(edge_keys.tolist())
+    redrawn = 0
+    for k in hits.tolist():
+        u = int(users[k])
+        if degree[u] >= n_items:  # degenerate user: no unobserved item exists
+            continue
+        draw = int(rng.integers(0, n_items))
+        redrawn += 1
+        while u * n_items + draw in positives:
+            draw = int(rng.integers(0, n_items))
+            redrawn += 1
+        neg[k] = draw
+    return neg, redrawn
 
 
 def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
@@ -116,54 +207,60 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     scale = 0.1 / np.sqrt(cfg.dim)
     emb = rng.uniform(-scale, scale, size=(n_users + n_items, cfg.dim))
 
-    # the graph's edges are the distinct observed pairs; per-user positive
-    # sets drive negative sampling
+    # the graph's edges are the distinct observed pairs, sorted by (user, item);
+    # their keys and the user degrees drive negative sampling
     u_idx, pos_idx = adj.user_rows, adj.item_rows
-    pos_sets = [set() for _ in range(n_users)]
-    for u, i in zip(u_idx.tolist(), (pos_idx - n_users).tolist()):
-        pos_sets[u].add(i)
+    edge_keys = u_idx * n_items + (pos_idx - n_users)
+    degree = np.bincount(u_idx, minlength=n_users)
+    reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
+    tu, tp = u_idx[reps], pos_idx[reps]
 
     losses: list[float] = []
+    redrawn = 0
     for epoch in range(cfg.epochs):
         prop = propagate(adj, emb, cfg.layers)
-        reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
-        neg = rng.integers(0, n_items, size=len(reps))
-        for k in range(len(reps)):
-            seen = pos_sets[u_idx[reps[k]]]
-            if len(seen) >= n_items:  # degenerate user: no unobserved item exists
-                continue
-            while neg[k] in seen:
-                neg[k] = rng.integers(0, n_items)
-        tu, tp, tn = u_idx[reps], pos_idx[reps], neg + n_users
+        neg, n_redrawn = _sample_negatives(rng, tu, edge_keys, degree, n_items)
+        redrawn += n_redrawn
+        tn = neg + n_users
 
+        # per triple: the user row, then the positive minus the negative row;
+        # scaled in place by the loss gradient, they are the scattered values
+        t = len(tu)
+        vals = np.empty((3 * t, prop.shape[1]))
+        p_diff, p_user = vals[:t], vals[t:2 * t]
+        np.take(prop, tu, axis=0, out=p_user)
         with np.errstate(invalid="ignore", over="ignore"):
-            diff = np.sum(prop[tu] * (prop[tp] - prop[tn]), axis=1)
+            np.take(prop, tp, axis=0, out=p_diff)
+            p_diff -= prop[tn]
+            diff = np.sum(p_user * p_diff, axis=1)
             loss = bpr_loss(diff)
         if not np.isfinite(loss):
             raise RuntimeError(f"collaborative training diverged at epoch {epoch}")
         losses.append(loss)
 
-        g = -_sigmoid(-diff) / len(diff)   # dL/d(diff) per triple
-        grad_prop = np.zeros_like(prop)
-        np.add.at(grad_prop, tu, g[:, None] * (prop[tp] - prop[tn]))
-        np.add.at(grad_prop, tp, g[:, None] * prop[tu])
-        np.add.at(grad_prop, tn, -g[:, None] * prop[tu])
+        g = (-_sigmoid(-diff) / len(diff))[:, None]   # dL/d(diff) per triple
+        p_diff *= g
+        p_user *= g
+        np.negative(p_user, out=vals[2 * t:])
+        # one ordered scatter, user rows then positives then negatives:
+        # positives and negatives share item rows, so their order fixes the sums
+        grad_prop = scatter_add_rows(len(prop), np.concatenate([tu, tp, tn]), vals)
         # propagation operator is symmetric, so the backward pass reuses it
         emb -= cfg.learning_rate * propagate(adj, grad_prop, cfg.layers)
 
     final = propagate(adj, emb, cfg.layers)
     if not np.all(np.isfinite(final)):
         raise RuntimeError(f"collaborative training diverged at epoch {cfg.epochs - 1}")
-    return CollabState(users=users, items=items, vectors=final, loss_history=losses)
+    log.info("collab: %d users, %d items, %d edges, final ranking loss %.6f, "
+             "%d negatives redrawn", n_users, n_items, len(u_idx),
+             losses[-1] if losses else float("nan"), redrawn)
+    return CollabState(users=users, items=items, vectors=final, loss_history=losses,
+                       edges=len(u_idx), negatives_redrawn=redrawn)
 
 
 def train_collaborative_embeddings(split: SplitDataset, cfg: CollabConfig) -> EmbeddingMatrix:
     """Train on the train split only and return the item embedding matrix."""
-    state = train_collab_state(split, cfg)
-    log.info("collab: %d users, %d items, final ranking loss %.6f",
-             len(state.users), len(state.items),
-             state.loss_history[-1] if state.loss_history else float("nan"))
-    return state.item_matrix()
+    return train_collab_state(split, cfg).item_matrix()
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

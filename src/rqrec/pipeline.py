@@ -15,7 +15,7 @@ import math
 from pathlib import Path
 
 from . import __version__
-from .collab import train_collaborative_embeddings
+from .collab import train_collab_state
 from .config import PipelineConfig
 from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
                      leave_one_out_split, load_embedding_matrix,
@@ -147,11 +147,11 @@ def stage_prepare(cfg: PipelineConfig, synthetic: bool = False) -> None:
 def stage_embed_collab(cfg: PipelineConfig) -> None:
     inputs = _require(cfg, "embed-collab", "train.tsv")
     split = load_split(cfg.out_dir)
-    emb = train_collaborative_embeddings(
-        SplitDataset(train=split.train, valid={}, test={}), cfg.collab)
+    state = train_collab_state(SplitDataset(train=split.train, valid={}, test={}), cfg.collab)
     out = cfg.out_dir / "collab.emb"
-    write_embedding_matrix(emb, out)
-    _write_manifest(cfg, "embed-collab", inputs, {"collab.emb": out})
+    write_embedding_matrix(state.item_matrix(), out)
+    _write_manifest(cfg, "embed-collab", inputs, {"collab.emb": out},
+                    extra={"counters": state.counters()})
 
 
 def stage_build_index(cfg: PipelineConfig) -> None:

@@ -21,6 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .collab import scatter_add_rows
 from .dataio import EmbeddingMatrix
 
 log = logging.getLogger(__name__)
@@ -286,9 +287,8 @@ def _forward_backward(model: RqVaeModel, batch: np.ndarray
     # codebooks: sg-protected term, grad e_w = (2/B) * sum_{c_l=w} (e_w - r_{l-1})
     cb_grads = []
     for l, cb in enumerate(model.codebooks):
-        g = np.zeros_like(cb.vectors)
-        np.add.at(g, fp.codes[:, l], (-2.0 / n) * residuals[:, l + 1])
-        cb_grads.append(g)
+        cb_grads.append(scatter_add_rows(len(cb.vectors), fp.codes[:, l],
+                                         (-2.0 / n) * residuals[:, l + 1]))
 
     return fp, _named_arrays(enc_gw, enc_gb, dec_gw, dec_gb, cb_grads)
 

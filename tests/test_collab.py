@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rqrec.collab import (CollabConfig, bpr_loss, build_adjacency, propagate,
-                          train_collab_state, train_collaborative_embeddings)
+from rqrec.collab import (CollabConfig, _sample_negatives, _sigmoid, bpr_loss, build_adjacency,
+                          propagate, scatter_add_rows, train_collab_state,
+                          train_collaborative_embeddings)
 from rqrec.dataio import SplitDataset
 
 
@@ -116,3 +117,165 @@ def test_divergence_names_epoch():
     cfg = CollabConfig(dim=4, layers=0, epochs=40, learning_rate=1e12, seed=0)
     with pytest.raises(RuntimeError, match="epoch"):
         train_collaborative_embeddings(split_of(BLOCKS), cfg)
+
+
+# ---------------------------------------------------------------------------
+# Ordered scatters: bitwise equal to the np.add.at code they replace
+
+def add_at_reference(n_rows, rows, values):
+    out = np.zeros((n_rows, values.shape[1]))
+    np.add.at(out, rows, values)
+    return out
+
+
+def wide_range_values(rng, n, d):
+    # magnitudes over 12 decades, so that any change of summation order shows
+    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
+
+
+@pytest.mark.parametrize("d", [1, 5, 16, 20, 48])
+def test_scatter_add_rows_bitwise_equals_add_at(d):
+    rng = np.random.default_rng(d)
+    rows = np.concatenate([np.repeat(np.arange(9), 7), rng.integers(0, 12, size=300)])
+    rng.shuffle(rows)
+    values = wide_range_values(rng, len(rows), d)
+    got = scatter_add_rows(12, rows, values)
+    assert got.shape == (12, d) and got.flags.c_contiguous
+    assert got.tobytes() == add_at_reference(12, rows, values).tobytes()
+
+
+def test_scatter_add_rows_keeps_the_order_of_overlapping_parts():
+    # the gradient's layout: user rows, then positives and negatives that
+    # share item rows; only one scatter over all three parts in this order
+    # equals the three np.add.at calls
+    rng = np.random.default_rng(5)
+    n_users, n_items, t, d = 6, 4, 400, 8
+    tu = rng.integers(0, n_users, size=t)
+    tp = n_users + rng.integers(0, n_items, size=t)
+    tn = n_users + rng.integers(0, n_items, size=t)
+    a, b = wide_range_values(rng, t, d), wide_range_values(rng, t, d)
+    ref = np.zeros((n_users + n_items, d))
+    np.add.at(ref, tu, a)
+    np.add.at(ref, tp, b)
+    np.add.at(ref, tn, -b)
+    got = scatter_add_rows(len(ref), np.concatenate([tu, tp, tn]), np.concatenate([a, b, -b]))
+    assert got.tobytes() == ref.tobytes()
+    summed = (scatter_add_rows(len(ref), tu, a) + scatter_add_rows(len(ref), tp, b)
+              + scatter_add_rows(len(ref), tn, -b))
+    assert summed.tobytes() != ref.tobytes()
+
+
+def random_train(rng, n_users, n_items, max_len):
+    return {f"u{u:03d}": [f"i{i:03d}" for i in rng.choice(n_items, size=rng.integers(1, max_len),
+                                                        replace=False)]
+            for u in range(n_users)}
+
+
+@pytest.mark.parametrize("d", [3, 20, 48])
+def test_apply_bitwise_equals_add_at_reference(d):
+    rng = np.random.default_rng(d)
+    train = random_train(rng, 40, 30, 12)
+    users = sorted(train)
+    items = sorted({i for seq in train.values() for i in seq})
+    adj = build_adjacency(train, users, items)
+    x = wide_range_values(rng, adj.n_nodes, d)
+    ref = np.zeros_like(x)
+    np.add.at(ref, adj.user_rows, adj.weights[:, None] * x[adj.item_rows])
+    np.add.at(ref, adj.item_rows, adj.weights[:, None] * x[adj.user_rows])
+    assert adj.apply(x).tobytes() == ref.tobytes()
+    assert adj.apply(x).tobytes() == ref.tobytes()   # again, from the cached index
+
+
+def per_triple_negatives(rng, pos_sets, users, n_items):
+    # the per-triple resampling loop the vectorized sampler replaced
+    neg = rng.integers(0, n_items, size=len(users))
+    draws = 0
+    for k in range(len(users)):
+        seen = pos_sets[users[k]]
+        if len(seen) >= n_items:
+            continue
+        while neg[k] in seen:
+            neg[k] = rng.integers(0, n_items)
+            draws += 1
+    return neg, draws
+
+
+def test_negative_sampling_matches_per_triple_loop():
+    rng = np.random.default_rng(0)
+    n_users, n_items = 30, 12
+    pos_sets = [set(rng.choice(n_items, size=rng.integers(1, n_items), replace=False).tolist())
+                for _ in range(n_users)]
+    pos_sets[3] = set(range(n_items))          # owns every item: keeps its first draw
+    pairs = sorted((u, i) for u in range(n_users) for i in pos_sets[u])
+    u_idx = np.array([u for u, _ in pairs])
+    edge_keys = np.array([u * n_items + i for u, i in pairs])
+    degree = np.bincount(u_idx, minlength=n_users)
+    users = np.repeat(u_idx, 2)
+    a, b = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(5):
+        ref, ref_draws = per_triple_negatives(a, pos_sets, users, n_items)
+        got, redrawn = _sample_negatives(b, users, edge_keys, degree, n_items)
+        assert np.array_equal(got, ref)
+        assert redrawn == ref_draws > 0
+        assert b.bit_generator.state == a.bit_generator.state
+
+
+def test_user_owning_every_item_trains():
+    train = {"u1": ["a", "b", "c"], "u2": ["a"], "u3": ["b", "c"]}
+    cfg = CollabConfig(dim=4, layers=1, epochs=25, learning_rate=0.5, seed=0)
+    state = train_collab_state(split_of(train), cfg)
+    assert len(state.loss_history) == 25 and state.edges == 6
+    assert np.all(np.isfinite(state.vectors))
+
+
+def reference_training(train, cfg):
+    """The np.add.at training loop that train_collab_state replaced."""
+    users = sorted(train)
+    items = sorted({i for seq in train.values() for i in seq})
+    adj = build_adjacency(train, users, items)
+    n_users, n_items = len(users), len(items)
+
+    def ref_propagate(x):
+        acc, cur = x.copy(), x
+        for _ in range(cfg.layers):
+            nxt = np.zeros_like(cur)
+            np.add.at(nxt, adj.user_rows, adj.weights[:, None] * cur[adj.item_rows])
+            np.add.at(nxt, adj.item_rows, adj.weights[:, None] * cur[adj.user_rows])
+            cur = nxt
+            acc += cur
+        return acc / (cfg.layers + 1)
+
+    rng = np.random.default_rng(cfg.seed)
+    scale = 0.1 / np.sqrt(cfg.dim)
+    emb = rng.uniform(-scale, scale, size=(n_users + n_items, cfg.dim))
+    u_idx, pos_idx = adj.user_rows, adj.item_rows
+    pos_sets = [set() for _ in range(n_users)]
+    for u, i in zip(u_idx.tolist(), (pos_idx - n_users).tolist()):
+        pos_sets[u].add(i)
+    losses = []
+    for _ in range(cfg.epochs):
+        prop = ref_propagate(emb)
+        reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
+        neg, _ = per_triple_negatives(rng, pos_sets, u_idx[reps], n_items)
+        tu, tp, tn = u_idx[reps], pos_idx[reps], neg + n_users
+        diff = np.sum(prop[tu] * (prop[tp] - prop[tn]), axis=1)
+        losses.append(bpr_loss(diff))
+        g = -_sigmoid(-diff) / len(diff)
+        grad = np.zeros_like(prop)
+        np.add.at(grad, tu, g[:, None] * (prop[tp] - prop[tn]))
+        np.add.at(grad, tp, g[:, None] * prop[tu])
+        np.add.at(grad, tn, -g[:, None] * prop[tu])
+        emb -= cfg.learning_rate * ref_propagate(grad)
+    return ref_propagate(emb), losses
+
+
+def test_training_bitwise_equals_add_at_reference():
+    rng = np.random.default_rng(3)
+    train = random_train(rng, 50, 20, 15)
+    cfg = CollabConfig(dim=20, layers=2, epochs=6, learning_rate=30.0,
+                       neg_samples_per_positive=2, seed=11)
+    vectors, losses = reference_training(train, cfg)
+    state = train_collab_state(split_of(train), cfg)
+    assert state.loss_history == losses
+    assert state.vectors.tobytes() == vectors.tobytes()
+    assert state.negatives_redrawn > 0

@@ -346,15 +346,21 @@ def test_cli_seed_flag_changes_outputs(tmp_path):
 
 
 def test_manifest_counters_deterministic(pipeline_run):
-    from rqrec.pipeline import stage_retrieve, stage_train_scorers
+    from rqrec.pipeline import stage_embed_collab, stage_retrieve, stage_train_scorers
     _, _, cfg = pipeline_run
 
     def counters():
+        collab = json.loads((cfg.out_dir / "manifest_embed_collab.json").read_text())
         train = json.loads((cfg.out_dir / "manifest_train_scorers.json").read_text())
         retrieve = json.loads((cfg.out_dir / "manifest_retrieve.json").read_text())
-        return train["ngram_rows"], retrieve["counters"]
+        return collab["counters"], train["ngram_rows"], retrieve["counters"]
 
-    ngram_rows, retrieval = counters()
+    collab, ngram_rows, retrieval = counters()
+    train_pairs = set((cfg.out_dir / "train.tsv").read_text().splitlines())
+    assert sorted(collab) == ["edges", "loss_first", "loss_last", "negatives_redrawn"]
+    assert collab["edges"] == len(train_pairs)
+    assert 0.0 < collab["loss_last"] < collab["loss_first"] < 1.0
+    assert collab["negatives_redrawn"] > 0
     assert sorted(ngram_rows) == [f"{x}_t{t}" for x in ("ceid", "seid") for t in (1, 2, 3)]
     assert all(len(rows) == cfg.scorer.order + 1 and min(rows) > 0
                for rows in ngram_rows.values())
@@ -365,9 +371,10 @@ def test_manifest_counters_deterministic(pipeline_run):
         written = (cfg.out_dir / f"ranked_{index_type}.jsonl").read_text().splitlines()
         assert c["lists"] == len(written) == 3 * (n_users - c["users_without_list"])
         assert c["pairs_scored"] >= c["lists"] * cfg.k_retrieve
+    stage_embed_collab(cfg)
     stage_train_scorers(cfg)
     stage_retrieve(cfg)
-    assert counters() == (ngram_rows, retrieval)
+    assert counters() == (collab, ngram_rows, retrieval)
 
 
 def test_retrieve_refuses_checkpoint_without_the_templates(pipeline_run, tmp_path):
