@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -34,8 +35,8 @@ class CollabConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-# Columns summed per bincount call: bounds the int64 flat index to 16 entries
-# per scattered row, whatever the width of the rows.
+# Columns summed per bincount call: bounds the int64 flat index, and the block
+# of values it adds, to 16 entries per scattered row, whatever the row width.
 _BLOCK = 16
 
 
@@ -44,28 +45,34 @@ def _flat_index(rows: np.ndarray, width: int) -> np.ndarray:
     return (np.asarray(rows, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
 
 
-def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray,
-                     flat: np.ndarray | None = None) -> np.ndarray:
-    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`.
+def scatter_column_blocks(n_rows: int, rows: np.ndarray, d: int,
+                          block: Callable[[int, int], np.ndarray],
+                          flat: np.ndarray | None = None) -> np.ndarray:
+    """Sum value rows into an (n_rows, d) zero array at `rows`, in column blocks.
 
-    Bitwise equal to the unbuffered scatter `np.add`'s `at` method makes:
-    `np.bincount` adds its weights to each cell in input order, as that does.
-    Columns go in blocks of `min(d, _BLOCK)`, the last one padded with zero
-    columns, so one flat index serves every block; `flat` may pass it in,
-    built by `_flat_index(rows, min(d, _BLOCK))`.
+    `block(c, w)` returns columns c..c+w of the values, one row per entry of
+    `rows`, so no caller holds more than one block of them at a time.
+    `np.bincount` adds its weights to each cell in entry order, so the result
+    equals, bit for bit, an unbuffered `np.add` scatter (the ufunc's `at`)
+    over the same rows. Blocks are `min(d, _BLOCK)` columns wide; `flat` may
+    pass `_flat_index(rows, min(d, _BLOCK))` built beforehand.
     """
-    d = values.shape[1]
     width = min(d, _BLOCK)
     if flat is None:
         flat = _flat_index(rows, width)
-    out = np.empty((n_rows, -(-d // width) * width))
+    out = np.empty((n_rows, d))
     for c in range(0, d, width):
-        block = values[:, c:c + width]
-        if block.shape[1] < width:
-            block = np.pad(block, ((0, 0), (0, width - block.shape[1])))
-        out[:, c:c + width] = np.bincount(flat, weights=block.ravel(),
-                                          minlength=n_rows * width).reshape(n_rows, width)
-    return out if out.shape[1] == d else np.ascontiguousarray(out[:, :d])
+        w = min(width, d - c)
+        out[:, c:c + w] = np.bincount(flat if w == width else _flat_index(rows, w),
+                                      weights=block(c, w).ravel(),
+                                      minlength=n_rows * w).reshape(n_rows, w)
+    return out
+
+
+def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`, in order."""
+    return scatter_column_blocks(n_rows, rows, values.shape[1],
+                                 lambda c, w: values[:, c:c + w])
 
 
 @dataclass
@@ -102,12 +109,17 @@ class NormalizedAdjacency:
         """
         if x.shape[0] != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} rows, got {x.shape[0]}")
-        width = min(x.shape[1], _BLOCK)
+        d = x.shape[1]
+        width = min(d, _BLOCK)
         if self._flat is None or self._flat.size != self._dst.size * width:
             self._flat = _flat_index(self._dst, width)
-        vals = x[self._src]
-        vals *= self._w
-        return scatter_add_rows(self.n_nodes, self._dst, vals, self._flat)
+
+        def block(c: int, w: int) -> np.ndarray:
+            vals = np.take(x[:, c:c + w], self._src, axis=0)
+            vals *= self._w
+            return vals
+
+        return scatter_column_blocks(self.n_nodes, self._dst, d, block, self._flat)
 
 
 def build_adjacency(train: dict[str, list[str]],
@@ -193,6 +205,35 @@ def _sample_negatives(rng: np.random.Generator, users: np.ndarray, edge_keys: np
     return neg, redrawn
 
 
+def _loss_and_gradient(prop: np.ndarray, tu: np.ndarray, tp: np.ndarray, tn: np.ndarray,
+                       epoch: int) -> tuple[float, np.ndarray]:
+    """Mean ranking loss over (user, positive, negative) rows and its gradient."""
+    p_user = prop[tu]
+    with np.errstate(invalid="ignore", over="ignore"):
+        p_diff = prop[tp]
+        p_diff -= prop[tn]
+        diff = np.sum(p_user * p_diff, axis=1)
+        loss = bpr_loss(diff)
+    if not np.isfinite(loss):
+        raise RuntimeError(f"collaborative training diverged at epoch {epoch}")
+
+    g = (-_sigmoid(-diff) / len(diff))[:, None]   # dL/d(diff) per triple
+    t = len(tu)
+
+    def block(c: int, w: int) -> np.ndarray:
+        # values of the user rows, then the positives, then the negatives
+        vals = np.empty((3 * t, w))
+        np.multiply(g, p_diff[:, c:c + w], out=vals[:t])
+        np.multiply(g, p_user[:, c:c + w], out=vals[t:2 * t])
+        np.negative(vals[t:2 * t], out=vals[2 * t:])
+        return vals
+
+    # one ordered scatter over all three parts: positives and negatives share
+    # item rows, so their order fixes the sums
+    return loss, scatter_column_blocks(len(prop), np.concatenate([tu, tp, tn]),
+                                       prop.shape[1], block)
+
+
 def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     """Full training loop; exposed separately so tests can inspect the state."""
     cfg.validate()
@@ -221,30 +262,8 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
         prop = propagate(adj, emb, cfg.layers)
         neg, n_redrawn = _sample_negatives(rng, tu, edge_keys, degree, n_items)
         redrawn += n_redrawn
-        tn = neg + n_users
-
-        # per triple: the user row, then the positive minus the negative row;
-        # scaled in place by the loss gradient, they are the scattered values
-        t = len(tu)
-        vals = np.empty((3 * t, prop.shape[1]))
-        p_diff, p_user = vals[:t], vals[t:2 * t]
-        np.take(prop, tu, axis=0, out=p_user)
-        with np.errstate(invalid="ignore", over="ignore"):
-            np.take(prop, tp, axis=0, out=p_diff)
-            p_diff -= prop[tn]
-            diff = np.sum(p_user * p_diff, axis=1)
-            loss = bpr_loss(diff)
-        if not np.isfinite(loss):
-            raise RuntimeError(f"collaborative training diverged at epoch {epoch}")
+        loss, grad_prop = _loss_and_gradient(prop, tu, tp, neg + n_users, epoch)
         losses.append(loss)
-
-        g = (-_sigmoid(-diff) / len(diff))[:, None]   # dL/d(diff) per triple
-        p_diff *= g
-        p_user *= g
-        np.negative(p_user, out=vals[2 * t:])
-        # one ordered scatter, user rows then positives then negatives:
-        # positives and negatives share item rows, so their order fixes the sums
-        grad_prop = scatter_add_rows(len(prop), np.concatenate([tu, tp, tn]), vals)
         # propagation operator is symmetric, so the backward pass reuses it
         emb -= cfg.learning_rate * propagate(adj, grad_prop, cfg.layers)
 
