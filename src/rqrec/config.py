@@ -52,6 +52,7 @@ class PipelineConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.mode not in RERANK_MODES:
             raise ValueError(f"mode must be one of {RERANK_MODES}, got {self.mode!r}")
+        self.synthetic.validate()
         self.collab.validate()
         self.rqvae_ceid.validate()
         self.rqvae_seid.validate()

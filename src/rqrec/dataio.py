@@ -168,18 +168,19 @@ def write_split(split: SplitDataset, out_dir: str | Path) -> None:
 
 
 def load_split(out_dir: str | Path) -> SplitDataset:
-    out_dir = Path(out_dir)
+    """Read train/valid/test.tsv; a line that is not 'user<TAB>item' names path:lineno."""
+    rows: dict[str, list[list[str]]] = {}
+    for name in ("train", "valid", "test"):
+        path = Path(out_dir) / f"{name}.tsv"
+        rows[name] = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
+        for lineno, row in enumerate(rows[name], 1):
+            if len(row) != 2:
+                raise ValueError(f"{path}:{lineno}: expected 'user<TAB>item', got {len(row)} "
+                                 "field(s); rerun the 'prepare' stage to rewrite it")
     train: dict[str, list[str]] = {}
-    for line in (out_dir / "train.tsv").read_text(encoding="utf-8").splitlines():
-        u, item = line.split("\t")
+    for u, item in rows["train"]:
         train.setdefault(u, []).append(item)
-    single: dict[str, dict[str, str]] = {}
-    for name in ("valid", "test"):
-        single[name] = {}
-        for line in (out_dir / f"{name}.tsv").read_text(encoding="utf-8").splitlines():
-            u, item = line.split("\t")
-            single[name][u] = item
-    return SplitDataset(train=train, valid=single["valid"], test=single["test"])
+    return SplitDataset(train=train, valid=dict(rows["valid"]), test=dict(rows["test"]))
 
 
 def load_embedding_matrix(path: str | Path, source_tag: str) -> EmbeddingMatrix:

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .retrieval import RankedList
+from .retrieval import ListRecord, RankedList
 
 log = logging.getLogger(__name__)
 
@@ -45,16 +45,13 @@ def ndcg_at_k(lists: dict[str, RankedList], test: dict[str, str], k: int) -> flo
     return total / len(test)
 
 
-def hit_sets(lists_by_template: dict[int, dict[str, RankedList]],
-             test: dict[str, str], k: int = 10) -> list[HitSet]:
+def hit_sets(records: list[ListRecord], test: dict[str, str], k: int = 10) -> list[HitSet]:
     """Per-template hit sets (users whose test item is in that template's top-k)."""
-    out = []
-    for t in sorted(lists_by_template):
-        users = {u for u, target in test.items()
-                 if u in lists_by_template[t]
-                 and target in lists_by_template[t][u].items()[:k]}
-        out.append(HitSet(template_id=t, users=users))
-    return out
+    users: dict[int, set[str]] = {r.template: set() for r in records}
+    for r in records:
+        if r.user in test and test[r.user] in r.items[:k]:
+            users[r.template].add(r.user)
+    return [HitSet(template_id=t, users=users[t]) for t in sorted(users)]
 
 
 def per(h1: HitSet, h2: HitSet) -> float:
@@ -82,19 +79,17 @@ def per_matrix(sets: list[HitSet]) -> tuple[list[list[float]], list[int]]:
     PER is 0/0 for a template with an empty hit set: its row is all nan,
     with a warning, so one template without hits does not stop the analysis.
     """
-    if len(sets) < 2:
-        raise ValueError("per_matrix needs at least 2 templates")
+    if not sets:
+        raise ValueError("per_matrix needs at least 1 template")
     ids = [h.template_id for h in sets]
     matrix = []
     for h1 in sets:
         if not h1.users:
             log.warning("per_matrix: template %d has no hits, its row is nan", h1.template_id)
             matrix.append([math.nan] * len(sets))
-            continue
-        row = []
-        for h2 in sets:
-            row.append(0.0 if h1.template_id == h2.template_id else per(h1, h2))
-        matrix.append(row)
+        else:
+            matrix.append([0.0 if h1.template_id == h2.template_id else per(h1, h2)
+                           for h2 in sets])
     return matrix, ids
 
 

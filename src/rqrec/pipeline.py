@@ -24,8 +24,8 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
-from .retrieval import (RankedList, beam_search_users, read_ranked_lists,
-                        write_ranked_lists)
+from .retrieval import (RankedList, beam_search_users, read_list_records,
+                        read_ranked_lists, write_ranked_lists)
 from .rqvae import (assign_codes, load_code_table, resolve_collisions,
                     save_model, train_rqvae, write_code_table)
 from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
@@ -294,15 +294,12 @@ def fuse_all_users(ranks: RankArrays, alpha: float, tau: float, k_out: int,
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     """Fuse each user's lists; fused.jsonl and the breakdown share one scoring pass."""
     mode = mode or cfg.mode
-    needed = []
-    if mode != "seid-only":
-        needed.append("ranked_ceid.jsonl")
-    if mode != "ceid-only":
-        needed.append("ranked_seid.jsonl")
-    inputs = _require(cfg, "rerank", *needed)
+    # a single-index mode reads one side and fuses the other as empty
+    reads = {"ranked_ceid.jsonl": mode != "seid-only", "ranked_seid.jsonl": mode != "ceid-only"}
+    inputs = _require(cfg, "rerank", *(name for name, read in reads.items() if read))
     ranks = RankArrays()
-    for name in ("ranked_ceid.jsonl", "ranked_seid.jsonl"):
-        ranks.add(read_ranked_lists(inputs[name]) if name in inputs else [])
+    for name in reads:
+        ranks.add(read_list_records(inputs[name]) if name in inputs else [])
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
     out = cfg.out_dir / "fused.jsonl"
@@ -341,13 +338,10 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     sets_by_type = {}
     ranks = RankArrays()
     for index_type in ("ceid", "seid"):
-        lists = read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl")
-        ranks.add(lists)
-        by_template: dict[int, dict[str, RankedList]] = {}
-        for rl in lists:
-            by_template.setdefault(rl.template_id, {})[rl.user] = rl
-        sets_by_type[index_type] = hit_sets(by_template, split.test, cfg.analysis_k)
-        del lists, by_template  # one index type's lists in memory at a time
+        records = read_list_records(cfg.out_dir / f"ranked_{index_type}.jsonl")
+        ranks.add(records)
+        sets_by_type[index_type] = hit_sets(records, split.test, cfg.analysis_k)
+        del records  # one index type's lists in memory at a time
         matrix, ids = per_matrix(sets_by_type[index_type])
         path = cfg.out_dir / f"per_matrix_{index_type}.csv"
         write_per_matrix(matrix, ids, path)

@@ -17,11 +17,12 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import chain, count
 from pathlib import Path
 
 import numpy as np
 
-from .retrieval import RankedList
+from .retrieval import ListRecord, RankedList
 
 # per-pair terms, the breakdown columns after user and item
 COLUMNS = ("conf_c", "cons_c", "s_c", "conf_s", "cons_s", "s_s", "s_total", "appearances")
@@ -45,21 +46,23 @@ class RankArrays:
         self.item_ids: dict[str, int] = {}
         self.sides: list[tuple[np.ndarray, ...]] = []
 
-    def add(self, lists: list[RankedList]) -> None:
+    def add(self, records: list[ListRecord]) -> None:
         seen: set[tuple[str, int]] = set()
-        for rl in lists:
-            if (rl.user, rl.template_id) in seen:
-                raise ValueError(f"duplicate template id {rl.template_id} for user "
-                                 f"{rl.user!r} in the {rl.index_type} lists")
-            seen.add((rl.user, rl.template_id))
-        users, items = self.user_ids, self.item_ids
-        lengths = [len(rl.entries) for rl in lists]
-        list_user = np.array([users.setdefault(rl.user, len(users)) for rl in lists], np.int32)
-        list_template = np.array([rl.template_id for rl in lists], np.int32)
-        item = np.fromiter((items.setdefault(x, len(items)) for rl in lists
-                            for x, _ in rl.entries), np.int32, count=sum(lengths))
-        rank = np.fromiter((r for n in lengths for r in range(n)), np.int32, count=sum(lengths))
-        self.sides.append((np.repeat(list_user, lengths), item, rank,
+        for r in records:
+            if (r.user, r.template) in seen:
+                raise ValueError(f"duplicate template id {r.template} for user "
+                                 f"{r.user!r} in the {r.index_type} lists")
+            seen.add((r.user, r.template))
+        users = self.user_ids
+        lengths = np.array([len(r.items) for r in records], dtype=np.int64)
+        list_user = np.array([users.setdefault(r.user, len(users)) for r in records], np.int32)
+        list_template = np.array([r.template for r in records], np.int32)
+        names = list(chain.from_iterable(r.items for r in records))
+        # first-seen numbers are the positions in an insertion-ordered dict
+        items = self.item_ids = dict(zip(dict.fromkeys([*self.item_ids, *names]), count()))
+        item = np.array(list(map(items.__getitem__, names)), np.int32)
+        rank = np.arange(len(item)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.sides.append((np.repeat(list_user, lengths), item, rank.astype(np.int32),
                            np.repeat(list_template, lengths), list_user, list_template))
 
 
@@ -128,8 +131,8 @@ def _one_user(ceid_lists: list[RankedList], seid_lists: list[RankedList],
     if not ceid_lists and not seid_lists:
         raise ValueError("no ranked lists to fuse")
     ranks = RankArrays()
-    ranks.add(ceid_lists)
-    ranks.add(seid_lists)
+    ranks.add([rl.record() for rl in ceid_lists])
+    ranks.add([rl.record() for rl in seid_lists])
     if len(ranks.user_ids) > 1:
         raise ValueError(f"lists of more than one user: {sorted(ranks.user_ids)}")
     return score_pairs(ranks, alpha, tau)

@@ -12,13 +12,19 @@ together, and one `np.lexsort` keeps each user's top k.
 from __future__ import annotations
 
 import json
+from collections import namedtuple
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
 
 from .rqvae import ItemCodeTable
 from .vocab import PrefixTrie, code_token
+
+
+# one ranked list as the JSONL interchange format holds it, fields in file order
+ListRecord = namedtuple("ListRecord", "user index_type template items scores")
 
 
 @dataclass
@@ -30,6 +36,10 @@ class RankedList:
 
     def items(self) -> list[str]:
         return [item for item, _ in self.entries]
+
+    def record(self) -> ListRecord:
+        return ListRecord(self.user, self.index_type, self.template_id, self.items(),
+                          [s for _, s in self.entries])
 
 
 def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -66,11 +76,10 @@ def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: in
         raise ValueError("trie is empty")
     vocab = getattr(scorer, "vocab", None)
     if vocab is not None:
-        known = set(vocab)
-        for context in contexts:
-            for t in context:
-                if t not in known:
-                    raise ValueError(f"unknown context token {t!r}")
+        unknown = set(chain.from_iterable(contexts)).difference(vocab)
+        if unknown:
+            first = next(t for t in chain.from_iterable(contexts) if t in unknown)
+            raise ValueError(f"unknown context token {first!r}")
     native = hasattr(scorer, "candidate_logprobs")
     if native:
         user_ctx = scorer.context_matrix(contexts)
@@ -160,17 +169,7 @@ def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
 # Line-delimited interchange format shared by retrieval, rerank, and eval
 
 def ranked_list_record(rl: RankedList) -> str:
-    return json.dumps({"user": rl.user, "index_type": rl.index_type,
-                       "template": rl.template_id,
-                       "items": [i for i, _ in rl.entries],
-                       "scores": [s for _, s in rl.entries]})
-
-
-def parse_ranked_list(line: str) -> RankedList:
-    rec = json.loads(line)
-    return RankedList(user=rec["user"], index_type=rec["index_type"],
-                      template_id=rec["template"],
-                      entries=list(zip(rec["items"], rec["scores"])))
+    return json.dumps(rl.record()._asdict())
 
 
 def write_ranked_lists(lists: list[RankedList], path: str | Path) -> None:
@@ -179,13 +178,22 @@ def write_ranked_lists(lists: list[RankedList], path: str | Path) -> None:
             fh.write(ranked_list_record(rl) + "\n")
 
 
-def read_ranked_lists(path: str | Path) -> list[RankedList]:
+def read_list_records(path: str | Path) -> list[ListRecord]:
+    """Every line of a ranked-list file, each parsed once into a `ListRecord`."""
     out = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         try:
             if line:
-                out.append(parse_ranked_list(line))
-        except (ValueError, KeyError, TypeError) as exc:
+                rec = ListRecord(**json.loads(line))
+                if len(rec.items) != len(rec.scores):
+                    raise ValueError("items and scores differ in length")
+                out.append(rec)
+        except (ValueError, TypeError) as exc:
             raise ValueError(f"{path}:{lineno}: malformed ranked list ({exc!r}); rerun "
                              "'retrieve' ('rerank' for fused.jsonl) to rewrite it") from None
     return out
+
+
+def read_ranked_lists(path: str | Path) -> list[RankedList]:
+    return [RankedList(r.user, r.index_type, r.template, list(zip(r.items, r.scores)))
+            for r in read_list_records(path)]

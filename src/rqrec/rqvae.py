@@ -92,7 +92,7 @@ def kmeans_init(latents: np.ndarray, n_centroids: int, iters: int,
                 rng: np.random.Generator) -> np.ndarray:
     """Lloyd's algorithm seeded by uniform sampling of distinct rows.
 
-    Empty clusters are reseeded to the point farthest from its assigned centroid.
+    Empty clusters, in order, take the points farthest from their centroids.
     """
     n = latents.shape[0]
     if n < n_centroids:
@@ -102,19 +102,10 @@ def kmeans_init(latents: np.ndarray, n_centroids: int, iters: int,
     for _ in range(iters):
         d2 = _sq_dists(latents, centroids)
         assign = np.argmin(d2, axis=1)
-        new = centroids.copy()
-        point_err = d2[np.arange(n), assign]
-        taken: set[int] = set()
-        for w in range(n_centroids):
-            members = assign == w
-            if members.any():
-                new[w] = latents[members].mean(axis=0)
-        for w in range(n_centroids):
-            if not (assign == w).any():
-                order = np.argsort(-point_err, kind="stable")
-                far = next(int(p) for p in order if int(p) not in taken)
-                taken.add(far)
-                new[w] = latents[far]
+        count = np.bincount(assign, minlength=n_centroids)
+        new = scatter_add_rows(n_centroids, assign, latents) / np.maximum(count, 1)[:, None]
+        empty = count == 0
+        new[empty] = latents[np.argsort(-d2[np.arange(n), assign], kind="stable")[:empty.sum()]]
         if np.array_equal(new, centroids):
             break
         centroids = new
@@ -383,7 +374,7 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (1.0 - epoch / max(1, cfg.epochs))
         perm = rng.permutation(n)
-        used = [np.zeros(cfg.codebook_size, dtype=bool) for _ in model.codebooks]
+        used = np.zeros((len(model.codebooks), cfg.codebook_size), dtype=bool)
         for start in range(0, n, cfg.batch_size):
             batch = x[perm[start:start + cfg.batch_size]]
             try:
@@ -393,8 +384,7 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
             if not np.isfinite(fp.l_rec + fp.l_rq):
                 raise RuntimeError(f"non-finite loss at epoch {epoch}")
             opt.step(grads, lr)
-            for l in range(len(model.codebooks)):
-                used[l][np.unique(fp.codes[:, l])] = True
+            used[np.arange(len(model.codebooks)), fp.codes] = True
         for l, cb in enumerate(model.codebooks):
             dead = np.flatnonzero(~used[l])
             if dead.size:

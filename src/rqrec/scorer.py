@@ -225,17 +225,13 @@ def count_ngrams(streams: dict[str, list[str]], order: int,
     """Number the n-grams of orders 0..order in the non-empty streams (users sorted)."""
     tok_id = {t: k for k, t in enumerate(vocab)}
     users = sorted(u for u, s in streams.items() if s)
-    ids, owner, pos = [], [], []
-    for j, u in enumerate(users):
-        for i, t in enumerate(streams[u]):
-            if t not in tok_id:
-                raise ValueError(f"stream token {t!r} not in vocabulary")
-            ids.append(tok_id[t])
-            owner.append(j)
-            pos.append(i)
-    tok = np.array(ids, dtype=np.int64)
-    owner_arr = np.array(owner, dtype=np.int64)
-    pos_arr = np.array(pos, dtype=np.int64)
+    try:
+        tok = np.array([tok_id[t] for u in users for t in streams[u]], dtype=np.int64)
+    except KeyError as exc:
+        raise ValueError(f"stream token {exc.args[0]!r} not in vocabulary") from None
+    lengths = np.array([len(streams[u]) for u in users], dtype=np.int64)
+    owner_arr = np.repeat(np.arange(len(users)), lengths)
+    pos_arr = np.arange(len(tok)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     v = len(vocab)
     index = NgramIndex(users, v, [], [], [], [])
     ctx = np.zeros(len(tok), dtype=np.int64)  # order-0 context id at every position

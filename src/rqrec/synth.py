@@ -30,6 +30,13 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        # every user walks a home cluster and a second one
+        for name, low in (("n_users", 1), ("n_clusters", 2), ("emb_dim", 1)):
+            if getattr(self, name) < low:
+                raise ValueError(f"synthetic.{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("p_follow", "p_stay"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
+                raise ValueError(f"synthetic.{name} must be in [0, 1], got {getattr(self, name)}")
         if self.n_items < self.n_clusters:
             raise ValueError("need at least one item per cluster")
         if self.min_len < 3 or self.max_len < self.min_len:

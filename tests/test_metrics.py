@@ -119,9 +119,12 @@ def test_per_matrix_generally_asymmetric():
     assert matrix[0][1] != matrix[1][0]
 
 
-def test_per_matrix_needs_two_templates():
-    with pytest.raises(ValueError):
-        per_matrix([HitSet(1, {"a"})])
+def test_per_matrix_one_template():
+    assert per_matrix([HitSet(4, {"a"})]) == ([[0.0]], [4])
+    matrix, ids = per_matrix([HitSet(4, set())])
+    assert ids == [4] and math.isnan(matrix[0][0])
+    with pytest.raises(ValueError, match="at least 1 template"):
+        per_matrix([])
 
 
 def brute_per(h1, h2):
@@ -157,16 +160,45 @@ def test_per_chr_match_bruteforce_on_random_families():
 
 
 def test_hit_sets_builder():
-    by_template = {
-        1: {"u1": rl("u1", ["a", "b"]), "u2": rl("u2", ["c", "d"])},
-        2: {"u1": rl("u1", ["b", "a"]), "u2": rl("u2", ["d", "c"])},
-    }
+    records = [RankedList("u1", "ceid", 1, [("a", 0.0), ("b", -1.0)]).record(),
+               RankedList("u2", "ceid", 1, [("c", 0.0), ("d", -1.0)]).record(),
+               RankedList("u1", "ceid", 2, [("b", 0.0), ("a", -1.0)]).record(),
+               RankedList("u2", "ceid", 2, [("d", 0.0), ("c", -1.0)]).record()]
     test = {"u1": "a", "u2": "x"}
-    sets = hit_sets(by_template, test, k=1)
+    sets = hit_sets(records, test, k=1)
     assert sets[0].users == {"u1"} and sets[0].template_id == 1
-    assert sets[1].users == set()
-    sets2 = hit_sets(by_template, test, k=2)
+    assert sets[1].users == set() and sets[1].template_id == 2
+    sets2 = hit_sets(records, test, k=2)
     assert sets2[0].users == {"u1"} and sets2[1].users == {"u1"}
+
+
+def reference_hit_sets(lists_by_template, test, k):
+    """hit_sets as it was over per-template {user: RankedList} dicts."""
+    out = []
+    for t in sorted(lists_by_template):
+        users = {u for u, target in test.items()
+                 if u in lists_by_template[t]
+                 and target in lists_by_template[t][u].items()[:k]}
+        out.append(HitSet(template_id=t, users=users))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_hit_sets_from_records_equal_by_template_path(seed):
+    rng = np.random.default_rng(seed)
+    items = [f"i{j}" for j in range(12)]
+    test = {f"u{u}": items[rng.integers(0, 12)] for u in range(30) if u % 7}  # some untested
+    lists = [RankedList(f"u{u}", "ceid", int(t),
+                        [(i, 0.0) for i in rng.choice(items, size=rng.integers(0, 9),
+                                                      replace=False)])
+             for u in range(30) for t in rng.permutation(5)[:rng.integers(0, 6)] + 1]
+    by_template: dict = {}
+    for x in lists:
+        by_template.setdefault(x.template_id, {})[x.user] = x
+    for k in (1, 3, 8):
+        got = hit_sets([x.record() for x in lists], test, k)
+        assert got == reference_hit_sets(by_template, test, k)
+        assert any(h.users for h in got) and any(h.users != got[0].users for h in got)
 
 
 def test_per_matrix_nan_row_for_template_without_hits(caplog):

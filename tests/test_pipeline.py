@@ -78,6 +78,32 @@ def test_config_validation_before_work(tmp_path):
     with pytest.raises(ValueError, match="analysis_k"):
         load_config(write_config(tmp_path, **{"eval.analysis_k": 0}))
     assert load_config(write_config(tmp_path, **{"eval.analysis_k": 20})).analysis_k == 20
+    for key, value, message in (("min_len", 2, "min_len"), ("p_follow", 1.5, "p_follow"),
+                                ("n_users", 0, "n_users"), ("p_stay", -0.1, "p_stay"),
+                                ("n_clusters", 1, "n_clusters"), ("emb_dim", 0, "emb_dim"),
+                                ("n_items", 3, "one item per cluster")):
+        with pytest.raises(ValueError, match=message):
+            load_config(write_config(tmp_path, **{f"synthetic.{key}": value}))
+    cfg = load_config(write_config(tmp_path, **{"synthetic.p_follow": 1.0,
+                                                "synthetic.p_stay": 0.0}))
+    assert (cfg.synthetic.p_follow, cfg.synthetic.p_stay) == (1.0, 0.0)
+
+
+def test_repo_configs_and_benchmark_overrides_validate():
+    import ast
+    root = Path(__file__).resolve().parents[1]
+    configs = sorted((root / "configs").glob("*.cfg"))
+    assert configs
+    for path in configs:
+        load_config(path)
+    tree = ast.parse((root / "perfbench" / "run.py").read_text(encoding="utf-8"))
+    workloads = next(ast.literal_eval(node.value) for node in tree.body
+                     if isinstance(node, ast.Assign) and node.targets[0].id == "WORKLOADS")
+    pipelines = [spec for spec in workloads.values() if spec["kind"] == "pipeline"]
+    assert pipelines
+    for spec in pipelines:
+        for size in ("bench", "tiny"):
+            load_config(root / "configs" / "synthetic.cfg", overrides=spec[size])
 
 
 def test_missing_upstream_names_stage(tmp_path):
@@ -466,3 +492,38 @@ def test_cli_malformed_ranked_list_names_line(pipeline_run, tmp_path, capsys):
         lineno = len(lines) if case == "truncated" else 7
         assert f"{ranked}:{lineno}: malformed ranked list" in err
         assert "rerun 'retrieve'" in err
+
+
+def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
+    import shutil
+    _, path, cfg = pipeline_run
+    for name, stage in (("train.tsv", "embed-collab"), ("test.tsv", "evaluate")):
+        out = tmp_path / name
+        shutil.copytree(cfg.out_dir, out)
+        split = out / name
+        lines = split.read_text().splitlines(keepends=True)
+        lineno = len(lines) if name == "train.tsv" else 3
+        lines[lineno - 1] = lines[lineno - 1].split("\t")[0] + "\n"  # the tab and item lost
+        split.write_text("".join(lines))
+        assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{split}:{lineno}: expected 'user<TAB>item', got 1 field(s)" in err
+        assert "rerun the 'prepare' stage" in err
+
+
+def test_all_with_one_template(tmp_path):
+    path = write_config(tmp_path, **{"pipeline.templates": 1})
+    assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 0
+    out = tmp_path / "run"
+    for index_type in ("ceid", "seid"):
+        rows = (out / f"per_matrix_{index_type}.csv").read_text().splitlines()
+        assert rows == ["template,1", "1,0.0"]
+    chr_rows = (out / "chr.csv").read_text().splitlines()
+    assert [row.split(",")[0] for row in chr_rows] == ["direction", "ceid_vs_seid",
+                                                      "seid_vs_ceid"]
+    assert all(0.0 <= float(row.split(",")[1]) <= 1.0 for row in chr_rows[1:])
+    sweep = (out / "template_sweep.csv").read_text()
+    assert sweep == "num_templates,hit@5,ndcg@5,hit@10,ndcg@10\n"
+    manifest = json.loads((out / "manifest_analyze.json").read_text())
+    assert set(manifest["outputs"]) == {"per_matrix_ceid.csv", "per_matrix_seid.csv",
+                                        "chr.csv", "template_sweep.csv"}

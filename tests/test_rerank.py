@@ -245,7 +245,7 @@ def test_batched_fusion_equals_per_item_reference_bitwise(seed):
                 chosen = [lists[t] if t in sides else [] for t in ("ceid", "seid")]
                 ranks = RankArrays()
                 for side in chosen:
-                    ranks.add(side)
+                    ranks.add([x.record() for x in side])
                 scores = score_pairs(ranks, alpha, 10.0, max_templates=cap)
                 fused = {f.user: f for f in top_k(scores, 7)}
                 users = sorted({x.user for side in chosen for x in side if x.template_id <= cap})
@@ -268,3 +268,44 @@ def test_squared_deviations_round_like_the_scalar_formula():
     positions = (982, 264, 151, 109, 34, 1)
     got = x_score(*positions)
     assert tuple(got)[1:] == reference_scores(placed(*positions), [], 0.8, 10.0)["x"]
+
+
+def reference_sides(lists_per_side):
+    """The RankArrays.add walk over RankedList entries that records replaced."""
+    users, items, sides = {}, {}, []
+    for lists in lists_per_side:
+        lengths = [len(x.entries) for x in lists]
+        list_user = np.array([users.setdefault(x.user, len(users)) for x in lists], np.int32)
+        list_template = np.array([x.template_id for x in lists], np.int32)
+        item = np.fromiter((items.setdefault(i, len(items)) for x in lists
+                            for i, _ in x.entries), np.int32, count=sum(lengths))
+        rank = np.fromiter((r for n in lengths for r in range(n)), np.int32, count=sum(lengths))
+        sides.append((np.repeat(list_user, lengths), item, rank,
+                      np.repeat(list_template, lengths), list_user, list_template))
+    return users, items, sides
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_rank_arrays_from_records_equal_ranked_list_walk(seed):
+    rng = np.random.default_rng(seed)
+    items = [f"i{j:02d}" for j in range(30)]
+    lists = [[rl(f"u{u}", index_type, int(t), list(rng.choice(items, size=rng.integers(0, 9),
+                                                                replace=False)))
+              for u in rng.permutation(12) for t in rng.permutation(4)[:rng.integers(0, 5)] + 1]
+             for index_type in ("ceid", "seid")]
+    ranks = RankArrays()
+    for side in lists:
+        ranks.add([x.record() for x in side])
+    users, item_ids, sides = reference_sides(lists)
+    assert ranks.user_ids == users and ranks.item_ids == item_ids
+    assert list(ranks.item_ids.values()) == list(range(len(item_ids)))
+    assert len(ranks.sides) == len(sides) == 2
+    for got, ref in zip(ranks.sides, sides):
+        for a, b in zip(got, ref):
+            assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+
+
+def test_rank_arrays_rejects_duplicate_template():
+    ranks = RankArrays()
+    with pytest.raises(ValueError, match="duplicate template id 2 for user 'u'"):
+        ranks.add([rl("u", "ceid", 2, ["a"]).record(), rl("u", "ceid", 2, ["b"]).record()])

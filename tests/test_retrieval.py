@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 
 from conftest import HashScorer, UniformScorer, random_code_table
-from rqrec.retrieval import (beam_search_constrained, beam_search_users,
-                             exhaustive_topk_oracle, parse_ranked_list, ranked_list_record,
+from rqrec.retrieval import (RankedList, beam_search_constrained, beam_search_users,
+                             exhaustive_topk_oracle, ranked_list_record, read_list_records,
                              read_ranked_lists, write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
 from rqrec.scorer import ScorerConfig, train_markov_scorer
@@ -153,6 +155,17 @@ def test_beam_unknown_context_token_is_error():
         beam_search_constrained(sc, trie, ["<CeID_1,99>"], 3)
 
 
+def test_beam_context_check_names_first_unknown_token_in_order():
+    table = table_of({"a": (0, 0)})
+    trie = build_prefix_trie(table)
+    sc = HashScorer(seed=1, vocab=["<CeID_1,0>", "<CeID_2,0>"])
+    contexts = [["<CeID_1,0>"], ["<CeID_2,0>", "zz", "<CeID_1,9>"], ["<CeID_1,5>"]]
+    with pytest.raises(ValueError, match="unknown context token 'zz'"):
+        beam_search_users(sc, trie, contexts, 1, ["u0", "u1", "u2"])
+    lists, _ = beam_search_users(UniformScorer(), trie, contexts, 1, ["u0", "u1", "u2"])
+    assert [rl.items() for rl in lists] == [["a"]] * 3  # a scorer without vocab: no check
+
+
 def test_jsonl_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     table = random_code_table(rng, 12, 4)
@@ -165,9 +178,27 @@ def test_jsonl_roundtrip(tmp_path):
     p = tmp_path / "ranked.jsonl"
     write_ranked_lists(lists, p)
     assert read_ranked_lists(p) == lists
+    records = read_list_records(p)
+    assert records == [rl.record() for rl in lists]
+    assert [list(zip(r.items, r.scores)) for r in records] == [rl.entries for rl in lists]
     rec = ranked_list_record(lists[0])
-    assert parse_ranked_list(rec) == lists[0]
+    assert p.read_text().splitlines()[0] == rec
     assert rec.startswith('{"user": "u0", "index_type": "ceid", "template": 1,')
+
+
+@pytest.mark.parametrize("bad", [
+    '{"user": "u1", "index_type": "ceid", "template": 1, "items": ["a", "b"], "scores": [0.0]}',
+    '{"user": "u1", "index_type": "ceid", "template": 1, "items": 5, "scores": 5}',
+    '{"user": "u1", "index_type": "ceid", "template": 1, "items": [], "scores": [], "x": 1}',
+    '["u1", "ceid", 1, [], []]',
+], ids=["length_mismatch", "not_a_list", "extra_key", "not_an_object"])
+def test_malformed_record_names_line(tmp_path, bad):
+    good = ranked_list_record(RankedList("u0", "ceid", 1, [("a", -0.5)]))
+    p = tmp_path / "ranked.jsonl"
+    p.write_text(good + "\n" + bad + "\n")
+    for read in (read_list_records, read_ranked_lists):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: malformed ranked list"):
+            read(p)
 
 
 class CallsOnly:

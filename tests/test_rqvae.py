@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rqrec.dataio import EmbeddingMatrix
-from rqrec.rqvae import (Codebook, RqVaeConfig, RqVaeModel, _forward_backward,
+from rqrec.rqvae import (Codebook, RqVaeConfig, RqVaeModel, _forward_backward, _sq_dists,
                          assign_codes, finite_difference_gradients, forward_loss,
                          gradient_check, initialize_model, kmeans_init,
                          load_code_table, load_model, max_relative_error,
@@ -53,6 +53,51 @@ def test_kmeans_reduces_sse():
     init = kmeans_init(pts, 4, 0, np.random.default_rng(3))
     final = kmeans_init(pts, 4, 100, np.random.default_rng(3))
     assert sse(pts, final) <= sse(pts, init)
+
+
+def reference_kmeans(latents, n_centroids, iters, rng):
+    """kmeans_init as a per-codeword loop, the version bincount replaced."""
+    n = latents.shape[0]
+    centroids = latents[rng.choice(n, size=n_centroids, replace=False)].copy()
+    for _ in range(iters):
+        d2 = _sq_dists(latents, centroids)
+        assign = np.argmin(d2, axis=1)
+        new = centroids.copy()
+        point_err = d2[np.arange(n), assign]
+        taken = set()
+        for w in range(n_centroids):
+            members = assign == w
+            if members.any():
+                new[w] = latents[members].mean(axis=0)
+        for w in range(n_centroids):
+            if not (assign == w).any():
+                order = np.argsort(-point_err, kind="stable")
+                far = next(int(p) for p in order if int(p) not in taken)
+                taken.add(far)
+                new[w] = latents[far]
+        if np.array_equal(new, centroids):
+            break
+        centroids = new
+    return centroids
+
+
+@pytest.mark.parametrize("width", [2, 3, 7, 16, 33, 40])
+def test_kmeans_equals_per_codeword_loop(width):
+    rng = np.random.default_rng(width)
+    emptied = 0
+    for case in range(12):
+        n, w = int(rng.integers(12, 60)), int(rng.integers(2, 10))
+        pts = rng.normal(size=(int(rng.integers(3, n // 2)), width))
+        pts = pts[rng.integers(0, len(pts), n)]  # duplicate rows leave clusters empty
+        if case % 3 == 0:
+            pts[:, 0] *= 40.0  # far outliers along one axis
+        for iters in (1, 3, 30):
+            got = kmeans_init(pts, w, iters, np.random.default_rng(case))
+            ref = reference_kmeans(pts, w, iters, np.random.default_rng(case))
+            assert np.array_equal(got, ref)
+        first = pts[np.random.default_rng(case).choice(n, size=w, replace=False)]
+        emptied += len({tuple(r) for r in first}) < w
+    assert emptied >= 3  # the reseeding path ran
 
 
 def test_kmeans_too_few_rows():

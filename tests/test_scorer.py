@@ -253,6 +253,59 @@ def test_add_stream_matches_training():
     assert counts(grown) == counts(trained) and totals(grown) == totals(trained)
 
 
+def reference_count_ngrams(streams, order, vocab):
+    """count_ngrams with the per-token append loop that np.repeat replaced."""
+    tok_id = {t: k for k, t in enumerate(vocab)}
+    users = sorted(u for u, s in streams.items() if s)
+    ids, owner, pos = [], [], []
+    for j, u in enumerate(users):
+        for i, t in enumerate(streams[u]):
+            if t not in tok_id:
+                raise ValueError(f"stream token {t!r} not in vocabulary")
+            ids.append(tok_id[t])
+            owner.append(j)
+            pos.append(i)
+    tok, owner, pos = (np.array(x, dtype=np.int64) for x in (ids, owner, pos))
+    v = len(vocab)
+    out = [[], [], [], []]
+    ctx = np.zeros(len(tok), dtype=np.int64)
+    at = np.arange(len(tok))
+    for k in range(order + 1):
+        if k:
+            deep = pos[at] >= k
+            at = at[deep]
+            keys, ctx = np.unique(ctx[deep] * v + tok[at - k], return_inverse=True)
+        else:
+            keys = np.zeros(min(1, len(tok)), dtype=np.int64)
+        ngram_keys, ngram_ids = np.unique(ctx * v + tok[at], return_inverse=True)
+        for column, value in zip(out, (keys, ngram_keys, ngram_ids, owner[at])):
+            column.append(value)
+    return users, out
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_count_ngrams_equals_append_loop(seed):
+    rng = np.random.default_rng(seed)
+    vocab = [f"t{k}" for k in range(6)]
+    streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 6, int(rng.integers(0, 14)))]
+               for k in range(15)}
+    assert any(not s for s in streams.values())
+    for order in (0, 1, 3, 5):
+        index = count_ngrams(streams, order, vocab)
+        users, ref = reference_count_ngrams(streams, order, vocab)
+        assert index.users == users and index.vocab_size == len(vocab)
+        got = (index.ctx_keys, index.ngram_keys, index.ngram_ids, index.owners)
+        for arrays, ref_arrays in zip(got, ref):
+            assert len(arrays) == order + 1
+            for a, b in zip(arrays, ref_arrays):
+                assert a.dtype == b.dtype and np.array_equal(a, b)
+    streams["u3"] = ["t1", "x9", "t2", "x1"]
+    streams["u7"] = ["x0"]
+    for fn in (count_ngrams, reference_count_ngrams):
+        with pytest.raises(ValueError, match="^stream token 'x9' not in vocabulary$"):
+            fn(streams, 2, vocab)
+
+
 def test_shared_index_matches_own_count():
     rng = np.random.default_rng(23)
     vocab = [f"t{k}" for k in range(7)]
