@@ -169,18 +169,22 @@ def write_split(split: SplitDataset, out_dir: str | Path) -> None:
 
 def load_split(out_dir: str | Path) -> SplitDataset:
     """Read train/valid/test.tsv; a line that is not 'user<TAB>item' names path:lineno."""
-    rows: dict[str, list[list[str]]] = {}
+    split: dict[str, dict] = {"train": {}}
     for name in ("train", "valid", "test"):
         path = Path(out_dir) / f"{name}.tsv"
-        rows[name] = [line.split("\t") for line in path.read_text(encoding="utf-8").splitlines()]
-        for lineno, row in enumerate(rows[name], 1):
-            if len(row) != 2:
-                raise ValueError(f"{path}:{lineno}: expected 'user<TAB>item', got {len(row)} "
-                                 "field(s); rerun the 'prepare' stage to rewrite it")
-    train: dict[str, list[str]] = {}
-    for u, item in rows["train"]:
-        train.setdefault(u, []).append(item)
-    return SplitDataset(train=train, valid=dict(rows["valid"]), test=dict(rows["test"]))
+        lines = path.read_text(encoding="utf-8").splitlines()
+        try:
+            if name == "train":
+                for line in lines:
+                    u, item = line.split("\t")
+                    split["train"].setdefault(u, []).append(item)
+            else:
+                split[name] = dict(line.split("\t") for line in lines)
+        except ValueError:  # a line with no tab or with two
+            lineno = next(n for n, line in enumerate(lines, 1) if line.count("\t") != 1)
+            raise ValueError(f"{path}:{lineno}: expected 'user<TAB>item'; rerun the 'prepare' "
+                             "stage to rewrite it") from None
+    return SplitDataset(**split)
 
 
 def load_embedding_matrix(path: str | Path, source_tag: str) -> EmbeddingMatrix:

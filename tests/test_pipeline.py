@@ -497,17 +497,21 @@ def test_cli_malformed_ranked_list_names_line(pipeline_run, tmp_path, capsys):
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
     import shutil
     _, path, cfg = pipeline_run
-    for name, stage in (("train.tsv", "embed-collab"), ("test.tsv", "evaluate")):
+    for name, stage in (("train.tsv", "embed-collab"), ("test.tsv", "evaluate"),
+                        ("valid.tsv", "evaluate")):
         out = tmp_path / name
         shutil.copytree(cfg.out_dir, out)
         split = out / name
         lines = split.read_text().splitlines(keepends=True)
         lineno = len(lines) if name == "train.tsv" else 3
-        lines[lineno - 1] = lines[lineno - 1].split("\t")[0] + "\n"  # the tab and item lost
+        if name == "valid.tsv":  # an extra field
+            lines[lineno - 1] = lines[lineno - 1].rstrip("\n") + "\tx\n"
+        else:  # the tab and the item lost
+            lines[lineno - 1] = lines[lineno - 1].split("\t")[0] + "\n"
         split.write_text("".join(lines))
         assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
         err = capsys.readouterr().err
-        assert f"{split}:{lineno}: expected 'user<TAB>item', got 1 field(s)" in err
+        assert f"{split}:{lineno}: expected 'user<TAB>item'" in err
         assert "rerun the 'prepare' stage" in err
 
 

@@ -303,9 +303,3 @@ def test_rank_arrays_from_records_equal_ranked_list_walk(seed):
     for got, ref in zip(ranks.sides, sides):
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
-
-
-def test_rank_arrays_rejects_duplicate_template():
-    ranks = RankArrays()
-    with pytest.raises(ValueError, match="duplicate template id 2 for user 'u'"):
-        ranks.add([rl("u", "ceid", 2, ["a"]).record(), rl("u", "ceid", 2, ["b"]).record()])
