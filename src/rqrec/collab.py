@@ -277,11 +277,6 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
                        edges=len(u_idx), negatives_redrawn=redrawn)
 
 
-def train_collaborative_embeddings(split: SplitDataset, cfg: CollabConfig) -> EmbeddingMatrix:
-    """Train on the train split only and return the item embedding matrix."""
-    return train_collab_state(split, cfg).item_matrix()
-
-
 def _sigmoid(x: np.ndarray) -> np.ndarray:
     out = np.empty_like(x)
     pos = x >= 0

@@ -6,7 +6,7 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
-from .retrieval import ListRecord, RankedList
+from .retrieval import ListRecord
 
 log = logging.getLogger(__name__)
 
@@ -19,7 +19,7 @@ class HitSet:
     users: set[str]
 
 
-def _target_positions(metric: str, lists: dict[str, RankedList], test: dict[str, str],
+def _target_positions(metric: str, lists: dict[str, ListRecord], test: dict[str, str],
                       k: int) -> list[int]:
     """0-based position of each test item found within its user's first k entries."""
     if not test:
@@ -28,16 +28,16 @@ def _target_positions(metric: str, lists: dict[str, RankedList], test: dict[str,
     if missing:
         log.warning("%s@%d: %d user(s) missing a ranked list, counted as misses",
                     metric, k, missing)
-    tops = ((lists[u].items()[:k], target) for u, target in test.items() if u in lists)
+    tops = ((lists[u].items[:k], target) for u, target in test.items() if u in lists)
     return [top.index(target) for top, target in tops if target in top]
 
 
-def hit_at_k(lists: dict[str, RankedList], test: dict[str, str], k: int) -> float:
+def hit_at_k(lists: dict[str, ListRecord], test: dict[str, str], k: int) -> float:
     """Fraction of test users whose held-out item is within the first k entries."""
     return len(_target_positions("hit", lists, test, k)) / len(test)
 
 
-def ndcg_at_k(lists: dict[str, RankedList], test: dict[str, str], k: int) -> float:
+def ndcg_at_k(lists: dict[str, ListRecord], test: dict[str, str], k: int) -> float:
     """Single-relevant-item NDCG: gain 1/log2(rank + 2) at 0-based rank < k."""
     total = 0.0  # a plain loop: sum() of floats is compensated from Python 3.12 on
     for position in _target_positions("ndcg", lists, test, k):

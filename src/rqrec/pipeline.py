@@ -24,8 +24,8 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
-from .retrieval import (RankedList, beam_search_users, read_list_records,
-                        read_ranked_lists, write_ranked_lists)
+from .retrieval import (ListRecord, RankedList, beam_search_users, read_ranked_lists,
+                        write_ranked_lists)
 from .rqvae import (assign_codes, load_code_table, resolve_collisions,
                     save_model, train_rqvae, write_code_table)
 from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
@@ -286,9 +286,10 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
 
 
 def fuse_all_users(ranks: RankArrays, alpha: float, tau: float, k_out: int,
-                   max_templates: int) -> dict[str, RankedList]:
+                   max_templates: int) -> dict[str, ListRecord]:
     """Per-user fusion over the lists with template id <= max_templates."""
-    return {rl.user: rl for rl in top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)}
+    return {rl.user: rl.record()
+            for rl in top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)}
 
 
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
@@ -299,7 +300,7 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     inputs = _require(cfg, "rerank", *(name for name, read in reads.items() if read))
     ranks = RankArrays()
     for name in reads:
-        ranks.add(read_list_records(inputs[name]) if name in inputs else [])
+        ranks.add(read_ranked_lists(inputs[name]) if name in inputs else [])
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
     out = cfg.out_dir / "fused.jsonl"
@@ -316,7 +317,7 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
 def stage_evaluate(cfg: PipelineConfig) -> None:
     inputs = _require(cfg, "evaluate", "fused.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
-    fused = {rl.user: rl for rl in read_ranked_lists(cfg.out_dir / "fused.jsonl")}
+    fused = {r.user: r for r in read_ranked_lists(cfg.out_dir / "fused.jsonl")}
     rows = []
     for k in cfg.k_report:
         h = hit_at_k(fused, split.test, k)
@@ -338,7 +339,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     sets_by_type = {}
     ranks = RankArrays()
     for index_type in ("ceid", "seid"):
-        records = read_list_records(cfg.out_dir / f"ranked_{index_type}.jsonl")
+        records = read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl")
         ranks.add(records)
         sets_by_type[index_type] = hit_sets(records, split.test, cfg.analysis_k)
         del records  # one index type's lists in memory at a time

@@ -44,19 +44,18 @@ class RankedList:
 
 def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Per depth: the scorer's ids of each node's child tokens (-1 after the
-    last) and of its path from the root."""
+    last) and of its path from the root, one `token_ids` call for each."""
     cand_ids, path_ids = [], []
-    for child, tokens, paths in zip(trie.child, trie.tokens, trie.paths):
+    for d, (child, tokens, paths) in enumerate(zip(trie.child, trie.tokens, trie.paths)):
         cand = np.full(child.shape, -1, dtype=np.int64)
-        for n, row in enumerate(tokens):
-            cand[n, :len(row)] = scorer.token_ids(row)
+        cand[child >= 0] = scorer.token_ids(list(chain.from_iterable(tokens)))
         unknown = np.argwhere((cand < 0) & (child >= 0))
         if len(unknown):
             n, c = unknown[0]
             raise ValueError(f"candidate token {tokens[n][c]!r} not in vocabulary")
         cand_ids.append(cand)
-        path_ids.append(np.array([scorer.token_ids(path) for path in paths],
-                                 dtype=np.int64).reshape(len(paths), -1))
+        path_ids.append(np.array(scorer.token_ids(list(chain.from_iterable(paths))),
+                                 dtype=np.int64).reshape(len(paths), d))
     return cand_ids, path_ids
 
 
@@ -166,7 +165,7 @@ def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
 
 
 # ---------------------------------------------------------------------------
-# Line-delimited interchange format shared by retrieval, rerank, and eval
+# Line-delimited interchange format: stages write RankedLists, read ListRecords
 
 def ranked_list_record(rl: RankedList) -> str:
     return json.dumps(rl.record()._asdict())
@@ -178,7 +177,7 @@ def write_ranked_lists(lists: list[RankedList], path: str | Path) -> None:
             fh.write(ranked_list_record(rl) + "\n")
 
 
-def read_list_records(path: str | Path) -> list[ListRecord]:
+def read_ranked_lists(path: str | Path) -> list[ListRecord]:
     """Every line of a ranked-list file, each parsed once into a `ListRecord`."""
     out = []
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
@@ -192,8 +191,3 @@ def read_list_records(path: str | Path) -> list[ListRecord]:
             raise ValueError(f"{path}:{lineno}: malformed ranked list ({exc!r}); rerun "
                              "'retrieve' ('rerank' for fused.jsonl) to rewrite it") from None
     return out
-
-
-def read_ranked_lists(path: str | Path) -> list[RankedList]:
-    return [RankedList(r.user, r.index_type, r.template, list(zip(r.items, r.scores)))
-            for r in read_list_records(path)]

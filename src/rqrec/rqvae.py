@@ -512,15 +512,19 @@ def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
     code_len = None
     for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         parts = line.split("\t")
-        if len(parts) < 3:
-            raise ValueError(f"{path}:{lineno}: expected item and code columns")
-        tup = tuple(int(c) for c in parts[1:])
-        if code_len is None:
-            code_len = len(tup) - 1
-        elif len(tup) - 1 != code_len:
-            raise ValueError(f"{path}:{lineno}: inconsistent code length")
-        if parts[0] in codes:
-            raise ValueError(f"{path}:{lineno}: duplicate item {parts[0]!r}")
+        try:
+            if len(parts) < 3:
+                raise ValueError("expected item and code columns")
+            tup = tuple(int(c) for c in parts[1:])
+            if code_len is None:
+                code_len = len(tup) - 1
+            elif len(tup) - 1 != code_len:
+                raise ValueError("inconsistent code length")
+            if parts[0] in codes:
+                raise ValueError(f"duplicate item {parts[0]!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}; rerun the 'build-index' stage to "
+                             "rewrite it") from None
         codes[parts[0]] = tup
     if not codes:
         raise ValueError(f"{path}: empty code table")

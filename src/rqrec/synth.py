@@ -30,9 +30,10 @@ class SyntheticConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        # every user walks a home cluster and a second one
-        for name, low in (("n_users", 1), ("n_clusters", 2), ("emb_dim", 1)):
-            if getattr(self, name) < low:
+        # n_clusters >= 2: every user walks a home cluster and a second one
+        for name, low in (("n_users", 1), ("n_clusters", 2), ("emb_dim", 1),
+                          ("center_scale", 0), ("noise_scale", 0)):
+            if not getattr(self, name) >= low:  # nan fails too
                 raise ValueError(f"synthetic.{name} must be >= {low}, got {getattr(self, name)}")
         for name in ("p_follow", "p_stay"):
             if not 0.0 <= getattr(self, name) <= 1.0:

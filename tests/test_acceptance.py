@@ -242,7 +242,7 @@ def test_criterion_07_metric_oracles():
             lists[f"u{u}"] = RankedList(user=f"u{u}", index_type="fused",
                                         template_id=0,
                                         entries=[(i, -float(r))
-                                                 for r, i in enumerate(ranked)])
+                                                 for r, i in enumerate(ranked)]).record()
             test[f"u{u}"] = items[int(rng.integers(0, 15))]
         prev_h = prev_n = 0.0
         for k in range(1, 11):

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from rqrec.collab import (CollabConfig, _sample_negatives, _sigmoid, bpr_loss, build_adjacency,
-                          propagate, scatter_add_rows, train_collab_state,
-                          train_collaborative_embeddings)
+                          propagate, scatter_add_rows, train_collab_state)
 from rqrec.dataio import SplitDataset
 
 
@@ -49,7 +48,7 @@ def test_propagate_dimension_mismatch():
 
 def test_disjoint_blocks_separate():
     cfg = CollabConfig(dim=16, layers=2, epochs=150, learning_rate=1.0, seed=3)
-    emb = train_collaborative_embeddings(split_of(BLOCKS), cfg)
+    emb = train_collab_state(split_of(BLOCKS), cfg).item_matrix()
     v = {i: emb.rows[i] / np.linalg.norm(emb.rows[i]) for i in emb.rows}
     intra = (v["a"] @ v["b"] + v["c"] @ v["d"]) / 2
     cross = np.mean([v[x] @ v[y] for x in "ab" for y in "cd"])
@@ -66,8 +65,8 @@ def test_layers_zero_is_plain_mf():
 
 def test_same_seed_bitwise_identical():
     cfg = CollabConfig(dim=8, layers=1, epochs=15, learning_rate=0.5, seed=9)
-    a = train_collaborative_embeddings(split_of(BLOCKS), cfg)
-    b = train_collaborative_embeddings(split_of(BLOCKS), cfg)
+    a = train_collab_state(split_of(BLOCKS), cfg).item_matrix()
+    b = train_collab_state(split_of(BLOCKS), cfg).item_matrix()
     for item in a.rows:
         assert np.array_equal(a.rows[item], b.rows[item])
 
@@ -76,8 +75,8 @@ def test_no_leakage_from_valid_test():
     cfg = CollabConfig(dim=8, layers=2, epochs=10, learning_rate=0.5, seed=4)
     base = SplitDataset(train=BLOCKS, valid={"u1": "c"}, test={"u1": "d"})
     perturbed = SplitDataset(train=BLOCKS, valid={"u1": "a"}, test={"u1": "zzz"})
-    a = train_collaborative_embeddings(base, cfg)
-    b = train_collaborative_embeddings(perturbed, cfg)
+    a = train_collab_state(base, cfg).item_matrix()
+    b = train_collab_state(perturbed, cfg).item_matrix()
     for item in a.rows:
         assert np.array_equal(a.rows[item], b.rows[item])
 
@@ -110,13 +109,13 @@ def test_heldout_ranking_loss_decreases():
 
 def test_empty_train_is_error():
     with pytest.raises(ValueError):
-        train_collaborative_embeddings(split_of({}), CollabConfig())
+        train_collab_state(split_of({}), CollabConfig()).item_matrix()
 
 
 def test_divergence_names_epoch():
     cfg = CollabConfig(dim=4, layers=0, epochs=40, learning_rate=1e12, seed=0)
     with pytest.raises(RuntimeError, match="epoch"):
-        train_collaborative_embeddings(split_of(BLOCKS), cfg)
+        train_collab_state(split_of(BLOCKS), cfg).item_matrix()
 
 
 # ---------------------------------------------------------------------------

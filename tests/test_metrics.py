@@ -10,7 +10,7 @@ from rqrec.retrieval import RankedList
 
 def rl(user, items):
     return RankedList(user=user, index_type="fused", template_id=0,
-                      entries=[(i, -float(r)) for r, i in enumerate(items)])
+                      entries=[(i, -float(r)) for r, i in enumerate(items)]).record()
 
 
 def test_hit_examples():

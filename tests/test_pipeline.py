@@ -81,12 +81,17 @@ def test_config_validation_before_work(tmp_path):
     for key, value, message in (("min_len", 2, "min_len"), ("p_follow", 1.5, "p_follow"),
                                 ("n_users", 0, "n_users"), ("p_stay", -0.1, "p_stay"),
                                 ("n_clusters", 1, "n_clusters"), ("emb_dim", 0, "emb_dim"),
-                                ("n_items", 3, "one item per cluster")):
+                                ("n_items", 3, "one item per cluster"),
+                                ("center_scale", -2, "synthetic.center_scale must be >= 0"),
+                                ("noise_scale", -1, "synthetic.noise_scale must be >= 0"),
+                                ("noise_scale", "nan", "synthetic.noise_scale must be >= 0")):
         with pytest.raises(ValueError, match=message):
             load_config(write_config(tmp_path, **{f"synthetic.{key}": value}))
     cfg = load_config(write_config(tmp_path, **{"synthetic.p_follow": 1.0,
-                                                "synthetic.p_stay": 0.0}))
+                                                "synthetic.p_stay": 0.0,
+                                                "synthetic.noise_scale": 0.0}))
     assert (cfg.synthetic.p_follow, cfg.synthetic.p_stay) == (1.0, 0.0)
+    assert cfg.synthetic.noise_scale == 0.0
 
 
 def test_repo_configs_and_benchmark_overrides_validate():
@@ -275,9 +280,9 @@ def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatc
     s_total = {(r[0], r[1]): float(r[8]) for r in rows}
     capped: set[tuple[str, str]] = set()
     for index_type in ("ceid", "seid"):
-        for rl in read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl"):
-            if rl.template_id <= 2:
-                capped.update((rl.user, item) for item in rl.items())
+        for rec in read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl"):
+            if rec.template <= 2:
+                capped.update((rec.user, item) for item in rec.items)
     assert set(s_total) == capped
     entries = [(rec["user"], item, score)
                for rec in map(json.loads, (cfg.out_dir / "fused.jsonl").read_text().splitlines())
@@ -288,6 +293,29 @@ def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatc
     assert caps == [2]  # one scoring pass feeds fused.jsonl and the breakdown
     stage_rerank(cfg)
     assert (cfg.out_dir / "fused.jsonl").read_bytes() == fused_bytes
+
+
+def test_stages_read_lists_through_one_reader(pipeline_run, monkeypatch):
+    # the reader the benchmark tracer spans: one call per list file a stage reads
+    import rqrec.pipeline
+    _, _, cfg = pipeline_run
+    before = {name: (cfg.out_dir / name).read_bytes()
+              for name in ("fused.jsonl", "metrics.csv", "template_sweep.csv")}
+    read = rqrec.pipeline.read_ranked_lists
+    calls = []
+    monkeypatch.setattr(rqrec.pipeline, "read_ranked_lists",
+                        lambda path: calls.append(Path(path).name) or read(path))
+    reads = {}
+    for stage, mode in (("rerank", "ceid-only"), ("rerank", "full"), ("evaluate", None),
+                        ("analyze", None)):
+        calls.clear()
+        run_stage(cfg, stage, mode=mode)
+        reads[stage, mode] = list(calls)
+    assert reads == {("rerank", "ceid-only"): ["ranked_ceid.jsonl"],
+                     ("rerank", "full"): ["ranked_ceid.jsonl", "ranked_seid.jsonl"],
+                     ("evaluate", None): ["fused.jsonl"],
+                     ("analyze", None): ["ranked_ceid.jsonl", "ranked_seid.jsonl"]}
+    assert {name: (cfg.out_dir / name).read_bytes() for name in before} == before
 
 
 def test_duplicate_template_line_rejected(pipeline_run, tmp_path):
@@ -513,6 +541,23 @@ def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{split}:{lineno}: expected 'user<TAB>item'" in err
         assert "rerun the 'prepare' stage" in err
+
+
+def test_cli_bad_code_names_line(pipeline_run, tmp_path, capsys):
+    import shutil
+    _, path, cfg = pipeline_run
+    for stage in ("train-scorers", "retrieve"):
+        out = tmp_path / stage
+        shutil.copytree(cfg.out_dir, out)
+        codes = out / "codes_ceid.tsv"
+        lines = codes.read_text().splitlines(keepends=True)
+        item, _, *rest = lines[2].split("\t")
+        lines[2] = "\t".join([item, "x", *rest])
+        codes.write_text("".join(lines))
+        assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert f"{codes}:3: invalid literal for int() with base 10: 'x'" in err
+        assert "rerun the 'build-index' stage" in err
 
 
 def test_all_with_one_template(tmp_path):

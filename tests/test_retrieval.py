@@ -5,8 +5,8 @@ import pytest
 
 from conftest import HashScorer, UniformScorer, random_code_table
 from rqrec.retrieval import (RankedList, beam_search_constrained, beam_search_users,
-                             exhaustive_topk_oracle, ranked_list_record, read_list_records,
-                             read_ranked_lists, write_ranked_lists)
+                             exhaustive_topk_oracle, ranked_list_record, read_ranked_lists,
+                             write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
 from rqrec.scorer import ScorerConfig, train_markov_scorer
 from rqrec.vocab import build_prefix_trie, code_token
@@ -166,6 +166,23 @@ def test_beam_context_check_names_first_unknown_token_in_order():
     assert [rl.items() for rl in lists] == [["a"]] * 3  # a scorer without vocab: no check
 
 
+def test_candidate_token_outside_vocab_is_named():
+    # a checkpoint trained on an older code table lacks tokens of the current trie
+    codes = {"a": (0, 1, 0), "b": (0, 2, 0), "c": (1, 3, 0), "d": (1, 4, 0)}
+    trie = build_prefix_trie(table_of(codes))
+    vocab = sorted({code_token("ceid", l + 1, w)
+                    for tup in codes.values() for l, w in enumerate(tup)})
+    streams = {"u0": vocab * 2}
+    sc = train_markov_scorer(streams, 1, ScorerConfig(order=2), "ceid", vocab=vocab)
+    lists, _ = beam_search_users(sc, trie, [[]], 4, ["u0"])
+    assert sorted(lists[0].items()) == ["a", "b", "c", "d"]
+    # two tokens missing at depth 1: the first in (node, column) order is named
+    stale = [t for t in vocab if t not in ("<CeID_2,2>", "<CeID_2,3>")]
+    sc = train_markov_scorer({"u0": stale * 2}, 1, ScorerConfig(order=2), "ceid", vocab=stale)
+    with pytest.raises(ValueError, match=r"candidate token '<CeID_2,2>' not in vocabulary"):
+        beam_search_users(sc, trie, [[]], 4, ["u0"])
+
+
 def test_jsonl_roundtrip(tmp_path):
     rng = np.random.default_rng(17)
     table = random_code_table(rng, 12, 4)
@@ -177,8 +194,7 @@ def test_jsonl_roundtrip(tmp_path):
              for s in range(4)]
     p = tmp_path / "ranked.jsonl"
     write_ranked_lists(lists, p)
-    assert read_ranked_lists(p) == lists
-    records = read_list_records(p)
+    records = read_ranked_lists(p)
     assert records == [rl.record() for rl in lists]
     assert [list(zip(r.items, r.scores)) for r in records] == [rl.entries for rl in lists]
     rec = ranked_list_record(lists[0])
@@ -196,9 +212,8 @@ def test_malformed_record_names_line(tmp_path, bad):
     good = ranked_list_record(RankedList("u0", "ceid", 1, [("a", -0.5)]))
     p = tmp_path / "ranked.jsonl"
     p.write_text(good + "\n" + bad + "\n")
-    for read in (read_list_records, read_ranked_lists):
-        with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: malformed ranked list"):
-            read(p)
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: malformed ranked list"):
+        read_ranked_lists(p)
 
 
 class CallsOnly:
