@@ -27,11 +27,11 @@ class CollabConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
-        if self.layers < 0:
-            raise ValueError(f"layers must be >= 0, got {self.layers}")
-        if self.learning_rate <= 0:
+        for name, low in (("dim", 1), ("layers", 0), ("epochs", 0),
+                          ("neg_samples_per_positive", 1)):
+            if not getattr(self, name) >= low:
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        if not self.learning_rate > 0:  # nan fails too
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 

@@ -48,7 +48,7 @@ class PipelineConfig:
             raise ValueError(f"templates must be in 1..10, got {self.templates}")
         if not 0.0 <= self.alpha <= 1.0:
             raise ValueError(f"alpha must be in [0, 1], got {self.alpha}")
-        if self.tau <= 0:
+        if not self.tau > 0:  # nan fails too
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.mode not in RERANK_MODES:
             raise ValueError(f"mode must be one of {RERANK_MODES}, got {self.mode!r}")

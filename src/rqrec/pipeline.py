@@ -24,8 +24,7 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
-from .retrieval import (ListRecord, RankedList, beam_search_users, read_ranked_lists,
-                        write_ranked_lists)
+from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
 from .rqvae import (assign_codes, load_code_table, resolve_collisions,
                     save_model, train_rqvae, write_code_table)
 from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
@@ -265,7 +264,7 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
             raise PipelineError("retrieve", f"{ckpt} holds {len(scorers)} "
                                 f"{scorers[0].index_type} template(s), {cfg.templates} "
                                 f"{index_type} needed; rerun the 'train-scorers' stage")
-        results: list[RankedList] = []
+        results: list[ListRecord] = []
         pairs = 0
         for scorer in scorers[:cfg.templates]:
             lists, scored = beam_search_users(scorer, trie, contexts, cfg.k_retrieve,
@@ -288,8 +287,7 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
 def fuse_all_users(ranks: RankArrays, alpha: float, tau: float, k_out: int,
                    max_templates: int) -> dict[str, ListRecord]:
     """Per-user fusion over the lists with template id <= max_templates."""
-    return {rl.user: rl.record()
-            for rl in top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)}
+    return {r.user: r for r in top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)}
 
 
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
@@ -317,7 +315,11 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
 def stage_evaluate(cfg: PipelineConfig) -> None:
     inputs = _require(cfg, "evaluate", "fused.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
-    fused = {r.user: r for r in read_ranked_lists(cfg.out_dir / "fused.jsonl")}
+    fused: dict[str, ListRecord] = {}
+    for r in read_ranked_lists(inputs["fused.jsonl"]):
+        if fused.setdefault(r.user, r) is not r:
+            raise PipelineError("evaluate", f"{inputs['fused.jsonl']} holds two lists for user "
+                                f"{r.user!r}; rerun the 'rerank' stage")
     rows = []
     for k in cfg.k_report:
         h = hit_at_k(fused, split.test, k)

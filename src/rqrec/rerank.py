@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .retrieval import ListRecord, RankedList
+from .retrieval import ListRecord
 
 # per-pair terms, the breakdown columns after user and item
 COLUMNS = ("conf_c", "cons_c", "s_c", "conf_s", "cons_s", "s_s", "s_total", "appearances")
@@ -111,7 +111,7 @@ def score_pairs(ranks: RankArrays, alpha: float, tau: float,
                       pairs // n_items, pairs % n_items, dict(zip(COLUMNS, columns)))
 
 
-def top_k(scores: PairScores, k_out: int) -> list[RankedList]:
+def top_k(scores: PairScores, k_out: int) -> list[ListRecord]:
     """Each listed user's top k_out; ties break by appearance count, then item id."""
     order = np.lexsort((scores.item, -scores.columns["appearances"],
                         -scores.columns["s_total"], scores.user))
@@ -121,24 +121,23 @@ def top_k(scores: PairScores, k_out: int) -> list[RankedList]:
               for side in ("left", "right"))
     names = [scores.items[i] for i in scores.item[top].tolist()]
     values = scores.columns["s_total"][top].tolist()
-    return [RankedList(user=scores.users[u], index_type="fused", template_id=0,
-                       entries=list(zip(names[a:b], values[a:b])))
+    return [ListRecord(scores.users[u], "fused", 0, names[a:b], values[a:b])
             for u, a, b in zip(scores.listed.tolist(), lo, hi)]
 
 
-def _one_user(ceid_lists: list[RankedList], seid_lists: list[RankedList],
+def _one_user(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
               alpha: float, tau: float) -> PairScores:
     if not ceid_lists and not seid_lists:
         raise ValueError("no ranked lists to fuse")
     ranks = RankArrays()
-    ranks.add([rl.record() for rl in ceid_lists])
-    ranks.add([rl.record() for rl in seid_lists])
+    ranks.add(ceid_lists)
+    ranks.add(seid_lists)
     if len(ranks.user_ids) > 1:
         raise ValueError(f"lists of more than one user: {sorted(ranks.user_ids)}")
     return score_pairs(ranks, alpha, tau)
 
 
-def score_items(ceid_lists: list[RankedList], seid_lists: list[RankedList],
+def score_items(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
                 alpha: float, tau: float) -> dict[str, SelfConsistencyScore]:
     """Full per-item breakdown of one user's lists over both index types."""
     scores = _one_user(ceid_lists, seid_lists, alpha, tau)
@@ -147,8 +146,8 @@ def score_items(ceid_lists: list[RankedList], seid_lists: list[RankedList],
     return {row[0]: SelfConsistencyScore(*row) for row in rows}
 
 
-def fuse_and_rank(ceid_lists: list[RankedList], seid_lists: list[RankedList],
-                  alpha: float, tau: float, k_out: int) -> RankedList:
+def fuse_and_rank(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
+                  alpha: float, tau: float, k_out: int) -> ListRecord:
     """Final top-k_out fusion of one user's lists.
 
     Single-index ablations pass an empty list for the dropped side; Conf-only

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 from collections import namedtuple
-from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
 
@@ -23,23 +22,15 @@ from .rqvae import ItemCodeTable
 from .vocab import PrefixTrie, code_token
 
 
-# one ranked list as the JSONL interchange format holds it, fields in file order
+# one ranked list, in memory and in the JSONL interchange format (fields in file order)
 ListRecord = namedtuple("ListRecord", "user index_type template items scores")
 
 
-@dataclass
-class RankedList:
-    user: str
-    index_type: str
-    template_id: int
-    entries: list[tuple[str, float]] = field(default_factory=list)
-
-    def items(self) -> list[str]:
-        return [item for item, _ in self.entries]
-
-    def record(self) -> ListRecord:
-        return ListRecord(self.user, self.index_type, self.template_id, self.items(),
-                          [s for _, s in self.entries])
+def RankedList(user: str, index_type: str, template_id: int,
+               entries: list[tuple[str, float]]) -> ListRecord:
+    """A `ListRecord` from (item, score) pairs, by the name perfbench/fusion_inputs.py calls."""
+    return ListRecord(user, index_type, template_id, [i for i, _ in entries],
+                      [s for _, s in entries])
 
 
 def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -61,7 +52,7 @@ def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[n
 
 def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: int,
                       users: list[str], template_id: int = 0
-                      ) -> tuple[list[RankedList], int]:
+                      ) -> tuple[list[ListRecord], int]:
     """Beam search for every user at once; also returns the (beam, child) pairs scored.
 
     Each user's list is what a search of that user alone gives. A scorer
@@ -113,14 +104,13 @@ def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: in
     bounds = np.searchsorted(user, np.arange(len(contexts) + 1)).tolist()
     items = [trie.items[n] for n in node.tolist()]
     scores = score.tolist()
-    lists = [RankedList(user=name, index_type=trie.index_type, template_id=template_id,
-                        entries=list(zip(items[lo:hi], scores[lo:hi])))
+    lists = [ListRecord(name, trie.index_type, template_id, items[lo:hi], scores[lo:hi])
              for name, lo, hi in zip(users, bounds, bounds[1:])]
     return lists, pairs
 
 
 def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
-                            k: int, user: str = "", template_id: int = 0) -> RankedList:
+                            k: int, user: str = "", template_id: int = 0) -> ListRecord:
     """Beam search over exactly trie.depth steps, width k, for one context.
 
     Candidate tokens at each step are the trie edges leaving the beam prefix;
@@ -131,7 +121,7 @@ def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
 
 
 def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
-                           k: int, user: str = "", template_id: int = 0) -> RankedList:
+                           k: int, user: str = "", template_id: int = 0) -> ListRecord:
     """Score every item's full code path directly from the table and sort.
 
     Independent of the trie: per-step candidate sets are recovered by scanning
@@ -160,21 +150,21 @@ def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
             toks.append(tok)
         scored.append((total, tup, item))
     scored.sort(key=lambda s: (-s[0], s[1]))
-    return RankedList(user=user, index_type=table.index_type, template_id=template_id,
-                      entries=[(item, total) for total, _, item in scored[:k]])
+    return ListRecord(user, table.index_type, template_id,
+                      [item for _, _, item in scored[:k]], [total for total, _, _ in scored[:k]])
 
 
 # ---------------------------------------------------------------------------
-# Line-delimited interchange format: stages write RankedLists, read ListRecords
+# Line-delimited interchange format: one JSON object per ListRecord
 
-def ranked_list_record(rl: RankedList) -> str:
-    return json.dumps(rl.record()._asdict())
+def ranked_list_record(rec: ListRecord) -> str:
+    return json.dumps(rec._asdict())
 
 
-def write_ranked_lists(lists: list[RankedList], path: str | Path) -> None:
+def write_ranked_lists(lists: list[ListRecord], path: str | Path) -> None:
     with Path(path).open("w", encoding="utf-8") as fh:
-        for rl in lists:
-            fh.write(ranked_list_record(rl) + "\n")
+        for rec in lists:
+            fh.write(ranked_list_record(rec) + "\n")
 
 
 def read_ranked_lists(path: str | Path) -> list[ListRecord]:

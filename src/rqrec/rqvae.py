@@ -43,14 +43,14 @@ class RqVaeConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        if self.codebook_size < 2:
-            raise ValueError(f"codebook_size must be >= 2, got {self.codebook_size}")
-        if self.code_len < 1:
-            raise ValueError(f"code_len must be >= 1, got {self.code_len}")
-        if self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.n_layers < 1:
-            raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
+        for name, low in (("latent_dim", 1), ("code_len", 1), ("codebook_size", 2),
+                          ("hidden_dim", 1), ("n_layers", 1), ("epochs", 0), ("batch_size", 1),
+                          ("weight_decay", 0), ("kmeans_iters", 0)):
+            if not getattr(self, name) >= low:  # nan fails too
+                raise ValueError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("beta", "learning_rate"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
 
 
 @dataclass

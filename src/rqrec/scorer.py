@@ -43,7 +43,7 @@ class ScorerConfig:
     def validate(self) -> None:
         if self.order < 0:
             raise ValueError(f"order must be >= 0, got {self.order}")
-        if self.delta <= 0:
+        if not self.delta > 0:  # nan fails too
             raise ValueError(f"delta must be > 0, got {self.delta}")
         if not 0.0 <= self.backoff_lambda < 1.0:
             raise ValueError(f"backoff_lambda must be in [0, 1), got {self.backoff_lambda}")

@@ -1,9 +1,12 @@
-"""Shared test helpers: deterministic pseudo-random scorers and random code tables."""
+"""Shared test helpers: deterministic pseudo-random scorers, random code tables and an
+(item, score)-pair ranked list."""
 import hashlib
 import math
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from rqrec.retrieval import ListRecord
 from rqrec.rqvae import ItemCodeTable, resolve_collisions
 
 
@@ -52,3 +55,19 @@ def random_code_table(rng: np.random.Generator, n_items: int, vocab_size: int,
     raw = {f"i{k:0{width}d}": tuple(int(w) for w in rng.integers(0, vocab_size, code_len))
            for k in range(n_items)}
     return resolve_collisions(raw, index_type)
+
+
+@dataclass
+class EntriesList:
+    """A ranked list as (item, score) pairs: the form the reference walks read."""
+    user: str
+    index_type: str
+    template_id: int
+    entries: list[tuple[str, float]] = field(default_factory=list)
+
+    def items(self) -> list[str]:
+        return [item for item, _ in self.entries]
+
+    def record(self) -> ListRecord:
+        return ListRecord(self.user, self.index_type, self.template_id, self.items(),
+                          [s for _, s in self.entries])

@@ -15,8 +15,7 @@ from rqrec.dataio import EmbeddingMatrix
 from rqrec.metrics import HitSet, chr_avg, hit_at_k, ndcg_at_k, per
 from rqrec.pipeline import run_stage, stage_evaluate, stage_rerank
 from rqrec.rerank import fuse_and_rank, score_items
-from rqrec.retrieval import (RankedList, beam_search_constrained,
-                             exhaustive_topk_oracle)
+from rqrec.retrieval import ListRecord, beam_search_constrained, exhaustive_topk_oracle
 from rqrec.rqvae import (Codebook, RqVaeConfig, _forward_backward,
                          finite_difference_gradients, gradient_check,
                          initialize_model, max_relative_error, parameter_arrays,
@@ -26,6 +25,11 @@ from rqrec.vocab import build_prefix_trie, code_token
 
 def report(n, text):
     print(f"\n[acceptance] criterion {n}: PASS - {text}")
+
+
+def rl(user, index_type, template, items):
+    return ListRecord(user, index_type, template, list(items),
+                      [-float(r) for r in range(len(items))])
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +148,8 @@ def test_criterion_05_beam_oracle_equivalence():
         ctx = list(rng.choice(vocab, size=int(rng.integers(0, 5))))
         got = beam_search_constrained(sc, trie, ctx, 20)
         want = exhaustive_topk_oracle(sc, table, ctx, 20)
-        assert got.entries == want.entries
-        invalid += sum(1 for i in got.items() if i not in table.codes)
+        assert got == want
+        invalid += sum(1 for i in got.items if i not in table.codes)
         checked += 1
     # larger instances where the beam prunes: validity must still be absolute
     for trial in range(30):
@@ -153,8 +157,8 @@ def test_criterion_05_beam_oracle_equivalence():
         trie = build_prefix_trie(table)
         vocab = sorted({code_token("ceid", l + 1, w)
                         for tup in table.codes.values() for l, w in enumerate(tup)})
-        rl = beam_search_constrained(HashScorer(seed=trial, vocab=vocab), trie, [], 20)
-        invalid += sum(1 for i in rl.items() if i not in table.codes)
+        found = beam_search_constrained(HashScorer(seed=trial, vocab=vocab), trie, [], 20)
+        invalid += sum(1 for i in found.items if i not in table.codes)
     assert invalid == 0
     elapsed = time.time() - start
     report(5, f"{checked} instances identical to oracle at K=20, "
@@ -162,10 +166,6 @@ def test_criterion_05_beam_oracle_equivalence():
 
 
 def test_criterion_06_rerank_oracle():
-    def rl(user, index_type, template, items):
-        return RankedList(user=user, index_type=index_type, template_id=template,
-                          entries=[(i, -float(r)) for r, i in enumerate(items)])
-
     # anchors evaluated independently
     assert math.exp(-0.3) == pytest.approx(0.7408182206817179, abs=1e-12)
     assert math.exp(-math.sqrt(2) / 10) == pytest.approx(0.8681234453945849, abs=1e-12)
@@ -198,7 +198,7 @@ def test_criterion_06_rerank_oracle():
         assert s.s_s == pytest.approx(s_s, abs=1e-9), item
         assert s.s_total == pytest.approx(s_total, abs=1e-9), item
     fused = fuse_and_rank(ce, se, alpha=0.8, tau=10.0, k_out=5)
-    assert fused.items() == ["A", "C", "D", "B", "E"]
+    assert fused.items == ["A", "C", "D", "B", "E"]
 
     # an item top-ranked in every list of both types attains S = 2 exactly
     ce2 = [rl("u", "ceid", t, ["best", "other"]) for t in (1, 2)]
@@ -239,10 +239,7 @@ def test_criterion_07_metric_oracles():
         lists, test = {}, {}
         for u in range(8):
             ranked = list(rng.permutation(items)[:10])
-            lists[f"u{u}"] = RankedList(user=f"u{u}", index_type="fused",
-                                        template_id=0,
-                                        entries=[(i, -float(r))
-                                                 for r, i in enumerate(ranked)]).record()
+            lists[f"u{u}"] = rl(f"u{u}", "fused", 0, ranked)
             test[f"u{u}"] = items[int(rng.integers(0, 15))]
         prev_h = prev_n = 0.0
         for k in range(1, 11):
@@ -255,10 +252,6 @@ def test_criterion_07_metric_oracles():
 
 
 def test_criterion_08_ablation_isolation():
-    def rl(user, index_type, template, items):
-        return RankedList(user=user, index_type=index_type, template_id=template,
-                          entries=[(i, -float(r)) for r, i in enumerate(items)])
-
     # every item keeps mean rank 1 across four lists in both variants, but every
     # item's rank dispersion (the Cons input) changes between the variants
     tight_c = [rl("u", "ceid", 1, ["a", "b", "c"]), rl("u", "ceid", 2, ["a", "b", "c"]),
@@ -272,10 +265,11 @@ def test_criterion_08_ablation_isolation():
     tight_s = [rl("u", "seid", t, ["d", "a"]) for t in (1, 2)]
     f_tight = fuse_and_rank(tight_c, tight_s, alpha=1.0, tau=10.0, k_out=5)
     f_wide = fuse_and_rank(wide_c, tight_s, alpha=1.0, tau=10.0, k_out=5)
-    assert f_tight.entries == f_wide.entries  # Conf-only ignores all Cons inputs
+    assert f_tight == f_wide  # Conf-only ignores all Cons inputs
     f_tight_080 = fuse_and_rank(tight_c, tight_s, alpha=0.8, tau=10.0, k_out=5)
     f_wide_080 = fuse_and_rank(wide_c, tight_s, alpha=0.8, tau=10.0, k_out=5)
-    assert dict(f_tight_080.entries)["b"] != dict(f_wide_080.entries)["b"]
+    assert (f_tight_080.scores[f_tight_080.items.index("b")]
+            != f_wide_080.scores[f_wide_080.items.index("b")])
 
     # single-index modes reproduce single-index fusion exactly
     wide_s = [rl("u", "seid", 1, ["a", "d"]), rl("u", "seid", 2, ["d", "a"])]
@@ -284,11 +278,11 @@ def test_criterion_08_ablation_isolation():
     only_s = fuse_and_rank([], wide_s, alpha=0.8, tau=10.0, k_out=5)
     scores_c = score_items(tight_c, [], 0.8, 10.0)
     scores_s = score_items([], wide_s, 0.8, 10.0)
-    assert all(dict(only_c.entries)[i] == pytest.approx(scores_c[i].s_c, abs=1e-15)
-               for i, _ in only_c.entries)
-    assert all(dict(only_s.entries)[i] == pytest.approx(scores_s[i].s_s, abs=1e-15)
-               for i, _ in only_s.entries)
-    assert both.entries != only_c.entries and both.entries != only_s.entries
+    assert all(s == pytest.approx(scores_c[i].s_c, abs=1e-15)
+               for i, s in zip(only_c.items, only_c.scores))
+    assert all(s == pytest.approx(scores_s[i].s_s, abs=1e-15)
+               for i, s in zip(only_s.items, only_s.scores))
+    assert both != only_c and both != only_s
     report(8, "alpha=1 output invariant to Cons perturbation; "
               "single-index modes reproduce single-index fusion")
 

@@ -5,12 +5,12 @@ import pytest
 
 from rqrec.metrics import (HitSet, chr_avg, hit_at_k, hit_sets, ndcg_at_k,
                            per, per_matrix, write_per_matrix)
-from rqrec.retrieval import RankedList
+from conftest import EntriesList
+from rqrec.retrieval import ListRecord
 
 
 def rl(user, items):
-    return RankedList(user=user, index_type="fused", template_id=0,
-                      entries=[(i, -float(r)) for r, i in enumerate(items)]).record()
+    return ListRecord(user, "fused", 0, list(items), [-float(r) for r in range(len(items))])
 
 
 def test_hit_examples():
@@ -160,10 +160,10 @@ def test_per_chr_match_bruteforce_on_random_families():
 
 
 def test_hit_sets_builder():
-    records = [RankedList("u1", "ceid", 1, [("a", 0.0), ("b", -1.0)]).record(),
-               RankedList("u2", "ceid", 1, [("c", 0.0), ("d", -1.0)]).record(),
-               RankedList("u1", "ceid", 2, [("b", 0.0), ("a", -1.0)]).record(),
-               RankedList("u2", "ceid", 2, [("d", 0.0), ("c", -1.0)]).record()]
+    records = [ListRecord("u1", "ceid", 1, ["a", "b"], [0.0, -1.0]),
+               ListRecord("u2", "ceid", 1, ["c", "d"], [0.0, -1.0]),
+               ListRecord("u1", "ceid", 2, ["b", "a"], [0.0, -1.0]),
+               ListRecord("u2", "ceid", 2, ["d", "c"], [0.0, -1.0])]
     test = {"u1": "a", "u2": "x"}
     sets = hit_sets(records, test, k=1)
     assert sets[0].users == {"u1"} and sets[0].template_id == 1
@@ -173,7 +173,7 @@ def test_hit_sets_builder():
 
 
 def reference_hit_sets(lists_by_template, test, k):
-    """hit_sets as it was over per-template {user: RankedList} dicts."""
+    """hit_sets as it was over per-template {user: EntriesList} dicts."""
     out = []
     for t in sorted(lists_by_template):
         users = {u for u, target in test.items()
@@ -188,9 +188,9 @@ def test_hit_sets_from_records_equal_by_template_path(seed):
     rng = np.random.default_rng(seed)
     items = [f"i{j}" for j in range(12)]
     test = {f"u{u}": items[rng.integers(0, 12)] for u in range(30) if u % 7}  # some untested
-    lists = [RankedList(f"u{u}", "ceid", int(t),
-                        [(i, 0.0) for i in rng.choice(items, size=rng.integers(0, 9),
-                                                      replace=False)])
+    lists = [EntriesList(f"u{u}", "ceid", int(t),
+                         [(i, 0.0) for i in rng.choice(items, size=rng.integers(0, 9),
+                                                       replace=False)])
              for u in range(30) for t in rng.permutation(5)[:rng.integers(0, 6)] + 1]
     by_template: dict = {}
     for x in lists:

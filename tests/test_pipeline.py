@@ -92,6 +92,30 @@ def test_config_validation_before_work(tmp_path):
                                                 "synthetic.noise_scale": 0.0}))
     assert (cfg.synthetic.p_follow, cfg.synthetic.p_stay) == (1.0, 0.0)
     assert cfg.synthetic.noise_scale == 0.0
+    for key, value, message in (
+            ("rerank.tau", "nan", "tau must be > 0"), ("rerank.tau", 0, "tau must be > 0"),
+            ("collab.learning_rate", "nan", "learning_rate must be > 0"),
+            ("collab.neg_samples_per_positive", 0, "neg_samples_per_positive must be >= 1"),
+            ("collab.epochs", -1, "epochs must be >= 0"), ("collab.dim", 0, "dim must be >= 1"),
+            ("rqvae.beta", "nan", "beta must be > 0"),
+            ("rqvae.learning_rate", -1, "learning_rate must be > 0"),
+            ("rqvae.learning_rate", "nan", "learning_rate must be > 0"),
+            ("rqvae.weight_decay", -1, "weight_decay must be >= 0"),
+            ("rqvae.weight_decay", "nan", "weight_decay must be >= 0"),
+            ("rqvae.latent_dim", 0, "latent_dim must be >= 1"),
+            ("rqvae.hidden_dim", 0, "hidden_dim must be >= 1"),
+            ("rqvae.batch_size", 0, "batch_size must be >= 1"),
+            ("rqvae.epochs", -1, "epochs must be >= 0"),
+            ("rqvae_seid.kmeans_iters", -1, "kmeans_iters must be >= 0"),
+            ("scorer.delta", "nan", "delta must be > 0"),
+            ("scorer.backoff_lambda", "nan", "backoff_lambda")):
+        with pytest.raises(ValueError, match=message):
+            load_config(write_config(tmp_path, **{key: value}))
+    cfg = load_config(write_config(tmp_path, **{"collab.epochs": 0, "rqvae.epochs": 0,
+                                                "rqvae.weight_decay": 0,
+                                                "rqvae.kmeans_iters": 0}))
+    assert (cfg.collab.epochs, cfg.rqvae_ceid.epochs, cfg.rqvae_seid.weight_decay,
+            cfg.rqvae_seid.kmeans_iters) == (0, 0, 0.0, 0)
 
 
 def test_repo_configs_and_benchmark_overrides_validate():
@@ -331,6 +355,26 @@ def test_duplicate_template_line_rejected(pipeline_run, tmp_path):
     with pytest.raises(ValueError, match=f"duplicate template id {rec['template']} "
                                          f"for user '{rec['user']}'"):
         stage_rerank(dataclasses.replace(cfg, out_dir=out))
+
+
+def test_evaluate_rejects_two_lists_for_one_user(pipeline_run, tmp_path):
+    import dataclasses
+    import re
+    import shutil
+    from rqrec.pipeline import stage_evaluate
+    _, _, cfg = pipeline_run
+    out = tmp_path / "dup"
+    shutil.copytree(cfg.out_dir, out)
+    path = out / "fused.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    rec = json.loads(lines[3])
+    rec["items"].reverse()
+    rec["scores"].reverse()
+    path.write_text("".join(lines) + json.dumps(rec) + "\n")
+    with pytest.raises(PipelineError, match=re.escape(
+            f"{path} holds two lists for user '{rec['user']}'; rerun the 'rerank' stage")):
+        stage_evaluate(dataclasses.replace(cfg, out_dir=out))
+    assert (out / "metrics.csv").read_bytes() == (cfg.out_dir / "metrics.csv").read_bytes()
 
 
 def test_template_sweep_full_row_equals_metrics(pipeline_run):

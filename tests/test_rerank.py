@@ -3,13 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from conftest import EntriesList
 from rqrec.rerank import RankArrays, fuse_and_rank, score_items, score_pairs, top_k
-from rqrec.retrieval import RankedList
+from rqrec.retrieval import ListRecord
 
 
 def rl(user, index_type, template, items):
-    return RankedList(user=user, index_type=index_type, template_id=template,
-                      entries=[(i, -float(r)) for r, i in enumerate(items)])
+    return ListRecord(user, index_type, template, list(items),
+                      [-float(r) for r in range(len(items))])
+
+
+def scored(rec):
+    return dict(zip(rec.items, rec.scores))
 
 
 def placed(*positions):
@@ -118,10 +123,9 @@ def test_toy_instance_matches_hand_evaluation():
 
 def test_toy_final_order():
     fused = fuse_and_rank(CE, SE, alpha=0.8, tau=10.0, k_out=10)
-    assert fused.items() == ["A", "C", "D", "B", "E"]
+    assert fused.items == ["A", "C", "D", "B", "E"]
     assert fused.index_type == "fused" and fused.user == "u"
-    scores = [s for _, s in fused.entries]
-    assert scores == sorted(scores, reverse=True)
+    assert fused.scores == sorted(fused.scores, reverse=True)
 
 
 def test_top_everywhere_attains_two_exactly():
@@ -130,7 +134,7 @@ def test_top_everywhere_attains_two_exactly():
     scores = score_items(ce, se, alpha=0.8, tau=10.0)
     assert scores["top"].s_total == 2.0
     fused = fuse_and_rank(ce, se, alpha=0.8, tau=10.0, k_out=2)
-    assert fused.entries[0] == ("top", 2.0)
+    assert (fused.items[0], fused.scores[0]) == ("top", 2.0)
 
 
 def test_score_bounds_zero_to_two():
@@ -166,11 +170,11 @@ def test_conf_only_ignores_dispersion():
     f_tight = fuse_and_rank(tight, [], alpha=1.0, tau=10.0, k_out=6)
     f_wide = fuse_and_rank(wide, [], alpha=1.0, tau=10.0, k_out=6)
     # item a has mean rank 1 in both, stdev 0 vs sqrt(2): conf-only scores agree
-    sa_tight = dict(f_tight.entries)["a"]
-    sa_wide = dict(f_wide.entries)["a"]
+    sa_tight = scored(f_tight)["a"]
+    sa_wide = scored(f_wide)["a"]
     assert sa_tight == pytest.approx(sa_wide, abs=1e-12)
-    with_cons_tight = dict(fuse_and_rank(tight, [], 0.8, 10.0, 6).entries)["a"]
-    with_cons_wide = dict(fuse_and_rank(wide, [], 0.8, 10.0, 6).entries)["a"]
+    with_cons_tight = scored(fuse_and_rank(tight, [], 0.8, 10.0, 6))["a"]
+    with_cons_wide = scored(fuse_and_rank(wide, [], 0.8, 10.0, 6))["a"]
     assert with_cons_tight != pytest.approx(with_cons_wide, abs=1e-12)
 
 
@@ -184,7 +188,7 @@ def test_tie_break_appearance_count_then_item_id():
     scores = score_items(ce, se, alpha=0.8, tau=10.0)
     assert scores["b"].s_total == pytest.approx(scores["y"].s_total, abs=1e-15)
     fused = fuse_and_rank(ce, se, alpha=0.8, tau=10.0, k_out=10)
-    order = fused.items()
+    order = fused.items
     assert order.index("b") < order.index("y")  # equal count, then item id
 
 
@@ -200,9 +204,9 @@ def test_conf_monotone_under_rank_zero_additions():
 
 def test_reranking_is_pure_postprocessing():
     before = [rl("u", "ceid", 1, ["a", "b"]), rl("u", "ceid", 2, ["b", "a"])]
-    snapshot = [(x.user, x.template_id, list(x.entries)) for x in before]
+    snapshot = [(x.user, x.template, list(x.items), list(x.scores)) for x in before]
     fuse_and_rank(before, [], alpha=0.5, tau=10.0, k_out=2)
-    assert snapshot == [(x.user, x.template_id, list(x.entries)) for x in before]
+    assert snapshot == [(x.user, x.template, list(x.items), list(x.scores)) for x in before]
 
 
 def reference_scores(ceid_lists, seid_lists, alpha, tau):
@@ -211,7 +215,7 @@ def reference_scores(ceid_lists, seid_lists, alpha, tau):
     for side, lists in enumerate((ceid_lists, seid_lists)):
         positions = {}
         for lst in lists:
-            for rank, (item, _) in enumerate(lst.entries):
+            for rank, item in enumerate(lst.items):
                 positions.setdefault(item, []).append(rank)
         for item, pos in positions.items():
             n, total, sq = len(pos), 0, 0.0
@@ -245,13 +249,13 @@ def test_batched_fusion_equals_per_item_reference_bitwise(seed):
                 chosen = [lists[t] if t in sides else [] for t in ("ceid", "seid")]
                 ranks = RankArrays()
                 for side in chosen:
-                    ranks.add([x.record() for x in side])
+                    ranks.add(side)
                 scores = score_pairs(ranks, alpha, 10.0, max_templates=cap)
                 fused = {f.user: f for f in top_k(scores, 7)}
-                users = sorted({x.user for side in chosen for x in side if x.template_id <= cap})
+                users = sorted({x.user for side in chosen for x in side if x.template <= cap})
                 assert list(fused) == users
                 for user in users:
-                    mine = [[x for x in side if x.user == user and x.template_id <= cap]
+                    mine = [[x for x in side if x.user == user and x.template <= cap]
                             for side in chosen]
                     ref = reference_scores(*mine, alpha, 10.0)
                     got = {scores.items[i]: tuple(scores.columns[c][j] for c in scores.columns)
@@ -259,7 +263,8 @@ def test_batched_fusion_equals_per_item_reference_bitwise(seed):
                            if scores.users[scores.user[j]] == user}
                     assert got == ref
                     best = sorted(ref, key=lambda i: (-ref[i][6], -ref[i][7], i))[:7]
-                    assert fused[user].entries == [(i, ref[i][6]) for i in best]
+                    assert fused[user].items == best
+                    assert fused[user].scores == [ref[i][6] for i in best]
                     assert fuse_and_rank(*mine, alpha, 10.0, 7) == fused[user]
 
 
@@ -271,7 +276,7 @@ def test_squared_deviations_round_like_the_scalar_formula():
 
 
 def reference_sides(lists_per_side):
-    """The RankArrays.add walk over RankedList entries that records replaced."""
+    """The RankArrays.add walk over (item, score) entries that records replaced."""
     users, items, sides = {}, {}, []
     for lists in lists_per_side:
         lengths = [len(x.entries) for x in lists]
@@ -289,8 +294,9 @@ def reference_sides(lists_per_side):
 def test_rank_arrays_from_records_equal_ranked_list_walk(seed):
     rng = np.random.default_rng(seed)
     items = [f"i{j:02d}" for j in range(30)]
-    lists = [[rl(f"u{u}", index_type, int(t), list(rng.choice(items, size=rng.integers(0, 9),
-                                                                replace=False)))
+    lists = [[EntriesList(f"u{u}", index_type, int(t),
+                          [(i, -float(r)) for r, i in enumerate(
+                              rng.choice(items, size=rng.integers(0, 9), replace=False))])
               for u in rng.permutation(12) for t in rng.permutation(4)[:rng.integers(0, 5)] + 1]
              for index_type in ("ceid", "seid")]
     ranks = RankArrays()

@@ -3,10 +3,11 @@ import re
 import numpy as np
 import pytest
 
-from conftest import HashScorer, UniformScorer, random_code_table
-from rqrec.retrieval import (RankedList, beam_search_constrained, beam_search_users,
-                             exhaustive_topk_oracle, ranked_list_record, read_ranked_lists,
-                             write_ranked_lists)
+from conftest import EntriesList, HashScorer, UniformScorer, random_code_table
+from rqrec.rerank import RankArrays, fuse_and_rank, score_pairs, top_k
+from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
+                             beam_search_users, exhaustive_topk_oracle, ranked_list_record,
+                             read_ranked_lists, write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
 from rqrec.scorer import ScorerConfig, train_markov_scorer
 from rqrec.vocab import build_prefix_trie, code_token
@@ -23,9 +24,9 @@ def test_single_item_trie():
     sc = HashScorer(seed=1, vocab=[code_token("ceid", l, w)
                                    for l in range(1, 5) for w in range(8)])
     rl = beam_search_constrained(sc, trie, [], 5)
-    assert rl.items() == ["only"]
+    assert rl.items == ["only"]
     # single path: every step renormalizes over one candidate, total logprob 0
-    assert rl.entries[0][1] == pytest.approx(0.0, abs=1e-15)
+    assert rl.scores[0] == pytest.approx(0.0, abs=1e-15)
 
 
 def test_uniform_ties_break_lexicographically():
@@ -33,9 +34,8 @@ def test_uniform_ties_break_lexicographically():
     codes = {"w": (3, 0, 0, 0), "x": (0, 1, 1, 0), "y": (2, 0, 2, 0), "z": (1, 0, 0, 0)}
     trie = build_prefix_trie(table_of(codes))
     rl = beam_search_constrained(UniformScorer(), trie, [], 4)
-    assert rl.items() == ["x", "z", "y", "w"]  # by code tuple: 0..., 1..., 2..., 3...
-    scores = [s for _, s in rl.entries]
-    assert all(s == scores[0] for s in scores)
+    assert rl.items == ["x", "z", "y", "w"]  # by code tuple: 0..., 1..., 2..., 3...
+    assert all(s == rl.scores[0] for s in rl.scores)
 
 
 def test_beam_equals_oracle_when_width_covers_items():
@@ -53,8 +53,8 @@ def test_beam_equals_oracle_when_width_covers_items():
         k = max(n_items, int(rng.integers(1, 21)))
         got = beam_search_constrained(sc, trie, ctx, k)
         want = exhaustive_topk_oracle(sc, table, ctx, k)
-        assert got.entries == want.entries
-        assert all(i in table.codes for i in got.items())
+        assert (got.items, got.scores) == (want.items, want.scores)
+        assert all(i in table.codes for i in got.items)
 
 
 def test_beam_valid_items_even_when_pruning():
@@ -66,8 +66,8 @@ def test_beam_valid_items_even_when_pruning():
         vocab = sorted({code_token("ceid", l + 1, w)
                         for tup in table.codes.values() for l, w in enumerate(tup)})
         rl = beam_search_constrained(HashScorer(seed=trial, vocab=vocab), trie, [], 10)
-        assert len(rl.entries) == 10
-        assert all(i in table.codes for i in rl.items())
+        assert len(rl.items) == len(rl.scores) == 10
+        assert all(i in table.codes for i in rl.items)
 
 
 def test_beam_full_width_equals_oracle_with_markov_scorer():
@@ -80,8 +80,8 @@ def test_beam_full_width_equals_oracle_with_markov_scorer():
     sc = train_markov_scorer(streams, 1, ScorerConfig(order=4), "ceid", vocab=vocab)
     got = beam_search_constrained(sc, trie, streams["u0"][:8], len(table.codes))
     want = exhaustive_topk_oracle(sc, table, streams["u0"][:8], len(table.codes))
-    assert got.entries == want.entries
-    assert len(got.entries) == len(table.codes)
+    assert (got.items, got.scores) == (want.items, want.scores)
+    assert len(got.items) == len(table.codes)
 
 
 def test_beam_equals_oracle_with_two_digit_code_words():
@@ -99,7 +99,8 @@ def test_beam_equals_oracle_with_two_digit_code_words():
                                  vocab=vocab)
         ctx = streams["u0"][:int(rng.integers(0, 8))]
         got = beam_search_constrained(sc, trie, ctx, len(table.codes))
-        assert got.entries == exhaustive_topk_oracle(sc, table, ctx, len(table.codes)).entries
+        want = exhaustive_topk_oracle(sc, table, ctx, len(table.codes))
+        assert (got.items, got.scores) == (want.items, want.scores)
 
 
 def test_uniform_ties_break_by_numeric_code_tuple():
@@ -107,7 +108,7 @@ def test_uniform_ties_break_by_numeric_code_tuple():
     codes = {f"i{w}": (w, 0, 0, 0) for w in range(12)}
     table = table_of(codes)
     rl = beam_search_constrained(UniformScorer(), build_prefix_trie(table), [], 12)
-    assert rl.items() == [f"i{w}" for w in range(12)]
+    assert rl.items == [f"i{w}" for w in range(12)]
     assert rl == exhaustive_topk_oracle(UniformScorer(), table, [], 12)
 
 
@@ -117,10 +118,10 @@ def test_oracle_k_bounds():
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
     sc = HashScorer(seed=5, vocab=vocab)
-    assert len(exhaustive_topk_oracle(sc, table, [], 100).entries) == 9
+    assert len(exhaustive_topk_oracle(sc, table, [], 100).items) == 9
     top1 = exhaustive_topk_oracle(sc, table, [], 1)
-    assert len(top1.entries) == 1
-    assert top1.items()[0] == exhaustive_topk_oracle(sc, table, [], 9).items()[0]
+    assert len(top1.items) == len(top1.scores) == 1
+    assert top1.items[0] == exhaustive_topk_oracle(sc, table, [], 9).items[0]
 
 
 def test_beam_deterministic():
@@ -142,9 +143,8 @@ def test_beam_scores_non_increasing():
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
     rl = beam_search_constrained(HashScorer(seed=9, vocab=vocab), trie, [], 15)
-    scores = [s for _, s in rl.entries]
-    assert scores == sorted(scores, reverse=True)
-    assert len(set(rl.items())) == len(rl.items())
+    assert rl.scores == sorted(rl.scores, reverse=True)
+    assert len(set(rl.items)) == len(rl.items)
 
 
 def test_beam_unknown_context_token_is_error():
@@ -163,7 +163,7 @@ def test_beam_context_check_names_first_unknown_token_in_order():
     with pytest.raises(ValueError, match="unknown context token 'zz'"):
         beam_search_users(sc, trie, contexts, 1, ["u0", "u1", "u2"])
     lists, _ = beam_search_users(UniformScorer(), trie, contexts, 1, ["u0", "u1", "u2"])
-    assert [rl.items() for rl in lists] == [["a"]] * 3  # a scorer without vocab: no check
+    assert [rl.items for rl in lists] == [["a"]] * 3  # a scorer without vocab: no check
 
 
 def test_candidate_token_outside_vocab_is_named():
@@ -175,7 +175,7 @@ def test_candidate_token_outside_vocab_is_named():
     streams = {"u0": vocab * 2}
     sc = train_markov_scorer(streams, 1, ScorerConfig(order=2), "ceid", vocab=vocab)
     lists, _ = beam_search_users(sc, trie, [[]], 4, ["u0"])
-    assert sorted(lists[0].items()) == ["a", "b", "c", "d"]
+    assert sorted(lists[0].items) == ["a", "b", "c", "d"]
     # two tokens missing at depth 1: the first in (node, column) order is named
     stale = [t for t in vocab if t not in ("<CeID_2,2>", "<CeID_2,3>")]
     sc = train_markov_scorer({"u0": stale * 2}, 1, ScorerConfig(order=2), "ceid", vocab=stale)
@@ -195,11 +195,45 @@ def test_jsonl_roundtrip(tmp_path):
     p = tmp_path / "ranked.jsonl"
     write_ranked_lists(lists, p)
     records = read_ranked_lists(p)
-    assert records == [rl.record() for rl in lists]
-    assert [list(zip(r.items, r.scores)) for r in records] == [rl.entries for rl in lists]
+    assert records == lists
+    # what is read back writes the same bytes
+    write_ranked_lists(records, tmp_path / "again.jsonl")
+    assert (tmp_path / "again.jsonl").read_bytes() == p.read_bytes()
     rec = ranked_list_record(lists[0])
     assert p.read_text().splitlines()[0] == rec
     assert rec.startswith('{"user": "u0", "index_type": "ceid", "template": 1,')
+
+
+def test_every_producer_returns_list_records(tmp_path):
+    rng = np.random.default_rng(19)
+    table = random_code_table(rng, 12, 4)
+    trie = build_prefix_trie(table)
+    vocab = sorted({code_token("ceid", l + 1, w)
+                    for tup in table.codes.values() for l, w in enumerate(tup)})
+    sc = HashScorer(seed=3, vocab=vocab)
+    lists, _ = beam_search_users(sc, trie, [[], [vocab[0]]], 5, ["u0", "u1"], template_id=2)
+    ranks = RankArrays()
+    ranks.add(lists)
+    ranks.add([])
+    write_ranked_lists(lists, tmp_path / "ranked.jsonl")
+    produced = [*lists, beam_search_constrained(sc, trie, [], 5, user="u0"),
+                exhaustive_topk_oracle(sc, table, [], 5, user="u0"),
+                *top_k(score_pairs(ranks, 0.8, 10.0), 4),
+                fuse_and_rank(lists[:1], [], 0.8, 10.0, 4),
+                *read_ranked_lists(tmp_path / "ranked.jsonl")]
+    assert len(produced) == 9
+    for rec in produced:
+        assert type(rec) is ListRecord
+        assert type(rec.items) is list and type(rec.scores) is list
+        assert len(rec.items) == len(rec.scores) > 0
+
+
+@pytest.mark.parametrize("entries", [[], [("a", -0.5)], [("b", 0.0), ("a", -1.25), ("c", -2.0)]])
+def test_ranked_list_function_equals_entries_record(entries):
+    got = RankedList(user="u7", index_type="seid", template_id=3, entries=list(entries))
+    want = EntriesList("u7", "seid", 3, list(entries)).record()
+    assert type(got) is ListRecord and got == want
+    assert ranked_list_record(got) == ranked_list_record(want)
 
 
 @pytest.mark.parametrize("bad", [
@@ -209,7 +243,7 @@ def test_jsonl_roundtrip(tmp_path):
     '["u1", "ceid", 1, [], []]',
 ], ids=["length_mismatch", "not_a_list", "extra_key", "not_an_object"])
 def test_malformed_record_names_line(tmp_path, bad):
-    good = ranked_list_record(RankedList("u0", "ceid", 1, [("a", -0.5)]))
+    good = ranked_list_record(ListRecord("u0", "ceid", 1, ["a"], [-0.5]))
     p = tmp_path / "ranked.jsonl"
     p.write_text(good + "\n" + bad + "\n")
     with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: malformed ranked list"):
@@ -251,7 +285,7 @@ def test_batched_search_equals_single_user_search(kind):
         for user, context, rl in zip(users, contexts, lists):
             single = beam_search_constrained(sc, trie, context, k, user=user, template_id=2)
             assert rl == single
-            assert len(rl.entries) == min(k, len(trie.items))
+            assert len(rl.items) == len(rl.scores) == min(k, len(trie.items))
 
 
 @pytest.mark.parametrize("order", [0, 3, 6])
