@@ -44,6 +44,9 @@ class PipelineConfig:
         if not 1 <= self.analysis_k <= self.k_retrieve:
             raise ValueError(f"analysis_k must be in 1..k_retrieve ({self.k_retrieve}), "
                              f"got {self.analysis_k}")
+        for name in ("kcore", "max_len"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 1 <= self.templates <= 10:
             raise ValueError(f"templates must be in 1..10, got {self.templates}")
         if not 0.0 <= self.alpha <= 1.0:

@@ -94,6 +94,7 @@ def test_config_validation_before_work(tmp_path):
     assert cfg.synthetic.noise_scale == 0.0
     for key, value, message in (
             ("rerank.tau", "nan", "tau must be > 0"), ("rerank.tau", 0, "tau must be > 0"),
+            ("data.max_len", 0, "max_len must be >= 1"), ("data.kcore", 0, "kcore must be >= 1"),
             ("collab.learning_rate", "nan", "learning_rate must be > 0"),
             ("collab.neg_samples_per_positive", 0, "neg_samples_per_positive must be >= 1"),
             ("collab.epochs", -1, "epochs must be >= 0"), ("collab.dim", 0, "dim must be >= 1"),

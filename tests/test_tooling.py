@@ -7,7 +7,6 @@ from pathlib import Path
 from rqrec.retrieval import read_ranked_lists
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACER = PERFBENCH / "tracer.py"
 
 
 def load_perfbench(name):
