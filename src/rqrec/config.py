@@ -55,11 +55,12 @@ class PipelineConfig:
             raise ValueError(f"tau must be > 0, got {self.tau}")
         if self.mode not in RERANK_MODES:
             raise ValueError(f"mode must be one of {RERANK_MODES}, got {self.mode!r}")
-        self.synthetic.validate()
-        self.collab.validate()
-        self.rqvae_ceid.validate()
-        self.rqvae_seid.validate()
-        self.scorer.validate()
+        self.synthetic.validate()  # names its section itself
+        for section in ("collab", "rqvae_ceid", "rqvae_seid", "scorer"):
+            try:
+                getattr(self, section).validate()
+            except ValueError as exc:
+                raise ValueError(f"{section}.{exc}") from None
 
     def snapshot(self) -> dict[str, str]:
         """Flat, sorted key -> value view recorded in run manifests."""

@@ -25,11 +25,11 @@ from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
-from .rqvae import (assign_codes, load_code_table, resolve_collisions,
-                    save_model, train_rqvae, write_code_table)
+from .rqvae import (assign_codes, load_code_table, resolve_collisions, train_rqvae,
+                    write_code_table)
 from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
 from .synth import generate_synthetic
-from .vocab import build_prefix_trie, build_vocabulary, item_tokens, write_vocab
+from .vocab import build_prefix_trie, item_tokens
 
 log = logging.getLogger(__name__)
 
@@ -44,7 +44,8 @@ _PRODUCED_BY = {
     "collab.emb": "embed-collab",
     "codes_ceid.tsv": "build-index",
     "codes_seid.tsv": "build-index",
-    "vocab.tsv": "build-index",
+    "scorer_ceid.txt": "train-scorers",
+    "scorer_seid.txt": "train-scorers",
     "ranked_ceid.jsonl": "retrieve",
     "ranked_seid.jsonl": "retrieve",
     "fused.jsonl": "rerank",
@@ -65,20 +66,12 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-def _producer_of(name: str) -> str | None:
-    if name.startswith("scorer_"):
-        return "train-scorers"
-    if name.startswith(("rqvae_", "codes_")):
-        return "build-index"
-    return _PRODUCED_BY.get(name)
-
-
 def _require(cfg: PipelineConfig, stage: str, *names: str) -> dict[str, Path]:
     found = {}
     for name in names:
         p = cfg.out_dir / name
         if not p.exists():
-            producer = _producer_of(name)
+            producer = _PRODUCED_BY.get(name)
             hint = f"; run the {producer!r} stage first" if producer else ""
             raise PipelineError(stage, f"missing input {p}{hint}")
         found[name] = p
@@ -169,7 +162,6 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     if dropped:
         log.warning("build-index: %d embedding row(s) outside the common item set", dropped)
     outputs: dict[str, Path] = {}
-    tables = []
     for index_type, emb, sub_cfg in (("ceid", collab, cfg.rqvae_ceid),
                                      ("seid", semantic, cfg.rqvae_seid)):
         restricted = EmbeddingMatrix(dim=emb.dim,
@@ -177,20 +169,12 @@ def stage_build_index(cfg: PipelineConfig) -> None:
                                      source_tag=emb.source_tag)
         model = train_rqvae(restricted, sub_cfg)
         table = resolve_collisions(assign_codes(model, restricted), index_type)
-        tables.append(table)
-        ckpt = cfg.out_dir / f"rqvae_{index_type}"
-        save_model(model, ckpt)
         codes_path = cfg.out_dir / f"codes_{index_type}.tsv"
         write_code_table(table, codes_path)
         outputs[f"codes_{index_type}.tsv"] = codes_path
-        outputs[f"rqvae_{index_type}.bin"] = ckpt.with_suffix(".bin")
-        outputs[f"rqvae_{index_type}.manifest"] = ckpt.with_suffix(".manifest")
         n_collide = sum(1 for tup in table.codes.values() if tup[-1] != 0)
         log.info("build-index: %s codes for %d items (%d in collision groups)",
                  index_type, len(table.codes), n_collide)
-    vocab_path = cfg.out_dir / "vocab.tsv"
-    write_vocab(build_vocabulary(tables), vocab_path)
-    outputs["vocab.tsv"] = vocab_path
     _write_manifest(cfg, "build-index", inputs, outputs)
 
 

@@ -16,7 +16,7 @@ sg-protected codebook term. All arithmetic is 64-bit.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -51,6 +51,9 @@ class RqVaeConfig:
         for name in ("beta", "learning_rate"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if self.batch_size < self.codebook_size:  # k-means init draws its words from one batch
+            raise ValueError(f"batch_size must be >= codebook_size ({self.codebook_size}), "
+                             f"got {self.batch_size}")
 
 
 @dataclass
@@ -529,57 +532,3 @@ def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
     if not codes:
         raise ValueError(f"{path}: empty code table")
     return ItemCodeTable(index_type=index_type, code_len=code_len, codes=codes)
-
-
-# ---------------------------------------------------------------------------
-# Checkpointing: flat binary of float64 arrays plus a text manifest
-
-CKPT_MAGIC = "RQVAE_CKPT v1"
-
-
-def save_model(model: RqVaeModel, prefix: str | Path) -> None:
-    prefix = Path(prefix)
-    cfg = model.config
-    cfg_line = " ".join(f"{f.name}={getattr(cfg, f.name)}" for f in fields(cfg))
-    lines = [CKPT_MAGIC, f"input_dim {model.input_dim}", f"config {cfg_line}"]
-    blob = bytearray()
-    for name, arr in parameter_arrays(model).items():
-        lines.append("array " + name + " " + " ".join(str(s) for s in arr.shape))
-        blob += arr.astype("<f8").tobytes()
-    prefix.with_suffix(".manifest").write_text("\n".join(lines) + "\n", encoding="utf-8")
-    prefix.with_suffix(".bin").write_bytes(bytes(blob))
-
-
-def load_model(prefix: str | Path) -> RqVaeModel:
-    prefix = Path(prefix)
-    lines = prefix.with_suffix(".manifest").read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != CKPT_MAGIC:
-        raise ValueError(f"{prefix}: bad checkpoint magic")
-    input_dim = int(lines[1].split()[1])
-    cfg_kv = dict(kv.split("=", 1) for kv in lines[2].split(" ", 1)[1].split())
-    cfg = RqVaeConfig(**{f.name: type(getattr(RqVaeConfig(), f.name))(cfg_kv[f.name])
-                         for f in fields(RqVaeConfig) if f.name in cfg_kv})
-    blob = prefix.with_suffix(".bin").read_bytes()
-    offset = 0
-    arrays: dict[str, np.ndarray] = {}
-    for line in lines[3:]:
-        if not line.startswith("array "):
-            continue
-        parts = line.split()
-        name, shape = parts[1], tuple(int(s) for s in parts[2:])
-        count = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(blob, dtype="<f8", count=count, offset=offset).reshape(shape).copy()
-        offset += count * 8
-        arrays[name] = arr
-
-    def numbered(pattern: str) -> list[np.ndarray]:
-        # parameter_arrays names: enc0_w, enc1_w, ... up to the first gap
-        out: list[np.ndarray] = []
-        while pattern.format(len(out)) in arrays:
-            out.append(arrays[pattern.format(len(out))])
-        return out
-
-    codebooks = [Codebook(level=l + 1, vectors=v) for l, v in enumerate(numbered("cb{}"))]
-    return RqVaeModel(encoder_weights=numbered("enc{}_w"), encoder_biases=numbered("enc{}_b"),
-                      decoder_weights=numbered("dec{}_w"), decoder_biases=numbered("dec{}_b"),
-                      codebooks=codebooks, config=cfg, input_dim=input_dim)

@@ -1,4 +1,4 @@
-"""Code-token vocabularies and prefix tries for constrained decoding.
+"""Code tokens and prefix tries for constrained decoding.
 
 A `PrefixTrie` is built once per index type, straight from the code table, as
 the per-depth child arrays that the batched beam search reads.
@@ -6,24 +6,17 @@ the per-depth child arrays that the batched beam search reads.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .rqvae import ItemCodeTable
 
-INDEX_TYPES = ("ceid", "seid")
 _TYPE_LABEL = {"ceid": "CeID", "seid": "SeID"}
-_INDICATOR = {"ceid": "<C>", "seid": "<S>"}
 
 
 def code_token(index_type: str, level: int, word: int) -> str:
     """Token for codebook word `word` at 1-based `level`, e.g. <CeID_3,255>."""
     return f"<{_TYPE_LABEL[index_type]}_{level},{word}>"
-
-
-def indicator_token(index_type: str) -> str:
-    return _INDICATOR[index_type]
 
 
 def item_tokens(table: ItemCodeTable, item: str) -> list[str]:
@@ -32,49 +25,6 @@ def item_tokens(table: ItemCodeTable, item: str) -> list[str]:
         raise ValueError(f"unknown item {item!r} for index type {table.index_type}")
     return [code_token(table.index_type, level, word)
             for level, word in enumerate(table.codes[item], start=1)]
-
-
-@dataclass
-class TokenVocab:
-    """Ordered token set with a kind per token (indicator or code)."""
-
-    tokens: list[str]
-    kinds: dict[str, str]
-
-
-def build_vocabulary(tables: list[ItemCodeTable]) -> TokenVocab:
-    """One token per (type, level, word) actually used, plus the type indicators."""
-    if not tables:
-        raise ValueError("at least one code table required")
-    seen_types = set()
-    for table in tables:
-        if table.index_type in seen_types:
-            raise ValueError(f"duplicate table for index type {table.index_type}")
-        if table.index_type not in INDEX_TYPES:
-            raise ValueError(f"unknown index type {table.index_type}")
-        seen_types.add(table.index_type)
-    tokens: list[str] = []
-    kinds: dict[str, str] = {}
-    for t in sorted(seen_types):
-        tok = indicator_token(t)
-        tokens.append(tok)
-        kinds[tok] = "indicator"
-    used: set[tuple[str, int, int]] = set()
-    for table in tables:
-        for tup in table.codes.values():
-            for level, word in enumerate(tup, start=1):
-                used.add((table.index_type, level, word))
-    for index_type, level, word in sorted(used):
-        tok = code_token(index_type, level, word)
-        tokens.append(tok)
-        kinds[tok] = "code"
-    return TokenVocab(tokens=tokens, kinds=kinds)
-
-
-def write_vocab(vocab: TokenVocab, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
-        for tok in vocab.tokens:
-            fh.write(f"{tok}\t{vocab.kinds[tok]}\n")
 
 
 # ---------------------------------------------------------------------------

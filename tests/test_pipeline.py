@@ -106,10 +106,15 @@ def test_config_validation_before_work(tmp_path):
             ("rqvae.latent_dim", 0, "latent_dim must be >= 1"),
             ("rqvae.hidden_dim", 0, "hidden_dim must be >= 1"),
             ("rqvae.batch_size", 0, "batch_size must be >= 1"),
+            ("rqvae.batch_size", 4,
+             r"rqvae_ceid\.batch_size must be >= codebook_size \(8\), got 4"),
             ("rqvae.epochs", -1, "epochs must be >= 0"),
             ("rqvae_seid.kmeans_iters", -1, "kmeans_iters must be >= 0"),
             ("scorer.delta", "nan", "delta must be > 0"),
-            ("scorer.backoff_lambda", "nan", "backoff_lambda")):
+            ("scorer.backoff_lambda", "nan", "backoff_lambda"),
+            ("rqvae_seid.beta", "nan", r"^rqvae_seid\.beta must be > 0, got nan$"),
+            ("collab.learning_rate", 0, r"^collab\.learning_rate must be > 0, got 0\.0$"),
+            ("scorer.delta", 0, r"^scorer\.delta must be > 0, got 0\.0$")):
         with pytest.raises(ValueError, match=message):
             load_config(write_config(tmp_path, **{key: value}))
     cfg = load_config(write_config(tmp_path, **{"collab.epochs": 0, "rqvae.epochs": 0,
@@ -170,10 +175,6 @@ GOLDEN_DIGESTS = {
     "per_matrix_seid.csv": "b533b1332f343e95ee83c9adba84277910151d456644211002630c300f6d004e",
     "ranked_ceid.jsonl": "af2683596cfa75c8d9b1855857bc72b6412cee10bbb5fe3b6ba8879b5ae3f9e0",
     "ranked_seid.jsonl": "dca8b8ac1c1168be7c2b2af12cf5d813108d9b07284d2cd288515096f6e733a9",
-    "rqvae_ceid.bin": "5233c4492907dd7961bfa90c47c3bf5dd7e38112b808a394b180139a75d7bfab",
-    "rqvae_ceid.manifest": "1c9392470baa350dfe7f58581f827e3bb2786a80217c8fcda65d96a1f31cabce",
-    "rqvae_seid.bin": "60d05c9f58d6f82dbc914428da200a7090513f7b1252223966109f8aa2931ec6",
-    "rqvae_seid.manifest": "239dd696c153b8edaee742d3cdafdc55f7725c07bee8de693d5640013e71243b",
     "scorer_ceid.txt": "b695932a2c5adc2eea4bd1d0e88321541d42c4a5ae2783bd236f83a329eb775b",
     "scorer_seid.txt": "85e9e6677b2eddea1f4dc525e5e960b8a1b9e0f1143fbb58727c53b5517304bc",
     "semantic.emb": "2465c4bb017ebadb3305aa484066a244371fe607309db2a2b39164e5db770b5b",
@@ -181,7 +182,6 @@ GOLDEN_DIGESTS = {
     "test.tsv": "841549674b3aec0110a7af4f79b0c5b574f85e51aa1e09f1490e233d20663a6e",
     "train.tsv": "1c99702ad175e391ab65710275e43a417a6906911a16a1699b634ddad4522098",
     "valid.tsv": "56e42462b56ad7c0842e87844440e186ad0507415b071f111e5a2d26d19b1990",
-    "vocab.tsv": "bb469c0282fb4cf0eca7bbfee713544ef2dcc47c63b0b58df8164d1f25042040",
 }
 
 
@@ -195,7 +195,7 @@ def test_golden_artifact_digests(pipeline_run):
 
 EXPECTED_ARTIFACTS = [
     "train.tsv", "valid.tsv", "test.tsv", "collab.emb",
-    "codes_ceid.tsv", "codes_seid.tsv", "vocab.tsv",
+    "codes_ceid.tsv", "codes_seid.tsv",
     "ranked_ceid.jsonl", "ranked_seid.jsonl", "fused.jsonl",
     "metrics.csv", "per_matrix_ceid.csv", "per_matrix_seid.csv",
     "chr.csv", "template_sweep.csv",
@@ -208,6 +208,10 @@ def test_all_emits_artifacts(pipeline_run):
         assert (cfg.out_dir / name).exists(), name
     for index_type in ("ceid", "seid"):
         assert (cfg.out_dir / f"scorer_{index_type}.txt").exists()
+    assert not list(cfg.out_dir.glob("rqvae_*"))
+    assert not (cfg.out_dir / "vocab.tsv").exists()
+    man = json.loads((cfg.out_dir / "manifest_build_index.json").read_text())
+    assert sorted(man["outputs"]) == ["codes_ceid.tsv", "codes_seid.tsv"]
 
 
 def test_metrics_within_bounds(pipeline_run):

@@ -5,9 +5,9 @@ from rqrec.dataio import EmbeddingMatrix
 from rqrec.rqvae import (Codebook, RqVaeConfig, RqVaeModel, _forward_backward, _sq_dists,
                          assign_codes, finite_difference_gradients, forward_loss,
                          gradient_check, initialize_model, kmeans_init,
-                         load_code_table, load_model, max_relative_error,
-                         parameter_arrays, quantize_residual, resolve_collisions,
-                         save_model, train_rqvae, write_code_table)
+                         load_code_table, max_relative_error, parameter_arrays,
+                         quantize_residual, resolve_collisions, train_rqvae,
+                         write_code_table)
 
 
 def emb_of(x, tag="semantic"):
@@ -412,23 +412,3 @@ def test_code_table_duplicate_item_is_error(tmp_path):
     p.write_text("A\t5\t2\t0\nC\t1\t1\t0\nA\t5\t2\t1\n")
     with pytest.raises(ValueError, match=r"codes\.tsv:3: duplicate item 'A'"):
         load_code_table(p, "ceid")
-
-
-# ---------------------------------------------------------------------------
-# checkpointing
-
-def test_checkpoint_roundtrip(tmp_path):
-    emb = clustered_embeddings(n=100, seed=18)
-    cfg = RqVaeConfig(latent_dim=5, code_len=3, codebook_size=8, hidden_dim=12,
-                      epochs=5, batch_size=100, seed=13)
-    model = train_rqvae(emb, cfg)
-    save_model(model, tmp_path / "ck")
-    back = load_model(tmp_path / "ck")
-    assert back.input_dim == model.input_dim
-    assert back.config == model.config
-    for a, b in zip(parameter_arrays(model).values(), parameter_arrays(back).values()):
-        assert np.array_equal(a, b)
-    for ca, cb_ in zip(model.codebooks, back.codebooks):
-        assert ca.level == cb_.level
-        assert np.array_equal(ca.vectors, cb_.vectors)
-    assert assign_codes(back, emb) == assign_codes(model, emb)

@@ -1,8 +1,7 @@
 import pytest
 
 from rqrec.rqvae import ItemCodeTable
-from rqrec.vocab import (build_prefix_trie, build_vocabulary, code_token, indicator_token,
-                         item_tokens, write_vocab)
+from rqrec.vocab import build_prefix_trie, code_token, item_tokens
 
 
 def table_of(codes, index_type="ceid"):
@@ -13,45 +12,6 @@ def table_of(codes, index_type="ceid"):
 def test_token_format():
     assert code_token("ceid", 3, 255) == "<CeID_3,255>"
     assert code_token("seid", 1, 0) == "<SeID_1,0>"
-    assert indicator_token("ceid") == "<C>"
-    assert indicator_token("seid") == "<S>"
-
-
-def test_vocab_counts_single_table():
-    # words {0,1} at each of 4 levels: 8 code tokens + 1 indicator
-    codes = {"a": (0, 0, 0, 0), "b": (1, 1, 1, 1), "c": (0, 1, 0, 1)}
-    vocab = build_vocabulary([table_of(codes)])
-    assert len(vocab.tokens) == 9
-    assert sum(1 for t in vocab.tokens if vocab.kinds[t] == "code") == 8
-    assert "<C>" in vocab.tokens and "<S>" not in vocab.tokens
-
-
-def test_vocab_both_indicators():
-    vocab = build_vocabulary([table_of({"a": (0, 0)}, "ceid"),
-                              table_of({"a": (1, 0)}, "seid")])
-    assert "<C>" in vocab.tokens and "<S>" in vocab.tokens
-
-
-def test_vocab_token_unique_and_ordered():
-    codes = {"a": (0, 0, 255, 0), "b": (0, 0, 255, 1)}
-    vocab = build_vocabulary([table_of(codes)])
-    assert vocab.tokens.count("<CeID_3,255>") == 1
-    code_toks = [t for t in vocab.tokens if vocab.kinds[t] == "code"]
-    assert code_toks == sorted(code_toks, key=lambda t: code_toks.index(t))  # stable listing
-
-
-def test_vocab_duplicate_type_is_error():
-    with pytest.raises(ValueError, match="duplicate"):
-        build_vocabulary([table_of({"a": (0, 0)}), table_of({"b": (1, 0)})])
-
-
-def test_vocab_dump(tmp_path):
-    vocab = build_vocabulary([table_of({"a": (0, 0)})])
-    p = tmp_path / "vocab.tsv"
-    write_vocab(vocab, p)
-    lines = p.read_text().splitlines()
-    assert lines[0] == "<C>\tindicator"
-    assert all("\t" in ln for ln in lines)
 
 
 def test_item_tokens_unknown_item():
