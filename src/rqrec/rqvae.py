@@ -215,8 +215,7 @@ def _named_arrays(enc_w: list[np.ndarray], enc_b: list[np.ndarray],
 def parameter_arrays(model: RqVaeModel) -> dict[str, np.ndarray]:
     """Live views of every trained array (encoder, decoder, codebooks) by stable name.
 
-    The optimizer, the checkpoint writer and the gradient check all use this
-    one dict, in this order.
+    The optimizer and the gradient check both use this one dict, in this order.
     """
     return _named_arrays(model.encoder_weights, model.encoder_biases,
                          model.decoder_weights, model.decoder_biases,

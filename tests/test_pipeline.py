@@ -150,6 +150,18 @@ def test_missing_upstream_names_stage(tmp_path):
         run_stage(cfg, "rerank")
 
 
+def test_missing_input_hint_names_its_producer(tmp_path):
+    cfg = load_config(write_config(tmp_path))
+    cfg.out_dir.mkdir(parents=True)
+    for name, producer in (("train.tsv", "prepare"), ("valid.tsv", "prepare"),
+                           ("codes_ceid.tsv", "build-index"), ("codes_seid.tsv", "build-index"),
+                           ("scorer_ceid.txt", "train-scorers"),
+                           ("scorer_seid.txt", "train-scorers")):
+        with pytest.raises(PipelineError, match=rf"{name}; run the '{producer}' stage first$"):
+            run_stage(cfg, "retrieve")
+        (cfg.out_dir / name).touch()  # _require checks existence only
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(tmp_path_factory):
     tmp = tmp_path_factory.mktemp("pipe")
