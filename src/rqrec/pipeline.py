@@ -164,6 +164,9 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     for index_type, emb, sub_cfg in (("ceid", collab, cfg.rqvae_ceid),
                                      ("seid", semantic, cfg.rqvae_seid)):
+        if len(common) < sub_cfg.codebook_size:  # k-means starts a codeword from each item
+            raise PipelineError("build-index", f"{len(common)} items, fewer than "
+                                f"rqvae_{index_type}.codebook_size ({sub_cfg.codebook_size})")
         restricted = EmbeddingMatrix(dim=emb.dim,
                                      rows={i: emb.rows[i] for i in common},
                                      source_tag=emb.source_tag)
@@ -223,9 +226,11 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     The inference context is the train history plus the held-out validation
     item (everything observed before the test item), truncated to max_len
     items; scorers themselves were trained on train histories only. Each
-    (index type, template) is one search over all users. The manifest
-    records, per index type, the lists written, the (beam, child) pairs
-    scored and the users without a list (no codable history).
+    index type is one search over all its templates and users, which shares
+    the work of users with the same scorer context. The manifest records, per
+    index type, the lists written, the distinct contexts searched, the (beam,
+    child) pairs scored, the distinct key lookups and the users without a list
+    (no codable history).
     """
     inputs = _require(cfg, "retrieve", "train.tsv", "valid.tsv", "codes_ceid.tsv",
                       "codes_seid.tsv", "scorer_ceid.txt", "scorer_seid.txt")
@@ -248,18 +253,13 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
             raise PipelineError("retrieve", f"{ckpt} holds {len(scorers)} "
                                 f"{scorers[0].index_type} template(s), {cfg.templates} "
                                 f"{index_type} needed; rerun the 'train-scorers' stage")
-        results: list[ListRecord] = []
-        pairs = 0
-        for scorer in scorers[:cfg.templates]:
-            lists, scored = beam_search_users(scorer, trie, contexts, cfg.k_retrieve,
-                                              users, template_id=scorer.template_id)
-            results += lists
-            pairs += scored
+        results, searched = beam_search_users(scorers[:cfg.templates], trie, contexts,
+                                              cfg.k_retrieve, users)
         path = cfg.out_dir / f"ranked_{index_type}.jsonl"
         write_ranked_lists(results, path)
         outputs[path.name] = path
         without = len(context_split.train) - len(users)
-        counters[index_type] = {"lists": len(results), "pairs_scored": pairs,
+        counters[index_type] = {"lists": len(results), **searched,
                                 "users_without_list": without}
         if without:
             log.warning("retrieve: %s: %d users get no list (no coded item in their "

@@ -4,10 +4,11 @@ All complete code sequences share one length, so beam scores are plain sums of
 token log-probabilities with no length normalization. Score ties break by
 lexicographic code tuple.
 
-`beam_search_users` searches many users in one pass over the trie's per-depth
-child arrays: every step scores the (beam x child) pairs of all users
-together, and one `np.lexsort` keeps each user's top k.
-`beam_search_constrained` is the same search for one user.
+`beam_search_users` searches the templates of one index type for many users
+over the trie's per-depth child arrays: every step scores the (beam x child)
+pairs of many (template, context) groups together, and one `np.lexsort` keeps
+each group's top k. Users with the same scorer context share one group.
+`beam_search_constrained` is the same search for one user and one scorer.
 """
 from __future__ import annotations
 
@@ -19,6 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .rqvae import ItemCodeTable
+from .scorer import MarkovScorer, TemplateStack
 from .vocab import PrefixTrie, code_token
 
 
@@ -50,63 +52,111 @@ def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[n
     return cand_ids, path_ids
 
 
-def beam_search_users(scorer, trie: PrefixTrie, contexts: list[list[str]], k: int,
-                      users: list[str], template_id: int = 0
-                      ) -> tuple[list[ListRecord], int]:
-    """Beam search for every user at once; also returns the (beam, child) pairs scored.
+def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]], k: int,
+                      users: list[str], template_ids: list[int] | None = None
+                      ) -> tuple[list[ListRecord], dict[str, int]]:
+    """Beam search for every (template, user): scorer t gives template_ids[t]'s
+    lists (1..T by default), each template's lists in user order.
 
-    Each user's list is what a search of that user alone gives. A scorer
-    with `candidate_logprobs` (MarkovScorer) scores all beams of a step in
-    one call; any other scorer is asked row by row through
-    `next_token_logprobs`.
+    Each list is what a search of that user alone with that scorer gives.
+    MarkovScorers share a search per distinct `context_matrix` row: users whose
+    last `order` tokens match get their row's list (the same list objects). A
+    pass searches every template for a slice of the distinct rows, at most as
+    many (template, row) groups as there are users, and each step scores all
+    beams of the pass together (`TemplateStack`). Any other scorer is asked
+    row by row, one full context and one template per `next_token_logprobs`
+    call.
+
+    Also returns the counters: the distinct contexts searched, the (beam,
+    child) pairs scored, and the distinct (context, node, candidate) key
+    lookups (one per pair on the row-by-row path).
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if not trie.items:
         raise ValueError("trie is empty")
-    vocab = getattr(scorer, "vocab", None)
-    if vocab is not None:
-        unknown = set(chain.from_iterable(contexts)).difference(vocab)
+    if not scorers:
+        raise ValueError("no scorers")
+    if template_ids is None:
+        template_ids = list(range(1, len(scorers) + 1))
+    context_tokens = set(chain.from_iterable(contexts))
+    for scorer in scorers:
+        vocab = getattr(scorer, "vocab", None)
+        unknown = context_tokens.difference(vocab) if vocab is not None else ()
         if unknown:
             first = next(t for t in chain.from_iterable(contexts) if t in unknown)
             raise ValueError(f"unknown context token {first!r}")
-    native = hasattr(scorer, "candidate_logprobs")
+    native = all(isinstance(scorer, MarkovScorer) for scorer in scorers)
     if native:
-        user_ctx = scorer.context_matrix(contexts)
-        cand_ids, path_ids = _token_id_levels(scorer, trie)
-    user = np.arange(len(contexts))
-    node = np.zeros(len(contexts), dtype=np.int64)
-    score = np.zeros(len(contexts))
-    pairs = 0
-    for d in range(trie.depth):
-        kids = trie.child[d][node]
-        if native:
-            # each beam's last `order` tokens: the user's context, then its path
-            ctx = np.concatenate([user_ctx[user], path_ids[d][node]], axis=1)[:, d:]
-            logp = scorer.candidate_logprobs(ctx, cand_ids[d][node])
-        else:
-            logp = np.full(kids.shape, -np.inf)
-            for r, (u, n) in enumerate(zip(user.tolist(), node.tolist())):
-                tokens = trie.tokens[d][n]
-                lp = scorer.next_token_logprobs(contexts[u] + trie.paths[d][n],
-                                                tuple(tokens))
-                logp[r, :len(tokens)] = [lp[t] for t in tokens]
-        rows, cols = np.nonzero(kids >= 0)
-        pairs += len(rows)
-        cand_user, cand_node = user[rows], kids[rows, cols]
-        cand_score = score[rows] + logp[rows, cols]
-        # per user: score descending, ties by code tuple (= node number)
-        order = np.lexsort((cand_node, -cand_score, cand_user))
-        cand_user = cand_user[order]
-        rank = np.arange(len(order)) - np.searchsorted(cand_user, cand_user)
-        top = order[rank < k]
-        user, node, score = cand_user[rank < k], cand_node[top], cand_score[top]
-    bounds = np.searchsorted(user, np.arange(len(contexts) + 1)).tolist()
-    items = [trie.items[n] for n in node.tolist()]
-    scores = score.tolist()
-    lists = [ListRecord(name, trie.index_type, template_id, items[lo:hi], scores[lo:hi])
-             for name, lo, hi in zip(users, bounds, bounds[1:])]
-    return lists, pairs
+        stack = TemplateStack(scorers)
+        cand_ids, path_ids = _token_id_levels(scorers[0], trie)
+        distinct: dict[tuple[int, ...], int] = {}
+        user_row = np.array([distinct.setdefault(r, len(distinct))
+                             for r in map(tuple, scorers[0].context_matrix(contexts).tolist())],
+                            dtype=np.int64)
+        row_ctx = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), stack.order)
+    else:
+        user_row = np.arange(len(contexts))
+    n_rows, n_templates = int(user_row.max(initial=-1)) + 1, len(scorers)
+    counts = {"distinct_contexts": n_rows, "pairs_scored": 0, "lookup_pairs": 0}
+    found: list[list] = [[None] * n_rows for _ in scorers]  # (items, scores) per template and row
+    # a pass holds no more groups than there are users, as one template's search over all
+    # would, or T when there are fewer users than templates
+    rows_per_pass = max(1, len(contexts) // n_templates)
+    for lo in range(0, n_rows, rows_per_pass):
+        # groups g = t * m + j: template t, distinct row lo + j
+        m = min(rows_per_pass, n_rows - lo)
+        group_row = np.tile(np.arange(lo, lo + m), n_templates)
+        group_template = np.repeat(np.arange(n_templates), m)
+        group = np.arange(len(group_row))
+        node = np.zeros(len(group), dtype=np.int64)
+        score = np.zeros(len(group))
+        for d in range(trie.depth):
+            kids = trie.child[d][node]
+            if native:
+                # beams of one (row, node) share their context and candidates
+                keys, beam_key = np.unique(group_row[group] * len(trie.child[d]) + node,
+                                           return_inverse=True)
+                key_row, key_node = np.divmod(keys, len(trie.child[d]))
+                # each beam's last `order` tokens: the row's context, then its path
+                ctx = np.concatenate([row_ctx[key_row], path_ids[d][key_node]], axis=1)[:, d:]
+                cand = cand_ids[d][key_node]
+                counts["lookup_pairs"] += int(np.count_nonzero(cand >= 0))
+                logp = stack.logprobs(ctx, cand, beam_key, group_template[group])
+            else:
+                logp = np.full(kids.shape, -np.inf)
+                for r, (g, n) in enumerate(zip(group.tolist(), node.tolist())):
+                    tokens = trie.tokens[d][n]
+                    lp = scorers[group_template[g]].next_token_logprobs(
+                        contexts[group_row[g]] + trie.paths[d][n], tuple(tokens))
+                    logp[r, :len(tokens)] = [lp[t] for t in tokens]
+            rows, cols = np.nonzero(kids >= 0)
+            counts["pairs_scored"] += len(rows)
+            cand_group, cand_node = group[rows], kids[rows, cols]
+            cand_score = score[rows] + logp[rows, cols]
+            # per group: score descending, ties by code tuple (= node number). Complex
+            # numbers sort by real, then imaginary part, so a stable sort of
+            # group + i * (-score) over the pairs in node order (unique in a group)
+            # is np.lexsort((cand_node, -cand_score, cand_group)) at a third the cost
+            key = np.empty(len(rows), dtype=np.complex128)
+            key.real, key.imag = cand_group, -cand_score
+            by_node = np.argsort(cand_node)
+            order = by_node[np.argsort(key[by_node], kind="stable")]
+            cand_group = cand_group[order]
+            rank = np.arange(len(order)) - np.searchsorted(cand_group, cand_group)
+            top = order[rank < k]
+            group, node, score = cand_group[rank < k], cand_node[top], cand_score[top]
+        bounds = np.searchsorted(group, np.arange(len(group_row) + 1)).tolist()
+        items = [trie.items[n] for n in node.tolist()]
+        scores = score.tolist()
+        for g, (a, b) in enumerate(zip(bounds, bounds[1:])):
+            found[g // m][lo + g % m] = items[a:b], scores[a:b]
+    if not native:
+        counts["lookup_pairs"] = counts["pairs_scored"]
+    lists = [ListRecord(name, trie.index_type, tid, *found[t][r])
+             for t, tid in enumerate(template_ids)
+             for name, r in zip(users, user_row.tolist())]
+    return lists, counts
 
 
 def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
@@ -116,7 +166,7 @@ def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
     Candidate tokens at each step are the trie edges leaving the beam prefix;
     the scorer renormalizes over exactly that candidate set.
     """
-    lists, _ = beam_search_users(scorer, trie, [context], k, [user], template_id)
+    lists, _ = beam_search_users([scorer], trie, [context], k, [user], [template_id])
     return lists[0]
 
 

@@ -337,10 +337,9 @@ def initialize_model(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeMode
     items = sorted(embeddings.rows)
     x = embeddings.matrix(items)
     n = x.shape[0]
+    if n < cfg.codebook_size:  # validate() keeps batch_size >= codebook_size
+        raise ValueError(f"{n} items, fewer than codebook_size {cfg.codebook_size}")
     first = min(cfg.batch_size, n)
-    if first < cfg.codebook_size:
-        raise ValueError(
-            f"first batch has {first} rows, fewer than codebook_size {cfg.codebook_size}")
     rng = np.random.default_rng(cfg.seed)
     enc_w, enc_b = _init_affine(_layer_dims(embeddings.dim, cfg.latent_dim, cfg), rng)
     dec_w, dec_b = _init_affine(_layer_dims(cfg.latent_dim, embeddings.dim, cfg), rng)

@@ -14,7 +14,9 @@ tokens before a position) gets its id through its suffix chain: its key is
 among the sorted context keys of order k. An n-gram's key is
 `context id * |V| + next token`. Lookups are `np.searchsorted` over the sorted
 keys, so a batch of (context, candidate) pairs is scored in a few array
-operations per order.
+operations per order. `TemplateStack` scores the templates of one index type
+together: each key is looked up once per (context, candidate) pair, and each
+template's count is read from a column of one count matrix.
 
 Template variants: template 1 trains on the full per-user streams; template
 t > 1 trains on a bootstrap resample (with replacement) of user streams seeded
@@ -115,60 +117,15 @@ class MarkovScorer:
                 out[r, self.order - len(tail):] = self.token_ids(tail)
         return out
 
-    def _candidate_probs(self, contexts: np.ndarray, rows: np.ndarray,
-                        tokens: np.ndarray) -> np.ndarray:
-        """Interpolated probability of tokens[i] after context row rows[i].
-
-        `contexts` comes from `context_matrix` (or has its layout). The float
-        operations run in the order of the scalar formula, so each value is
-        bitwise what a per-candidate evaluation gives.
-        """
-        tab = self.tables
-        v = len(self.vocab)
-        lam = self.backoff_lambda
-        ids = np.full(len(contexts), 0 if len(tab.ctx_keys[0]) else -1, dtype=np.int64)
-        p = self._smoothed(0, ids[rows], tokens)
-        for k in range(1, self.order + 1):
-            lead = contexts[:, self.order - k]
-            live = lead != PAD
-            if not live.any():
-                break
-            # id -1: a context with zero counts (never seen, or holding an OOV token)
-            known = live & (lead >= 0) & (ids >= 0)
-            ids = np.where(known, _find(tab.ctx_keys[k], ids * v + lead), -1)
-            s = self._smoothed(k, ids[rows], tokens)
-            p = np.where(live[rows], (1.0 - lam) * s + lam * p, p)
-        return p
-
-    def _smoothed(self, k: int, ctx: np.ndarray, tokens: np.ndarray) -> np.ndarray:
-        """(count + delta) / (total + delta |V|) at order k; context id -1 counts 0."""
-        tab = self.tables
-        v = len(self.vocab)
-        at = _find(tab.ngram_keys[k], np.where(ctx >= 0, ctx * v + tokens, -1))
-        # index -1 picks the appended 0
-        count = np.append(tab.counts[k], 0)[at]
-        total = np.append(tab.totals[k], 0)[ctx]
-        return (count + self.delta) / (total + self.delta * v)
-
     def candidate_logprobs(self, contexts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
         """(rows, C) log-probabilities renormalized over each row's candidates.
 
-        `candidates` holds vocabulary ids, -1 in unused cells; the row sum
-        adds the cells in column order, so columns should be in sorted-token
-        order. Unused cells come back as -inf.
+        `contexts` comes from `context_matrix` (or has its layout); `candidates`
+        holds vocabulary ids, -1 in unused cells. This is the one-template case
+        of `TemplateStack.logprobs`.
         """
-        rows, cols = np.nonzero(candidates >= 0)
-        probs = np.zeros(candidates.shape)
-        probs[rows, cols] = self._candidate_probs(contexts, rows, candidates[rows, cols])
-        # Python's sum over a row, left to right, and math.log: both keep the
-        # values bitwise equal to the scalar formula (numpy's pairwise sum and
-        # np.log do not)
-        total = np.zeros(len(probs))
-        for c in range(probs.shape[1]):
-            total += probs[:, c]
-        out = np.full(probs.shape, -np.inf)
-        out[rows, cols] = list(map(math.log, (probs[rows, cols] / total[rows]).tolist()))
-        return out
+        rows = np.arange(len(contexts))
+        return TemplateStack([self]).logprobs(contexts, candidates, rows, np.zeros_like(rows))
 
     def next_token_logprobs(self, context: list[str],
                             candidates: tuple[str, ...] | list[str] | set[str]
@@ -187,6 +144,104 @@ class MarkovScorer:
     def ngram_rows(self) -> list[int]:
         """Number of distinct n-grams with a nonzero count, per order."""
         return [int(np.count_nonzero(c)) for c in self.tables.counts]
+
+
+def _same_model(a: MarkovScorer, b: MarkovScorer) -> bool:
+    """True when a and b differ at most in template id and counts."""
+    return ((a.index_type, a.order, a.delta, a.backoff_lambda, a.vocab)
+            == (b.index_type, b.order, b.delta, b.backoff_lambda, b.vocab)
+            and all(x is y or np.array_equal(x, y)
+                    for x, y in zip(a.tables.ctx_keys + a.tables.ngram_keys,
+                                    b.tables.ctx_keys + b.tables.ngram_keys)))
+
+
+class TemplateStack:
+    """The templates of one index type, scored together over their shared keys.
+
+    Per order k, `counts[k]` and `totals[k]` hold the templates' n-gram counts
+    and context totals key-major: key i's value under template t is at
+    i * T + t. A last key row of zeros makes key index -1 (absent) read 0.
+    """
+
+    def __init__(self, scorers: list[MarkovScorer]):
+        first = scorers[0]
+        for t, sc in enumerate(scorers[1:], start=2):
+            if not _same_model(sc, first):
+                raise ValueError(f"scorer {t} of {len(scorers)} does not share the index "
+                                 "type, order, smoothing, vocab and keys of scorer 1")
+        self.order, self.delta, self.lam = first.order, first.delta, first.backoff_lambda
+        self.v, self.templates = len(first.vocab), len(scorers)
+        self.ctx_keys, self.ngram_keys = first.tables.ctx_keys, first.tables.ngram_keys
+
+        def stacked(arrays: list[np.ndarray]) -> np.ndarray:
+            out = np.zeros((len(arrays[0]) + 1, len(arrays)), dtype=np.int64)
+            for t, a in enumerate(arrays):
+                out[:-1, t] = a
+            return out.ravel()
+        self.counts = [stacked([sc.tables.counts[k] for sc in scorers])
+                       for k in range(self.order + 1)]
+        self.totals = [stacked([sc.tables.totals[k] for sc in scorers])
+                       for k in range(self.order + 1)]
+
+    def logprobs(self, contexts: np.ndarray, candidates: np.ndarray, row: np.ndarray,
+                 template: np.ndarray) -> np.ndarray:
+        """(len(row), C) log-probabilities of candidates[row[i]] after contexts[row[i]]
+        under template index template[i], renormalized over each row's candidates.
+
+        `contexts` has the layout of `MarkovScorer.context_matrix`; `candidates`
+        holds vocabulary ids, -1 in unused cells. Key lookups run once per
+        (context, candidate) cell, however many output rows read it. The row
+        sum adds the cells in column order, so columns should be in
+        sorted-token order. Unused cells come back as -inf.
+        """
+        cells = np.full(candidates.shape, -1, dtype=np.int64)
+        at_row, at_col = np.nonzero(candidates >= 0)
+        cells[at_row, at_col] = np.arange(len(at_row))
+        rows, cols = np.nonzero(cells[row] >= 0)
+        probs = np.zeros((len(row), candidates.shape[1]))
+        probs[rows, cols] = self._probs(contexts, at_row, candidates[at_row, at_col],
+                                        cells[row[rows], cols], template[rows])
+        # Python's sum over a row, left to right, and math.log: both keep the
+        # values bitwise equal to the scalar formula (numpy's pairwise sum and
+        # np.log do not)
+        total = np.zeros(len(probs))
+        for c in range(probs.shape[1]):
+            total += probs[:, c]
+        out = np.full(probs.shape, -np.inf)
+        out[rows, cols] = list(map(math.log, (probs[rows, cols] / total[rows]).tolist()))
+        return out
+
+    def _probs(self, contexts: np.ndarray, cell_row: np.ndarray, cell_token: np.ndarray,
+               cell: np.ndarray, template: np.ndarray) -> np.ndarray:
+        """Interpolated probability of each output: the token of cell[i] after
+        its context row, under template index template[i].
+
+        The float operations run in the order of the scalar formula, so each
+        value is bitwise what a per-candidate evaluation gives.
+        """
+        v, lam, n_templates = self.v, self.lam, self.templates
+        out_row = cell_row[cell]
+
+        def smoothed(k: int, ids: np.ndarray) -> np.ndarray:
+            """(count + delta) / (total + delta |V|) at order k; context id -1 counts 0."""
+            ctx = ids[cell_row]
+            at = _find(self.ngram_keys[k], np.where(ctx >= 0, ctx * v + cell_token, -1))
+            count = self.counts[k].take((at * n_templates)[cell] + template)
+            total = self.totals[k].take((ids * n_templates)[out_row] + template)
+            return (count + self.delta) / (total + self.delta * v)
+
+        ids = np.full(len(contexts), 0 if len(self.ctx_keys[0]) else -1, dtype=np.int64)
+        p = smoothed(0, ids)
+        for k in range(1, self.order + 1):
+            lead = contexts[:, self.order - k]
+            live = lead != PAD
+            if not live.any():
+                break
+            # id -1: a context with zero counts (never seen, or holding an OOV token)
+            known = live & (lead >= 0) & (ids >= 0)
+            ids = np.where(known, _find(self.ctx_keys[k], ids * v + lead), -1)
+            p = np.where(live[out_row], (1.0 - lam) * smoothed(k, ids) + lam * p, p)
+        return p
 
 
 # ---------------------------------------------------------------------------
@@ -327,12 +382,7 @@ def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
         raise ValueError("no scorers to save")
     first = scorers[0]
     for t, sc in enumerate(scorers, start=1):
-        if (sc.template_id != t
-                or (sc.index_type, sc.order, sc.delta, sc.backoff_lambda, sc.vocab)
-                != (first.index_type, first.order, first.delta, first.backoff_lambda,
-                    first.vocab)
-                or not all(map(np.array_equal, sc.tables.ctx_keys + sc.tables.ngram_keys,
-                               first.tables.ctx_keys + first.tables.ngram_keys))):
+        if sc.template_id != t or not _same_model(sc, first):
             raise ValueError(f"scorer {t} of {len(scorers)} is not template {t} with the "
                              "index type, order, smoothing, vocab and keys of template 1")
     tab = first.tables

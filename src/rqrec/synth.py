@@ -39,9 +39,13 @@ class SyntheticConfig:
             if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"synthetic.{name} must be in [0, 1], got {getattr(self, name)}")
         if self.n_items < self.n_clusters:
-            raise ValueError("need at least one item per cluster")
-        if self.min_len < 3 or self.max_len < self.min_len:
-            raise ValueError("sequence lengths must satisfy 3 <= min_len <= max_len")
+            raise ValueError(f"synthetic.n_items must be >= n_clusters ({self.n_clusters}) "
+                             f"for one item per cluster, got {self.n_items}")
+        if self.min_len < 3:
+            raise ValueError(f"synthetic.min_len must be >= 3, got {self.min_len}")
+        if self.max_len < self.min_len:
+            raise ValueError(f"synthetic.max_len must be >= min_len ({self.min_len}), "
+                             f"got {self.max_len}")
 
 
 def generate_synthetic(cfg: SyntheticConfig) -> tuple[InteractionDataset, EmbeddingMatrix]:

@@ -6,6 +6,7 @@ import pytest
 from rqrec.cli import main
 from rqrec.config import load_config
 from rqrec.pipeline import PipelineError, run_stage, stage_rerank
+from rqrec.rqvae import load_code_table
 
 
 def write_config(tmp_path, **extra):
@@ -84,7 +85,12 @@ def test_config_validation_before_work(tmp_path):
                                 ("n_items", 3, "one item per cluster"),
                                 ("center_scale", -2, "synthetic.center_scale must be >= 0"),
                                 ("noise_scale", -1, "synthetic.noise_scale must be >= 0"),
-                                ("noise_scale", "nan", "synthetic.noise_scale must be >= 0")):
+                                ("noise_scale", "nan", "synthetic.noise_scale must be >= 0"),
+                                ("n_items", 3, r"^synthetic\.n_items must be >= n_clusters "
+                                               r"\(4\) for one item per cluster, got 3$"),
+                                ("min_len", 2, r"^synthetic\.min_len must be >= 3, got 2$"),
+                                ("max_len", 4, r"^synthetic\.max_len must be >= min_len "
+                                               r"\(8\), got 4$")):
         with pytest.raises(ValueError, match=message):
             load_config(write_config(tmp_path, **{f"synthetic.{key}": value}))
     cfg = load_config(write_config(tmp_path, **{"synthetic.p_follow": 1.0,
@@ -486,6 +492,11 @@ def test_manifest_counters_deterministic(pipeline_run):
         written = (cfg.out_dir / f"ranked_{index_type}.jsonl").read_text().splitlines()
         assert c["lists"] == len(written) == 3 * (n_users - c["users_without_list"])
         assert c["pairs_scored"] >= c["lists"] * cfg.k_retrieve
+        # one search per distinct context tail and template; each key lookup once
+        items = len(load_code_table(cfg.out_dir / f"codes_{index_type}.tsv", index_type).codes)
+        assert 0 < c["distinct_contexts"] <= c["lists"] / 3
+        assert 0 < c["lookup_pairs"] <= c["pairs_scored"]
+        assert c["pairs_scored"] >= 3 * c["distinct_contexts"] * min(cfg.k_retrieve, items)
     stage_embed_collab(cfg)
     stage_train_scorers(cfg)
     stage_retrieve(cfg)
@@ -619,6 +630,14 @@ def test_cli_bad_code_names_line(pipeline_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{codes}:3: invalid literal for int() with base 10: 'x'" in err
         assert "rerun the 'build-index' stage" in err
+
+
+def test_cli_catalog_smaller_than_codebook_names_the_key(tmp_path, capsys):
+    path = write_config(tmp_path, **{"synthetic.n_items": 6})  # codebook_size 8
+    assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 1
+    err = capsys.readouterr().err
+    assert "error [build-index] 6 items, fewer than rqvae_ceid.codebook_size (8)" in err
+    assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
 
 
 def test_all_with_one_template(tmp_path):

@@ -9,7 +9,7 @@ from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
                              beam_search_users, exhaustive_topk_oracle, ranked_list_record,
                              read_ranked_lists, write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
-from rqrec.scorer import ScorerConfig, train_markov_scorer
+from rqrec.scorer import ScorerConfig, count_ngrams, train_markov_scorer
 from rqrec.vocab import build_prefix_trie, code_token
 
 
@@ -161,8 +161,8 @@ def test_beam_context_check_names_first_unknown_token_in_order():
     sc = HashScorer(seed=1, vocab=["<CeID_1,0>", "<CeID_2,0>"])
     contexts = [["<CeID_1,0>"], ["<CeID_2,0>", "zz", "<CeID_1,9>"], ["<CeID_1,5>"]]
     with pytest.raises(ValueError, match="unknown context token 'zz'"):
-        beam_search_users(sc, trie, contexts, 1, ["u0", "u1", "u2"])
-    lists, _ = beam_search_users(UniformScorer(), trie, contexts, 1, ["u0", "u1", "u2"])
+        beam_search_users([sc], trie, contexts, 1, ["u0", "u1", "u2"])
+    lists, _ = beam_search_users([UniformScorer()], trie, contexts, 1, ["u0", "u1", "u2"])
     assert [rl.items for rl in lists] == [["a"]] * 3  # a scorer without vocab: no check
 
 
@@ -174,13 +174,13 @@ def test_candidate_token_outside_vocab_is_named():
                     for tup in codes.values() for l, w in enumerate(tup)})
     streams = {"u0": vocab * 2}
     sc = train_markov_scorer(streams, 1, ScorerConfig(order=2), "ceid", vocab=vocab)
-    lists, _ = beam_search_users(sc, trie, [[]], 4, ["u0"])
+    lists, _ = beam_search_users([sc], trie, [[]], 4, ["u0"])
     assert sorted(lists[0].items) == ["a", "b", "c", "d"]
     # two tokens missing at depth 1: the first in (node, column) order is named
     stale = [t for t in vocab if t not in ("<CeID_2,2>", "<CeID_2,3>")]
     sc = train_markov_scorer({"u0": stale * 2}, 1, ScorerConfig(order=2), "ceid", vocab=stale)
     with pytest.raises(ValueError, match=r"candidate token '<CeID_2,2>' not in vocabulary"):
-        beam_search_users(sc, trie, [[]], 4, ["u0"])
+        beam_search_users([sc], trie, [[]], 4, ["u0"])
 
 
 def test_jsonl_roundtrip(tmp_path):
@@ -211,7 +211,7 @@ def test_every_producer_returns_list_records(tmp_path):
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
     sc = HashScorer(seed=3, vocab=vocab)
-    lists, _ = beam_search_users(sc, trie, [[], [vocab[0]]], 5, ["u0", "u1"], template_id=2)
+    lists, _ = beam_search_users([sc], trie, [[], [vocab[0]]], 5, ["u0", "u1"], [2])
     ranks = RankArrays()
     ranks.add(lists)
     ranks.add([])
@@ -279,9 +279,9 @@ def test_batched_search_equals_single_user_search(kind):
     else:
         sc = HashScorer(seed=4, vocab=vocab, order=4)
     for k in (1, 7, 20):
-        lists, pairs = beam_search_users(sc, trie, contexts, k, users, template_id=2)
+        lists, counts = beam_search_users([sc], trie, contexts, k, users, [2])
         assert [rl.user for rl in lists] == users
-        assert pairs > 0
+        assert counts["pairs_scored"] > 0
         for user, context, rl in zip(users, contexts, lists):
             single = beam_search_constrained(sc, trie, context, k, user=user, template_id=2)
             assert rl == single
@@ -293,7 +293,60 @@ def test_batched_markov_search_equals_per_call_search(order):
     # the array path and the next_token_logprobs path give the same bytes
     trie, vocab, streams, contexts, users = batch_setup(45)
     sc = train_markov_scorer(streams, 1, ScorerConfig(order=order), "ceid", vocab=vocab)
-    native, native_pairs = beam_search_users(sc, trie, contexts, 10, users)
-    per_call, per_call_pairs = beam_search_users(CallsOnly(sc), trie, contexts, 10, users)
+    native, native_counts = beam_search_users([sc], trie, contexts, 10, users)
+    per_call, per_call_counts = beam_search_users([CallsOnly(sc)], trie, contexts, 10, users)
     assert native == per_call
-    assert native_pairs == per_call_pairs
+    # the array path searches each distinct context tail once, the per-call path every user
+    rows = sc.context_matrix(contexts).tolist()
+    firsts = [c for n, c in enumerate(contexts) if rows.index(rows[n]) == n]
+    _, firsts_counts = beam_search_users([CallsOnly(sc)], trie, firsts, 10, users[:len(firsts)])
+    assert native_counts["distinct_contexts"] == len(firsts)
+    assert native_counts["pairs_scored"] == firsts_counts["pairs_scored"]
+    assert per_call_counts["distinct_contexts"] == len(contexts)
+
+
+def template_setup():
+    """batch_setup plus users whose contexts share the last `order` tokens of another
+    user's (one search for both) or only the last `order - 1` (two searches), and
+    three templates over one n-gram index."""
+    trie, vocab, streams, contexts, users = batch_setup(46)
+    order = 4
+    tail = streams["u0"][:order]  # a context seen in training
+    other = next(t for t in vocab if t != tail[0])
+    added = [tail, contexts[-1][:5] + tail, [other] + tail[1:], vocab[:3] + [other] + tail[1:],
+             contexts[-1][:-order] + [other] + contexts[-1][1 - order:]]
+    index = count_ngrams(streams, order, vocab)
+    scorers = [train_markov_scorer(streams, t, ScorerConfig(order=order, seed=6), "ceid",
+                                   vocab=vocab, index=index) for t in (1, 2, 3)]
+    return trie, scorers, contexts + added, users + [f"w{n}" for n in range(len(added))]
+
+
+@pytest.mark.parametrize("k", [1, 7, 20])
+def test_template_search_equals_single_searches(k):
+    trie, scorers, contexts, users = template_setup()
+    lists, counts = beam_search_users(scorers, trie, contexts, k, users)
+    assert [(rl.template, rl.user) for rl in lists] == [(t, u) for t in (1, 2, 3) for u in users]
+    for t, sc in enumerate(scorers, start=1):
+        for context, rl in zip(contexts, lists[(t - 1) * len(users):t * len(users)]):
+            assert rl == beam_search_constrained(sc, trie, context, k, user=rl.user,
+                                                 template_id=t)
+    # batch_setup's 8 tails (lengths 0-3 and 4 random ones) and 3 new ones: `tail`,
+    # [other] + tail[1:], and contexts[-1]'s with its `order`-th last token replaced
+    assert counts["distinct_contexts"] == 11
+    assert 0 < counts["lookup_pairs"] <= counts["pairs_scored"]
+    assert counts["pairs_scored"] >= 3 * 11 * min(k, len(trie.items))
+    # fewer users than templates: one distinct context per pass
+    one, _ = beam_search_users(scorers, trie, contexts[-1:], k, users[-1:])
+    assert one == lists[len(users) - 1::len(users)]
+
+
+def test_template_search_per_call_path_gives_the_same_records():
+    trie, scorers, contexts, users = template_setup()
+    native, native_counts = beam_search_users(scorers, trie, contexts, 7, users, [4, 5, 6])
+    per_call, per_call_counts = beam_search_users([CallsOnly(sc) for sc in scorers], trie,
+                                                  contexts, 7, users, [4, 5, 6])
+    assert native == per_call
+    assert [rl.template for rl in native[::len(users)]] == [4, 5, 6]
+    assert per_call_counts["distinct_contexts"] == len(contexts)
+    assert per_call_counts["lookup_pairs"] == per_call_counts["pairs_scored"]
+    assert native_counts["pairs_scored"] < per_call_counts["pairs_scored"]
