@@ -6,7 +6,7 @@ lexicographic code tuple.
 
 `beam_search_users` searches the templates of one index type for many users
 over the trie's per-depth child arrays: every step scores the (beam x child)
-pairs of many (template, context) groups together, and one `np.lexsort` keeps
+pairs of many (template, context) groups together, and one stable sort keeps
 each group's top k. Users with the same scorer context share one group.
 `beam_search_constrained` is the same search for one user and one scorer.
 """
