@@ -25,8 +25,8 @@ from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
-from .rqvae import (assign_codes, load_code_table, resolve_collisions, train_rqvae,
-                    write_code_table)
+from .rqvae import (assign_codes, index_counters, load_code_table, resolve_collisions,
+                    train_rqvae, write_code_table)
 from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
 from .synth import generate_synthetic
 from .vocab import build_prefix_trie, item_tokens
@@ -147,7 +147,10 @@ def stage_embed_collab(cfg: PipelineConfig) -> None:
 
 
 def stage_build_index(cfg: PipelineConfig) -> None:
-    """Train one quantizer per embedding source and emit collision-free code tables."""
+    """Train one quantizer per embedding source and emit collision-free code tables.
+
+    The manifest records each index type's index_counters.
+    """
     inputs = _require(cfg, "build-index", "collab.emb")
     if not cfg.semantic_emb.exists():
         raise PipelineError("build-index",
@@ -162,6 +165,7 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     if dropped:
         log.warning("build-index: %d embedding row(s) outside the common item set", dropped)
     outputs: dict[str, Path] = {}
+    counters: dict[str, dict] = {}
     for index_type, emb, sub_cfg in (("ceid", collab, cfg.rqvae_ceid),
                                      ("seid", semantic, cfg.rqvae_seid)):
         if len(common) < sub_cfg.codebook_size:  # k-means starts a codeword from each item
@@ -170,15 +174,20 @@ def stage_build_index(cfg: PipelineConfig) -> None:
         restricted = EmbeddingMatrix(dim=emb.dim,
                                      rows={i: emb.rows[i] for i in common},
                                      source_tag=emb.source_tag)
-        model = train_rqvae(restricted, sub_cfg)
-        table = resolve_collisions(assign_codes(model, restricted), index_type)
+        try:
+            model = train_rqvae(restricted, sub_cfg)
+        except RuntimeError as exc:  # training diverged
+            raise PipelineError("build-index", f"rqvae_{index_type}: {exc}") from exc
+        raw_codes = assign_codes(model, restricted)
+        counters[index_type] = index_counters(model, raw_codes)
+        table = resolve_collisions(raw_codes, index_type)
         codes_path = cfg.out_dir / f"codes_{index_type}.tsv"
         write_code_table(table, codes_path)
         outputs[f"codes_{index_type}.tsv"] = codes_path
         n_collide = sum(1 for tup in table.codes.values() if tup[-1] != 0)
         log.info("build-index: %s codes for %d items (%d in collision groups)",
                  index_type, len(table.codes), n_collide)
-    _write_manifest(cfg, "build-index", inputs, outputs)
+    _write_manifest(cfg, "build-index", inputs, outputs, extra={"counters": counters})
 
 
 def _token_streams(split: SplitDataset, table) -> dict[str, list[str]]:

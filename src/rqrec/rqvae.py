@@ -71,8 +71,11 @@ class RqVaeModel:
     codebooks: list[Codebook]
     config: RqVaeConfig
     input_dim: int
-    # (l_rec, l_rq) on the full data: entry 0 before training, then one per epoch
+    # (l_rec, l_rq), epochs + 1 entries. Entry 0 and the last entry are full-data
+    # evaluations before and after training; entry e in between is epoch e's
+    # training loss, the per-item mean over its batches at the parameters each saw
     loss_history: list[tuple[float, float]] = field(default_factory=list)
+    reseeds: list[int] = field(default_factory=list)  # dead codewords reseeded per level
 
 
 @dataclass
@@ -264,9 +267,14 @@ def _forward_backward(model: RqVaeModel, batch: np.ndarray
     Names and order follow parameter_arrays. The optimizer steps on this
     gradient, and gradient_check verifies it.
     """
+    fp = _forward(model, batch)
+    return fp, _gradients(model, batch, fp)
+
+
+def _gradients(model: RqVaeModel, batch: np.ndarray, fp: _ForwardPass
+               ) -> dict[str, np.ndarray]:
     n = batch.shape[0]
     beta = model.config.beta
-    fp = _forward(model, batch)
     residuals = fp.residuals
 
     # decoder gradients from the reconstruction loss
@@ -283,33 +291,75 @@ def _forward_backward(model: RqVaeModel, batch: np.ndarray
         cb_grads.append(scatter_add_rows(len(cb.vectors), fp.codes[:, l],
                                          (-2.0 / n) * residuals[:, l + 1]))
 
-    return fp, _named_arrays(enc_gw, enc_gb, dec_gw, dec_gb, cb_grads)
+    return _named_arrays(enc_gw, enc_gb, dec_gw, dec_gb, cb_grads)
 
 
 # ---------------------------------------------------------------------------
 # Training
 
 class _AdamW:
-    """Decoupled-weight-decay Adam over a dict of named parameter arrays."""
+    """Decoupled-weight-decay Adam over every parameter of a model, held as one vector.
 
-    def __init__(self, params: dict[str, np.ndarray], weight_decay: float):
-        self.params = params
+    The constructor copies the model's arrays into one float64 vector, in
+    parameter_arrays order, and rebinds them as views of it. parameter_arrays
+    stays a dict of live views, and one in-place update steps every array.
+    """
+
+    def __init__(self, model: RqVaeModel, weight_decay: float):
+        self.params = np.concatenate([a.reshape(-1) for a in parameter_arrays(model).values()])
+        _bind_views(model, self.params)
         self.weight_decay = weight_decay
-        self.m = {k: np.zeros_like(v) for k, v in params.items()}
-        self.v = {k: np.zeros_like(v) for k, v in params.items()}
+        self.m, self.v, self.grad, self._scratch = (np.zeros_like(self.params)
+                                                     for _ in range(4))
         self.t = 0
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
 
     def step(self, grads: dict[str, np.ndarray], lr: float) -> None:
+        """m = b1*m + (1-b1)*g;  v = b2*v + (1-b2)*g*g;
+        p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay*p)
+
+        One operation at a time, in that order, so every result is bitwise that
+        of the formula applied to each array on its own.
+        """
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
-        for k, p in self.params.items():
-            g = grads[k]
-            self.m[k] = self.b1 * self.m[k] + (1.0 - self.b1) * g
-            self.v[k] = self.b2 * self.v[k] + (1.0 - self.b2) * g * g
-            update = (self.m[k] / bc1) / (np.sqrt(self.v[k] / bc2) + self.eps)
-            p -= lr * (update + self.weight_decay * p)
+        p, m, v, g, s = self.params, self.m, self.v, self.grad, self._scratch
+        np.concatenate([a.reshape(-1) for a in grads.values()], out=g)
+        np.multiply(m, self.b1, out=m)
+        np.multiply(g, 1.0 - self.b1, out=s)
+        np.add(m, s, out=m)
+        np.multiply(v, self.b2, out=v)
+        np.multiply(g, 1.0 - self.b2, out=s)
+        np.multiply(s, g, out=s)
+        np.add(v, s, out=v)
+        u = g  # the gradient is used up: its vector holds the update
+        np.divide(v, bc2, out=s)
+        np.sqrt(s, out=s)
+        np.add(s, self.eps, out=s)
+        np.divide(m, bc1, out=u)
+        np.divide(u, s, out=u)
+        np.multiply(p, self.weight_decay, out=s)
+        np.add(u, s, out=u)
+        np.multiply(u, lr, out=u)
+        np.subtract(p, u, out=p)
+
+
+def _bind_views(model: RqVaeModel, flat: np.ndarray) -> None:
+    """Replace the model's arrays by views of `flat`, laid out in parameter_arrays order."""
+    offset = 0
+
+    def view(a: np.ndarray) -> np.ndarray:
+        nonlocal offset
+        offset += a.size
+        return flat[offset - a.size:offset].reshape(a.shape)
+
+    for weights, biases in ((model.encoder_weights, model.encoder_biases),
+                            (model.decoder_weights, model.decoder_biases)):
+        for k in range(len(weights)):
+            weights[k], biases[k] = view(weights[k]), view(biases[k])
+    for cb in model.codebooks:
+        cb.vectors = view(cb.vectors)
 
 
 def _layer_dims(d_in: int, d_out: int, cfg: RqVaeConfig) -> list[int]:
@@ -361,7 +411,13 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
 
     Uses decoupled-weight-decay adaptive gradient steps with a linearly decaying
     step size. Codewords never selected during an epoch are reseeded to the
-    encoder output of a randomly drawn item.
+    encoder output of a randomly drawn item; model.reseeds counts them per level.
+
+    model.loss_history gets epochs + 1 (l_rec, l_rq) entries. The first and the
+    last evaluate the whole data before and after training. Entry e in between
+    is epoch e's training loss: the per-item mean over its batches, each at the
+    parameters that batch saw, which needs no second forward pass. A quantizer
+    failure or a non-finite loss raises RuntimeError naming the epoch.
     """
     model = initialize_model(embeddings, cfg)
     items = sorted(embeddings.rows)
@@ -369,37 +425,51 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
     n = x.shape[0]
     rng = np.random.default_rng([cfg.seed, 1])  # stream separate from init's
 
-    opt = _AdamW(parameter_arrays(model), cfg.weight_decay)
+    opt = _AdamW(model, cfg.weight_decay)
+    model.reseeds = [0] * len(model.codebooks)
 
-    model.loss_history.append(_eval_losses(model, x))
+    model.loss_history.append(_eval_losses(model, x, 0))
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (1.0 - epoch / max(1, cfg.epochs))
         perm = rng.permutation(n)
         used = np.zeros((len(model.codebooks), cfg.codebook_size), dtype=bool)
+        l_rec = l_rq = 0.0
         for start in range(0, n, cfg.batch_size):
             batch = x[perm[start:start + cfg.batch_size]]
-            try:
-                fp, grads = _forward_backward(model, batch)
-            except ValueError as exc:  # non-finite activations inside the quantizer
-                raise RuntimeError(f"non-finite loss at epoch {epoch}") from exc
-            if not np.isfinite(fp.l_rec + fp.l_rq):
-                raise RuntimeError(f"non-finite loss at epoch {epoch}")
-            opt.step(grads, lr)
+            fp = _checked_forward(model, batch, epoch)
+            opt.step(_gradients(model, batch, fp), lr)
             used[np.arange(len(model.codebooks)), fp.codes] = True
+            share = batch.shape[0] / n  # 1.0 for one batch, which keeps its loss bitwise
+            l_rec += share * fp.l_rec
+            l_rq += share * fp.l_rq
         for l, cb in enumerate(model.codebooks):
             dead = np.flatnonzero(~used[l])
             if dead.size:
                 picks = rng.integers(0, n, size=dead.size)
                 cb.vectors[dead] = encode(model, x[picks])
-        model.loss_history.append(_eval_losses(model, x))
+                model.reseeds[l] += int(dead.size)
+        if epoch:  # epoch 0's parameters are entry 0's
+            model.loss_history.append((l_rec, l_rq))
+    if cfg.epochs:
+        model.loss_history.append(_eval_losses(model, x, cfg.epochs - 1))
     log.info("rqvae: trained %d epochs, l_rec %.6f -> %.6f", cfg.epochs,
              model.loss_history[0][0], model.loss_history[-1][0])
     return model
 
 
-def _eval_losses(model: RqVaeModel, x: np.ndarray) -> tuple[float, float]:
-    _, _, l_rec, l_rq, _ = forward_loss(model, x)
-    return l_rec, l_rq
+def _checked_forward(model: RqVaeModel, batch: np.ndarray, epoch: int) -> _ForwardPass:
+    try:
+        fp = _forward(model, batch)
+    except ValueError as exc:  # non-finite activations inside the quantizer
+        raise RuntimeError(f"non-finite loss at epoch {epoch}") from exc
+    if not np.isfinite(fp.l_rec + fp.l_rq):
+        raise RuntimeError(f"non-finite loss at epoch {epoch}")
+    return fp
+
+
+def _eval_losses(model: RqVaeModel, x: np.ndarray, epoch: int) -> tuple[float, float]:
+    fp = _checked_forward(model, x, epoch)
+    return fp.l_rec, fp.l_rq
 
 
 # ---------------------------------------------------------------------------
@@ -481,6 +551,18 @@ def assign_codes(model: RqVaeModel, embeddings: EmbeddingMatrix) -> dict[str, tu
     items = sorted(embeddings.rows)
     codes, _, _ = quantize_batch(encode(model, embeddings.matrix(items)), model.codebooks)
     return {item: tuple(int(c) for c in codes[k]) for k, item in enumerate(items)}
+
+
+def index_counters(model: RqVaeModel, raw_codes: dict[str, tuple[int, ...]]) -> dict:
+    """Deterministic health counters of one trained index and its raw L-level codes."""
+    codes = np.array(list(raw_codes.values()), dtype=np.int64)
+    _, group_sizes = np.unique(codes, axis=0, return_counts=True)
+    return {"used_per_level": [len(np.unique(column)) for column in codes.T],
+            "prefixes": len(group_sizes),
+            "max_group": int(group_sizes.max()),
+            "reseeds_per_level": list(model.reseeds),
+            "loss_first": list(model.loss_history[0]),
+            "loss_last": list(model.loss_history[-1])}
 
 
 def resolve_collisions(raw_codes: dict[str, tuple[int, ...]], index_type: str) -> ItemCodeTable:

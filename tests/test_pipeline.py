@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import pytest
@@ -467,7 +468,10 @@ def test_cli_seed_flag_changes_outputs(tmp_path):
 
 
 def test_manifest_counters_deterministic(pipeline_run):
-    from rqrec.pipeline import stage_embed_collab, stage_retrieve, stage_train_scorers
+    from collections import Counter
+
+    from rqrec.pipeline import (stage_build_index, stage_embed_collab, stage_retrieve,
+                                stage_train_scorers)
     _, _, cfg = pipeline_run
 
     def counters():
@@ -497,10 +501,29 @@ def test_manifest_counters_deterministic(pipeline_run):
         assert 0 < c["distinct_contexts"] <= c["lists"] / 3
         assert 0 < c["lookup_pairs"] <= c["pairs_scored"]
         assert c["pairs_scored"] >= 3 * c["distinct_contexts"] * min(cfg.k_retrieve, items)
+
+    def index_counters():
+        return json.loads((cfg.out_dir / "manifest_build_index.json").read_text())["counters"]
+
+    index = index_counters()
+    assert sorted(index) == ["ceid", "seid"]
+    for index_type, c in index.items():
+        table = load_code_table(cfg.out_dir / f"codes_{index_type}.tsv", index_type)
+        groups = Counter(tup[:-1] for tup in table.codes.values())
+        assert c["used_per_level"] == [len({prefix[level] for prefix in groups})
+                                       for level in range(table.code_len)]
+        assert c["prefixes"] == len(groups)
+        assert c["max_group"] == max(groups.values())
+        assert len(c["reseeds_per_level"]) == table.code_len
+        assert all(r >= 0 for r in c["reseeds_per_level"])
+        assert len(c["loss_first"]) == len(c["loss_last"]) == 2  # (l_rec, l_rq)
+        assert 0.0 < c["loss_last"][0] < c["loss_first"][0]
     stage_embed_collab(cfg)
+    stage_build_index(cfg)
     stage_train_scorers(cfg)
     stage_retrieve(cfg)
     assert counters() == (collab, ngram_rows, retrieval)
+    assert index_counters() == index
 
 
 def test_retrieve_refuses_checkpoint_without_the_templates(pipeline_run, tmp_path):
@@ -637,6 +660,16 @@ def test_cli_catalog_smaller_than_codebook_names_the_key(tmp_path, capsys):
     assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 1
     err = capsys.readouterr().err
     assert "error [build-index] 6 items, fewer than rqvae_ceid.codebook_size (8)" in err
+    assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
+
+
+def test_cli_diverging_quantizer_names_index_and_epoch(tmp_path, capsys):
+    import numpy as np
+    path = write_config(tmp_path, **{"rqvae.learning_rate": 1e150})  # one batch per epoch
+    with np.errstate(all="ignore"):
+        assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error \[build-index\] rqvae_ceid: non-finite loss at epoch \d+\n", err)
     assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
 
 

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from rqrec.dataio import EmbeddingMatrix
-from rqrec.rqvae import (Codebook, RqVaeConfig, RqVaeModel, _forward_backward, _sq_dists,
+from rqrec.rqvae import (Codebook, RqVaeConfig, RqVaeModel, _AdamW, _forward_backward, _sq_dists,
                          assign_codes, finite_difference_gradients, forward_loss,
                          gradient_check, initialize_model, kmeans_init,
                          load_code_table, max_relative_error, parameter_arrays,
@@ -257,10 +257,79 @@ def test_train_same_seed_identical():
 
 
 def test_train_divergence_names_epoch():
-    emb = clustered_embeddings(seed=10)
-    cfg = RqVaeConfig(epochs=50, seed=6, **{**SMALL, "learning_rate": 1e150})
-    with pytest.raises(RuntimeError, match="epoch"), np.errstate(all="ignore"):
-        train_rqvae(emb, cfg)
+    emb = clustered_embeddings(seed=10)  # 300 items
+    for batch_size in (SMALL["batch_size"], 512):  # several batches per epoch, then one
+        cfg = RqVaeConfig(epochs=50, seed=6, **{**SMALL, "learning_rate": 1e150,
+                                                "batch_size": batch_size})
+        with pytest.raises(RuntimeError, match=r"^non-finite loss at epoch \d+$"), \
+                np.errstate(all="ignore"):
+            train_rqvae(emb, cfg)
+
+
+@pytest.mark.parametrize("batch_size", [64, 300])  # several batches per epoch, or one
+def test_loss_history_ends_are_full_data_losses(batch_size):
+    emb = clustered_embeddings(seed=20)
+    x = emb.matrix(sorted(emb.rows))
+    for epochs in (0, 1, 7):
+        cfg = RqVaeConfig(epochs=epochs, seed=21, **{**SMALL, "batch_size": batch_size})
+        model = train_rqvae(emb, cfg)
+        assert len(model.loss_history) == epochs + 1
+        assert model.loss_history[0] == forward_loss(initialize_model(emb, cfg), x)[2:4]
+        assert model.loss_history[-1] == forward_loss(model, x)[2:4]
+        assert all(np.isfinite(entry).all() for entry in model.loss_history)
+
+
+def reference_adamw(params, grads, m, v, t, lr, weight_decay):
+    """The per-array AdamW step the one-vector optimizer replaced, applied in place."""
+    b1, b2, eps = 0.9, 0.999, 1e-8
+    bc1 = 1.0 - b1 ** t
+    bc2 = 1.0 - b2 ** t
+    for k, p in params.items():
+        g = grads[k]
+        m[k] = b1 * m[k] + (1.0 - b1) * g
+        v[k] = b2 * v[k] + (1.0 - b2) * g * g
+        update = (m[k] / bc1) / (np.sqrt(v[k] / bc2) + eps)
+        p -= lr * (update + weight_decay * p)
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+def test_adamw_equals_per_array_formula(weight_decay):
+    emb = clustered_embeddings(n=40, dim=5, seed=22)
+    cfg = RqVaeConfig(latent_dim=3, code_len=2, codebook_size=4, hidden_dim=7, n_layers=3,
+                      epochs=0, batch_size=40, seed=23)
+    model = initialize_model(emb, cfg)
+    ref = {k: a.copy() for k, a in parameter_arrays(model).items()}
+    assert len({a.shape for a in ref.values()}) >= 4  # 2-D weights, 1-D biases, codebooks
+    m = {k: np.zeros_like(a) for k, a in ref.items()}
+    v = {k: np.zeros_like(a) for k, a in ref.items()}
+    opt = _AdamW(model, weight_decay)
+    rng = np.random.default_rng(24)
+    for t in range(1, 6):
+        grads = {}
+        for k, a in ref.items():
+            g = rng.normal(size=a.shape) * 10.0 ** float(rng.integers(-6, 3))
+            g[rng.random(a.shape) < 0.2] = 0.0  # untouched entries, as for unused codewords
+            grads[k] = g
+        lr = 1e-2 * (1.0 - (t - 1) / 5)
+        opt.step(grads, lr)
+        reference_adamw(ref, grads, m, v, t, lr, weight_decay)
+        for k, a in parameter_arrays(model).items():
+            assert a.tobytes() == ref[k].tobytes(), (t, k)
+
+
+def test_trained_arrays_stay_views_of_the_optimizer_vector():
+    emb = clustered_embeddings(seed=25)
+    model = train_rqvae(emb, RqVaeConfig(epochs=12, seed=26, **SMALL))
+    assert sum(model.reseeds) > 0  # the in-place codeword reseed ran
+    arrays = list(parameter_arrays(model).values())
+    flat = arrays[0].base
+    assert flat is not None and flat.ndim == 1 and flat.size == sum(a.size for a in arrays)
+    start = flat.__array_interface__["data"][0]
+    offset = 0
+    for a in arrays:  # laid out in parameter_arrays order, the gradient's order
+        assert a.base is flat and np.shares_memory(a, flat)
+        assert a.__array_interface__["data"][0] == start + offset * flat.itemsize
+        offset += a.size
 
 
 def test_train_requires_first_batch_covering_codebook():
