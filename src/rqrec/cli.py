@@ -45,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
     try:
-        run_stage(cfg, args.stage, synthetic=args.synthetic, mode=args.mode)
+        run_stage(cfg, args.stage, synthetic=args.synthetic)
     except PipelineError as exc:
         print(f"error {exc}", file=sys.stderr)
         return 1

@@ -112,11 +112,9 @@ def _coerce(kind, raw: str):
     if kind is Path:
         return Path(raw)
     if kind == "bool":
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ValueError(f"expected boolean, got {raw!r}")
+        if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
+            raise ValueError(raw)
+        return raw.lower() in ("true", "1", "yes")
     if kind == "int_list":
         return [int(x) for x in raw.split(",") if x.strip()]
     return kind(raw)
@@ -126,21 +124,24 @@ def apply_setting(cfg: PipelineConfig, dotted: str, raw: str) -> None:
     """Set one `section.key = value` entry, with type coercion."""
     if dotted in _TOP_KEYS:
         attr, kind = _TOP_KEYS[dotted]
-        setattr(cfg, attr, _coerce(kind, raw))
-        return
-    section, _, key = dotted.partition(".")
-    aliases = dict(_SECTIONS)
-    aliases["rqvae"] = ("rqvae", RqVaeConfig)  # shorthand applying to both index types
-    if section not in aliases:
-        raise ValueError(f"unknown config key {dotted!r}")
-    attr, cls = aliases[section]
-    defaults = cls()
-    if not hasattr(defaults, key):
-        raise ValueError(f"unknown config key {dotted!r}")
-    value = _coerce(type(getattr(defaults, key)), raw)
-    targets = [cfg.rqvae_ceid, cfg.rqvae_seid] if section == "rqvae" else [getattr(cfg, attr)]
+        targets = [cfg]
+    else:
+        section, _, attr = dotted.partition(".")
+        aliases = dict(_SECTIONS)
+        aliases["rqvae"] = ("rqvae", RqVaeConfig)  # shorthand applying to both index types
+        defaults = aliases[section][1]() if section in aliases else None
+        if defaults is None or not hasattr(defaults, attr):
+            raise ValueError(f"unknown config key {dotted!r}")
+        kind = type(getattr(defaults, attr))
+        targets = ([cfg.rqvae_ceid, cfg.rqvae_seid] if section == "rqvae"
+                   else [getattr(cfg, aliases[section][0])])
+    try:
+        value = _coerce(kind, raw)
+    except ValueError:
+        name = {"int_list": "comma-separated ints"}.get(kind, getattr(kind, "__name__", kind))
+        raise ValueError(f"{dotted}: expected {name}, got {raw!r}") from None
     for target in targets:
-        setattr(target, key, value)
+        setattr(target, attr, value)
 
 
 def load_config(path: str | Path | None,
@@ -148,7 +149,7 @@ def load_config(path: str | Path | None,
                 seed: int | None = None) -> PipelineConfig:
     """Parse a config file plus `--set key=value` overrides; validate before use."""
     cfg = PipelineConfig()
-    entries: list[tuple[str, str]] = []
+    entries: list[tuple[str, str, str]] = []  # key, value, where a file entry came from
     if path is not None:
         for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
             line = line.strip()
@@ -157,17 +158,20 @@ def load_config(path: str | Path | None,
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected 'section.key = value'")
             key, _, raw = line.partition("=")
-            entries.append((key.strip(), raw.strip()))
+            entries.append((key.strip(), raw.strip(), f"{path}:{lineno}: "))
     for item in overrides or []:
         if "=" not in item:
             raise ValueError(f"override {item!r} must be section.key=value")
         key, _, raw = item.partition("=")
-        entries.append((key.strip(), raw.strip()))
-    for key, raw in entries:
-        apply_setting(cfg, key, raw)
+        entries.append((key.strip(), raw.strip(), ""))
+    for key, raw, where in entries:
+        try:
+            apply_setting(cfg, key, raw)
+        except ValueError as exc:
+            raise ValueError(f"{where}{exc}") from None
     if seed is not None:
         cfg.seed = seed
-    _derive_seeds(cfg, explicit={k for k, _ in entries})
+    _derive_seeds(cfg, explicit={key for key, _, _ in entries})
     cfg.validate()
     return cfg
 

@@ -27,7 +27,7 @@ from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
 from .rqvae import (assign_codes, index_counters, load_code_table, resolve_collisions,
                     train_rqvae, write_code_table)
-from .scorer import count_ngrams, load_scorer, save_scorer, train_markov_scorer
+from .scorer import load_scorer, save_scorer, train_markov_scorer
 from .synth import generate_synthetic
 from .vocab import build_prefix_trie, item_tokens
 
@@ -217,9 +217,8 @@ def stage_train_scorers(cfg: PipelineConfig) -> None:
         streams = _token_streams(split, table)
         vocab = sorted({code_tok for item in table.codes
                         for code_tok in item_tokens(table, item)})
-        index = count_ngrams(streams, cfg.scorer.order, vocab)
-        scorers = [train_markov_scorer(streams, t, cfg.scorer, index_type, vocab, index=index)
-                   for t in range(1, cfg.templates + 1)]
+        scorers = train_markov_scorer(streams, list(range(1, cfg.templates + 1)), cfg.scorer,
+                                      index_type, vocab)
         path = cfg.out_dir / f"scorer_{index_type}.txt"
         save_scorer(scorers, path)
         outputs[path.name] = path

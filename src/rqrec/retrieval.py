@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from .rqvae import ItemCodeTable
-from .scorer import MarkovScorer, TemplateStack
+from .scorer import MarkovScorer, check_shared_table
 from .vocab import PrefixTrie, code_token
 
 
@@ -59,11 +59,12 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]]
     lists (1..T by default), each template's lists in user order.
 
     Each list is what a search of that user alone with that scorer gives.
-    MarkovScorers share a search per distinct `context_matrix` row: users whose
-    last `order` tokens match get their row's list (the same list objects). A
-    pass searches every template for a slice of the distinct rows, at most as
-    many (template, row) groups as there are users, and each step scores all
-    beams of the pass together (`TemplateStack`). Any other scorer is asked
+    MarkovScorers (templates over one table) share a search per distinct
+    `context_matrix` row: users whose last `order` tokens match get their row's
+    list (the same list objects). A pass searches every template for a slice of
+    the distinct rows, at most as many (template, row) groups as there are
+    users, and each step scores all beams of the pass together, each in its
+    scorer's table column. Any other scorer is asked
     row by row, one full context and one template per `next_token_logprobs`
     call.
 
@@ -88,13 +89,15 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]]
             raise ValueError(f"unknown context token {first!r}")
     native = all(isinstance(scorer, MarkovScorer) for scorer in scorers)
     if native:
-        stack = TemplateStack(scorers)
+        check_shared_table(scorers)
+        columns = np.array([sc.column for sc in scorers], dtype=np.int64)
         cand_ids, path_ids = _token_id_levels(scorers[0], trie)
         distinct: dict[tuple[int, ...], int] = {}
         user_row = np.array([distinct.setdefault(r, len(distinct))
                              for r in map(tuple, scorers[0].context_matrix(contexts).tolist())],
                             dtype=np.int64)
-        row_ctx = np.array(list(distinct), dtype=np.int64).reshape(len(distinct), stack.order)
+        row_ctx = np.array(list(distinct), dtype=np.int64).reshape(len(distinct),
+                                                                   scorers[0].order)
     else:
         user_row = np.arange(len(contexts))
     n_rows, n_templates = int(user_row.max(initial=-1)) + 1, len(scorers)
@@ -122,7 +125,7 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]]
                 ctx = np.concatenate([row_ctx[key_row], path_ids[d][key_node]], axis=1)[:, d:]
                 cand = cand_ids[d][key_node]
                 counts["lookup_pairs"] += int(np.count_nonzero(cand >= 0))
-                logp = stack.logprobs(ctx, cand, beam_key, group_template[group])
+                logp = scorers[0].logprobs(ctx, cand, beam_key, columns[group_template[group]])
             else:
                 logp = np.full(kids.shape, -np.inf)
                 for r, (g, n) in enumerate(zip(group.tolist(), node.tolist())):

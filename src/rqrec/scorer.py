@@ -8,15 +8,17 @@ with the add-delta unigram at order 0. Any object exposing
 contract (exp of values over the candidate set sums to 1) can stand in,
 e.g. an autoregressive language model.
 
-Tables are integer arrays, one set per order k. A context of order k (the k
-tokens before a position) gets its id through its suffix chain: its key is
+One `NgramTables` holds the counts of every template of an index type, as
+integer arrays per order k. A context of order k (the k tokens before a
+position) gets its id through its suffix chain: its key is
 `id(order k-1 suffix) * |V| + token at -k`, and its id is the rank of that key
 among the sorted context keys of order k. An n-gram's key is
-`context id * |V| + next token`. Lookups are `np.searchsorted` over the sorted
-keys, so a batch of (context, candidate) pairs is scored in a few array
-operations per order. `TemplateStack` scores the templates of one index type
-together: each key is looked up once per (context, candidate) pair, and each
-template's count is read from a column of one count matrix.
+`context id * |V| + next token`. The keys are shared by all templates; counts
+and totals are key-major matrices with one column per template, and each
+`MarkovScorer` reads its own column. Lookups are `np.searchsorted` over the
+sorted keys, so a batch of (context, candidate) pairs is scored in a few array
+operations per order, for any mix of templates: each key is looked up once and
+every template's count is gathered from its row.
 
 Template variants: template 1 trains on the full per-user streams; template
 t > 1 trains on a bootstrap resample (with replacement) of user streams seeded
@@ -53,7 +55,13 @@ class ScorerConfig:
 
 @dataclass
 class NgramTables:
-    """Per order k: sorted context keys, their totals, sorted n-gram keys, their counts."""
+    """The tables of an index type's templates, per order k.
+
+    `ctx_keys[k]` and `ngram_keys[k]` are sorted and shared by every template.
+    `totals[k]` and `counts[k]` are int64 of shape (len(keys) + 1, templates),
+    key-major: row i, column t is key i's value under template column t. The
+    last row is zeros, so key index -1 (absent) reads 0.
+    """
 
     ctx_keys: list[np.ndarray]
     totals: list[np.ndarray]
@@ -62,16 +70,21 @@ class NgramTables:
 
     @classmethod
     def empty(cls, order: int) -> NgramTables:
-        def none() -> list[np.ndarray]:
-            return [np.zeros(0, dtype=np.int64) for _ in range(order + 1)]
-        return cls(none(), none(), none(), none())
+        """One template column and no keys."""
+        keys, zero = np.zeros(0, dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
+        return cls(*([a] * (order + 1) for a in (keys, zero, keys, zero)))
 
     @classmethod
     def from_counts(cls, ctx_keys: list[np.ndarray], ngram_keys: list[np.ndarray],
                     counts: list[np.ndarray], v: int) -> NgramTables:
-        """Tables whose context totals are the sums of their n-gram counts."""
-        totals = [np.bincount(keys // v, weights=c, minlength=len(ctx)).astype(np.int64)
-                  for ctx, keys, c in zip(ctx_keys, ngram_keys, counts)]
+        """Tables whose context totals are the sums of their n-gram counts, per column."""
+        totals = []
+        for ctx, keys, c in zip(ctx_keys, ngram_keys, counts):
+            parent = keys // v
+            total = np.zeros((len(ctx) + 1, c.shape[1]), dtype=np.int64)
+            for t in range(c.shape[1]):
+                total[:-1, t] = np.bincount(parent, weights=c[:-1, t], minlength=len(ctx))
+            totals.append(total)
         return cls(list(ctx_keys), totals, list(ngram_keys), list(counts))
 
 
@@ -84,11 +97,11 @@ def _find(keys: np.ndarray, query: np.ndarray) -> np.ndarray:
 
 
 class MarkovScorer:
-    """Count-based autoregressive scorer over a fixed token vocabulary."""
+    """Count-based autoregressive scorer of one template: column `column` of its tables."""
 
     def __init__(self, order: int, delta: float, backoff_lambda: float,
                  template_id: int, index_type: str, vocab: list[str],
-                 tables: NgramTables | None = None):
+                 tables: NgramTables | None = None, column: int = 0):
         self.order = order
         self.delta = delta
         self.backoff_lambda = backoff_lambda
@@ -97,12 +110,14 @@ class MarkovScorer:
         self.vocab = list(vocab)
         self._tok_id = {t: k for k, t in enumerate(self.vocab)}
         self.tables = tables if tables is not None else NgramTables.empty(order)
+        self.column = column
 
     def add_stream(self, stream: list[str]) -> None:
-        """Count one more stream into the tables."""
+        """Count one more stream into this template; the scorer then has a table of its own."""
         index = count_ngrams({"": stream}, self.order, self.vocab)
-        self.tables = _merge_tables(self.tables, index.tables(np.ones(1, dtype=np.int64)),
-                                    len(self.vocab))
+        self.tables = _merge_tables(self.tables, self.column,
+                                    index.tables(np.ones((1, 1), dtype=np.int64)), len(self.vocab))
+        self.column = 0
 
     def token_ids(self, tokens: list[str]) -> list[int]:
         """Vocabulary ids, OOV for unknown tokens."""
@@ -117,16 +132,6 @@ class MarkovScorer:
                 out[r, self.order - len(tail):] = self.token_ids(tail)
         return out
 
-    def candidate_logprobs(self, contexts: np.ndarray, candidates: np.ndarray) -> np.ndarray:
-        """(rows, C) log-probabilities renormalized over each row's candidates.
-
-        `contexts` comes from `context_matrix` (or has its layout); `candidates`
-        holds vocabulary ids, -1 in unused cells. This is the one-template case
-        of `TemplateStack.logprobs`.
-        """
-        rows = np.arange(len(contexts))
-        return TemplateStack([self]).logprobs(contexts, candidates, rows, np.zeros_like(rows))
-
     def next_token_logprobs(self, context: list[str],
                             candidates: tuple[str, ...] | list[str] | set[str]
                             ) -> dict[str, float]:
@@ -138,58 +143,21 @@ class MarkovScorer:
             if t not in self._tok_id:
                 raise ValueError(f"candidate token {t!r} not in vocabulary")
         ids = np.array([self.token_ids(cand)], dtype=np.int64)
-        logp = self.candidate_logprobs(self.context_matrix([context]), ids)
+        logp = self.logprobs(self.context_matrix([context]), ids, np.zeros(1, dtype=np.int64),
+                             np.full(1, self.column))
         return dict(zip(cand, logp[0].tolist()))
 
     def ngram_rows(self) -> list[int]:
         """Number of distinct n-grams with a nonzero count, per order."""
-        return [int(np.count_nonzero(c)) for c in self.tables.counts]
-
-
-def _same_model(a: MarkovScorer, b: MarkovScorer) -> bool:
-    """True when a and b differ at most in template id and counts."""
-    return ((a.index_type, a.order, a.delta, a.backoff_lambda, a.vocab)
-            == (b.index_type, b.order, b.delta, b.backoff_lambda, b.vocab)
-            and all(x is y or np.array_equal(x, y)
-                    for x, y in zip(a.tables.ctx_keys + a.tables.ngram_keys,
-                                    b.tables.ctx_keys + b.tables.ngram_keys)))
-
-
-class TemplateStack:
-    """The templates of one index type, scored together over their shared keys.
-
-    Per order k, `counts[k]` and `totals[k]` hold the templates' n-gram counts
-    and context totals key-major: key i's value under template t is at
-    i * T + t. A last key row of zeros makes key index -1 (absent) read 0.
-    """
-
-    def __init__(self, scorers: list[MarkovScorer]):
-        first = scorers[0]
-        for t, sc in enumerate(scorers[1:], start=2):
-            if not _same_model(sc, first):
-                raise ValueError(f"scorer {t} of {len(scorers)} does not share the index "
-                                 "type, order, smoothing, vocab and keys of scorer 1")
-        self.order, self.delta, self.lam = first.order, first.delta, first.backoff_lambda
-        self.v, self.templates = len(first.vocab), len(scorers)
-        self.ctx_keys, self.ngram_keys = first.tables.ctx_keys, first.tables.ngram_keys
-
-        def stacked(arrays: list[np.ndarray]) -> np.ndarray:
-            out = np.zeros((len(arrays[0]) + 1, len(arrays)), dtype=np.int64)
-            for t, a in enumerate(arrays):
-                out[:-1, t] = a
-            return out.ravel()
-        self.counts = [stacked([sc.tables.counts[k] for sc in scorers])
-                       for k in range(self.order + 1)]
-        self.totals = [stacked([sc.tables.totals[k] for sc in scorers])
-                       for k in range(self.order + 1)]
+        return [int(np.count_nonzero(c[:, self.column])) for c in self.tables.counts]
 
     def logprobs(self, contexts: np.ndarray, candidates: np.ndarray, row: np.ndarray,
-                 template: np.ndarray) -> np.ndarray:
+                 column: np.ndarray) -> np.ndarray:
         """(len(row), C) log-probabilities of candidates[row[i]] after contexts[row[i]]
-        under template index template[i], renormalized over each row's candidates.
+        under table column column[i], renormalized over each row's candidates.
 
-        `contexts` has the layout of `MarkovScorer.context_matrix`; `candidates`
-        holds vocabulary ids, -1 in unused cells. Key lookups run once per
+        `contexts` has the layout of `context_matrix`; `candidates` holds
+        vocabulary ids, -1 in unused cells. Key lookups run once per
         (context, candidate) cell, however many output rows read it. The row
         sum adds the cells in column order, so columns should be in
         sorted-token order. Unused cells come back as -inf.
@@ -200,7 +168,7 @@ class TemplateStack:
         rows, cols = np.nonzero(cells[row] >= 0)
         probs = np.zeros((len(row), candidates.shape[1]))
         probs[rows, cols] = self._probs(contexts, at_row, candidates[at_row, at_col],
-                                        cells[row[rows], cols], template[rows])
+                                        cells[row[rows], cols], column[rows])
         # Python's sum over a row, left to right, and math.log: both keep the
         # values bitwise equal to the scalar formula (numpy's pairwise sum and
         # np.log do not)
@@ -212,25 +180,26 @@ class TemplateStack:
         return out
 
     def _probs(self, contexts: np.ndarray, cell_row: np.ndarray, cell_token: np.ndarray,
-               cell: np.ndarray, template: np.ndarray) -> np.ndarray:
+               cell: np.ndarray, column: np.ndarray) -> np.ndarray:
         """Interpolated probability of each output: the token of cell[i] after
-        its context row, under template index template[i].
+        its context row, under table column column[i].
 
         The float operations run in the order of the scalar formula, so each
         value is bitwise what a per-candidate evaluation gives.
         """
-        v, lam, n_templates = self.v, self.lam, self.templates
+        tab, v, lam = self.tables, len(self.vocab), self.backoff_lambda
+        n_columns = tab.counts[0].shape[1]
         out_row = cell_row[cell]
 
         def smoothed(k: int, ids: np.ndarray) -> np.ndarray:
             """(count + delta) / (total + delta |V|) at order k; context id -1 counts 0."""
             ctx = ids[cell_row]
-            at = _find(self.ngram_keys[k], np.where(ctx >= 0, ctx * v + cell_token, -1))
-            count = self.counts[k].take((at * n_templates)[cell] + template)
-            total = self.totals[k].take((ids * n_templates)[out_row] + template)
+            at = _find(tab.ngram_keys[k], np.where(ctx >= 0, ctx * v + cell_token, -1))
+            count = tab.counts[k].take((at * n_columns)[cell] + column)
+            total = tab.totals[k].take((ids * n_columns)[out_row] + column)
             return (count + self.delta) / (total + self.delta * v)
 
-        ids = np.full(len(contexts), 0 if len(self.ctx_keys[0]) else -1, dtype=np.int64)
+        ids = np.full(len(contexts), 0 if len(tab.ctx_keys[0]) else -1, dtype=np.int64)
         p = smoothed(0, ids)
         for k in range(1, self.order + 1):
             lead = contexts[:, self.order - k]
@@ -239,9 +208,20 @@ class TemplateStack:
                 break
             # id -1: a context with zero counts (never seen, or holding an OOV token)
             known = live & (lead >= 0) & (ids >= 0)
-            ids = np.where(known, _find(self.ctx_keys[k], ids * v + lead), -1)
+            ids = np.where(known, _find(tab.ctx_keys[k], ids * v + lead), -1)
             p = np.where(live[out_row], (1.0 - lam) * smoothed(k, ids) + lam * p, p)
         return p
+
+
+def check_shared_table(scorers: list[MarkovScorer]) -> None:
+    """Refuse scorers that are not templates of one model: one table, the same settings."""
+    def model(sc: MarkovScorer) -> tuple:
+        return id(sc.tables), sc.index_type, sc.order, sc.delta, sc.backoff_lambda, sc.vocab
+    for n, sc in enumerate(scorers[1:], start=2):
+        if model(sc) != model(scorers[0]):
+            raise ValueError(f"scorer {n} of {len(scorers)} (template {sc.template_id}) does "
+                             "not share the n-gram table, index type, order, smoothing and "
+                             "vocab of scorer 1")
 
 
 # ---------------------------------------------------------------------------
@@ -265,13 +245,18 @@ class NgramIndex:
     owners: list[np.ndarray]
 
     def tables(self, weights: np.ndarray) -> NgramTables:
-        """Tables counting user j's stream weights[j] times, over the shared keys.
+        """Tables with one column per row of the (templates, users) `weights`:
+        column t counts user j's stream weights[t, j] times, over the shared keys.
 
         A key with count 0 (total 0) scores as an absent one, and a context
         with total 0 has only zero-total extensions, so the zero rows are kept.
         """
-        counts = [np.bincount(ids, weights=weights[own], minlength=len(keys)).astype(np.int64)
-                  for ids, own, keys in zip(self.ngram_ids, self.owners, self.ngram_keys)]
+        counts = []
+        for ids, own, keys in zip(self.ngram_ids, self.owners, self.ngram_keys):
+            c = np.zeros((len(keys) + 1, len(weights)), dtype=np.int64)
+            for t, w in enumerate(weights):  # one float column at a time
+                c[:-1, t] = np.bincount(ids, weights=w[own], minlength=len(keys))
+            counts.append(c)
         return NgramTables.from_counts(self.ctx_keys, self.ngram_keys, counts, self.vocab_size)
 
 
@@ -306,8 +291,8 @@ def count_ngrams(streams: dict[str, list[str]], order: int,
     return index
 
 
-def _merge_tables(a: NgramTables, b: NgramTables, v: int) -> NgramTables:
-    """Tables holding the summed counts of a and b."""
+def _merge_tables(a: NgramTables, column: int, b: NgramTables, v: int) -> NgramTables:
+    """One-template tables holding the summed counts of a's column and b's first."""
     out = NgramTables([], [], [], [])
     map_a = map_b = np.zeros(1, dtype=np.int64)
     for k in range(len(a.ctx_keys)):
@@ -315,15 +300,15 @@ def _merge_tables(a: NgramTables, b: NgramTables, v: int) -> NgramTables:
         kb = map_b[b.ctx_keys[k] // v] * v + b.ctx_keys[k] % v
         ctx_keys = np.union1d(ka, kb)
         map_a, map_b = np.searchsorted(ctx_keys, ka), np.searchsorted(ctx_keys, kb)
-        totals = np.zeros(len(ctx_keys), dtype=np.int64)
-        totals[map_a] += a.totals[k]
-        totals[map_b] += b.totals[k]
+        totals = np.zeros((len(ctx_keys) + 1, 1), dtype=np.int64)
+        totals[map_a, 0] += a.totals[k][:-1, column]
+        totals[map_b, 0] += b.totals[k][:-1, 0]
         na = map_a[a.ngram_keys[k] // v] * v + a.ngram_keys[k] % v
         nb = map_b[b.ngram_keys[k] // v] * v + b.ngram_keys[k] % v
         ngram_keys = np.union1d(na, nb)
-        counts = np.zeros(len(ngram_keys), dtype=np.int64)
-        counts[np.searchsorted(ngram_keys, na)] += a.counts[k]
-        counts[np.searchsorted(ngram_keys, nb)] += b.counts[k]
+        counts = np.zeros((len(ngram_keys) + 1, 1), dtype=np.int64)
+        counts[np.searchsorted(ngram_keys, na), 0] += a.counts[k][:-1, column]
+        counts[np.searchsorted(ngram_keys, nb), 0] += b.counts[k][:-1, 0]
         out.ctx_keys.append(ctx_keys)
         out.totals.append(totals)
         out.ngram_keys.append(ngram_keys)
@@ -331,37 +316,31 @@ def _merge_tables(a: NgramTables, b: NgramTables, v: int) -> NgramTables:
     return out
 
 
-def train_markov_scorer(streams: dict[str, list[str]], template_id: int,
+def train_markov_scorer(streams: dict[str, list[str]], template_ids: list[int],
                         cfg: ScorerConfig, index_type: str,
-                        vocab: list[str] | None = None,
-                        index: NgramIndex | None = None) -> MarkovScorer:
-    """Count n-grams over per-user token streams for one template variant.
+                        vocab: list[str] | None = None) -> list[MarkovScorer]:
+    """One scorer per template id, over per-user token streams counted once.
 
-    `index` is `count_ngrams(streams, cfg.order, vocab)`; pass it to share one
-    counting pass between the templates of the same streams.
+    The scorers share one `NgramTables`; scorer i reads its column i.
     """
     cfg.validate()
     streams = {u: s for u, s in streams.items() if s}
     if not streams:
         raise ValueError("no non-empty training streams")
-    users = sorted(streams)
     if vocab is None:
         vocab = sorted({t for s in streams.values() for t in s})
-    if index is None:
-        index = count_ngrams(streams, cfg.order, vocab)
-    if (index.users != users or index.vocab_size != len(vocab)
-            or len(index.ngram_keys) != cfg.order + 1):
-        raise ValueError("n-gram index does not match the streams, vocab or order")
-    if template_id == 1:
-        weights = np.ones(len(users), dtype=np.int64)
-    else:
-        rng = np.random.default_rng([cfg.seed, template_id])
-        weights = np.bincount(rng.integers(0, len(users), size=len(users)),
-                              minlength=len(users))
-    return MarkovScorer(order=cfg.order, delta=cfg.delta,
-                        backoff_lambda=cfg.backoff_lambda,
-                        template_id=template_id, index_type=index_type,
-                        vocab=vocab, tables=index.tables(weights))
+    index = count_ngrams(streams, cfg.order, vocab)
+    n = len(index.users)
+    weights = np.ones((len(template_ids), n), dtype=np.int64)
+    for w, template_id in zip(weights, template_ids):
+        if template_id != 1:
+            rng = np.random.default_rng([cfg.seed, template_id])
+            w[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
+    tables = index.tables(weights)
+    return [MarkovScorer(order=cfg.order, delta=cfg.delta, backoff_lambda=cfg.backoff_lambda,
+                         template_id=template_id, index_type=index_type, vocab=vocab,
+                         tables=tables, column=column)
+            for column, template_id in enumerate(template_ids)]
 
 
 # ---------------------------------------------------------------------------
@@ -377,14 +356,14 @@ def _array_line(name: str, values: np.ndarray) -> str:
 
 
 def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
-    """Write the scorers of templates 1..T of one index type, which share their keys."""
+    """Write the scorers of templates 1..T of one index type, which share one table."""
     if not scorers:
         raise ValueError("no scorers to save")
+    if [sc.template_id for sc in scorers] != list(range(1, len(scorers) + 1)):
+        raise ValueError(f"scorers of templates {[sc.template_id for sc in scorers]}, "
+                         f"not 1..{len(scorers)}")
+    check_shared_table(scorers)
     first = scorers[0]
-    for t, sc in enumerate(scorers, start=1):
-        if sc.template_id != t or not _same_model(sc, first):
-            raise ValueError(f"scorer {t} of {len(scorers)} is not template {t} with the "
-                             "index type, order, smoothing, vocab and keys of template 1")
     tab = first.tables
     lines = [SCORER_MAGIC,
              f"index_type {first.index_type}",
@@ -399,50 +378,63 @@ def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
     for k in range(first.order + 1):
         lines += [_array_line(f"ctx{k}", tab.ctx_keys[k]),
                   _array_line(f"ngram{k}", tab.ngram_keys[k])]
-        lines += [_array_line(f"count{k}_t{sc.template_id}", sc.tables.counts[k])
+        lines += [_array_line(f"count{k}_t{sc.template_id}", tab.counts[k][:-1, sc.column])
                   for sc in scorers]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
 def load_scorer(path: str | Path) -> list[MarkovScorer]:
-    """The scorers of templates 1..T; they share one set of key arrays."""
+    """The scorers of templates 1..T: columns 0..T-1 of one shared table."""
     lines = Path(path).read_text(encoding="utf-8").splitlines()
-    rerun = "; rerun the 'train-scorers' stage"
-    if not lines or lines[0] != SCORER_MAGIC:
-        found = lines[0] if lines else "an empty file"
-        raise ValueError(f"{path}: expected a {SCORER_MAGIC} checkpoint, found {found!r}{rerun}")
-    if "counts" not in lines:
-        raise ValueError(f"{path}: missing counts section{rerun}")
-    body_at = lines.index("counts") + 1
-    header = dict(line.partition(" ")[::2] for line in lines[1:body_at - 1])
-    missing = [key for key in ("index_type", "templates", "order", "delta", "lambda",
-                               "vocab", "contexts", "ngrams") if key not in header]
-    if missing:
-        raise ValueError(f"{path}: header lacks {', '.join(missing)}{rerun}")
-    order, n_templates = int(header["order"]), int(header["templates"])
-    vocab = header["vocab"].split(" ") if header["vocab"] else []
-    ctx_sizes = [int(x) for x in header["contexts"].split()]
-    ngram_sizes = [int(x) for x in header["ngrams"].split()]
-    per_order = 2 + n_templates
-    body = lines[body_at:]
-    if (n_templates < 1 or len(body) != per_order * (order + 1)
-            or len(ctx_sizes) != order + 1 or len(ngram_sizes) != order + 1):
-        raise ValueError(f"{path}: expected {per_order * (order + 1)} array lines for "
-                         f"order {order} and {n_templates} templates, found "
-                         f"{len(body)}{rerun}")
-    rows: list[list[np.ndarray]] = [[] for _ in range(per_order)]
-    for n, line in enumerate(body):
-        k, j = divmod(n, per_order)
-        name = f"ctx{k}" if j == 0 else f"ngram{k}" if j == 1 else f"count{k}_t{j - 1}"
-        want = ctx_sizes[k] if j == 0 else ngram_sizes[k]
-        tag, *values = line.split(" ")
-        if tag != name or len(values) != want:
-            raise ValueError(f"{path}: line {tag!r} holds {len(values)} values, "
-                             f"header says {name} has {want}{rerun}")
-        rows[j].append(np.array(values, dtype=np.int64))
-    ctx_keys, ngram_keys, *counts = rows
-    return [MarkovScorer(order=order, delta=float(header["delta"]),
-                         backoff_lambda=float(header["lambda"]), template_id=t,
-                         index_type=header["index_type"], vocab=vocab,
-                         tables=NgramTables.from_counts(ctx_keys, ngram_keys, c, len(vocab)))
-            for t, c in enumerate(counts, start=1)]
+    try:
+        if not lines or lines[0] != SCORER_MAGIC:
+            found = lines[0] if lines else "an empty file"
+            raise ValueError(f"expected a {SCORER_MAGIC} checkpoint, found {found!r}")
+        if "counts" not in lines:
+            raise ValueError("missing counts section")
+        body_at = lines.index("counts") + 1
+        header = dict(line.partition(" ")[::2] for line in lines[1:body_at - 1])
+        missing = [key for key in ("index_type", "templates", "order", "delta", "lambda",
+                                   "vocab", "contexts", "ngrams") if key not in header]
+        if missing:
+            raise ValueError(f"header lacks {', '.join(missing)}")
+        try:
+            order, n_templates = int(header["order"]), int(header["templates"])
+            delta, lam = float(header["delta"]), float(header["lambda"])
+            ctx_sizes = [int(x) for x in header["contexts"].split()]
+            ngram_sizes = [int(x) for x in header["ngrams"].split()]
+        except ValueError as exc:
+            raise ValueError(f"malformed header ({exc})") from None
+        per_order, body = 2 + n_templates, lines[body_at:]
+        if (n_templates < 1 or order < 0 or len(body) != per_order * (order + 1)
+                or len(ctx_sizes) != order + 1 or len(ngram_sizes) != order + 1):
+            raise ValueError(f"expected {per_order * (order + 1)} array lines for order "
+                             f"{order} and {n_templates} templates, found {len(body)}")
+
+        def array(n: int, name: str, want: int) -> np.ndarray:
+            tag, *values = body[n].split(" ")
+            if tag != name or len(values) != want:
+                raise ValueError(f"line {tag!r} holds {len(values)} values, header says "
+                                 f"{name} has {want}")
+            try:
+                return np.array(values, dtype=np.int64)
+            except ValueError as exc:
+                raise ValueError(f"line {tag!r}: {exc}") from None
+
+        vocab = header["vocab"].split(" ") if header["vocab"] else []
+        ctx_keys, ngram_keys, counts = [], [], []
+        for k in range(order + 1):
+            at = k * per_order
+            ctx_keys.append(array(at, f"ctx{k}", ctx_sizes[k]))
+            # a header size is used only once a line of that many values has been read
+            ngram_keys.append(array(at + 1, f"ngram{k}", ngram_sizes[k]))
+            counts.append(np.zeros((ngram_sizes[k] + 1, n_templates), dtype=np.int64))
+            for t in range(n_templates):
+                counts[k][:-1, t] = array(at + 2 + t, f"count{k}_t{t + 1}", ngram_sizes[k])
+        tables = NgramTables.from_counts(ctx_keys, ngram_keys, counts, len(vocab))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}; rerun the 'train-scorers' stage") from None
+    return [MarkovScorer(order=order, delta=delta, backoff_lambda=lam, template_id=t,
+                         index_type=header["index_type"], vocab=vocab, tables=tables,
+                         column=t - 1)
+            for t in range(1, n_templates + 1)]

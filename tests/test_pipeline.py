@@ -124,6 +124,20 @@ def test_config_validation_before_work(tmp_path):
             ("scorer.delta", 0, r"^scorer\.delta must be > 0, got 0\.0$")):
         with pytest.raises(ValueError, match=message):
             load_config(write_config(tmp_path, **{key: value}))
+    # a value of the wrong type names its key, and its file line when it comes from a file
+    for setting, message in (("pipeline.templates=x", "pipeline.templates: expected int"),
+                             ("rqvae.epochs=1.5", "rqvae.epochs: expected int"),
+                             ("eval.k_report=5,a", "eval.k_report: expected comma-separated ints"),
+                             ("rerank.breakdown=maybe", "rerank.breakdown: expected bool"),
+                             ("rerank.alpha=high", "rerank.alpha: expected float")):
+        raw = setting.partition("=")[2]
+        with pytest.raises(ValueError, match=rf"^{re.escape(message)}, got '{raw}'$"):
+            load_config(write_config(tmp_path), overrides=[setting])
+    path = write_config(tmp_path, **{"scorer.order": "eight"})
+    lineno = path.read_text().splitlines().index("scorer.order = eight") + 1
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: scorer\.order: "
+                                         r"expected int, got 'eight'$"):
+        load_config(path)
     cfg = load_config(write_config(tmp_path, **{"collab.epochs": 0, "rqvae.epochs": 0,
                                                 "rqvae.weight_decay": 0,
                                                 "rqvae.kmeans_iters": 0}))
@@ -541,6 +555,22 @@ def test_retrieve_refuses_checkpoint_without_the_templates(pipeline_run, tmp_pat
     with pytest.raises(PipelineError, match="holds 3 seid template.*3 ceid needed.*"
                                             "train-scorers"):
         stage_retrieve(dataclasses.replace(cfg, out_dir=out))
+
+
+def test_retrieve_with_fewer_templates_writes_their_lines(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import stage_retrieve
+    _, _, cfg = pipeline_run
+    out = tmp_path / "two"
+    shutil.copytree(cfg.out_dir, out)
+    stage_retrieve(dataclasses.replace(cfg, out_dir=out, templates=2))
+    for index_type in ("ceid", "seid"):
+        three = (cfg.out_dir / f"ranked_{index_type}.jsonl").read_text().splitlines()
+        two = (out / f"ranked_{index_type}.jsonl").read_text().splitlines()
+        assert two == [line for line in three if json.loads(line)["template"] <= 2]
+        assert len(two) == 2 * len(three) // 3
 
 
 def test_analyze_reports_nan_for_templates_without_hits(pipeline_run, tmp_path):

@@ -9,7 +9,7 @@ from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
                              beam_search_users, exhaustive_topk_oracle, ranked_list_record,
                              read_ranked_lists, write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
-from rqrec.scorer import ScorerConfig, count_ngrams, train_markov_scorer
+from rqrec.scorer import ScorerConfig, train_markov_scorer
 from rqrec.vocab import build_prefix_trie, code_token
 
 
@@ -77,7 +77,7 @@ def test_beam_full_width_equals_oracle_with_markov_scorer():
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
     streams = {f"u{k}": list(rng.choice(vocab, size=20)) for k in range(6)}
-    sc = train_markov_scorer(streams, 1, ScorerConfig(order=4), "ceid", vocab=vocab)
+    sc = train_markov_scorer(streams, [1], ScorerConfig(order=4), "ceid", vocab=vocab)[0]
     got = beam_search_constrained(sc, trie, streams["u0"][:8], len(table.codes))
     want = exhaustive_topk_oracle(sc, table, streams["u0"][:8], len(table.codes))
     assert (got.items, got.scores) == (want.items, want.scores)
@@ -95,8 +95,8 @@ def test_beam_equals_oracle_with_two_digit_code_words():
         vocab = sorted({code_token("ceid", l + 1, w)
                         for tup in table.codes.values() for l, w in enumerate(tup)})
         streams = {f"u{k}": list(rng.choice(vocab, size=30)) for k in range(6)}
-        sc = train_markov_scorer(streams, 1, ScorerConfig(order=3, seed=trial), "ceid",
-                                 vocab=vocab)
+        sc = train_markov_scorer(streams, [1], ScorerConfig(order=3, seed=trial), "ceid",
+                                 vocab=vocab)[0]
         ctx = streams["u0"][:int(rng.integers(0, 8))]
         got = beam_search_constrained(sc, trie, ctx, len(table.codes))
         want = exhaustive_topk_oracle(sc, table, ctx, len(table.codes))
@@ -173,12 +173,13 @@ def test_candidate_token_outside_vocab_is_named():
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in codes.values() for l, w in enumerate(tup)})
     streams = {"u0": vocab * 2}
-    sc = train_markov_scorer(streams, 1, ScorerConfig(order=2), "ceid", vocab=vocab)
+    sc = train_markov_scorer(streams, [1], ScorerConfig(order=2), "ceid", vocab=vocab)[0]
     lists, _ = beam_search_users([sc], trie, [[]], 4, ["u0"])
     assert sorted(lists[0].items) == ["a", "b", "c", "d"]
     # two tokens missing at depth 1: the first in (node, column) order is named
     stale = [t for t in vocab if t not in ("<CeID_2,2>", "<CeID_2,3>")]
-    sc = train_markov_scorer({"u0": stale * 2}, 1, ScorerConfig(order=2), "ceid", vocab=stale)
+    sc = train_markov_scorer({"u0": stale * 2}, [1], ScorerConfig(order=2), "ceid",
+                             vocab=stale)[0]
     with pytest.raises(ValueError, match=r"candidate token '<CeID_2,2>' not in vocabulary"):
         beam_search_users([sc], trie, [[]], 4, ["u0"])
 
@@ -275,7 +276,8 @@ def batch_setup(seed):
 def test_batched_search_equals_single_user_search(kind):
     trie, vocab, streams, contexts, users = batch_setup(44)
     if kind == "markov":
-        sc = train_markov_scorer(streams, 2, ScorerConfig(order=4, seed=3), "ceid", vocab=vocab)
+        sc = train_markov_scorer(streams, [2], ScorerConfig(order=4, seed=3), "ceid",
+                                 vocab=vocab)[0]
     else:
         sc = HashScorer(seed=4, vocab=vocab, order=4)
     for k in (1, 7, 20):
@@ -292,7 +294,7 @@ def test_batched_search_equals_single_user_search(kind):
 def test_batched_markov_search_equals_per_call_search(order):
     # the array path and the next_token_logprobs path give the same bytes
     trie, vocab, streams, contexts, users = batch_setup(45)
-    sc = train_markov_scorer(streams, 1, ScorerConfig(order=order), "ceid", vocab=vocab)
+    sc = train_markov_scorer(streams, [1], ScorerConfig(order=order), "ceid", vocab=vocab)[0]
     native, native_counts = beam_search_users([sc], trie, contexts, 10, users)
     per_call, per_call_counts = beam_search_users([CallsOnly(sc)], trie, contexts, 10, users)
     assert native == per_call
@@ -315,9 +317,8 @@ def template_setup():
     other = next(t for t in vocab if t != tail[0])
     added = [tail, contexts[-1][:5] + tail, [other] + tail[1:], vocab[:3] + [other] + tail[1:],
              contexts[-1][:-order] + [other] + contexts[-1][1 - order:]]
-    index = count_ngrams(streams, order, vocab)
-    scorers = [train_markov_scorer(streams, t, ScorerConfig(order=order, seed=6), "ceid",
-                                   vocab=vocab, index=index) for t in (1, 2, 3)]
+    scorers = train_markov_scorer(streams, [1, 2, 3], ScorerConfig(order=order, seed=6), "ceid",
+                                  vocab=vocab)
     return trie, scorers, contexts + added, users + [f"w{n}" for n in range(len(added))]
 
 
@@ -338,6 +339,23 @@ def test_template_search_equals_single_searches(k):
     # fewer users than templates: one distinct context per pass
     one, _ = beam_search_users(scorers, trie, contexts[-1:], k, users[-1:])
     assert one == lists[len(users) - 1::len(users)]
+
+
+def test_template_search_refuses_scorers_over_different_tables():
+    trie, scorers, contexts, users = template_setup()
+    _, vocab, streams, _, _ = batch_setup(46)
+    # the templates counted again: the same keys and counts, in another table
+    again = train_markov_scorer(streams, [1, 2, 3], ScorerConfig(order=4, seed=6), "ceid",
+                                vocab=vocab)
+    with pytest.raises(ValueError, match=r"^scorer 3 of 3 \(template 3\) does not share the "
+                                         r"n-gram table"):
+        beam_search_users(scorers[:2] + again[2:], trie, contexts, 5, users)
+    # templates 2 and 3 alone search columns 1 and 2 of the shared table
+    lists, _ = beam_search_users(scorers[1:], trie, contexts, 5, users, [2, 3])
+    every, _ = beam_search_users(scorers, trie, contexts, 5, users)
+    assert lists == [rl for rl in every if rl.template > 1]
+    alone, _ = beam_search_users(again[2:], trie, contexts, 5, users, [3])
+    assert alone == every[2 * len(users):]
 
 
 def test_template_search_per_call_path_gives_the_same_records():

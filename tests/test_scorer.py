@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -14,25 +15,25 @@ def cfg(**kw):
 
 def counts(sc):
     """The scorer's n-gram keys and counts per order, as comparable lists."""
-    return [(keys.tolist(), c.tolist())
+    return [(keys.tolist(), c[:-1, sc.column].tolist())
             for keys, c in zip(sc.tables.ngram_keys, sc.tables.counts)]
 
 
 def totals(sc):
-    return [(keys.tolist(), t.tolist())
+    return [(keys.tolist(), t[:-1, sc.column].tolist())
             for keys, t in zip(sc.tables.ctx_keys, sc.tables.totals)]
 
 
 def test_repeating_stream_count_dominance():
     streams = {"u": ["a", "b"] * 20}
-    sc = train_markov_scorer(streams, 1, cfg(), "ceid")
+    sc = train_markov_scorer(streams, [1], cfg(), "ceid")[0]
     lp = sc.next_token_logprobs(["a"], ["a", "b"])
     assert lp["b"] > lp["a"]
 
 
 def test_large_delta_tends_uniform():
     streams = {"u": ["a", "b"] * 20}
-    sc = train_markov_scorer(streams, 1, cfg(delta=1e9), "ceid")
+    sc = train_markov_scorer(streams, [1], cfg(delta=1e9), "ceid")[0]
     lp = sc.next_token_logprobs(["a"], ["a", "b"])
     assert abs(lp["a"] - lp["b"]) < 1e-6
 
@@ -40,18 +41,18 @@ def test_large_delta_tends_uniform():
 def test_train_deterministic():
     rng = np.random.default_rng(0)
     streams = {f"u{k}": [f"t{rng.integers(0, 5)}" for _ in range(8)] for k in range(6)}
-    a = train_markov_scorer(streams, 1, cfg(), "ceid")
-    b = train_markov_scorer(streams, 1, cfg(), "ceid")
+    a = train_markov_scorer(streams, [1], cfg(), "ceid")[0]
+    b = train_markov_scorer(streams, [1], cfg(), "ceid")[0]
     assert counts(a) == counts(b) and totals(a) == totals(b)
     # bootstrap templates are deterministic too, but differ from the full data
-    a3 = train_markov_scorer(streams, 3, cfg(), "ceid")
-    b3 = train_markov_scorer(streams, 3, cfg(), "ceid")
+    a3 = train_markov_scorer(streams, [3], cfg(), "ceid")[0]
+    b3 = train_markov_scorer(streams, [3], cfg(), "ceid")[0]
     assert counts(a3) == counts(b3)
     assert counts(a3) != counts(a)
 
 
 def test_single_candidate_logprob_zero():
-    sc = train_markov_scorer({"u": ["a", "b"]}, 1, cfg(), "ceid")
+    sc = train_markov_scorer({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
     assert sc.next_token_logprobs(["a"], ["b"]) == {"b": 0.0}
 
 
@@ -68,7 +69,7 @@ def test_hand_computed_backoff():
     #   P0(a) = 2.1/3.2, P0(b) = 1.1/3.2
     #   P(b|a) = 0.6 * (1.1/1.2) + 0.4 * (1.1/3.2) = 0.6875
     #   P(a|a) = 0.6 * (0.1/1.2) + 0.4 * (2.1/3.2) = 0.3125
-    sc = train_markov_scorer({"u": ["a", "b", "a"]}, 1, cfg(order=1), "ceid")
+    sc = train_markov_scorer({"u": ["a", "b", "a"]}, [1], cfg(order=1), "ceid")[0]
     lp = sc.next_token_logprobs(["a"], ["a", "b"])
     assert lp["b"] == pytest.approx(math.log(0.6875), abs=1e-12)
     assert lp["a"] == pytest.approx(math.log(0.3125), abs=1e-12)
@@ -79,7 +80,7 @@ def test_renormalization_sums_to_one():
     vocab = [f"t{k}" for k in range(12)]
     streams = {f"u{k}": [vocab[rng.integers(0, 12)] for _ in range(30)]
                for k in range(5)}
-    sc = train_markov_scorer(streams, 1, cfg(order=3), "ceid", vocab=vocab)
+    sc = train_markov_scorer(streams, [1], cfg(order=3), "ceid", vocab=vocab)[0]
     for _ in range(50):
         n_c = int(rng.integers(1, 12))
         cands = list(rng.choice(vocab, size=n_c, replace=False))
@@ -104,8 +105,8 @@ def test_order_n_beats_unigram_on_structured_data():
 
     train = {f"u{k}": walk(25) for k in range(12)}
     held = walk(200)
-    hi = train_markov_scorer(train, 1, cfg(order=2), "ceid", vocab=vocab)
-    uni = train_markov_scorer(train, 1, cfg(order=0), "ceid", vocab=vocab)
+    hi = train_markov_scorer(train, [1], cfg(order=2), "ceid", vocab=vocab)[0]
+    uni = train_markov_scorer(train, [1], cfg(order=0), "ceid", vocab=vocab)[0]
 
     def mean_nll(sc):
         return -sum(sc.next_token_logprobs(held[:i], vocab)[held[i]]
@@ -117,26 +118,26 @@ def test_order_n_beats_unigram_on_structured_data():
 def test_bootstrap_seeded_by_template():
     # distinct unigrams per user: any difference in the resampled multiset shows up
     streams = {f"u{k}": [f"w{k}"] * (k + 1) for k in range(8)}
-    s2 = train_markov_scorer(streams, 2, cfg(), "ceid")
-    s5 = train_markov_scorer(streams, 5, cfg(), "ceid")
+    s2 = train_markov_scorer(streams, [2], cfg(), "ceid")[0]
+    s5 = train_markov_scorer(streams, [5], cfg(), "ceid")[0]
     assert counts(s2) != counts(s5)  # different template seeds resample differently
 
 
 def test_empty_streams_error():
     with pytest.raises(ValueError):
-        train_markov_scorer({}, 1, cfg(), "ceid")
+        train_markov_scorer({}, [1], cfg(), "ceid")
     with pytest.raises(ValueError):
-        train_markov_scorer({"u": []}, 1, cfg(), "ceid")
+        train_markov_scorer({"u": []}, [1], cfg(), "ceid")
 
 
 def test_empty_candidates_error():
-    sc = train_markov_scorer({"u": ["a", "b"]}, 1, cfg(), "ceid")
+    sc = train_markov_scorer({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
     with pytest.raises(ValueError):
         sc.next_token_logprobs(["a"], [])
 
 
 def test_unknown_candidate_error():
-    sc = train_markov_scorer({"u": ["a", "b"]}, 1, cfg(), "ceid")
+    sc = train_markov_scorer({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
     with pytest.raises(ValueError, match="zzz"):
         sc.next_token_logprobs(["a"], ["zzz"])
 
@@ -145,9 +146,7 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     streams = {f"u{k}": [f"t{rng.integers(0, 6)}" for _ in range(15)]
                for k in range(5)}
-    index = count_ngrams(streams, 3, sorted({t for s in streams.values() for t in s}))
-    scorers = [train_markov_scorer(streams, t, cfg(order=3, delta=0.25), "seid", index=index)
-               for t in range(1, 5)]
+    scorers = train_markov_scorer(streams, [1, 2, 3, 4], cfg(order=3, delta=0.25), "seid")
     p = tmp_path / "scorer.txt"
     save_scorer(scorers, p)
     loaded = load_scorer(p)
@@ -157,22 +156,27 @@ def test_checkpoint_roundtrip(tmp_path):
         assert back.backoff_lambda == sc.backoff_lambda
         assert back.index_type == "seid" and back.vocab == sc.vocab
         assert counts(back) == counts(sc) and totals(back) == totals(sc)
-        assert back.tables.ngram_keys[3] is loaded[0].tables.ngram_keys[3]
+        assert back.tables is loaded[0].tables and back.column == back.template_id - 1
         ctx = [sc.vocab[0], sc.vocab[1]]
         assert back.next_token_logprobs(ctx, sc.vocab) == sc.next_token_logprobs(ctx, sc.vocab)
 
 
 def test_save_refuses_mismatched_scorers(tmp_path):
     streams = {"u": ["a", "b", "a", "c"], "v": ["c", "b"]}
-    one, two = (train_markov_scorer(streams, t, cfg(), "ceid") for t in (1, 2))
+    one, two = train_markov_scorer(streams, [1, 2], cfg(), "ceid")
     p = tmp_path / "scorer.txt"
     for bad in ([], [two], [one, one],
-                [one, train_markov_scorer(streams, 2, cfg(), "seid")],
-                [one, train_markov_scorer(streams, 2, cfg(delta=0.5), "ceid")],
-                [one, train_markov_scorer({"u": ["a", "b"]}, 2, cfg(), "ceid",
-                                          vocab=one.vocab)]):
+                [one, train_markov_scorer(streams, [2], cfg(), "seid")[0]],
+                [one, train_markov_scorer(streams, [2], cfg(delta=0.5), "ceid")[0]],
+                [one, train_markov_scorer({"u": ["a", "b"]}, [2], cfg(), "ceid",
+                                          vocab=one.vocab)[0]]):
         with pytest.raises(ValueError):
             save_scorer(bad, p)
+    # template 2 counted again: the same keys, counts and settings, in another table
+    again = train_markov_scorer(streams, [1, 2], cfg(), "ceid")[1]
+    with pytest.raises(ValueError, match=r"^scorer 2 of 2 \(template 2\) does not share the "
+                                         r"n-gram table"):
+        save_scorer([one, again], p)
     assert not p.exists()
 
 
@@ -219,7 +223,7 @@ def test_logprobs_bitwise_equal_to_bruteforce_reference():
         streams["u0"] = streams["u0"] or [vocab[0]]
         config = cfg(order=trial % 5, seed=trial, delta=[0.1, 0.25, 1.0][trial % 3])
         template_id = 1 + trial % 3
-        sc = train_markov_scorer(streams, template_id, config, "ceid", vocab=vocab)
+        sc = train_markov_scorer(streams, [template_id], config, "ceid", vocab=vocab)[0]
         for _ in range(15):
             # contexts shorter and longer than the order, some holding an OOV token
             context = [vocab[x] if rng.random() > 0.2 else "<OOV>"
@@ -233,7 +237,7 @@ def test_logprobs_bitwise_equal_to_bruteforce_reference():
 
 def test_oov_context_token_differs_from_short_history():
     streams = {"u": ["a", "b", "a", "b", "b", "a"]}
-    sc = train_markov_scorer(streams, 1, cfg(order=2), "ceid")
+    sc = train_markov_scorer(streams, [1], cfg(order=2), "ceid")[0]
     short = sc.next_token_logprobs(["a"], ["a", "b"])
     with_oov = sc.next_token_logprobs(["<OOV>", "a"], ["a", "b"])
     assert short != with_oov  # the OOV position still adds a zero-count order
@@ -245,7 +249,7 @@ def test_add_stream_matches_training():
     rng = np.random.default_rng(22)
     vocab = [f"t{k}" for k in range(6)]
     streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 6, 12)] for k in range(5)}
-    trained = train_markov_scorer(streams, 1, cfg(order=3), "ceid", vocab=vocab)
+    trained = train_markov_scorer(streams, [1], cfg(order=3), "ceid", vocab=vocab)[0]
     grown = MarkovScorer(order=3, delta=0.1, backoff_lambda=0.4, template_id=1,
                          index_type="ceid", vocab=vocab)
     for u in sorted(streams):
@@ -311,14 +315,12 @@ def test_shared_index_matches_own_count():
     vocab = [f"t{k}" for k in range(7)]
     streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 7, int(rng.integers(1, 20)))]
                for k in range(8)}
-    index = count_ngrams(streams, 3, vocab)
-    for t in (1, 2, 7):
-        own = train_markov_scorer(streams, t, cfg(order=3), "ceid", vocab=vocab)
-        shared = train_markov_scorer(streams, t, cfg(order=3), "ceid", vocab=vocab,
-                                     index=index)
+    together = train_markov_scorer(streams, [1, 2, 7], cfg(order=3), "ceid", vocab=vocab)
+    for column, (t, shared) in enumerate(zip((1, 2, 7), together)):
+        own = train_markov_scorer(streams, [t], cfg(order=3), "ceid", vocab=vocab)[0]
         assert counts(own) == counts(shared) and totals(own) == totals(shared)
-    with pytest.raises(ValueError, match="does not match"):
-        train_markov_scorer(streams, 1, cfg(order=2), "ceid", vocab=vocab, index=index)
+        assert (shared.template_id, shared.column) == (t, column)
+        assert shared.tables is together[0].tables
 
 
 @pytest.mark.parametrize("old", [
@@ -336,7 +338,7 @@ def test_load_refuses_v1_checkpoint(tmp_path, old):
 
 def test_load_refuses_truncated_checkpoint(tmp_path):
     streams = {"u": ["a", "b", "a", "c", "b"], "v": ["c", "a", "b"]}
-    scorers = [train_markov_scorer(streams, t, cfg(order=2), "ceid") for t in (1, 2)]
+    scorers = train_markov_scorer(streams, [1, 2], cfg(order=2), "ceid")
     p = tmp_path / "scorer_ceid.txt"
     save_scorer(scorers, p)
     lines = p.read_text().splitlines()
@@ -354,3 +356,16 @@ def test_load_refuses_truncated_checkpoint(tmp_path):
     p.write_text("\n".join(ln for ln in lines if not ln.startswith("ngrams ")) + "\n")
     with pytest.raises(ValueError, match="lacks ngrams.*train-scorers"):
         load_scorer(p)
+    # a malformed number names the file and the stage to rerun
+    named = rf"^{re.escape(str(p))}: .+; rerun the 'train-scorers' stage$"
+
+    def replaced(tag, first):
+        """The checkpoint lines with the first value of line `tag` replaced."""
+        at = next(n for n, ln in enumerate(lines) if ln.split(" ")[0] == tag)
+        return lines[:at] + [" ".join([tag, first, *lines[at].split(" ")[2:]])] + lines[at + 1:]
+
+    for tag, first in (("order", "x"), ("delta", "x"), ("templates", "two"),
+                       ("count1_t2", "x"), ("ngrams", "-4")):
+        p.write_text("\n".join(replaced(tag, first)) + "\n")
+        with pytest.raises(ValueError, match=named):
+            load_scorer(p)
