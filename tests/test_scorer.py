@@ -321,6 +321,9 @@ def test_shared_index_matches_own_count():
         assert counts(own) == counts(shared) and totals(own) == totals(shared)
         assert (shared.template_id, shared.column) == (t, column)
         assert shared.tables is together[0].tables
+        assert shared.ngram_rows() == own.ngram_rows()
+        for ctx in ([], vocab[:1], vocab[2:5], streams["u0"][-3:]):
+            assert shared.next_token_logprobs(ctx, vocab) == own.next_token_logprobs(ctx, vocab)
 
 
 @pytest.mark.parametrize("old", [
