@@ -162,10 +162,7 @@ class CollabState:
     negatives_redrawn: int = 0    # draws beyond the first per triple, all epochs
 
     def item_matrix(self) -> EmbeddingMatrix:
-        rows = {item: self.vectors[len(self.users) + k].copy()
-                for k, item in enumerate(self.items)}
-        return EmbeddingMatrix(dim=self.vectors.shape[1], rows=rows,
-                               source_tag="collaborative")
+        return EmbeddingMatrix(self.items, self.vectors[len(self.users):])
 
     def counters(self) -> dict[str, float | int | None]:
         """Deterministic training counters for the stage manifest."""

@@ -129,10 +129,9 @@ def apply_setting(cfg: PipelineConfig, dotted: str, raw: str) -> None:
         section, _, attr = dotted.partition(".")
         aliases = dict(_SECTIONS)
         aliases["rqvae"] = ("rqvae", RqVaeConfig)  # shorthand applying to both index types
-        defaults = aliases[section][1]() if section in aliases else None
-        if defaults is None or not hasattr(defaults, attr):
+        if section not in aliases or attr not in {f.name for f in fields(aliases[section][1])}:
             raise ValueError(f"unknown config key {dotted!r}")
-        kind = type(getattr(defaults, attr))
+        kind = type(getattr(aliases[section][1](), attr))
         targets = ([cfg.rqvae_ceid, cfg.rqvae_seid] if section == "rqvae"
                    else [getattr(cfg, aliases[section][0])])
     try:

@@ -50,14 +50,24 @@ class SplitDataset:
 
 @dataclass
 class EmbeddingMatrix:
-    """Item-id-aligned dense real matrix, from a collaborative or semantic source."""
+    """Dense real item embeddings: row k of `vectors` belongs to `items[k]`.
 
-    dim: int
-    rows: dict[str, np.ndarray]
-    source_tag: str  # "collaborative" | "semantic"
+    The items are sorted and unique: training batches index rows, so the row
+    order is part of every artifact built from the matrix.
+    """
 
-    def matrix(self, item_order: list[str]) -> np.ndarray:
-        return np.stack([self.rows[i] for i in item_order])
+    items: list[str]
+    vectors: np.ndarray  # (len(items), dim) float64
+
+    def __post_init__(self) -> None:
+        if self.vectors.ndim != 2 or self.vectors.shape[0] != len(self.items):
+            raise ValueError(f"{len(self.items)} items for vectors of shape {self.vectors.shape}")
+        if any(a >= b for a, b in zip(self.items, self.items[1:])):
+            raise ValueError("embedding items must be sorted and unique")
+
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
 
 def load_interactions(path: str | Path) -> InteractionDataset:
@@ -187,8 +197,8 @@ def load_split(out_dir: str | Path) -> SplitDataset:
     return SplitDataset(**split)
 
 
-def load_embedding_matrix(path: str | Path, source_tag: str) -> EmbeddingMatrix:
-    """Read the `ITEM_EMB v1` text format; format errors name the offending line."""
+def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
+    """Read the `ITEM_EMB v1` text format into item-sorted rows; errors name the line."""
     path = Path(path)
     with path.open("r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -217,17 +227,20 @@ def load_embedding_matrix(path: str | Path, source_tag: str) -> EmbeddingMatrix:
         rows[item] = vec
     if len(rows) != n:
         raise ValueError(f"{path}: expected {n} rows, found {len(rows)}")
-    return EmbeddingMatrix(dim=d, rows=rows, source_tag=source_tag)
+    for lineno, line in enumerate(lines[2 + n:], start=3 + n):
+        if line.strip():
+            raise ValueError(f"{path}:{lineno}: a row beyond the {n} the size line declares")
+    items = sorted(rows)
+    vectors = np.array([rows[i] for i in items], dtype=np.float64).reshape(n, d)
+    return EmbeddingMatrix(items, vectors)
 
 
 def write_embedding_matrix(emb: EmbeddingMatrix, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"{EMB_HEADER}\n{len(emb.rows)} {emb.dim}\n")
-        for item in sorted(emb.rows):
-            vec = emb.rows[item]
-            if vec.shape != (emb.dim,):
-                raise ValueError(f"row {item!r} has dim {vec.shape}, expected ({emb.dim},)")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"row {item!r} has non-finite values")
-            fh.write(item + " " + " ".join(repr(float(v)) for v in vec) + "\n")
+    """Write the `ITEM_EMB v1` text format, one row per item in stored order."""
+    finite = np.isfinite(emb.vectors).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"row {emb.items[int(np.argmin(finite))]!r} has non-finite values")
+    with Path(path).open("w", encoding="utf-8") as fh:
+        fh.write(f"{EMB_HEADER}\n{len(emb.items)} {emb.dim}\n")
+        for item, vec in zip(emb.items, emb.vectors.tolist()):
+            fh.write(item + " " + " ".join(map(repr, vec)) + "\n")

@@ -156,12 +156,15 @@ def stage_build_index(cfg: PipelineConfig) -> None:
         raise PipelineError("build-index",
                             f"semantic embeddings not found: {cfg.semantic_emb}")
     inputs["semantic_emb"] = cfg.semantic_emb
-    collab = load_embedding_matrix(cfg.out_dir / "collab.emb", "collaborative")
-    semantic = load_embedding_matrix(cfg.semantic_emb, "semantic")
-    common = sorted(set(collab.rows) & set(semantic.rows))
+    try:
+        collab = load_embedding_matrix(inputs["collab.emb"])
+    except ValueError as exc:
+        raise ValueError(f"{exc}; rerun the {_PRODUCED_BY['collab.emb']!r} stage") from None
+    semantic = load_embedding_matrix(cfg.semantic_emb)
+    common = set(collab.items) & set(semantic.items)
     if not common:
         raise PipelineError("build-index", "no items shared by both embedding sources")
-    dropped = (len(collab.rows) - len(common)) + (len(semantic.rows) - len(common))
+    dropped = len(collab.items) + len(semantic.items) - 2 * len(common)
     if dropped:
         log.warning("build-index: %d embedding row(s) outside the common item set", dropped)
     outputs: dict[str, Path] = {}
@@ -171,9 +174,8 @@ def stage_build_index(cfg: PipelineConfig) -> None:
         if len(common) < sub_cfg.codebook_size:  # k-means starts a codeword from each item
             raise PipelineError("build-index", f"{len(common)} items, fewer than "
                                 f"rqvae_{index_type}.codebook_size ({sub_cfg.codebook_size})")
-        restricted = EmbeddingMatrix(dim=emb.dim,
-                                     rows={i: emb.rows[i] for i in common},
-                                     source_tag=emb.source_tag)
+        keep = [k for k, item in enumerate(emb.items) if item in common]
+        restricted = EmbeddingMatrix([emb.items[k] for k in keep], emb.vectors[keep])
         try:
             model = train_rqvae(restricted, sub_cfg)
         except RuntimeError as exc:  # training diverged

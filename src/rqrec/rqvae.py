@@ -57,18 +57,12 @@ class RqVaeConfig:
 
 
 @dataclass
-class Codebook:
-    level: int                 # 1-based
-    vectors: np.ndarray        # (W, latent_dim)
-
-
-@dataclass
 class RqVaeModel:
     encoder_weights: list[np.ndarray]
     encoder_biases: list[np.ndarray]
     decoder_weights: list[np.ndarray]
     decoder_biases: list[np.ndarray]
-    codebooks: list[Codebook]
+    codebooks: list[np.ndarray]  # per level, (W, latent_dim)
     config: RqVaeConfig
     input_dim: int
     # (l_rec, l_rq), epochs + 1 entries. Entry 0 and the last entry are full-data
@@ -126,7 +120,7 @@ def _sq_dists(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def quantize_batch(latents: np.ndarray, codebooks: list[Codebook]
+def quantize_batch(latents: np.ndarray, codebooks: list[np.ndarray]
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized residual quantization.
 
@@ -143,21 +137,13 @@ def quantize_batch(latents: np.ndarray, codebooks: list[Codebook]
     z_star = np.zeros((n, d))
     r = latents
     for l, cb in enumerate(codebooks):
-        c = np.argmin(_sq_dists(r, cb.vectors), axis=1)
+        c = np.argmin(_sq_dists(r, cb), axis=1)
         codes[:, l] = c
-        picked = cb.vectors[c]
+        picked = cb[c]
         z_star += picked
         r = r - picked
         residuals[:, l + 1] = r
     return codes, residuals, z_star
-
-
-def quantize_residual(z: np.ndarray, codebooks: list[Codebook]
-                      ) -> tuple[list[int], list[np.ndarray], np.ndarray]:
-    """Single-vector residual quantization: (codes c_1..c_L, residuals r_0..r_L, z_star)."""
-    z = np.asarray(z, dtype=np.float64)
-    codes, residuals, z_star = quantize_batch(z[None, :], codebooks)
-    return [int(c) for c in codes[0]], [residuals[0, l] for l in range(len(codebooks) + 1)], z_star[0]
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +207,7 @@ def parameter_arrays(model: RqVaeModel) -> dict[str, np.ndarray]:
     The optimizer and the gradient check both use this one dict, in this order.
     """
     return _named_arrays(model.encoder_weights, model.encoder_biases,
-                         model.decoder_weights, model.decoder_biases,
-                         [cb.vectors for cb in model.codebooks])
+                         model.decoder_weights, model.decoder_biases, model.codebooks)
 
 
 # ---------------------------------------------------------------------------
@@ -237,6 +222,10 @@ class _ForwardPass:
     l_rq: float
     enc_caches: list[tuple[np.ndarray, np.ndarray]]
     dec_caches: list[tuple[np.ndarray, np.ndarray]]
+
+    @property
+    def losses(self) -> tuple[float, float]:
+        return self.l_rec, self.l_rq
 
 
 def _forward(model: RqVaeModel, batch: np.ndarray) -> _ForwardPass:
@@ -253,26 +242,13 @@ def _forward(model: RqVaeModel, batch: np.ndarray) -> _ForwardPass:
     return _ForwardPass(x_star, codes, residuals, l_rec, l_rq, enc_caches, dec_caches)
 
 
-def forward_loss(model: RqVaeModel, batch: np.ndarray
-                 ) -> tuple[np.ndarray, np.ndarray, float, float, float]:
-    """Forward pass: returns (x_star, codes, l_rec, l_rq, l_total), batch means."""
-    fp = _forward(model, batch)
-    return fp.x_star, fp.codes, fp.l_rec, fp.l_rq, fp.l_rec + fp.l_rq
-
-
-def _forward_backward(model: RqVaeModel, batch: np.ndarray
-                      ) -> tuple[_ForwardPass, dict[str, np.ndarray]]:
-    """The forward pass plus the analytic gradient of every parameter array.
+def _gradients(model: RqVaeModel, batch: np.ndarray, fp: _ForwardPass
+               ) -> dict[str, np.ndarray]:
+    """The analytic gradient of every parameter array at the forward pass `fp`.
 
     Names and order follow parameter_arrays. The optimizer steps on this
     gradient, and gradient_check verifies it.
     """
-    fp = _forward(model, batch)
-    return fp, _gradients(model, batch, fp)
-
-
-def _gradients(model: RqVaeModel, batch: np.ndarray, fp: _ForwardPass
-               ) -> dict[str, np.ndarray]:
     n = batch.shape[0]
     beta = model.config.beta
     residuals = fp.residuals
@@ -288,7 +264,7 @@ def _gradients(model: RqVaeModel, batch: np.ndarray, fp: _ForwardPass
     # codebooks: sg-protected term, grad e_w = (2/B) * sum_{c_l=w} (e_w - r_{l-1})
     cb_grads = []
     for l, cb in enumerate(model.codebooks):
-        cb_grads.append(scatter_add_rows(len(cb.vectors), fp.codes[:, l],
+        cb_grads.append(scatter_add_rows(len(cb), fp.codes[:, l],
                                          (-2.0 / n) * residuals[:, l + 1]))
 
     return _named_arrays(enc_gw, enc_gb, dec_gw, dec_gb, cb_grads)
@@ -358,8 +334,7 @@ def _bind_views(model: RqVaeModel, flat: np.ndarray) -> None:
                             (model.decoder_weights, model.decoder_biases)):
         for k in range(len(weights)):
             weights[k], biases[k] = view(weights[k]), view(biases[k])
-    for cb in model.codebooks:
-        cb.vectors = view(cb.vectors)
+    model.codebooks[:] = [view(cb) for cb in model.codebooks]
 
 
 def _layer_dims(d_in: int, d_out: int, cfg: RqVaeConfig) -> list[int]:
@@ -382,11 +357,10 @@ def _init_affine(dims: list[int], rng: np.random.Generator
 def initialize_model(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
     """Seeded weight init plus per-level k-means codebook init on the first batch."""
     cfg.validate()
-    if not embeddings.rows:
-        raise ValueError("embedding matrix is empty")
-    items = sorted(embeddings.rows)
-    x = embeddings.matrix(items)
+    x = embeddings.vectors
     n = x.shape[0]
+    if not n:
+        raise ValueError("embedding matrix is empty")
     if n < cfg.codebook_size:  # validate() keeps batch_size >= codebook_size
         raise ValueError(f"{n} items, fewer than codebook_size {cfg.codebook_size}")
     first = min(cfg.batch_size, n)
@@ -398,9 +372,9 @@ def initialize_model(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeMode
                        codebooks=[], config=cfg, input_dim=embeddings.dim)
     batch = x[rng.permutation(n)[:first]]
     r = encode(model, batch)
-    for level in range(1, cfg.code_len + 1):
+    for _ in range(cfg.code_len):
         vectors = kmeans_init(r, cfg.codebook_size, cfg.kmeans_iters, rng)
-        model.codebooks.append(Codebook(level=level, vectors=vectors))
+        model.codebooks.append(vectors)
         c = np.argmin(_sq_dists(r, vectors), axis=1)
         r = r - vectors[c]
     return model
@@ -420,15 +394,14 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
     failure or a non-finite loss raises RuntimeError naming the epoch.
     """
     model = initialize_model(embeddings, cfg)
-    items = sorted(embeddings.rows)
-    x = embeddings.matrix(items)
+    x = embeddings.vectors
     n = x.shape[0]
     rng = np.random.default_rng([cfg.seed, 1])  # stream separate from init's
 
     opt = _AdamW(model, cfg.weight_decay)
     model.reseeds = [0] * len(model.codebooks)
 
-    model.loss_history.append(_eval_losses(model, x, 0))
+    model.loss_history.append(_checked_forward(model, x, 0).losses)
     for epoch in range(cfg.epochs):
         lr = cfg.learning_rate * (1.0 - epoch / max(1, cfg.epochs))
         perm = rng.permutation(n)
@@ -446,12 +419,12 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
             dead = np.flatnonzero(~used[l])
             if dead.size:
                 picks = rng.integers(0, n, size=dead.size)
-                cb.vectors[dead] = encode(model, x[picks])
+                cb[dead] = encode(model, x[picks])
                 model.reseeds[l] += int(dead.size)
         if epoch:  # epoch 0's parameters are entry 0's
             model.loss_history.append((l_rec, l_rq))
     if cfg.epochs:
-        model.loss_history.append(_eval_losses(model, x, cfg.epochs - 1))
+        model.loss_history.append(_checked_forward(model, x, cfg.epochs - 1).losses)
     log.info("rqvae: trained %d epochs, l_rec %.6f -> %.6f", cfg.epochs,
              model.loss_history[0][0], model.loss_history[-1][0])
     return model
@@ -465,11 +438,6 @@ def _checked_forward(model: RqVaeModel, batch: np.ndarray, epoch: int) -> _Forwa
     if not np.isfinite(fp.l_rec + fp.l_rq):
         raise RuntimeError(f"non-finite loss at epoch {epoch}")
     return fp
-
-
-def _eval_losses(model: RqVaeModel, x: np.ndarray, epoch: int) -> tuple[float, float]:
-    fp = _checked_forward(model, x, epoch)
-    return fp.l_rec, fp.l_rq
 
 
 # ---------------------------------------------------------------------------
@@ -497,8 +465,7 @@ def finite_difference_gradients(model: RqVaeModel, batch: np.ndarray,
         x_star = decode(model, z + offset)
         rec = np.mean(np.sum((batch - x_star) ** 2, axis=1))
         commit = np.mean(np.sum((z[:, None, :] - anchors) ** 2, axis=(1, 2)))
-        picked = np.stack([cb.vectors[codes[:, l]]
-                           for l, cb in enumerate(model.codebooks)], axis=1)
+        picked = np.stack([cb[codes[:, l]] for l, cb in enumerate(model.codebooks)], axis=1)
         codebook = np.mean(np.sum((targets - picked) ** 2, axis=(1, 2)))
         return float(rec + beta * commit + codebook)
 
@@ -536,7 +503,7 @@ def gradient_check(model: RqVaeModel, batch: np.ndarray, epsilon: float = 1e-5) 
         raise ValueError("gradient_check expects a small batch (<= 8 rows)")
     if not 1e-6 <= epsilon <= 1e-3:
         raise ValueError(f"epsilon must be in [1e-6, 1e-3], got {epsilon}")
-    _, analytic = _forward_backward(model, batch)
+    analytic = _gradients(model, batch, _forward(model, batch))
     numeric = finite_difference_gradients(model, batch, epsilon)
     return max_relative_error(analytic, numeric)
 
@@ -548,9 +515,8 @@ def assign_codes(model: RqVaeModel, embeddings: EmbeddingMatrix) -> dict[str, tu
     """Encode and quantize every item into its raw L-level code tuple."""
     if embeddings.dim != model.input_dim:
         raise ValueError(f"embedding dim {embeddings.dim} != model input dim {model.input_dim}")
-    items = sorted(embeddings.rows)
-    codes, _, _ = quantize_batch(encode(model, embeddings.matrix(items)), model.codebooks)
-    return {item: tuple(int(c) for c in codes[k]) for k, item in enumerate(items)}
+    codes, _, _ = quantize_batch(encode(model, embeddings.vectors), model.codebooks)
+    return dict(zip(embeddings.items, map(tuple, codes.tolist())))
 
 
 def index_counters(model: RqVaeModel, raw_codes: dict[str, tuple[int, ...]]) -> dict:

@@ -417,9 +417,15 @@ def load_scorer(path: str | Path) -> list[MarkovScorer]:
                 raise ValueError(f"line {tag!r} holds {len(values)} values, header says "
                                  f"{name} has {want}")
             try:
-                return np.array(values, dtype=np.int64)
+                out = np.array(values, dtype=np.int64)
             except ValueError as exc:
                 raise ValueError(f"line {tag!r}: {exc}") from None
+            if name.startswith("count"):
+                if np.any(out < 0):
+                    raise ValueError(f"line {tag!r} holds a negative count")
+            elif np.any(out[1:] <= out[:-1]):  # lookups binary-search the keys
+                raise ValueError(f"line {tag!r}: keys are not strictly increasing")
+            return out
 
         vocab = header["vocab"].split(" ") if header["vocab"] else []
         ctx_keys, ngram_keys, counts = [], [], []

@@ -59,9 +59,7 @@ def generate_synthetic(cfg: SyntheticConfig) -> tuple[InteractionDataset, Embedd
     centers = rng.normal(0.0, cfg.center_scale, size=(cfg.n_clusters, cfg.emb_dim))
     vecs = centers[cluster_of] + rng.normal(0.0, cfg.noise_scale,
                                             size=(cfg.n_items, cfg.emb_dim))
-    semantic = EmbeddingMatrix(dim=cfg.emb_dim,
-                               rows={items[k]: vecs[k] for k in range(cfg.n_items)},
-                               source_tag="semantic")
+    semantic = EmbeddingMatrix(items, vecs)  # zero-padded ids are already sorted
 
     def successor(idx: int) -> int:
         group = members[cluster_of[idx]]

@@ -16,10 +16,9 @@ from rqrec.metrics import HitSet, chr_avg, hit_at_k, ndcg_at_k, per
 from rqrec.pipeline import run_stage, stage_evaluate, stage_rerank
 from rqrec.rerank import fuse_and_rank, score_items
 from rqrec.retrieval import ListRecord, beam_search_constrained, exhaustive_topk_oracle
-from rqrec.rqvae import (Codebook, RqVaeConfig, _forward_backward,
-                         finite_difference_gradients, gradient_check,
-                         initialize_model, max_relative_error, parameter_arrays,
-                         quantize_residual, resolve_collisions, train_rqvae)
+from rqrec.rqvae import (RqVaeConfig, _forward, _gradients, finite_difference_gradients,
+                         gradient_check, initialize_model, max_relative_error,
+                         parameter_arrays, quantize_batch, resolve_collisions, train_rqvae)
 from rqrec.vocab import build_prefix_trie, code_token
 
 
@@ -38,18 +37,17 @@ def test_criterion_01_quantization_oracle():
     start = time.time()
     rng = np.random.default_rng(101)
     for _ in range(100):
-        books = [Codebook(level=l + 1, vectors=rng.normal(size=(8, 16)))
-                 for l in range(3)]
+        books = [rng.normal(size=(8, 16)) for _ in range(3)]
         z = rng.normal(size=16)
-        codes, residuals, z_star = quantize_residual(z, books)
+        codes, residuals, z_star = quantize_batch(z[None, :], books)
         r = z.copy()
         for l, book in enumerate(books):
             # independent oracle: exhaustive scan of all codewords at this level
-            dists = [float(((r - e) ** 2).sum()) for e in book.vectors]
+            dists = [float(((r - e) ** 2).sum()) for e in book]
             best = min(range(8), key=lambda w: (dists[w], w))
-            assert codes[l] == best
-            r = r - book.vectors[best]
-        assert float(np.max(np.abs((z - z_star) - residuals[-1]))) <= 1e-12
+            assert codes[0, l] == best
+            r = r - book[best]
+        assert float(np.max(np.abs((z - z_star[0]) - residuals[0, -1]))) <= 1e-12
     elapsed = time.time() - start
     assert elapsed < 5.0
     report(1, f"100 instances match brute force, telescoping <= 1e-12, {elapsed:.2f}s")
@@ -60,9 +58,8 @@ def test_criterion_02_gradient_check():
     worst = 0.0
     for seed in (201, 202, 203):
         rng = np.random.default_rng(seed)
-        emb = EmbeddingMatrix(dim=6, rows={f"i{k}": rng.normal(size=6)
-                                           for k in range(32)},
-                              source_tag="semantic")
+        rows = {f"i{k}": rng.normal(size=6) for k in range(32)}
+        emb = EmbeddingMatrix(sorted(rows), np.stack([rows[i] for i in sorted(rows)]))
         cfg = RqVaeConfig(latent_dim=4, code_len=3, codebook_size=4, hidden_dim=8,
                           n_layers=5, epochs=0, batch_size=32, seed=seed)
         model = initialize_model(emb, cfg)
@@ -71,7 +68,7 @@ def test_criterion_02_gradient_check():
         worst = max(worst, err)
         assert err < 1e-3
         # negative control: doubling one gradient entry must blow the check
-        _, analytic = _forward_backward(model, batch)
+        analytic = _gradients(model, batch, _forward(model, batch))
         numeric = finite_difference_gradients(model, batch, 1e-5)
         name = max(analytic, key=lambda k: float(np.max(np.abs(analytic[k]))))
         idx = np.unravel_index(np.argmax(np.abs(analytic[name])), analytic[name].shape)
@@ -87,8 +84,7 @@ def test_criterion_03_rqvae_training():
     rng = np.random.default_rng(301)
     centers = rng.normal(0, 3.0, size=(8, 24))
     x = centers[rng.integers(0, 8, 1000)] + rng.normal(0, 0.3, size=(1000, 24))
-    emb = EmbeddingMatrix(dim=24, rows={f"i{k:04d}": x[k] for k in range(1000)},
-                          source_tag="semantic")
+    emb = EmbeddingMatrix([f"i{k:04d}" for k in range(1000)], x)
     cfg = RqVaeConfig(latent_dim=8, code_len=3, codebook_size=16, hidden_dim=32,
                       epochs=200, batch_size=256, learning_rate=1e-3, seed=302)
     model = train_rqvae(emb, cfg)
@@ -99,7 +95,7 @@ def test_criterion_03_rqvae_training():
     for a, b in zip(parameter_arrays(model).values(), parameter_arrays(again).values()):
         assert np.array_equal(a, b)
     for ca, cb in zip(model.codebooks, again.codebooks):
-        assert np.array_equal(ca.vectors, cb.vectors)
+        assert np.array_equal(ca, cb)
     elapsed = time.time() - start
     assert elapsed < 120.0
     report(3, f"l_rec {initial:.2f} -> {final:.4f} ({final / initial:.2%}), "

@@ -49,7 +49,7 @@ def test_propagate_dimension_mismatch():
 def test_disjoint_blocks_separate():
     cfg = CollabConfig(dim=16, layers=2, epochs=150, learning_rate=1.0, seed=3)
     emb = train_collab_state(split_of(BLOCKS), cfg).item_matrix()
-    v = {i: emb.rows[i] / np.linalg.norm(emb.rows[i]) for i in emb.rows}
+    v = {i: row / np.linalg.norm(row) for i, row in zip(emb.items, emb.vectors)}
     intra = (v["a"] @ v["b"] + v["c"] @ v["d"]) / 2
     cross = np.mean([v[x] @ v[y] for x in "ab" for y in "cd"])
     assert intra > cross
@@ -67,8 +67,7 @@ def test_same_seed_bitwise_identical():
     cfg = CollabConfig(dim=8, layers=1, epochs=15, learning_rate=0.5, seed=9)
     a = train_collab_state(split_of(BLOCKS), cfg).item_matrix()
     b = train_collab_state(split_of(BLOCKS), cfg).item_matrix()
-    for item in a.rows:
-        assert np.array_equal(a.rows[item], b.rows[item])
+    assert a.items == b.items and np.array_equal(a.vectors, b.vectors)
 
 
 def test_no_leakage_from_valid_test():
@@ -77,8 +76,7 @@ def test_no_leakage_from_valid_test():
     perturbed = SplitDataset(train=BLOCKS, valid={"u1": "a"}, test={"u1": "zzz"})
     a = train_collab_state(base, cfg).item_matrix()
     b = train_collab_state(perturbed, cfg).item_matrix()
-    for item in a.rows:
-        assert np.array_equal(a.rows[item], b.rows[item])
+    assert a.items == b.items and np.array_equal(a.vectors, b.vectors)
 
 
 def test_heldout_ranking_loss_decreases():

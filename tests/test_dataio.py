@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -196,46 +198,79 @@ def test_split_file_roundtrip(tmp_path):
 
 def test_emb_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
-    emb = EmbeddingMatrix(dim=4, rows={f"i{k}": rng.normal(size=4) for k in range(5)},
-                          source_tag="semantic")
+    emb = EmbeddingMatrix([f"i{k}" for k in range(5)], rng.normal(size=(5, 4)))
     p = tmp_path / "m.emb"
     write_embedding_matrix(emb, p)
-    back = load_embedding_matrix(p, "semantic")
-    assert back.dim == 4 and set(back.rows) == set(emb.rows)
-    for item in emb.rows:
-        assert np.array_equal(back.rows[item], emb.rows[item])
+    back = load_embedding_matrix(p)
+    assert back.dim == 4 and back.items == emb.items
+    assert np.array_equal(back.vectors, emb.vectors)
 
 
 def test_emb_header_and_shape(tmp_path):
     p = tmp_path / "m.emb"
     write_lines(p, ["ITEM_EMB v1", "2 3", "a 1.0 2.0 3.0", "b 0.5 0.25 0.125"])
-    emb = load_embedding_matrix(p, "semantic")
-    assert emb.dim == 3 and len(emb.rows) == 2
+    emb = load_embedding_matrix(p)
+    assert emb.dim == 3 and len(emb.items) == 2
 
 
 def test_emb_bad_header(tmp_path):
     p = tmp_path / "m.emb"
     write_lines(p, ["WRONG", "1 2", "a 1 2"])
     with pytest.raises(ValueError, match=":1:"):
-        load_embedding_matrix(p, "semantic")
+        load_embedding_matrix(p)
 
 
 def test_emb_row_length_error_names_line(tmp_path):
     p = tmp_path / "m.emb"
     write_lines(p, ["ITEM_EMB v1", "2 3", "a 1.0 2.0 3.0", "b 1.0 2.0"])
     with pytest.raises(ValueError, match=":4:"):
-        load_embedding_matrix(p, "semantic")
+        load_embedding_matrix(p)
 
 
 def test_emb_duplicate_item(tmp_path):
     p = tmp_path / "m.emb"
     write_lines(p, ["ITEM_EMB v1", "2 2", "a 1 2", "a 3 4"])
     with pytest.raises(ValueError, match="duplicate"):
-        load_embedding_matrix(p, "semantic")
+        load_embedding_matrix(p)
 
 
 def test_emb_nonfinite(tmp_path):
     p = tmp_path / "m.emb"
     write_lines(p, ["ITEM_EMB v1", "1 2", "a 1.0 nan"])
     with pytest.raises(ValueError, match="non-finite"):
-        load_embedding_matrix(p, "semantic")
+        load_embedding_matrix(p)
+    write_lines(p, ["ITEM_EMB v1", "3 2", "c 1 2", "b inf 4", "a nan 6"])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:4: non-finite value$"):
+        load_embedding_matrix(p)
+    emb = EmbeddingMatrix(["a", "b"], np.array([[1.0, 2.0], [np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="row 'b' has non-finite values"):
+        write_embedding_matrix(emb, tmp_path / "out.emb")
+
+
+def test_emb_rows_in_any_order_load_sorted(tmp_path):
+    p = tmp_path / "m.emb"
+    write_lines(p, ["ITEM_EMB v1", "3 2", "c 5 6", "a 1 2", "b 3 4"])
+    emb = load_embedding_matrix(p)
+    assert emb.items == ["a", "b", "c"]
+    assert emb.vectors.tolist() == [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]]
+    write_embedding_matrix(emb, p)
+    assert p.read_text().splitlines()[2:] == ["a 1.0 2.0", "b 3.0 4.0", "c 5.0 6.0"]
+
+
+def test_embedding_matrix_refuses_unsorted_or_duplicate_items():
+    for items in (["b", "a"], ["a", "a"], ["i9", "i10"]):  # string order, not numeric
+        with pytest.raises(ValueError, match="sorted and unique"):
+            EmbeddingMatrix(items, np.zeros((2, 3)))
+    with pytest.raises(ValueError, match="3 items for vectors of shape"):
+        EmbeddingMatrix(["a", "b", "c"], np.zeros((2, 3)))
+    assert EmbeddingMatrix(["i10", "i9"], np.zeros((2, 3))).dim == 3
+
+
+def test_emb_rows_beyond_size_line(tmp_path):
+    p = tmp_path / "m.emb"
+    write_lines(p, ["ITEM_EMB v1", "2 2", "a 1 2", "b 3 4", "", "c 5 6"])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:6: a row beyond the 2 the "
+                                         r"size line declares$"):
+        load_embedding_matrix(p)
+    write_lines(p, ["ITEM_EMB v1", "2 2", "a 1 2", "b 3 4", ""])  # trailing blank lines pass
+    assert load_embedding_matrix(p).items == ["a", "b"]

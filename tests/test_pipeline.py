@@ -64,7 +64,7 @@ def test_config_unknown_key_rejected(tmp_path):
         load_config(write_config(tmp_path, **{"nonsense.key": 1}))
 
 
-def test_config_validation_before_work(tmp_path):
+def test_config_validation_before_work(tmp_path, capsys):
     with pytest.raises(ValueError, match="k_retrieve"):
         load_config(write_config(tmp_path, **{"retrieval.k": 3}))
     with pytest.raises(ValueError, match="alpha"):
@@ -138,6 +138,13 @@ def test_config_validation_before_work(tmp_path):
     with pytest.raises(ValueError, match=rf"^{re.escape(str(path))}:{lineno}: scorer\.order: "
                                          r"expected int, got 'eight'$"):
         load_config(path)
+    # a section's keys are its fields, not its methods or other attributes
+    for key in ("collab.validate", "rqvae.__class__", "synthetic.__init__"):
+        with pytest.raises(ValueError, match=rf"^unknown config key '{re.escape(key)}'$"):
+            load_config(write_config(tmp_path), overrides=[f"{key}=x"])
+    assert main(["prepare", "--config", str(write_config(tmp_path)), "--set",
+                 "collab.validate=x"]) == 2
+    assert "error [config]: unknown config key 'collab.validate'" in capsys.readouterr().err
     cfg = load_config(write_config(tmp_path, **{"collab.epochs": 0, "rqvae.epochs": 0,
                                                 "rqvae.weight_decay": 0,
                                                 "rqvae.kmeans_iters": 0}))
@@ -683,6 +690,54 @@ def test_cli_bad_code_names_line(pipeline_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{codes}:3: invalid literal for int() with base 10: 'x'" in err
         assert "rerun the 'build-index' stage" in err
+
+
+def test_cli_malformed_embeddings_name_line(pipeline_run, tmp_path, capsys):
+    import shutil
+    _, path, cfg = pipeline_run
+    out = tmp_path / "emb"
+    shutil.copytree(cfg.out_dir, out)
+    args = ["build-index", "--config", str(path), "-q", "--set", f"paths.out_dir={out}",
+            "--set", f"paths.semantic_emb={out / 'semantic.emb'}"]
+    for name, case in (("collab.emb", "short row"), ("collab.emb", "extra rows"),
+                       ("semantic.emb", "short row")):
+        emb = out / name
+        good = emb.read_text()
+        lines = good.splitlines(keepends=True)
+        if case == "short row":
+            lines[5] = lines[5].rsplit(" ", 1)[0] + "\n"
+            fields = len(lines[4].split())
+            message = f"{emb}:6: expected {fields} fields, got {fields - 1}"
+        else:  # the size line declares 30 of the 40 rows
+            lines[1] = "30 " + lines[1].split()[1] + "\n"
+            message = f"{emb}:33: a row beyond the 30 the size line declares"
+        emb.write_text("".join(lines))
+        assert main(args) == 1
+        err = capsys.readouterr().err
+        # collab.emb names the stage that writes it; semantic.emb is outside input
+        hint = "; rerun the 'embed-collab' stage" if name == "collab.emb" else ""
+        assert err == f"error [build-index]: {message}{hint}\n"
+        emb.write_text(good)
+
+
+def test_build_index_codes_ignore_embedding_row_order(pipeline_run, tmp_path):
+    import dataclasses
+    import random
+    import shutil
+
+    from rqrec.pipeline import stage_build_index
+    _, _, cfg = pipeline_run
+    out = tmp_path / "shuffled"
+    shutil.copytree(cfg.out_dir, out)
+    for name in ("semantic.emb", "collab.emb"):
+        lines = (out / name).read_text().splitlines(keepends=True)
+        rows = lines[2:]
+        random.Random(5).shuffle(rows)
+        assert rows != lines[2:]
+        (out / name).write_text("".join(lines[:2] + rows))
+    stage_build_index(dataclasses.replace(cfg, out_dir=out, semantic_emb=out / "semantic.emb"))
+    for name in ("codes_ceid.tsv", "codes_seid.tsv"):
+        assert (out / name).read_bytes() == (cfg.out_dir / name).read_bytes()
 
 
 def test_cli_catalog_smaller_than_codebook_names_the_key(tmp_path, capsys):

@@ -2,18 +2,15 @@ import numpy as np
 import pytest
 
 from rqrec.dataio import EmbeddingMatrix
-from rqrec.rqvae import (Codebook, RqVaeConfig, RqVaeModel, _AdamW, _forward_backward, _sq_dists,
-                         assign_codes, finite_difference_gradients, forward_loss,
-                         gradient_check, initialize_model, kmeans_init,
-                         load_code_table, max_relative_error, parameter_arrays,
-                         quantize_residual, resolve_collisions, train_rqvae,
+from rqrec.rqvae import (RqVaeConfig, RqVaeModel, _AdamW, _forward, _gradients, _sq_dists,
+                         assign_codes, finite_difference_gradients, gradient_check,
+                         initialize_model, kmeans_init, load_code_table, max_relative_error,
+                         parameter_arrays, quantize_batch, resolve_collisions, train_rqvae,
                          write_code_table)
 
 
-def emb_of(x, tag="semantic"):
-    return EmbeddingMatrix(dim=x.shape[1],
-                           rows={f"i{k:04d}": x[k] for k in range(x.shape[0])},
-                           source_tag=tag)
+def emb_of(x):
+    return EmbeddingMatrix([f"i{k:04d}" for k in range(x.shape[0])], x)
 
 
 def clustered_embeddings(n=300, dim=12, clusters=6, seed=0):
@@ -108,52 +105,52 @@ def test_kmeans_too_few_rows():
 # ---------------------------------------------------------------------------
 # residual quantization
 
-def cb(level, values):
-    return Codebook(level=level, vectors=np.array(values, dtype=float))
+def cb(values):
+    return np.array(values, dtype=float)
 
 
 def test_quantize_one_dim_level_one():
-    books = [cb(1, [[0.0], [1.0]])]
-    codes, residuals, z_star = quantize_residual(np.array([0.9]), books)
-    assert codes == [1]
-    assert residuals[1][0] == pytest.approx(-0.1)
-    assert z_star[0] == pytest.approx(1.0)
+    books = [cb([[0.0], [1.0]])]
+    codes, residuals, z_star = quantize_batch(np.array([[0.9]]), books)
+    assert codes.tolist() == [[1]]
+    assert residuals[0, 1, 0] == pytest.approx(-0.1)
+    assert z_star[0, 0] == pytest.approx(1.0)
 
 
 def test_quantize_two_levels_exact():
-    books = [cb(1, [[0.0], [1.0]]), cb(2, [[-0.1], [0.1]])]
-    codes, residuals, z_star = quantize_residual(np.array([0.9]), books)
-    assert codes == [1, 0]
-    assert residuals[2][0] == pytest.approx(0.0, abs=1e-15)
-    assert z_star[0] == pytest.approx(0.9, abs=1e-15)
+    books = [cb([[0.0], [1.0]]), cb([[-0.1], [0.1]])]
+    codes, residuals, z_star = quantize_batch(np.array([[0.9]]), books)
+    assert codes.tolist() == [[1, 0]]
+    assert residuals[0, 2, 0] == pytest.approx(0.0, abs=1e-15)
+    assert z_star[0, 0] == pytest.approx(0.9, abs=1e-15)
 
 
 def test_quantize_tie_breaks_to_lowest_index():
-    books = [cb(1, [[1.0], [-1.0]])]  # both at distance 1 from z=0
-    codes, _, _ = quantize_residual(np.array([0.0]), books)
-    assert codes == [0]
+    books = [cb([[1.0], [-1.0]])]  # both at distance 1 from z=0
+    codes, _, _ = quantize_batch(np.array([[0.0]]), books)
+    assert codes.tolist() == [[0]]
 
 
 def test_quantize_matches_bruteforce_oracle():
     rng = np.random.default_rng(4)
     for _ in range(50):
-        books = [cb(l + 1, rng.normal(size=(8, 16))) for l in range(3)]
+        books = [rng.normal(size=(8, 16)) for _ in range(3)]
         z = rng.normal(size=16)
-        codes, residuals, z_star = quantize_residual(z, books)
+        codes, residuals, z_star = quantize_batch(z[None, :], books)
         r = z.copy()
         for l, book in enumerate(books):
-            dists = [float(((r - e) ** 2).sum()) for e in book.vectors]
+            dists = [float(((r - e) ** 2).sum()) for e in book]
             expect = int(np.argmin(dists))
-            assert codes[l] == expect
-            r = r - book.vectors[expect]
+            assert codes[0, l] == expect
+            r = r - book[expect]
         # telescoping identity: z - z* == r_L
-        assert np.max(np.abs((z - z_star) - residuals[-1])) < 1e-12
-        assert np.max(np.abs(residuals[-1] - r)) < 1e-12
+        assert np.max(np.abs((z - z_star[0]) - residuals[0, -1])) < 1e-12
+        assert np.max(np.abs(residuals[0, -1] - r)) < 1e-12
 
 
 def test_quantize_nonfinite_error():
     with pytest.raises(ValueError):
-        quantize_residual(np.array([np.nan]), [cb(1, [[0.0]])])
+        quantize_batch(np.array([[np.nan]]), [cb([[0.0]])])
 
 
 # ---------------------------------------------------------------------------
@@ -172,35 +169,32 @@ def identity_model(codebooks, beta=0.25, n_layers=5):
 
 
 def test_forward_loss_zero_case():
-    model = identity_model([cb(1, [[0.0], [1.0]]), cb(2, [[0.0], [0.5]])])
+    model = identity_model([cb([[0.0], [1.0]]), cb([[0.0], [0.5]])])
     x = np.array([[1.0]])
-    _, codes, l_rec, l_rq, l_total = forward_loss(model, x)
-    assert list(codes[0]) == [1, 0]
-    assert l_rec == pytest.approx(0.0, abs=1e-15)
-    assert l_rq == pytest.approx(0.0, abs=1e-15)
-    assert l_total == pytest.approx(0.0, abs=1e-15)
+    fp = _forward(model, x)
+    assert list(fp.codes[0]) == [1, 0]
+    assert fp.l_rec == pytest.approx(0.0, abs=1e-15)
+    assert fp.l_rq == pytest.approx(0.0, abs=1e-15)
+    assert fp.l_rec + fp.l_rq == pytest.approx(0.0, abs=1e-15)
 
 
 def test_forward_loss_hand_case():
     # z = 0.9 quantizes exactly over two levels; only level 1 leaves a residual
-    model = identity_model([cb(1, [[0.0], [1.0]]), cb(2, [[-0.1], [0.1]])], beta=0.25)
-    x_star, codes, l_rec, l_rq, l_total = forward_loss(model, np.array([[0.9]]))
-    assert x_star[0, 0] == pytest.approx(0.9, abs=1e-15)
-    assert l_rec == pytest.approx(0.0, abs=1e-14)
+    model = identity_model([cb([[0.0], [1.0]]), cb([[-0.1], [0.1]])], beta=0.25)
+    fp = _forward(model, np.array([[0.9]]))
+    assert fp.x_star[0, 0] == pytest.approx(0.9, abs=1e-15)
+    assert fp.l_rec == pytest.approx(0.0, abs=1e-14)
     # codebook term 0.01 at level 1, plus beta * same commitment value
-    assert l_rq == pytest.approx((1 + 0.25) * 0.01, abs=1e-12)
-    assert l_total == pytest.approx(l_rec + l_rq, abs=1e-15)
+    assert fp.l_rq == pytest.approx((1 + 0.25) * 0.01, abs=1e-12)
 
 
 def test_forward_loss_beta_limit_removes_commitment():
-    books = [cb(1, [[0.0], [1.0]])]
     codebook_term = 0.01  # ||r0 - e||^2 for z = 0.9
-    tiny = identity_model([cb(1, [[0.0], [1.0]])], beta=1e-12)
-    _, _, _, l_rq_tiny, _ = forward_loss(tiny, np.array([[0.9]]))
-    assert l_rq_tiny == pytest.approx(codebook_term, rel=1e-9)
-    full = identity_model([cb(1, [[0.0], [1.0]])], beta=0.25)
-    _, _, _, l_rq_full, _ = forward_loss(full, np.array([[0.9]]))
-    assert l_rq_full == pytest.approx(codebook_term * 1.25, abs=1e-12)
+    tiny = identity_model([cb([[0.0], [1.0]])], beta=1e-12)
+    assert _forward(tiny, np.array([[0.9]])).l_rq == pytest.approx(codebook_term, rel=1e-9)
+    full = identity_model([cb([[0.0], [1.0]])], beta=0.25)
+    assert _forward(full, np.array([[0.9]])).l_rq == pytest.approx(codebook_term * 1.25,
+                                                                   abs=1e-12)
 
 
 def test_losses_nonnegative_random():
@@ -211,8 +205,8 @@ def test_losses_nonnegative_random():
     model = initialize_model(emb, cfg)
     for _ in range(10):
         batch = rng.normal(size=(16, 6))
-        _, _, l_rec, l_rq, _ = forward_loss(model, batch)
-        assert l_rec >= 0.0 and l_rq >= 0.0
+        fp = _forward(model, batch)
+        assert fp.l_rec >= 0.0 and fp.l_rq >= 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -242,7 +236,7 @@ def test_train_zero_epochs_equals_initialized():
     for a, b in zip(parameter_arrays(trained).values(), parameter_arrays(init).values()):
         assert np.array_equal(a, b)
     for ca, cb_ in zip(trained.codebooks, init.codebooks):
-        assert np.array_equal(ca.vectors, cb_.vectors)
+        assert np.array_equal(ca, cb_)
 
 
 def test_train_same_seed_identical():
@@ -252,7 +246,7 @@ def test_train_same_seed_identical():
     for pa, pb in zip(parameter_arrays(a).values(), parameter_arrays(b).values()):
         assert np.array_equal(pa, pb)
     for ca, cb_ in zip(a.codebooks, b.codebooks):
-        assert np.array_equal(ca.vectors, cb_.vectors)
+        assert np.array_equal(ca, cb_)
     assert a.loss_history == b.loss_history
 
 
@@ -269,13 +263,13 @@ def test_train_divergence_names_epoch():
 @pytest.mark.parametrize("batch_size", [64, 300])  # several batches per epoch, or one
 def test_loss_history_ends_are_full_data_losses(batch_size):
     emb = clustered_embeddings(seed=20)
-    x = emb.matrix(sorted(emb.rows))
+    x = emb.vectors
     for epochs in (0, 1, 7):
         cfg = RqVaeConfig(epochs=epochs, seed=21, **{**SMALL, "batch_size": batch_size})
         model = train_rqvae(emb, cfg)
         assert len(model.loss_history) == epochs + 1
-        assert model.loss_history[0] == forward_loss(initialize_model(emb, cfg), x)[2:4]
-        assert model.loss_history[-1] == forward_loss(model, x)[2:4]
+        assert model.loss_history[0] == _forward(initialize_model(emb, cfg), x).losses
+        assert model.loss_history[-1] == _forward(model, x).losses
         assert all(np.isfinite(entry).all() for entry in model.loss_history)
 
 
@@ -342,8 +336,7 @@ def test_train_requires_first_batch_covering_codebook():
 
 def test_train_empty_embeddings_error():
     with pytest.raises(ValueError):
-        train_rqvae(EmbeddingMatrix(dim=3, rows={}, source_tag="semantic"),
-                    RqVaeConfig(epochs=1))
+        train_rqvae(EmbeddingMatrix([], np.zeros((0, 3))), RqVaeConfig(epochs=1))
 
 
 # ---------------------------------------------------------------------------
@@ -377,7 +370,7 @@ def test_gradient_check_negative_control():
                       n_layers=5, epochs=0, batch_size=32, seed=9)
     model = initialize_model(emb, cfg)
     batch = rng.normal(size=(4, 6))
-    _, analytic = _forward_backward(model, batch)
+    analytic = _gradients(model, batch, _forward(model, batch))
     numeric = finite_difference_gradients(model, batch, 1e-5)
     # corrupt the largest-magnitude gradient entry by x2
     name = max(analytic, key=lambda k: float(np.max(np.abs(analytic[k]))))
@@ -424,14 +417,14 @@ def test_assign_codes_range_property():
 
 
 def test_assign_codes_matches_quantize_oracle():
-    model = identity_model([cb(1, [[0.0], [1.0]]), cb(2, [[-0.1], [0.1]])])
-    emb = EmbeddingMatrix(dim=1, rows={"a": np.array([0.9])}, source_tag="semantic")
+    model = identity_model([cb([[0.0], [1.0]]), cb([[-0.1], [0.1]])])
+    emb = EmbeddingMatrix(["a"], np.array([[0.9]]))
     assert assign_codes(model, emb) == {"a": (1, 0)}
 
 
 def test_assign_codes_dim_mismatch():
-    model = identity_model([cb(1, [[0.0]])])
-    emb = EmbeddingMatrix(dim=2, rows={"a": np.zeros(2)}, source_tag="semantic")
+    model = identity_model([cb([[0.0]])])
+    emb = EmbeddingMatrix(["a"], np.zeros((1, 2)))
     with pytest.raises(ValueError):
         assign_codes(model, emb)
 

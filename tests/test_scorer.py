@@ -372,3 +372,15 @@ def test_load_refuses_truncated_checkpoint(tmp_path):
         p.write_text("\n".join(replaced(tag, first)) + "\n")
         with pytest.raises(ValueError, match=named):
             load_scorer(p)
+    # a negative count, and keys out of order: lookups binary-search the keys
+    p.write_text("\n".join(replaced("count1_t2", "-50")) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 'count1_t2' holds a "
+                                         r"negative count; rerun the 'train-scorers' stage$"):
+        load_scorer(p)
+    at = next(n for n, ln in enumerate(lines) if ln.startswith("ngram1 "))
+    tag, *keys = lines[at].split(" ")
+    assert len(keys) > 1
+    p.write_text("\n".join(lines[:at] + [" ".join([tag, *keys[::-1]])] + lines[at + 1:]) + "\n")
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 'ngram1': keys are not "
+                                         r"strictly increasing; rerun the 'train-scorers' stage$"):
+        load_scorer(p)
