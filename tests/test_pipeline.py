@@ -720,7 +720,7 @@ def test_cli_malformed_embeddings_name_line(pipeline_run, tmp_path, capsys):
         emb.write_text(good)
 
 
-def test_build_index_codes_ignore_embedding_row_order(pipeline_run, tmp_path):
+def test_build_index_codes_ignore_embedding_row_order(pipeline_run, tmp_path, caplog):
     import dataclasses
     import random
     import shutil
@@ -732,10 +732,14 @@ def test_build_index_codes_ignore_embedding_row_order(pipeline_run, tmp_path):
     for name in ("semantic.emb", "collab.emb"):
         lines = (out / name).read_text().splitlines(keepends=True)
         rows = lines[2:]
+        if name == "semantic.emb":  # an item no collab row has, which build-index drops
+            rows.append("i000 " + rows[0].split(" ", 1)[1])
+            lines[1] = f"{len(rows)} {lines[1].split()[1]}\n"
         random.Random(5).shuffle(rows)
         assert rows != lines[2:]
         (out / name).write_text("".join(lines[:2] + rows))
     stage_build_index(dataclasses.replace(cfg, out_dir=out, semantic_emb=out / "semantic.emb"))
+    assert "1 embedding row(s) outside the common item set" in caplog.text
     for name in ("codes_ceid.tsv", "codes_seid.tsv"):
         assert (out / name).read_bytes() == (cfg.out_dir / name).read_bytes()
 
