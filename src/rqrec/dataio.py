@@ -2,6 +2,8 @@
 from __future__ import annotations
 
 import logging
+import os
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -197,6 +199,23 @@ def load_split(out_dir: str | Path) -> SplitDataset:
     return SplitDataset(**split)
 
 
+@contextmanager
+def replace_on_close(path: str | Path):
+    """A text file to write in place of path, moved onto it once the block succeeds.
+
+    The file is a temporary in path's directory, so `os.replace` swaps it in
+    whole: a reader of path sees the old bytes or the new ones, never a part.
+    """
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with tmp.open("w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
     """Read the `ITEM_EMB v1` text format into item-sorted rows; errors name the line."""
     path = Path(path)
@@ -210,6 +229,9 @@ def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
         n, d = (int(x) for x in lines[1].split())
     except ValueError:
         raise ValueError(f"{path}:2: malformed size line {lines[1]!r}") from None
+    if n < 0 or d < 1:
+        raise ValueError(f"{path}:2: size line {lines[1]!r} needs n >= 0 rows and "
+                         "d >= 1 dimensions")
     rows: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines[2:2 + n], start=3):
         parts = line.split()

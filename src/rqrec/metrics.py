@@ -6,6 +6,9 @@ import math
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
+
+from .rerank import RankSide
 from .retrieval import ListRecord
 
 log = logging.getLogger(__name__)
@@ -45,12 +48,18 @@ def ndcg_at_k(lists: dict[str, ListRecord], test: dict[str, str], k: int) -> flo
     return total / len(test)
 
 
-def hit_sets(records: list[ListRecord], test: dict[str, str], k: int = 10) -> list[HitSet]:
-    """Per-template hit sets (users whose test item is in that template's top-k)."""
-    users: dict[int, set[str]] = {r.template: set() for r in records}
-    for r in records:
-        if r.user in test and test[r.user] in r.items[:k]:
-            users[r.template].add(r.user)
+def hit_sets(side: RankSide, test: dict[str, str], k: int = 10) -> list[HitSet]:
+    """Per-template hit sets (users whose test item is in that template's top-k).
+
+    An entry is a hit when its item is its user's test item and its rank is
+    below k; every template with a list gets a set, empty or not.
+    """
+    item_no = {item: n for n, item in enumerate(side.items)}
+    target = np.array([item_no.get(test.get(user), -1) for user in side.users], dtype=np.int64)
+    hit = (side.item == target[side.user]) & (side.rank < k)
+    users: dict[int, set[str]] = {t: set() for t in np.unique(side.list_template).tolist()}
+    for t, u in zip(side.template[hit].tolist(), side.user[hit].tolist()):
+        users[t].add(side.users[u])
     return [HitSet(template_id=t, users=users[t]) for t in sorted(users)]
 
 

@@ -4,7 +4,19 @@ Each stage reads its declared inputs from disk, writes its declared outputs
 into the configured output directory, and records a manifest with the config
 snapshot, seed, and sha256 digests of every input and output, so the
 provenance chain is verifiable end to end. Stages are resumable: a missing
-upstream artifact is an error naming the stage to run first.
+upstream artifact is an error naming the stage to run first. Ranked lists and
+manifests are written to a temporary file and moved into place, the manifest
+last, so a reader never sees a partial file.
+
+`rerank` and `analyze` read the ranked lists through one cache per process,
+keyed by the sha256 of the bytes read and bounded at two entries (a stage
+reads at most two list files). An entry is the file's `RankSide`, its int32
+columns, never its records. A stage hashes each list file once, from the same
+read that a parse would use, parses only bytes new to the process, and
+records that digest in its manifest. The cache pays where one process runs
+several of these stages over the same lists: the rerank ablation modes and
+`analyze`, or `all`, where `analyze` reuses what `rerank` parsed. A single
+stage pays a hash per file, which its manifest no longer repeats.
 """
 from __future__ import annotations
 
@@ -19,11 +31,12 @@ from .collab import train_collab_state
 from .config import PipelineConfig
 from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
                      leave_one_out_split, load_embedding_matrix,
-                     load_interactions, load_split, write_embedding_matrix,
-                     write_interactions, write_split)
+                     load_interactions, load_split, replace_on_close,
+                     write_embedding_matrix, write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
-from .rerank import RankArrays, score_pairs, top_k, write_score_breakdown
+from .rerank import (DuplicateList, RankArrays, RankSide, rank_side, score_pairs, top_k,
+                     write_score_breakdown)
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
 from .rqvae import (assign_codes, index_counters, load_code_table, resolve_collisions,
                     train_rqvae, write_code_table)
@@ -66,6 +79,44 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
+# sha256 of a ranked-list file's bytes -> its parsed side, least recently used first.
+# Shared by the whole process on purpose: equal bytes give an equal side wherever
+# they were read. Two entries hold the most a stage reads.
+_SIDES: dict[str, RankSide] = {}
+_SIDES_MAX = 2
+
+
+def _read_side(path: Path) -> tuple[RankSide, str]:
+    """A ranked-list file's `RankSide` and the digest of the bytes read.
+
+    The file is parsed only when those bytes are new to the process; a file
+    that does not parse raises `path:lineno` and is not cached.
+    """
+    data = path.read_bytes()
+    digest = "sha256:" + hashlib.sha256(data).hexdigest()
+    side = _SIDES.pop(digest, None)
+    if side is None:
+        # bytes, text and lines are each as large as the file: hold one at a time
+        text = data.decode("utf-8")
+        del data
+        lines = text.splitlines()
+        del text
+        blank = [n for n, line in enumerate(lines, 1) if not line]  # the reader skips them
+        records = read_ranked_lists(path, lines)
+        del lines
+        try:
+            side = rank_side(records)
+        except DuplicateList as exc:
+            lineno = exc.position + 1
+            for n in blank:
+                lineno += n <= lineno
+            raise ValueError(f"{path}:{lineno}: {exc}; rerun 'retrieve' to rewrite it") from None
+        if len(_SIDES) == _SIDES_MAX:
+            del _SIDES[next(iter(_SIDES))]
+    _SIDES[digest] = side
+    return side, digest
+
+
 def _require(cfg: PipelineConfig, stage: str, *names: str) -> dict[str, Path]:
     found = {}
     for name in names:
@@ -80,7 +131,10 @@ def _require(cfg: PipelineConfig, stage: str, *names: str) -> dict[str, Path]:
 
 def _write_manifest(cfg: PipelineConfig, stage: str,
                     inputs: dict[str, Path], outputs: dict[str, Path],
-                    extra: dict | None = None) -> None:
+                    extra: dict | None = None, digests: dict[Path, str] | None = None) -> None:
+    """`digests` holds the inputs the stage has hashed already, by path."""
+    digests = digests or {}
+
     def rel(p: Path) -> str:
         try:
             return str(p.relative_to(cfg.out_dir))
@@ -92,14 +146,13 @@ def _write_manifest(cfg: PipelineConfig, stage: str,
         "version": __version__,
         "seed": cfg.seed,
         "config": cfg.snapshot(),
-        "inputs": {rel(p): _sha256(p) for p in inputs.values()},
+        "inputs": {rel(p): digests.get(p) or _sha256(p) for p in inputs.values()},
         "outputs": {rel(p): _sha256(p) for p in outputs.values()},
     }
     if extra:
         manifest.update(extra)
-    path = cfg.out_dir / f"manifest_{stage.replace('-', '_')}.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+    with replace_on_close(cfg.out_dir / f"manifest_{stage.replace('-', '_')}.json") as fh:
+        fh.write(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -291,8 +344,12 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     reads = {"ranked_ceid.jsonl": mode != "seid-only", "ranked_seid.jsonl": mode != "ceid-only"}
     inputs = _require(cfg, "rerank", *(name for name, read in reads.items() if read))
     ranks = RankArrays()
+    digests: dict[Path, str] = {}
     for name in reads:
-        ranks.add(read_ranked_lists(inputs[name]) if name in inputs else [])
+        side = rank_side([])
+        if name in inputs:
+            side, digests[inputs[name]] = _read_side(inputs[name])
+        ranks.add(side)
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
     out = cfg.out_dir / "fused.jsonl"
@@ -303,7 +360,7 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
         write_score_breakdown(scores, bpath)
         outputs["score_breakdown.tsv"] = bpath
     _write_manifest(cfg, "rerank", inputs, outputs,
-                    extra={"mode": mode, "alpha": alpha})
+                    extra={"mode": mode, "alpha": alpha}, digests=digests)
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
@@ -334,11 +391,12 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     sets_by_type = {}
     ranks = RankArrays()
+    digests: dict[Path, str] = {}
     for index_type in ("ceid", "seid"):
-        records = read_ranked_lists(cfg.out_dir / f"ranked_{index_type}.jsonl")
-        ranks.add(records)
-        sets_by_type[index_type] = hit_sets(records, split.test, cfg.analysis_k)
-        del records  # one index type's lists in memory at a time
+        ranked = inputs[f"ranked_{index_type}.jsonl"]
+        side, digests[ranked] = _read_side(ranked)
+        ranks.add(side)
+        sets_by_type[index_type] = hit_sets(side, split.test, cfg.analysis_k)
         matrix, ids = per_matrix(sets_by_type[index_type])
         path = cfg.out_dir / f"per_matrix_{index_type}.csv"
         write_per_matrix(matrix, ids, path)
@@ -366,7 +424,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
                 cells += [hit_at_k(fused, split.test, k), ndcg_at_k(fused, split.test, k)]
             fh.write(str(t) + "," + ",".join(repr(c) for c in cells) + "\n")
     outputs["template_sweep.csv"] = sweep_path
-    _write_manifest(cfg, "analyze", inputs, outputs)
+    _write_manifest(cfg, "analyze", inputs, outputs, digests=digests)
 
 
 def run_stage(cfg: PipelineConfig, stage: str, synthetic: bool = False,

@@ -19,6 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import replace_on_close
 from .rqvae import ItemCodeTable
 from .scorer import MarkovScorer, check_shared_table
 from .vocab import PrefixTrie, code_token
@@ -215,15 +216,22 @@ def ranked_list_record(rec: ListRecord) -> str:
 
 
 def write_ranked_lists(lists: list[ListRecord], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    """Write the file whole or not at all: a reader sees the old bytes or the new."""
+    with replace_on_close(path) as fh:
         for rec in lists:
             fh.write(ranked_list_record(rec) + "\n")
 
 
-def read_ranked_lists(path: str | Path) -> list[ListRecord]:
-    """Every line of a ranked-list file, each parsed once into a `ListRecord`."""
+def read_ranked_lists(path: str | Path, lines: list[str] | None = None) -> list[ListRecord]:
+    """Every line of a ranked-list file, each parsed once into a `ListRecord`.
+
+    `lines` are the file's `splitlines()` when the caller has read them
+    already; errors still name `path`.
+    """
+    if lines is None:
+        lines = Path(path).read_text(encoding="utf-8").splitlines()
     out = []
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, line in enumerate(lines, 1):
         try:
             if line:
                 rec = ListRecord(**json.loads(line))

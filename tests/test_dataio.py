@@ -5,7 +5,7 @@ import pytest
 
 from rqrec.dataio import (EmbeddingMatrix, InteractionDataset, kcore_filter,
                           leave_one_out_split, load_embedding_matrix,
-                          load_interactions, load_split,
+                          load_interactions, load_split, replace_on_close,
                           write_embedding_matrix, write_interactions,
                           write_split)
 
@@ -274,3 +274,37 @@ def test_emb_rows_beyond_size_line(tmp_path):
         load_embedding_matrix(p)
     write_lines(p, ["ITEM_EMB v1", "2 2", "a 1 2", "b 3 4", ""])  # trailing blank lines pass
     assert load_embedding_matrix(p).items == ["a", "b"]
+
+
+def test_emb_size_line_without_dimensions(tmp_path):
+    # a (40, 0) matrix would load and only fail later, inside RQ-VAE training
+    p = tmp_path / "m.emb"
+    write_lines(p, ["ITEM_EMB v1", "40 0", *(f"i{k:02d}" for k in range(40))])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: size line '40 0' needs "
+                                         r"n >= 0 rows and d >= 1 dimensions$"):
+        load_embedding_matrix(p)
+
+
+def test_emb_size_line_with_negative_dimensions(tmp_path):
+    p = tmp_path / "m.emb"
+    write_lines(p, ["ITEM_EMB v1", "1 -1", ""])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: size line '1 -1' needs "
+                                         r"n >= 0 rows and d >= 1 dimensions$"):
+        load_embedding_matrix(p)
+    write_lines(p, ["ITEM_EMB v1", "-1 2", "a 1 2"])
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}:2: size line '-1 2'"):
+        load_embedding_matrix(p)
+
+
+def test_replace_on_close_swaps_whole_files(tmp_path):
+    p = tmp_path / "out.txt"
+    p.write_text("old\n")
+    with pytest.raises(RuntimeError):
+        with replace_on_close(p) as fh:
+            fh.write("new, half written\n")
+            raise RuntimeError("stopped")
+    assert p.read_text() == "old\n"
+    with replace_on_close(p) as fh:
+        fh.write("new\n")
+    assert p.read_text() == "new\n"
+    assert sorted(x.name for x in tmp_path.iterdir()) == ["out.txt"]

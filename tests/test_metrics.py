@@ -6,6 +6,7 @@ import pytest
 from rqrec.metrics import (HitSet, chr_avg, hit_at_k, hit_sets, ndcg_at_k,
                            per, per_matrix, write_per_matrix)
 from conftest import EntriesList
+from rqrec.rerank import rank_side
 from rqrec.retrieval import ListRecord
 
 
@@ -165,10 +166,10 @@ def test_hit_sets_builder():
                ListRecord("u1", "ceid", 2, ["b", "a"], [0.0, -1.0]),
                ListRecord("u2", "ceid", 2, ["d", "c"], [0.0, -1.0])]
     test = {"u1": "a", "u2": "x"}
-    sets = hit_sets(records, test, k=1)
+    sets = hit_sets(rank_side(records), test, k=1)
     assert sets[0].users == {"u1"} and sets[0].template_id == 1
     assert sets[1].users == set() and sets[1].template_id == 2
-    sets2 = hit_sets(records, test, k=2)
+    sets2 = hit_sets(rank_side(records), test, k=2)
     assert sets2[0].users == {"u1"} and sets2[1].users == {"u1"}
 
 
@@ -196,7 +197,7 @@ def test_hit_sets_from_records_equal_by_template_path(seed):
     for x in lists:
         by_template.setdefault(x.template_id, {})[x.user] = x
     for k in (1, 3, 8):
-        got = hit_sets([x.record() for x in lists], test, k)
+        got = hit_sets(rank_side([x.record() for x in lists]), test, k)
         assert got == reference_hit_sets(by_template, test, k)
         assert any(h.users for h in got) and any(h.users != got[0].users for h in got)
 

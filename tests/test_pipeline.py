@@ -2,6 +2,7 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rqrec.cli import main
@@ -364,32 +365,88 @@ def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatc
     assert (cfg.out_dir / "fused.jsonl").read_bytes() == fused_bytes
 
 
-def test_stages_read_lists_through_one_reader(pipeline_run, monkeypatch):
-    # the reader the benchmark tracer spans: one call per list file a stage reads
+def counting_parser(monkeypatch):
+    """Names of the files the list cache parses: the reader the benchmark tracer spans."""
     import rqrec.pipeline
-    _, _, cfg = pipeline_run
-    before = {name: (cfg.out_dir / name).read_bytes()
-              for name in ("fused.jsonl", "metrics.csv", "template_sweep.csv")}
     read = rqrec.pipeline.read_ranked_lists
     calls = []
     monkeypatch.setattr(rqrec.pipeline, "read_ranked_lists",
-                        lambda path: calls.append(Path(path).name) or read(path))
+                        lambda path, lines=None: calls.append(Path(path).name)
+                        or read(path, lines))
+    monkeypatch.setattr(rqrec.pipeline, "_SIDES", {})  # as in a new process
+    return calls
+
+
+LIST_OUTPUTS = ("fused.jsonl", "metrics.csv", "per_matrix_ceid.csv", "per_matrix_seid.csv",
+                "chr.csv", "template_sweep.csv")
+
+
+def test_stages_parse_each_list_file_once_per_process(pipeline_run, monkeypatch):
+    _, _, cfg = pipeline_run
+    before = {name: (cfg.out_dir / name).read_bytes() for name in LIST_OUTPUTS}
+    calls = counting_parser(monkeypatch)
     reads = {}
     for stage, mode in (("rerank", "ceid-only"), ("rerank", "full"), ("evaluate", None),
                         ("analyze", None)):
         calls.clear()
         run_stage(cfg, stage, mode=mode)
         reads[stage, mode] = list(calls)
+    # evaluate reads fused.jsonl straight from the reader, uncached
     assert reads == {("rerank", "ceid-only"): ["ranked_ceid.jsonl"],
-                     ("rerank", "full"): ["ranked_ceid.jsonl", "ranked_seid.jsonl"],
+                     ("rerank", "full"): ["ranked_seid.jsonl"],
                      ("evaluate", None): ["fused.jsonl"],
-                     ("analyze", None): ["ranked_ceid.jsonl", "ranked_seid.jsonl"]}
-    assert {name: (cfg.out_dir / name).read_bytes() for name in before} == before
+                     ("analyze", None): []}
+    # the parsed (cold) stages above and the cached (warm) ones write the same bytes
+    assert {name: (cfg.out_dir / name).read_bytes() for name in LIST_OUTPUTS} == before
 
 
-def test_duplicate_template_line_rejected(pipeline_run, tmp_path):
+def test_list_cache_keys_on_bytes_not_paths(pipeline_run, tmp_path, monkeypatch):
+    import dataclasses
+    import hashlib
+    import shutil
+
+    import rqrec.pipeline
+    _, _, cfg = pipeline_run
+    out = tmp_path / "copy"
+    shutil.copytree(cfg.out_dir, out)
+    copy = dataclasses.replace(cfg, out_dir=out)
+    calls = counting_parser(monkeypatch)
+    stage_rerank(cfg)
+    stage_rerank(copy)  # the same bytes at another path
+    assert calls == ["ranked_ceid.jsonl", "ranked_seid.jsonl"]
+    assert (out / "fused.jsonl").read_bytes() == (cfg.out_dir / "fused.jsonl").read_bytes()
+    # changed bytes are parsed again, and the manifest records the bytes read
+    path = out / "ranked_seid.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]))
+    calls.clear()
+    stage_rerank(copy)
+    assert calls == ["ranked_seid.jsonl"]
+    manifest = json.loads((out / "manifest_rerank.json").read_text())
+    assert manifest["inputs"]["ranked_seid.jsonl"] == (
+        "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest())
+    assert (out / "fused.jsonl").read_bytes() != (cfg.out_dir / "fused.jsonl").read_bytes()
+    # at most two sides, the two read last, with read-only columns
+    sides = rqrec.pipeline._SIDES
+    assert list(sides) == [manifest["inputs"]["ranked_ceid.jsonl"],
+                           manifest["inputs"]["ranked_seid.jsonl"]]
+    for side in sides.values():
+        for column in side[2:]:
+            assert column.dtype == np.int32 and not column.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            side.rank[0] = 1
+    path.write_text("".join(lines))
+    calls.clear()
+    stage_rerank(copy)
+    assert calls == ["ranked_seid.jsonl"] and len(sides) == 2
+    assert (out / "fused.jsonl").read_bytes() == (cfg.out_dir / "fused.jsonl").read_bytes()
+
+
+def test_duplicate_template_line_rejected(pipeline_run, tmp_path, monkeypatch):
     import dataclasses
     import shutil
+
+    import rqrec.pipeline
     _, _, cfg = pipeline_run
     out = tmp_path / "dup"
     shutil.copytree(cfg.out_dir, out)
@@ -397,9 +454,62 @@ def test_duplicate_template_line_rejected(pipeline_run, tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     rec = json.loads(lines[4])
     path.write_text("".join(lines[:5] + lines[4:]))
-    with pytest.raises(ValueError, match=f"duplicate template id {rec['template']} "
-                                         f"for user '{rec['user']}'"):
-        stage_rerank(dataclasses.replace(cfg, out_dir=out))
+    calls = counting_parser(monkeypatch)
+    dup = dataclasses.replace(cfg, out_dir=out)
+    for stage in (stage_rerank, stage_rerank, rqrec.pipeline.stage_analyze):
+        with pytest.raises(ValueError, match=re.escape(
+                f"{path}:6: duplicate template id {rec['template']} for user "
+                f"'{rec['user']}' in the seid lists; rerun 'retrieve'")):
+            stage(dup)
+    # never cached: every call parses the file again
+    assert calls == ["ranked_ceid.jsonl", "ranked_seid.jsonl", "ranked_seid.jsonl",
+                     "ranked_seid.jsonl"]
+    assert len(rqrec.pipeline._SIDES) == 1
+    # the reader skips blank lines, and the line named is still the file's
+    path.write_text("".join(lines[:5] + ["\n"] + lines[4:]))
+    with pytest.raises(ValueError, match=re.escape(f"{path}:7: duplicate template id")):
+        stage_rerank(dup)
+
+
+def test_malformed_list_file_is_never_cached(pipeline_run, tmp_path, monkeypatch):
+    import dataclasses
+    import shutil
+
+    import rqrec.pipeline
+    _, _, cfg = pipeline_run
+    out = tmp_path / "bad"
+    shutil.copytree(cfg.out_dir, out)
+    path = out / "ranked_ceid.jsonl"
+    lines = path.read_text().splitlines(keepends=True)
+    path.write_text("".join(lines[:-1]) + lines[-1][:20])
+    calls = counting_parser(monkeypatch)
+    bad = dataclasses.replace(cfg, out_dir=out)
+    for stage in (stage_rerank, rqrec.pipeline.stage_analyze):
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:{len(lines)}: "
+                                             "malformed ranked list"):
+            stage(bad)
+    assert calls == ["ranked_ceid.jsonl"] * 2 and not rqrec.pipeline._SIDES
+
+
+def test_failed_writes_leave_the_old_file(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import _write_manifest
+    from rqrec.retrieval import ListRecord, write_ranked_lists
+    _, _, cfg = pipeline_run
+    out = tmp_path / "crash"
+    shutil.copytree(cfg.out_dir, out)
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    # the first line is written before the second fails to encode
+    lists = [ListRecord("u0", "fused", 0, ["a"], [0.0]),
+             ListRecord("u1", "fused", 0, [object()], [0.0])]
+    with pytest.raises(TypeError):
+        write_ranked_lists(lists, out / "fused.jsonl")
+    with pytest.raises(TypeError):
+        _write_manifest(dataclasses.replace(cfg, out_dir=out), "rerank", {}, {},
+                        extra={"mode": object()})
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
 
 def test_evaluate_rejects_two_lists_for_one_user(pipeline_run, tmp_path):

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import EntriesList
-from rqrec.rerank import RankArrays, fuse_and_rank, score_items, score_pairs, top_k
+from rqrec.rerank import (COLUMNS, PairScores, RankArrays, _by_name, _type_terms,
+                          fuse_and_rank, rank_side, score_items, score_pairs, top_k,
+                          write_score_breakdown)
 from rqrec.retrieval import ListRecord
 
 
@@ -249,7 +251,7 @@ def test_batched_fusion_equals_per_item_reference_bitwise(seed):
                 chosen = [lists[t] if t in sides else [] for t in ("ceid", "seid")]
                 ranks = RankArrays()
                 for side in chosen:
-                    ranks.add(side)
+                    ranks.add(rank_side(side))
                 scores = score_pairs(ranks, alpha, 10.0, max_templates=cap)
                 fused = {f.user: f for f in top_k(scores, 7)}
                 users = sorted({x.user for side in chosen for x in side if x.template <= cap})
@@ -301,7 +303,7 @@ def test_rank_arrays_from_records_equal_ranked_list_walk(seed):
              for index_type in ("ceid", "seid")]
     ranks = RankArrays()
     for side in lists:
-        ranks.add([x.record() for x in side])
+        ranks.add(rank_side([x.record() for x in side]))
     users, item_ids, sides = reference_sides(lists)
     assert ranks.user_ids == users and ranks.item_ids == item_ids
     assert list(ranks.item_ids.values()) == list(range(len(item_ids)))
@@ -309,3 +311,90 @@ def test_rank_arrays_from_records_equal_ranked_list_walk(seed):
     for got, ref in zip(ranks.sides, sides):
         for a, b in zip(got, ref):
             assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
+
+
+def per_cap_score_pairs(ranks, alpha, tau, max_templates):
+    """score_pairs as it numbered the pairs of each cap: a sort and a search per cap."""
+    users, user_pos = _by_name(ranks.user_ids)
+    items, item_pos = _by_name(ranks.item_ids)
+    n_items = max(len(items), 1)
+    keys, entry_ranks, listed = [], [], []
+    for user, item, rank, template, list_user, list_template in ranks.sides:
+        keep = template <= max_templates
+        keys.append(user_pos[user[keep]] * n_items + item_pos[item[keep]])
+        entry_ranks.append(rank[keep])
+        listed.append(user_pos[list_user[list_template <= max_templates]])
+    pairs = np.unique(np.concatenate(keys))
+    (conf_c, cons_c, s_c, n_c), (conf_s, cons_s, s_s, n_s) = (
+        _type_terms(np.searchsorted(pairs, key), rank, len(pairs), alpha, tau)
+        for key, rank in zip(keys, entry_ranks))
+    columns = (conf_c, cons_c, s_c, conf_s, cons_s, s_s, s_c + s_s, n_c + n_s)
+    return PairScores(users, items, np.unique(np.concatenate(listed)),
+                      pairs // n_items, pairs % n_items, dict(zip(COLUMNS, columns)))
+
+
+def assert_pair_scores_identical(got, want):
+    assert got.users == want.users and got.items == want.items
+    for a, b in zip(got[2:5], want[2:5]):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
+    assert list(got.columns) == list(want.columns)
+    for c in COLUMNS:  # bit patterns, so -0.0 and nan compare too
+        assert got.columns[c].dtype == want.columns[c].dtype
+        assert got.columns[c].tobytes() == want.columns[c].tobytes()
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_pairs_numbered_once_equal_per_cap_path_bitwise(seed):
+    rng = np.random.default_rng(seed)
+    items = [f"i{j:02d}" for j in range(30)]
+    sides = [[rl(f"u{u}", index_type, int(t), rng.choice(items, size=rng.integers(0, 9),
+                                                         replace=False))
+              for u in rng.permutation(15) for t in rng.permutation(6)[:rng.integers(0, 7)] + 1]
+             for index_type in ("ceid", "seid")]
+    for one_side in ([sides[0], []], [[], sides[1]]):
+        ranks = RankArrays()
+        for side in one_side:
+            ranks.add(rank_side(side))
+        for cap in range(8):
+            assert_pair_scores_identical(score_pairs(ranks, 0.8, 10.0, cap),
+                                         per_cap_score_pairs(ranks, 0.8, 10.0, cap))
+    ranks = RankArrays()
+    ranks.add(rank_side(sides[0]))
+    assert len(ranks.numbering().user) > 0  # numbered before the next `add`, then again
+    ranks.add(rank_side(sides[1]))
+    for alpha in (0.8, 1.0, 0.0):
+        for cap in (*range(8), math.inf):
+            assert_pair_scores_identical(score_pairs(ranks, alpha, 10.0, cap),
+                                         per_cap_score_pairs(ranks, alpha, 10.0, cap))
+
+
+def test_breakdown_formats_each_value_like_repr(tmp_path):
+    x = [0.0, -0.0, 1.5, math.nan, -0.0, 1e-300, 1.5, 0.1 + 0.2, math.inf]
+    columns = {c: np.array(x[j:] + x[:j]) for j, c in enumerate(COLUMNS[:-1])}
+    columns["appearances"] = np.array([0, 3, 3, 1, 2, 2, 7, 1, 3])
+    scores = PairScores(["u"], [f"i{j}" for j in range(9)], np.array([0]),
+                        np.zeros(9, dtype=np.int64), np.arange(9), columns)
+    write_score_breakdown(scores, tmp_path / "b.tsv")
+    want = ["\t".join(["user", "item", *COLUMNS])] + [
+        "\t".join(["u", f"i{j}", *(repr(columns[c].tolist()[j]) for c in COLUMNS)])
+        for j in range(9)]
+    assert (tmp_path / "b.tsv").read_text().splitlines() == want
+    assert "-0.0" in want[2] and "0.30000000000000004" in want[8]
+
+
+def test_rank_side_numbers_per_file_and_is_read_only():
+    side = rank_side([rl("v", "ceid", 2, ["b", "a"]), rl("u", "ceid", 1, ["a", "c"]),
+                      rl("v", "ceid", 1, [])])
+    assert (side.users, side.items) == (["v", "u"], ["b", "a", "c"])
+    assert side.user.tolist() == [0, 0, 1, 1] and side.item.tolist() == [0, 1, 1, 2]
+    assert side.rank.tolist() == [0, 1, 0, 1] and side.template.tolist() == [2, 2, 1, 1]
+    assert side.list_user.tolist() == [0, 1, 0] and side.list_template.tolist() == [2, 1, 1]
+    for column in side[2:]:
+        assert column.dtype == np.int32 and not column.flags.writeable
+    # the arrays renumber a side as first seen across sides
+    ranks = RankArrays()
+    ranks.add(rank_side([rl("u", "seid", 1, ["c"])]))
+    ranks.add(side)
+    assert ranks.user_ids == {"u": 0, "v": 1} and ranks.item_ids == {"c": 0, "b": 1, "a": 2}
+    assert ranks.sides[1][0].tolist() == [1, 1, 0, 0] and ranks.sides[1][4].tolist() == [1, 0, 1]
+    assert ranks.sides[1][1].tolist() == [1, 2, 2, 0]
