@@ -42,7 +42,7 @@ from .rqvae import (assign_codes, index_counters, load_code_table, resolve_colli
                     train_rqvae, write_code_table)
 from .scorer import load_scorer, save_scorer, train_markov_scorer
 from .synth import generate_synthetic
-from .vocab import build_prefix_trie, item_tokens
+from .vocab import PrefixTrie, build_prefix_trie
 
 log = logging.getLogger(__name__)
 
@@ -245,15 +245,14 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     _write_manifest(cfg, "build-index", inputs, outputs, extra={"counters": counters})
 
 
-def _token_streams(split: SplitDataset, table) -> dict[str, list[str]]:
+def _token_streams(split: SplitDataset, trie: PrefixTrie) -> dict:
+    """Per user with a coded train item: the trie's ids of those items, in order."""
+    leaf = {item: n for n, item in enumerate(trie.items)}
     streams = {}
     for user in sorted(split.train):
-        toks: list[str] = []
-        for item in split.train[user]:
-            if item in table.codes:
-                toks.extend(item_tokens(table, item))
-        if toks:
-            streams[user] = toks
+        leaves = [leaf[item] for item in split.train[user] if item in leaf]
+        if leaves:
+            streams[user] = trie.ids[leaves].ravel()
     return streams
 
 
@@ -268,12 +267,10 @@ def stage_train_scorers(cfg: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     ngram_rows: dict[str, list[int]] = {}
     for index_type in ("ceid", "seid"):
-        table = load_code_table(cfg.out_dir / f"codes_{index_type}.tsv", index_type)
-        streams = _token_streams(split, table)
-        vocab = sorted({code_tok for item in table.codes
-                        for code_tok in item_tokens(table, item)})
-        scorers = train_markov_scorer(streams, list(range(1, cfg.templates + 1)), cfg.scorer,
-                                      index_type, vocab)
+        trie = build_prefix_trie(load_code_table(inputs[f"codes_{index_type}.tsv"], index_type))
+        templates = list(range(1, cfg.templates + 1))
+        scorers = train_markov_scorer(_token_streams(split, trie), templates, cfg.scorer,
+                                      index_type, trie.vocab)
         path = cfg.out_dir / f"scorer_{index_type}.txt"
         save_scorer(scorers, path)
         outputs[path.name] = path
@@ -305,9 +302,8 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     counters: dict[str, dict[str, int]] = {}
     for index_type in ("ceid", "seid"):
-        table = load_code_table(cfg.out_dir / f"codes_{index_type}.tsv", index_type)
-        trie = build_prefix_trie(table)
-        streams = _token_streams(context_split, table)
+        trie = build_prefix_trie(load_code_table(inputs[f"codes_{index_type}.tsv"], index_type))
+        streams = _token_streams(context_split, trie)
         users = sorted(streams)
         contexts = [streams[user] for user in users]
         ckpt = inputs[f"scorer_{index_type}.txt"]

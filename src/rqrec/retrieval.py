@@ -9,12 +9,15 @@ over the trie's per-depth child arrays: every step scores the (beam x child)
 pairs of many (template, context) groups together, and one stable sort keeps
 each group's top k. Users with the same scorer context share one group.
 `beam_search_constrained` is the same search for one user and one scorer.
+
+Contexts, candidates and paths are ids in the trie's id space (`rqrec.vocab`);
+a scorer that is not a `MarkovScorer` over the trie's vocabulary gets strings
+made from `trie.vocab`. `exhaustive_topk_oracle` makes its own from the table.
 """
 from __future__ import annotations
 
 import json
 from collections import namedtuple
-from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -36,38 +39,22 @@ def RankedList(user: str, index_type: str, template_id: int,
                       [s for _, s in entries])
 
 
-def _token_id_levels(scorer, trie: PrefixTrie) -> tuple[list[np.ndarray], list[np.ndarray]]:
-    """Per depth: the scorer's ids of each node's child tokens (-1 after the
-    last) and of its path from the root, one `token_ids` call for each."""
-    cand_ids, path_ids = [], []
-    for d, (child, tokens, paths) in enumerate(zip(trie.child, trie.tokens, trie.paths)):
-        cand = np.full(child.shape, -1, dtype=np.int64)
-        cand[child >= 0] = scorer.token_ids(list(chain.from_iterable(tokens)))
-        unknown = np.argwhere((cand < 0) & (child >= 0))
-        if len(unknown):
-            n, c = unknown[0]
-            raise ValueError(f"candidate token {tokens[n][c]!r} not in vocabulary")
-        cand_ids.append(cand)
-        path_ids.append(np.array(scorer.token_ids(list(chain.from_iterable(paths))),
-                                 dtype=np.int64).reshape(len(paths), d))
-    return cand_ids, path_ids
-
-
-def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]], k: int,
+def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list, k: int,
                       users: list[str], template_ids: list[int] | None = None
                       ) -> tuple[list[ListRecord], dict[str, int]]:
     """Beam search for every (template, user): scorer t gives template_ids[t]'s
-    lists (1..T by default), each template's lists in user order.
+    lists (1..T by default), each template's lists in user order. A context is
+    a sequence of ids into `trie.vocab`.
 
     Each list is what a search of that user alone with that scorer gives.
-    MarkovScorers (templates over one table) share a search per distinct
-    `context_matrix` row: users whose last `order` tokens match get their row's
-    list (the same list objects). A pass searches every template for a slice of
-    the distinct rows, at most as many (template, row) groups as there are
-    users, and each step scores all beams of the pass together, each in its
-    scorer's table column. Any other scorer is asked
-    row by row, one full context and one template per `next_token_logprobs`
-    call.
+    MarkovScorers (templates over one table, with the trie's vocabulary) share
+    a search per distinct `context_matrix` row: users whose last `order` tokens
+    match get their row's list (the same list objects). A pass searches every
+    template for a slice of the distinct rows, at most as many (template, row)
+    groups as there are users, and each step scores all beams of the pass
+    together, each in its scorer's table column. Any other scorer is asked row
+    by row, one full context and one template per `next_token_logprobs` call,
+    in token strings.
 
     Also returns the counters: the distinct contexts searched, the (beam,
     child) pairs scored, and the distinct (context, node, candidate) key
@@ -81,24 +68,19 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]]
         raise ValueError("no scorers")
     if template_ids is None:
         template_ids = list(range(1, len(scorers) + 1))
-    context_tokens = set(chain.from_iterable(contexts))
-    for scorer in scorers:
-        vocab = getattr(scorer, "vocab", None)
-        unknown = context_tokens.difference(vocab) if vocab is not None else ()
-        if unknown:
-            first = next(t for t in chain.from_iterable(contexts) if t in unknown)
-            raise ValueError(f"unknown context token {first!r}")
+    ids = np.concatenate([np.zeros(0, dtype=np.int64), *map(np.asarray, contexts)])
+    if np.any((ids < 0) | (ids >= len(trie.vocab))):
+        raise ValueError(f"context token ids must lie in 0..{len(trie.vocab) - 1}")
     native = all(isinstance(scorer, MarkovScorer) for scorer in scorers)
     if native:
         check_shared_table(scorers)
+        if scorers[0].vocab != trie.vocab:
+            missing = set(trie.vocab).difference(scorers[0].vocab)
+            raise ValueError(f"candidate token {min(missing)!r} not in vocabulary" if missing
+                             else "the scorer's vocabulary is not the trie's")
         columns = np.array([sc.column for sc in scorers], dtype=np.int64)
-        cand_ids, path_ids = _token_id_levels(scorers[0], trie)
-        distinct: dict[tuple[int, ...], int] = {}
-        user_row = np.array([distinct.setdefault(r, len(distinct))
-                             for r in map(tuple, scorers[0].context_matrix(contexts).tolist())],
-                            dtype=np.int64)
-        row_ctx = np.array(list(distinct), dtype=np.int64).reshape(len(distinct),
-                                                                   scorers[0].order)
+        row_ctx, user_row = np.unique(scorers[0].context_matrix(contexts), axis=0,
+                                      return_inverse=True)
     else:
         user_row = np.arange(len(contexts))
     n_rows, n_templates = int(user_row.max(initial=-1)) + 1, len(scorers)
@@ -123,16 +105,18 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]]
                                            return_inverse=True)
                 key_row, key_node = np.divmod(keys, len(trie.child[d]))
                 # each beam's last `order` tokens: the row's context, then its path
-                ctx = np.concatenate([row_ctx[key_row], path_ids[d][key_node]], axis=1)[:, d:]
-                cand = cand_ids[d][key_node]
+                ctx = np.concatenate([row_ctx[key_row], trie.path_ids[d][key_node]],
+                                     axis=1)[:, d:]
+                cand = trie.cand_ids[d][key_node]
                 counts["lookup_pairs"] += int(np.count_nonzero(cand >= 0))
                 logp = scorers[0].logprobs(ctx, cand, beam_key, columns[group_template[group]])
             else:
                 logp = np.full(kids.shape, -np.inf)
                 for r, (g, n) in enumerate(zip(group.tolist(), node.tolist())):
-                    tokens = trie.tokens[d][n]
-                    lp = scorers[group_template[g]].next_token_logprobs(
-                        contexts[group_row[g]] + trie.paths[d][n], tuple(tokens))
+                    tokens = [trie.vocab[i] for i in trie.cand_ids[d][n].tolist() if i >= 0]
+                    context = [trie.vocab[i] for i in (*contexts[group_row[g]],
+                                                       *trie.path_ids[d][n].tolist())]
+                    lp = scorers[group_template[g]].next_token_logprobs(context, tuple(tokens))
                     logp[r, :len(tokens)] = [lp[t] for t in tokens]
             rows, cols = np.nonzero(kids >= 0)
             counts["pairs_scored"] += len(rows)
@@ -163,9 +147,9 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list[list[str]]
     return lists, counts
 
 
-def beam_search_constrained(scorer, trie: PrefixTrie, context: list[str],
-                            k: int, user: str = "", template_id: int = 0) -> ListRecord:
-    """Beam search over exactly trie.depth steps, width k, for one context.
+def beam_search_constrained(scorer, trie: PrefixTrie, context, k: int, user: str = "",
+                            template_id: int = 0) -> ListRecord:
+    """Beam search over exactly trie.depth steps, width k, for one id context.
 
     Candidate tokens at each step are the trie edges leaving the beam prefix;
     the scorer renormalizes over exactly that candidate set.
@@ -178,9 +162,9 @@ def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
                            k: int, user: str = "", template_id: int = 0) -> ListRecord:
     """Score every item's full code path directly from the table and sort.
 
-    Independent of the trie: per-step candidate sets are recovered by scanning
-    the table for items sharing the current prefix. Intended as a test oracle
-    for small tables.
+    Independent of the trie and its ids: the context is token strings, and
+    per-step candidate sets are recovered by scanning the table for items
+    sharing the current prefix. Intended as a test oracle for small tables.
     """
     if len(table.codes) > 10_000:
         raise ValueError("oracle is for small tables (<= 10000 items)")

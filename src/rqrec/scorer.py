@@ -8,6 +8,10 @@ with the add-delta unigram at order 0. Any object exposing
 contract (exp of values over the candidate set sums to 1) can stand in,
 e.g. an autoregressive language model.
 
+A `MarkovScorer` counts and scores token ids, indices into its `vocab` (for
+code tokens, the code table's id space of `rqrec.vocab`); strings enter only
+through `next_token_logprobs` and the checkpoint's `vocab` line.
+
 One `NgramTables` holds the counts of every template of an index type, as
 integer arrays per order k. A context of order k (the k tokens before a
 position) gets its id through its suffix chain: its key is
@@ -29,6 +33,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 
 import numpy as np
@@ -108,28 +113,28 @@ class MarkovScorer:
         self.template_id = template_id
         self.index_type = index_type
         self.vocab = list(vocab)
-        self._tok_id = {t: k for k, t in enumerate(self.vocab)}
         self.tables = tables if tables is not None else NgramTables.empty(order)
         self.column = column
 
-    def add_stream(self, stream: list[str]) -> None:
-        """Count one more stream into this template; the scorer then has a table of its own."""
-        index = count_ngrams({"": stream}, self.order, self.vocab)
+    @cached_property
+    def _tok_id(self) -> dict[str, int]:
+        """Token string -> id, for the string contract of `next_token_logprobs` only."""
+        return {t: k for k, t in enumerate(self.vocab)}
+
+    def add_stream(self, stream) -> None:
+        """Count one more id stream into this template; the scorer then has a table of its own."""
+        index = count_ngrams({"": stream}, self.order, len(self.vocab))
         self.tables = _merge_tables(self.tables, self.column,
                                     index.tables(np.ones((1, 1), dtype=np.int64)), len(self.vocab))
         self.column = 0
 
-    def token_ids(self, tokens: list[str]) -> list[int]:
-        """Vocabulary ids, OOV for unknown tokens."""
-        return [self._tok_id.get(t, OOV) for t in tokens]
-
-    def context_matrix(self, contexts: list[list[str]]) -> np.ndarray:
-        """(rows, order) ids of each context's last `order` tokens, left-padded with PAD."""
+    def context_matrix(self, contexts) -> np.ndarray:
+        """(rows, order): each context's last `order` ids (OOV allowed), left-padded with PAD."""
         out = np.full((len(contexts), self.order), PAD, dtype=np.int64)
         for r, context in enumerate(contexts):
             tail = context[max(0, len(context) - self.order):]
-            if tail:
-                out[r, self.order - len(tail):] = self.token_ids(tail)
+            if len(tail):
+                out[r, self.order - len(tail):] = tail
         return out
 
     def next_token_logprobs(self, context: list[str],
@@ -142,9 +147,9 @@ class MarkovScorer:
         for t in cand:
             if t not in self._tok_id:
                 raise ValueError(f"candidate token {t!r} not in vocabulary")
-        ids = np.array([self.token_ids(cand)], dtype=np.int64)
-        logp = self.logprobs(self.context_matrix([context]), ids, np.zeros(1, dtype=np.int64),
-                             np.full(1, self.column))
+        ids = np.array([[self._tok_id[t] for t in cand]], dtype=np.int64)
+        contexts = self.context_matrix([[self._tok_id.get(t, OOV) for t in context]])
+        logp = self.logprobs(contexts, ids, np.zeros(1, dtype=np.int64), np.full(1, self.column))
         return dict(zip(cand, logp[0].tolist()))
 
     def ngram_rows(self) -> list[int]:
@@ -260,30 +265,28 @@ class NgramIndex:
         return NgramTables.from_counts(self.ctx_keys, self.ngram_keys, counts, self.vocab_size)
 
 
-def count_ngrams(streams: dict[str, list[str]], order: int,
-                 vocab: list[str]) -> NgramIndex:
-    """Number the n-grams of orders 0..order in the non-empty streams (users sorted)."""
-    tok_id = {t: k for k, t in enumerate(vocab)}
-    users = sorted(u for u, s in streams.items() if s)
-    try:
-        tok = np.array([tok_id[t] for u in users for t in streams[u]], dtype=np.int64)
-    except KeyError as exc:
-        raise ValueError(f"stream token {exc.args[0]!r} not in vocabulary") from None
+def count_ngrams(streams: dict, order: int, vocab_size: int) -> NgramIndex:
+    """Number the n-grams of orders 0..order in the non-empty id streams (users sorted)."""
+    users = sorted(u for u, s in streams.items() if len(s))
+    tok = np.concatenate([np.zeros(0, dtype=np.int64),
+                          *(np.asarray(streams[u], dtype=np.int64) for u in users)])
+    outside = tok[(tok < 0) | (tok >= vocab_size)]
+    if len(outside):
+        raise ValueError(f"stream token id {outside[0]} not in a vocabulary of {vocab_size}")
     lengths = np.array([len(streams[u]) for u in users], dtype=np.int64)
     owner_arr = np.repeat(np.arange(len(users)), lengths)
     pos_arr = np.arange(len(tok)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    v = len(vocab)
-    index = NgramIndex(users, v, [], [], [], [])
+    index = NgramIndex(users, vocab_size, [], [], [], [])
     ctx = np.zeros(len(tok), dtype=np.int64)  # order-0 context id at every position
     at = np.arange(len(tok))
     for k in range(order + 1):
         if k:
             deep = pos_arr[at] >= k
             at = at[deep]
-            keys, ctx = np.unique(ctx[deep] * v + tok[at - k], return_inverse=True)
+            keys, ctx = np.unique(ctx[deep] * vocab_size + tok[at - k], return_inverse=True)
         else:
             keys = np.zeros(min(1, len(tok)), dtype=np.int64)
-        ngram_keys, ngram_ids = np.unique(ctx * v + tok[at], return_inverse=True)
+        ngram_keys, ngram_ids = np.unique(ctx * vocab_size + tok[at], return_inverse=True)
         index.ctx_keys.append(keys)
         index.ngram_keys.append(ngram_keys)
         index.ngram_ids.append(ngram_ids)
@@ -316,20 +319,16 @@ def _merge_tables(a: NgramTables, column: int, b: NgramTables, v: int) -> NgramT
     return out
 
 
-def train_markov_scorer(streams: dict[str, list[str]], template_ids: list[int],
-                        cfg: ScorerConfig, index_type: str,
-                        vocab: list[str] | None = None) -> list[MarkovScorer]:
-    """One scorer per template id, over per-user token streams counted once.
+def train_markov_scorer(streams: dict, template_ids: list[int], cfg: ScorerConfig,
+                        index_type: str, vocab: list[str]) -> list[MarkovScorer]:
+    """One scorer per template id, over per-user id streams into `vocab` counted once.
 
     The scorers share one `NgramTables`; scorer i reads its column i.
     """
     cfg.validate()
-    streams = {u: s for u, s in streams.items() if s}
-    if not streams:
+    if not any(len(s) for s in streams.values()):
         raise ValueError("no non-empty training streams")
-    if vocab is None:
-        vocab = sorted({t for s in streams.values() for t in s})
-    index = count_ngrams(streams, cfg.order, vocab)
+    index = count_ngrams(streams, cfg.order, len(vocab))
     n = len(index.users)
     weights = np.ones((len(template_ids), n), dtype=np.int64)
     for w, template_id in zip(weights, template_ids):

@@ -1,7 +1,11 @@
-"""Code tokens and prefix tries for constrained decoding.
+"""Code tokens and prefix tries for constrained decoding, in one id space per code table.
 
-A `PrefixTrie` is built once per index type, straight from the code table, as
-the per-depth child arrays that the batched beam search reads.
+`build_prefix_trie` makes each distinct (level, word) token's string once and
+sorts them into `vocab`; a token's id is its index there, as in the scorer
+checkpoint's `vocab` line. Ids order as the strings do, a permutation of
+level * W + word ("<CeID_1,10>" < "<CeID_1,2>", "<CeID_10,0>" < "<CeID_2,0>").
+Scorer streams, contexts and the trie's arrays hold ids; strings are made from
+`vocab` only where a caller needs them.
 """
 from __future__ import annotations
 
@@ -32,21 +36,25 @@ def item_tokens(table: ItemCodeTable, item: str) -> list[str]:
 
 @dataclass
 class PrefixTrie:
-    """The table's code-token paths as per-depth arrays, one leaf per item.
+    """The table's id paths as per-depth arrays, one leaf per item.
 
-    Nodes at depth d are numbered in code-tuple order, so a node's number is
-    its tie-break key. Row n of `child[d]` lists node n's children (numbers at
-    depth d + 1) in sorted-token order, -1 after the last; `tokens[d][n]` are
-    their tokens and `paths[d][n]` the tokens from the root to node n.
-    `items[n]` is the item at leaf n.
+    `vocab` is the table's distinct tokens, sorted; a token's id is its index
+    there. Nodes at depth d are numbered in code-tuple order, so a node's
+    number is its tie-break key; leaf n is item `items[n]`, whose id path is
+    row n of `ids`. Row n of `child[d]` lists node n's children (numbers at
+    depth d + 1) in id order, which is sorted-token order, -1 after the last;
+    `cand_ids[d]` holds their ids in the same cells, and row n of `path_ids[d]`
+    the ids from the root to node n.
     """
 
     index_type: str
     depth: int
-    child: list[np.ndarray]
-    tokens: list[list[list[str]]]
-    paths: list[list[list[str]]]
+    vocab: list[str]
     items: list[str]
+    ids: np.ndarray
+    child: list[np.ndarray]
+    cand_ids: list[np.ndarray]
+    path_ids: list[np.ndarray]
 
 
 def build_prefix_trie(table: ItemCodeTable) -> PrefixTrie:
@@ -59,22 +67,33 @@ def build_prefix_trie(table: ItemCodeTable) -> PrefixTrie:
     for (tup, a), (nxt, b) in zip(rows, rows[1:]):
         if tup == nxt:
             raise ValueError(f"duplicate code tuple {tup} for items {a!r} and {b!r}")
-    trie = PrefixTrie(table.index_type, table.code_len_total, [], [], [],
-                      [item for _, item in rows])
-    nodes, paths = {(): 0}, [[]]  # prefix -> number, and path, of the nodes at depth d
-    for d in range(trie.depth):
-        kids = list(dict.fromkeys(tup[:d + 1] for tup, _ in rows))  # numbered in code-tuple order
-        parent = [nodes[kid[:-1]] for kid in kids]
-        token = [code_token(trie.index_type, d + 1, kid[-1]) for kid in kids]
-        children: list[list[int]] = [[] for _ in nodes]
-        for n in sorted(range(len(kids)), key=token.__getitem__):
-            children[parent[n]].append(n)
-        child = np.full((len(nodes), max(map(len, children), default=0)), -1, dtype=np.int64)
-        for p, row in enumerate(children):
-            child[p, :len(row)] = row
-        trie.child.append(child)
-        trie.tokens.append([[token[n] for n in row] for row in children])
-        trie.paths.append(paths)
-        nodes = {kid: n for n, kid in enumerate(kids)}
-        paths = [paths[p] + [tok] for p, tok in zip(parent, token)]
+    depth = table.code_len_total
+    codes = np.array([tup for tup, _ in rows], dtype=np.int64).reshape(len(rows), depth)
+    words = [np.unique(column) for column in codes.T]  # per level, in numeric order
+    tokens = [code_token(table.index_type, level, w)
+              for level, ws in enumerate(words, start=1) for w in ws.tolist()]
+    order = sorted(range(len(tokens)), key=tokens.__getitem__)
+    rank = np.argsort(order)  # a token's id: its place in sorted order
+    start = np.cumsum([0] + [len(ws) for ws in words])
+    ids = np.stack([rank[s + np.searchsorted(ws, column)]
+                    for s, ws, column in zip(start, words, codes.T)], axis=1)
+    trie = PrefixTrie(table.index_type, depth, [tokens[n] for n in order],
+                      [item for _, item in rows], ids, [], [], [])
+    first = np.zeros(min(1, len(ids)), dtype=np.int64)  # each node's first row: the root's
+    row_node = np.zeros(len(ids), dtype=np.int64)  # each row's node at depth d
+    new = np.arange(len(ids)) == 0
+    for d in range(depth):
+        # nodes at depth d + 1 start where a row's prefix differs from the previous row's
+        new[1:] |= ids[1:, d] != ids[:-1, d]
+        kids = np.flatnonzero(new)
+        parent, token = row_node[kids], ids[kids, d]
+        by_parent = np.lexsort((token, parent))  # kid numbers, grouped by parent, by id
+        at = parent[by_parent]
+        slot = np.arange(len(at)) - np.searchsorted(at, at)
+        trie.child.append(np.full((len(first), int(slot.max(initial=-1)) + 1), -1))
+        trie.child[d][at, slot] = by_parent
+        trie.cand_ids.append(np.full(trie.child[d].shape, -1))
+        trie.cand_ids[d][at, slot] = token[by_parent]
+        trie.path_ids.append(ids[first, :d])
+        first, row_node = kids, np.cumsum(new) - 1
     return trie

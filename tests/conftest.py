@@ -48,6 +48,11 @@ class UniformScorer:
         return {t: lp for t in candidates}
 
 
+def ids_of(vocab: list[str], tokens) -> list[int]:
+    """The ids of token strings: their indices in `vocab`."""
+    return [vocab.index(t) for t in tokens]
+
+
 def random_code_table(rng: np.random.Generator, n_items: int, vocab_size: int,
                       code_len: int = 3, index_type: str = "ceid") -> ItemCodeTable:
     """Random raw codes (collisions likely) passed through collision resolution."""

@@ -9,7 +9,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import HashScorer, random_code_table
+from conftest import HashScorer, ids_of, random_code_table
 from rqrec.config import load_config
 from rqrec.dataio import EmbeddingMatrix
 from rqrec.metrics import HitSet, chr_avg, hit_at_k, ndcg_at_k, per
@@ -142,7 +142,7 @@ def test_criterion_05_beam_oracle_equivalence():
                         for tup in table.codes.values() for l, w in enumerate(tup)})
         sc = HashScorer(seed=5000 + trial, vocab=vocab)
         ctx = list(rng.choice(vocab, size=int(rng.integers(0, 5))))
-        got = beam_search_constrained(sc, trie, ctx, 20)
+        got = beam_search_constrained(sc, trie, ids_of(vocab, ctx), 20)
         want = exhaustive_topk_oracle(sc, table, ctx, 20)
         assert got == want
         invalid += sum(1 for i in got.items if i not in table.codes)

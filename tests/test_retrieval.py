@@ -3,7 +3,7 @@ import re
 import numpy as np
 import pytest
 
-from conftest import EntriesList, HashScorer, UniformScorer, random_code_table
+from conftest import EntriesList, HashScorer, UniformScorer, ids_of, random_code_table
 from rqrec.rerank import RankArrays, fuse_and_rank, rank_side, score_pairs, top_k
 from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
                              beam_search_users, exhaustive_topk_oracle, ranked_list_record,
@@ -51,7 +51,7 @@ def test_beam_equals_oracle_when_width_covers_items():
         sc = HashScorer(seed=trial, vocab=vocab)
         ctx = list(rng.choice(vocab, size=int(rng.integers(0, 6))))
         k = max(n_items, int(rng.integers(1, 21)))
-        got = beam_search_constrained(sc, trie, ctx, k)
+        got = beam_search_constrained(sc, trie, ids_of(vocab, ctx), k)
         want = exhaustive_topk_oracle(sc, table, ctx, k)
         assert (got.items, got.scores) == (want.items, want.scores)
         assert all(i in table.codes for i in got.items)
@@ -72,16 +72,23 @@ def test_beam_valid_items_even_when_pruning():
 
 def test_beam_full_width_equals_oracle_with_markov_scorer():
     rng = np.random.default_rng(7)
-    table = random_code_table(rng, 20, 4)
-    trie = build_prefix_trie(table)
-    vocab = sorted({code_token("ceid", l + 1, w)
-                    for tup in table.codes.values() for l, w in enumerate(tup)})
-    streams = {f"u{k}": list(rng.choice(vocab, size=20)) for k in range(6)}
-    sc = train_markov_scorer(streams, [1], ScorerConfig(order=4), "ceid", vocab=vocab)[0]
-    got = beam_search_constrained(sc, trie, streams["u0"][:8], len(table.codes))
-    want = exhaustive_topk_oracle(sc, table, streams["u0"][:8], len(table.codes))
-    assert (got.items, got.scores) == (want.items, want.scores)
-    assert len(got.items) == len(table.codes)
+    # the second table has 11 levels and words up to 12, where sorted-token order is
+    # neither level-major nor numeric: "<CeID_10,0>" < "<CeID_2,0>", "<CeID_1,10>" < "<CeID_1,2>"
+    for n_items, words, code_len in ((20, 4, 3), (30, 13, 10)):
+        table = random_code_table(rng, n_items, words, code_len)
+        trie = build_prefix_trie(table)
+        vocab = sorted({code_token("ceid", l + 1, w)
+                        for tup in table.codes.values() for l, w in enumerate(tup)})
+        assert trie.vocab == vocab
+        streams = {f"u{k}": list(rng.choice(vocab, size=20)) for k in range(6)}
+        sc = train_markov_scorer({u: ids_of(vocab, s) for u, s in streams.items()}, [1],
+                                 ScorerConfig(order=4), "ceid", vocab=vocab)[0]
+        got = beam_search_constrained(sc, trie, ids_of(vocab, streams["u0"][:8]),
+                                      len(table.codes))
+        want = exhaustive_topk_oracle(sc, table, streams["u0"][:8], len(table.codes))
+        assert (got.items, got.scores) == (want.items, want.scores)
+        assert len(got.items) == len(table.codes)
+    assert trie.depth == 11 and max(max(tup) for tup in table.codes.values()) >= 10
 
 
 def test_beam_equals_oracle_with_two_digit_code_words():
@@ -95,10 +102,10 @@ def test_beam_equals_oracle_with_two_digit_code_words():
         vocab = sorted({code_token("ceid", l + 1, w)
                         for tup in table.codes.values() for l, w in enumerate(tup)})
         streams = {f"u{k}": list(rng.choice(vocab, size=30)) for k in range(6)}
-        sc = train_markov_scorer(streams, [1], ScorerConfig(order=3, seed=trial), "ceid",
-                                 vocab=vocab)[0]
+        sc = train_markov_scorer({u: ids_of(vocab, s) for u, s in streams.items()}, [1],
+                                 ScorerConfig(order=3, seed=trial), "ceid", vocab=vocab)[0]
         ctx = streams["u0"][:int(rng.integers(0, 8))]
-        got = beam_search_constrained(sc, trie, ctx, len(table.codes))
+        got = beam_search_constrained(sc, trie, ids_of(vocab, ctx), len(table.codes))
         want = exhaustive_topk_oracle(sc, table, ctx, len(table.codes))
         assert (got.items, got.scores) == (want.items, want.scores)
 
@@ -131,8 +138,8 @@ def test_beam_deterministic():
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
     sc = HashScorer(seed=2, vocab=vocab)
-    a = beam_search_constrained(sc, trie, [vocab[0]], 10)
-    b = beam_search_constrained(sc, trie, [vocab[0]], 10)
+    a = beam_search_constrained(sc, trie, ids_of(vocab, [vocab[0]]), 10)
+    b = beam_search_constrained(sc, trie, ids_of(vocab, [vocab[0]]), 10)
     assert a == b
 
 
@@ -147,23 +154,18 @@ def test_beam_scores_non_increasing():
     assert len(set(rl.items)) == len(rl.items)
 
 
-def test_beam_unknown_context_token_is_error():
+def test_beam_context_id_outside_the_trie_is_error():
     table = table_of({"a": (0, 0)})
     trie = build_prefix_trie(table)
-    sc = HashScorer(seed=1, vocab=["<CeID_1,0>", "<CeID_2,0>"])
-    with pytest.raises(ValueError, match="unknown context token"):
-        beam_search_constrained(sc, trie, ["<CeID_1,99>"], 3)
-
-
-def test_beam_context_check_names_first_unknown_token_in_order():
-    table = table_of({"a": (0, 0)})
-    trie = build_prefix_trie(table)
-    sc = HashScorer(seed=1, vocab=["<CeID_1,0>", "<CeID_2,0>"])
-    contexts = [["<CeID_1,0>"], ["<CeID_2,0>", "zz", "<CeID_1,9>"], ["<CeID_1,5>"]]
-    with pytest.raises(ValueError, match="unknown context token 'zz'"):
-        beam_search_users([sc], trie, contexts, 1, ["u0", "u1", "u2"])
-    lists, _ = beam_search_users([UniformScorer()], trie, contexts, 1, ["u0", "u1", "u2"])
-    assert [rl.items for rl in lists] == [["a"]] * 3  # a scorer without vocab: no check
+    assert trie.vocab == ["<CeID_1,0>", "<CeID_2,0>"]
+    contexts = [[0], [1, 2, 0], [-1]]
+    for sc in (HashScorer(seed=1, vocab=trie.vocab), UniformScorer()):
+        with pytest.raises(ValueError, match=r"^context token ids must lie in 0\.\.1$"):
+            beam_search_users([sc], trie, contexts, 1, ["u0", "u1", "u2"])
+        lists, _ = beam_search_users([sc], trie, contexts[:1], 1, ["u0"])
+        assert lists[0].items == ["a"]
+    with pytest.raises(ValueError, match=r"^context token ids must lie in 0\.\.1$"):
+        beam_search_constrained(UniformScorer(), trie, [-1], 1)
 
 
 def test_candidate_token_outside_vocab_is_named():
@@ -172,14 +174,14 @@ def test_candidate_token_outside_vocab_is_named():
     trie = build_prefix_trie(table_of(codes))
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in codes.values() for l, w in enumerate(tup)})
-    streams = {"u0": vocab * 2}
+    streams = {"u0": ids_of(vocab, vocab * 2)}
     sc = train_markov_scorer(streams, [1], ScorerConfig(order=2), "ceid", vocab=vocab)[0]
     lists, _ = beam_search_users([sc], trie, [[]], 4, ["u0"])
     assert sorted(lists[0].items) == ["a", "b", "c", "d"]
-    # two tokens missing at depth 1: the first in (node, column) order is named
+    # two tokens missing at depth 1: the first in sorted order is named
     stale = [t for t in vocab if t not in ("<CeID_2,2>", "<CeID_2,3>")]
-    sc = train_markov_scorer({"u0": stale * 2}, [1], ScorerConfig(order=2), "ceid",
-                             vocab=stale)[0]
+    sc = train_markov_scorer({"u0": ids_of(stale, stale * 2)}, [1], ScorerConfig(order=2),
+                             "ceid", vocab=stale)[0]
     with pytest.raises(ValueError, match=r"candidate token '<CeID_2,2>' not in vocabulary"):
         beam_search_users([sc], trie, [[]], 4, ["u0"])
 
@@ -212,7 +214,8 @@ def test_every_producer_returns_list_records(tmp_path):
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
     sc = HashScorer(seed=3, vocab=vocab)
-    lists, _ = beam_search_users([sc], trie, [[], [vocab[0]]], 5, ["u0", "u1"], [2])
+    lists, _ = beam_search_users([sc], trie, [[], ids_of(vocab, [vocab[0]])], 5, ["u0", "u1"],
+                                 [2])
     ranks = RankArrays()
     ranks.add(rank_side(lists))
     ranks.add(rank_side([]))
@@ -265,9 +268,9 @@ def batch_setup(seed):
     trie = build_prefix_trie(table)
     vocab = sorted({code_token("ceid", l + 1, w)
                     for tup in table.codes.values() for l, w in enumerate(tup)})
-    streams = {f"u{k}": list(rng.choice(vocab, size=24)) for k in range(8)}
+    streams = {f"u{k}": ids_of(vocab, rng.choice(vocab, size=24)) for k in range(8)}
     # histories from empty to longer than the scorer order, in one batch
-    contexts = [list(rng.choice(vocab, size=n)) for n in (0, 1, 2, 3, 5, 8, 13, 20)]
+    contexts = [ids_of(vocab, rng.choice(vocab, size=n)) for n in (0, 1, 2, 3, 5, 8, 13, 20)]
     users = [f"v{k}" for k in range(len(contexts))]
     return trie, vocab, streams, contexts, users
 
@@ -314,8 +317,9 @@ def template_setup():
     trie, vocab, streams, contexts, users = batch_setup(46)
     order = 4
     tail = streams["u0"][:order]  # a context seen in training
-    other = next(t for t in vocab if t != tail[0])
-    added = [tail, contexts[-1][:5] + tail, [other] + tail[1:], vocab[:3] + [other] + tail[1:],
+    other = next(t for t in ids_of(vocab, vocab) if t != tail[0])
+    added = [tail, contexts[-1][:5] + tail, [other] + tail[1:],
+             ids_of(vocab, vocab[:3]) + [other] + tail[1:],
              contexts[-1][:-order] + [other] + contexts[-1][1 - order:]]
     scorers = train_markov_scorer(streams, [1, 2, 3], ScorerConfig(order=order, seed=6), "ceid",
                                   vocab=vocab)

@@ -4,6 +4,7 @@ import re
 import numpy as np
 import pytest
 
+from conftest import ids_of
 from rqrec.scorer import (MarkovScorer, ScorerConfig, count_ngrams, load_scorer,
                           save_scorer, train_markov_scorer)
 
@@ -11,6 +12,15 @@ from rqrec.scorer import (MarkovScorer, ScorerConfig, count_ngrams, load_scorer,
 def cfg(**kw):
     return ScorerConfig(**{"order": 2, "delta": 0.1, "backoff_lambda": 0.4,
                            "seed": 0, **kw})
+
+
+def train_tokens(streams, template_ids, config, index_type, vocab=None):
+    """`train_markov_scorer` over the ids of token-string streams; the vocabulary
+    defaults to the streams' sorted tokens."""
+    if vocab is None:
+        vocab = sorted({t for s in streams.values() for t in s})
+    return train_markov_scorer({u: ids_of(vocab, s) for u, s in streams.items()},
+                               template_ids, config, index_type, vocab)
 
 
 def counts(sc):
@@ -26,14 +36,14 @@ def totals(sc):
 
 def test_repeating_stream_count_dominance():
     streams = {"u": ["a", "b"] * 20}
-    sc = train_markov_scorer(streams, [1], cfg(), "ceid")[0]
+    sc = train_tokens(streams, [1], cfg(), "ceid")[0]
     lp = sc.next_token_logprobs(["a"], ["a", "b"])
     assert lp["b"] > lp["a"]
 
 
 def test_large_delta_tends_uniform():
     streams = {"u": ["a", "b"] * 20}
-    sc = train_markov_scorer(streams, [1], cfg(delta=1e9), "ceid")[0]
+    sc = train_tokens(streams, [1], cfg(delta=1e9), "ceid")[0]
     lp = sc.next_token_logprobs(["a"], ["a", "b"])
     assert abs(lp["a"] - lp["b"]) < 1e-6
 
@@ -41,18 +51,18 @@ def test_large_delta_tends_uniform():
 def test_train_deterministic():
     rng = np.random.default_rng(0)
     streams = {f"u{k}": [f"t{rng.integers(0, 5)}" for _ in range(8)] for k in range(6)}
-    a = train_markov_scorer(streams, [1], cfg(), "ceid")[0]
-    b = train_markov_scorer(streams, [1], cfg(), "ceid")[0]
+    a = train_tokens(streams, [1], cfg(), "ceid")[0]
+    b = train_tokens(streams, [1], cfg(), "ceid")[0]
     assert counts(a) == counts(b) and totals(a) == totals(b)
     # bootstrap templates are deterministic too, but differ from the full data
-    a3 = train_markov_scorer(streams, [3], cfg(), "ceid")[0]
-    b3 = train_markov_scorer(streams, [3], cfg(), "ceid")[0]
+    a3 = train_tokens(streams, [3], cfg(), "ceid")[0]
+    b3 = train_tokens(streams, [3], cfg(), "ceid")[0]
     assert counts(a3) == counts(b3)
     assert counts(a3) != counts(a)
 
 
 def test_single_candidate_logprob_zero():
-    sc = train_markov_scorer({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
+    sc = train_tokens({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
     assert sc.next_token_logprobs(["a"], ["b"]) == {"b": 0.0}
 
 
@@ -69,7 +79,7 @@ def test_hand_computed_backoff():
     #   P0(a) = 2.1/3.2, P0(b) = 1.1/3.2
     #   P(b|a) = 0.6 * (1.1/1.2) + 0.4 * (1.1/3.2) = 0.6875
     #   P(a|a) = 0.6 * (0.1/1.2) + 0.4 * (2.1/3.2) = 0.3125
-    sc = train_markov_scorer({"u": ["a", "b", "a"]}, [1], cfg(order=1), "ceid")[0]
+    sc = train_tokens({"u": ["a", "b", "a"]}, [1], cfg(order=1), "ceid")[0]
     lp = sc.next_token_logprobs(["a"], ["a", "b"])
     assert lp["b"] == pytest.approx(math.log(0.6875), abs=1e-12)
     assert lp["a"] == pytest.approx(math.log(0.3125), abs=1e-12)
@@ -80,7 +90,7 @@ def test_renormalization_sums_to_one():
     vocab = [f"t{k}" for k in range(12)]
     streams = {f"u{k}": [vocab[rng.integers(0, 12)] for _ in range(30)]
                for k in range(5)}
-    sc = train_markov_scorer(streams, [1], cfg(order=3), "ceid", vocab=vocab)[0]
+    sc = train_tokens(streams, [1], cfg(order=3), "ceid", vocab=vocab)[0]
     for _ in range(50):
         n_c = int(rng.integers(1, 12))
         cands = list(rng.choice(vocab, size=n_c, replace=False))
@@ -105,8 +115,8 @@ def test_order_n_beats_unigram_on_structured_data():
 
     train = {f"u{k}": walk(25) for k in range(12)}
     held = walk(200)
-    hi = train_markov_scorer(train, [1], cfg(order=2), "ceid", vocab=vocab)[0]
-    uni = train_markov_scorer(train, [1], cfg(order=0), "ceid", vocab=vocab)[0]
+    hi = train_tokens(train, [1], cfg(order=2), "ceid", vocab=vocab)[0]
+    uni = train_tokens(train, [1], cfg(order=0), "ceid", vocab=vocab)[0]
 
     def mean_nll(sc):
         return -sum(sc.next_token_logprobs(held[:i], vocab)[held[i]]
@@ -118,26 +128,26 @@ def test_order_n_beats_unigram_on_structured_data():
 def test_bootstrap_seeded_by_template():
     # distinct unigrams per user: any difference in the resampled multiset shows up
     streams = {f"u{k}": [f"w{k}"] * (k + 1) for k in range(8)}
-    s2 = train_markov_scorer(streams, [2], cfg(), "ceid")[0]
-    s5 = train_markov_scorer(streams, [5], cfg(), "ceid")[0]
+    s2 = train_tokens(streams, [2], cfg(), "ceid")[0]
+    s5 = train_tokens(streams, [5], cfg(), "ceid")[0]
     assert counts(s2) != counts(s5)  # different template seeds resample differently
 
 
 def test_empty_streams_error():
     with pytest.raises(ValueError):
-        train_markov_scorer({}, [1], cfg(), "ceid")
+        train_tokens({}, [1], cfg(), "ceid")
     with pytest.raises(ValueError):
-        train_markov_scorer({"u": []}, [1], cfg(), "ceid")
+        train_tokens({"u": []}, [1], cfg(), "ceid")
 
 
 def test_empty_candidates_error():
-    sc = train_markov_scorer({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
+    sc = train_tokens({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
     with pytest.raises(ValueError):
         sc.next_token_logprobs(["a"], [])
 
 
 def test_unknown_candidate_error():
-    sc = train_markov_scorer({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
+    sc = train_tokens({"u": ["a", "b"]}, [1], cfg(), "ceid")[0]
     with pytest.raises(ValueError, match="zzz"):
         sc.next_token_logprobs(["a"], ["zzz"])
 
@@ -146,7 +156,7 @@ def test_checkpoint_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     streams = {f"u{k}": [f"t{rng.integers(0, 6)}" for _ in range(15)]
                for k in range(5)}
-    scorers = train_markov_scorer(streams, [1, 2, 3, 4], cfg(order=3, delta=0.25), "seid")
+    scorers = train_tokens(streams, [1, 2, 3, 4], cfg(order=3, delta=0.25), "seid")
     p = tmp_path / "scorer.txt"
     save_scorer(scorers, p)
     loaded = load_scorer(p)
@@ -163,17 +173,17 @@ def test_checkpoint_roundtrip(tmp_path):
 
 def test_save_refuses_mismatched_scorers(tmp_path):
     streams = {"u": ["a", "b", "a", "c"], "v": ["c", "b"]}
-    one, two = train_markov_scorer(streams, [1, 2], cfg(), "ceid")
+    one, two = train_tokens(streams, [1, 2], cfg(), "ceid")
     p = tmp_path / "scorer.txt"
     for bad in ([], [two], [one, one],
-                [one, train_markov_scorer(streams, [2], cfg(), "seid")[0]],
-                [one, train_markov_scorer(streams, [2], cfg(delta=0.5), "ceid")[0]],
-                [one, train_markov_scorer({"u": ["a", "b"]}, [2], cfg(), "ceid",
+                [one, train_tokens(streams, [2], cfg(), "seid")[0]],
+                [one, train_tokens(streams, [2], cfg(delta=0.5), "ceid")[0]],
+                [one, train_tokens({"u": ["a", "b"]}, [2], cfg(), "ceid",
                                           vocab=one.vocab)[0]]):
         with pytest.raises(ValueError):
             save_scorer(bad, p)
     # template 2 counted again: the same keys, counts and settings, in another table
-    again = train_markov_scorer(streams, [1, 2], cfg(), "ceid")[1]
+    again = train_tokens(streams, [1, 2], cfg(), "ceid")[1]
     with pytest.raises(ValueError, match=r"^scorer 2 of 2 \(template 2\) does not share the "
                                          r"n-gram table"):
         save_scorer([one, again], p)
@@ -223,7 +233,7 @@ def test_logprobs_bitwise_equal_to_bruteforce_reference():
         streams["u0"] = streams["u0"] or [vocab[0]]
         config = cfg(order=trial % 5, seed=trial, delta=[0.1, 0.25, 1.0][trial % 3])
         template_id = 1 + trial % 3
-        sc = train_markov_scorer(streams, [template_id], config, "ceid", vocab=vocab)[0]
+        sc = train_tokens(streams, [template_id], config, "ceid", vocab=vocab)[0]
         for _ in range(15):
             # contexts shorter and longer than the order, some holding an OOV token
             context = [vocab[x] if rng.random() > 0.2 else "<OOV>"
@@ -237,7 +247,7 @@ def test_logprobs_bitwise_equal_to_bruteforce_reference():
 
 def test_oov_context_token_differs_from_short_history():
     streams = {"u": ["a", "b", "a", "b", "b", "a"]}
-    sc = train_markov_scorer(streams, [1], cfg(order=2), "ceid")[0]
+    sc = train_tokens(streams, [1], cfg(order=2), "ceid")[0]
     short = sc.next_token_logprobs(["a"], ["a", "b"])
     with_oov = sc.next_token_logprobs(["<OOV>", "a"], ["a", "b"])
     assert short != with_oov  # the OOV position still adds a zero-count order
@@ -249,28 +259,26 @@ def test_add_stream_matches_training():
     rng = np.random.default_rng(22)
     vocab = [f"t{k}" for k in range(6)]
     streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 6, 12)] for k in range(5)}
-    trained = train_markov_scorer(streams, [1], cfg(order=3), "ceid", vocab=vocab)[0]
+    trained = train_tokens(streams, [1], cfg(order=3), "ceid", vocab=vocab)[0]
     grown = MarkovScorer(order=3, delta=0.1, backoff_lambda=0.4, template_id=1,
                          index_type="ceid", vocab=vocab)
     for u in sorted(streams):
-        grown.add_stream(streams[u])
+        grown.add_stream(ids_of(vocab, streams[u]))
     assert counts(grown) == counts(trained) and totals(grown) == totals(trained)
 
 
-def reference_count_ngrams(streams, order, vocab):
+def reference_count_ngrams(streams, order, v):
     """count_ngrams with the per-token append loop that np.repeat replaced."""
-    tok_id = {t: k for k, t in enumerate(vocab)}
     users = sorted(u for u, s in streams.items() if s)
     ids, owner, pos = [], [], []
     for j, u in enumerate(users):
         for i, t in enumerate(streams[u]):
-            if t not in tok_id:
-                raise ValueError(f"stream token {t!r} not in vocabulary")
-            ids.append(tok_id[t])
+            if not 0 <= t < v:
+                raise ValueError(f"stream token id {t} not in a vocabulary of {v}")
+            ids.append(t)
             owner.append(j)
             pos.append(i)
     tok, owner, pos = (np.array(x, dtype=np.int64) for x in (ids, owner, pos))
-    v = len(vocab)
     out = [[], [], [], []]
     ctx = np.zeros(len(tok), dtype=np.int64)
     at = np.arange(len(tok))
@@ -291,23 +299,24 @@ def reference_count_ngrams(streams, order, vocab):
 def test_count_ngrams_equals_append_loop(seed):
     rng = np.random.default_rng(seed)
     vocab = [f"t{k}" for k in range(6)]
-    streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 6, int(rng.integers(0, 14)))]
+    streams = {f"u{k}": rng.integers(0, 6, int(rng.integers(0, 14))).tolist()  # ids into vocab
                for k in range(15)}
     assert any(not s for s in streams.values())
     for order in (0, 1, 3, 5):
-        index = count_ngrams(streams, order, vocab)
-        users, ref = reference_count_ngrams(streams, order, vocab)
+        index = count_ngrams(streams, order, len(vocab))
+        users, ref = reference_count_ngrams(streams, order, len(vocab))
         assert index.users == users and index.vocab_size == len(vocab)
         got = (index.ctx_keys, index.ngram_keys, index.ngram_ids, index.owners)
         for arrays, ref_arrays in zip(got, ref):
             assert len(arrays) == order + 1
             for a, b in zip(arrays, ref_arrays):
                 assert a.dtype == b.dtype and np.array_equal(a, b)
-    streams["u3"] = ["t1", "x9", "t2", "x1"]
-    streams["u7"] = ["x0"]
+    # ids outside the vocabulary: the first in stream order is named
+    streams["u3"] = [1, 9, 2, -1]
+    streams["u7"] = [-2]
     for fn in (count_ngrams, reference_count_ngrams):
-        with pytest.raises(ValueError, match="^stream token 'x9' not in vocabulary$"):
-            fn(streams, 2, vocab)
+        with pytest.raises(ValueError, match="^stream token id 9 not in a vocabulary of 6$"):
+            fn(streams, 2, len(vocab))
 
 
 def test_shared_index_matches_own_count():
@@ -315,9 +324,9 @@ def test_shared_index_matches_own_count():
     vocab = [f"t{k}" for k in range(7)]
     streams = {f"u{k}": [vocab[x] for x in rng.integers(0, 7, int(rng.integers(1, 20)))]
                for k in range(8)}
-    together = train_markov_scorer(streams, [1, 2, 7], cfg(order=3), "ceid", vocab=vocab)
+    together = train_tokens(streams, [1, 2, 7], cfg(order=3), "ceid", vocab=vocab)
     for column, (t, shared) in enumerate(zip((1, 2, 7), together)):
-        own = train_markov_scorer(streams, [t], cfg(order=3), "ceid", vocab=vocab)[0]
+        own = train_tokens(streams, [t], cfg(order=3), "ceid", vocab=vocab)[0]
         assert counts(own) == counts(shared) and totals(own) == totals(shared)
         assert (shared.template_id, shared.column) == (t, column)
         assert shared.tables is together[0].tables
@@ -341,7 +350,7 @@ def test_load_refuses_v1_checkpoint(tmp_path, old):
 
 def test_load_refuses_truncated_checkpoint(tmp_path):
     streams = {"u": ["a", "b", "a", "c", "b"], "v": ["c", "a", "b"]}
-    scorers = train_markov_scorer(streams, [1, 2], cfg(order=2), "ceid")
+    scorers = train_tokens(streams, [1, 2], cfg(order=2), "ceid")
     p = tmp_path / "scorer_ceid.txt"
     save_scorer(scorers, p)
     lines = p.read_text().splitlines()

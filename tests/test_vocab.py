@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 
 from rqrec.rqvae import ItemCodeTable
@@ -19,11 +20,21 @@ def test_item_tokens_unknown_item():
         item_tokens(table_of({"x1": (5, 2, 7, 0)}), "zzz")
 
 
-def leaf_of(trie, tokens):
-    """Follow `tokens` down the child arrays; the node number reached."""
+def tokens(trie, d):
+    """Row n: the child tokens of node n at depth d, read from the id arrays."""
+    return [[trie.vocab[i] for i in row if i >= 0] for row in trie.cand_ids[d].tolist()]
+
+
+def paths(trie, d):
+    """Row n: the tokens from the root to node n at depth d."""
+    return [[trie.vocab[i] for i in row] for row in trie.path_ids[d].tolist()]
+
+
+def leaf_of(trie, path):
+    """Follow the tokens of `path` down the child arrays; the node number reached."""
     node = 0
-    for d, tok in enumerate(tokens):
-        node = int(trie.child[d][node, trie.tokens[d][node].index(tok)])
+    for d, tok in enumerate(path):
+        node = int(trie.child[d][node, tokens(trie, d)[node].index(tok)])
     return node
 
 
@@ -31,15 +42,16 @@ def test_trie_single_item():
     trie = build_prefix_trie(table_of({"only": (3, 1, 4, 0)}))
     assert trie.items == ["only"] and trie.depth == 4
     assert [c.tolist() for c in trie.child] == [[[0]]] * 4
-    assert trie.tokens == [[["<CeID_1,3>"]], [["<CeID_2,1>"]], [["<CeID_3,4>"]], [["<CeID_4,0>"]]]
-    assert trie.paths[3] == [["<CeID_1,3>", "<CeID_2,1>", "<CeID_3,4>"]]
+    assert [tokens(trie, d) for d in range(4)] == [[["<CeID_1,3>"]], [["<CeID_2,1>"]],
+                                                   [["<CeID_3,4>"]], [["<CeID_4,0>"]]]
+    assert paths(trie, 3) == [["<CeID_1,3>", "<CeID_2,1>", "<CeID_3,4>"]]
 
 
 def test_trie_shared_prefix_branches():
     trie = build_prefix_trie(table_of({"a": (0, 0, 0, 0), "b": (0, 0, 1, 0)}))
-    assert trie.tokens[0] == [["<CeID_1,0>"]]
-    assert trie.tokens[2] == [["<CeID_3,0>", "<CeID_3,1>"]]
-    assert trie.paths[2] == [["<CeID_1,0>", "<CeID_2,0>"]]
+    assert tokens(trie, 0) == [["<CeID_1,0>"]]
+    assert tokens(trie, 2) == [["<CeID_3,0>", "<CeID_3,1>"]]
+    assert paths(trie, 2) == [["<CeID_1,0>", "<CeID_2,0>"]]
     assert trie.child[2].tolist() == [[0, 1]]
     assert trie.child[3].tolist() == [[0], [1]]  # one terminal token below each branch
 
@@ -47,9 +59,9 @@ def test_trie_shared_prefix_branches():
 def test_trie_nodes_in_code_order_children_in_token_order():
     # "<CeID_1,10>" sorts before "<CeID_1,2>", but code word 2 is node 0
     trie = build_prefix_trie(table_of({"a": (10, 0), "b": (2, 0), "c": (10, 1)}))
-    assert trie.tokens[0] == [["<CeID_1,10>", "<CeID_1,2>"]]
+    assert tokens(trie, 0) == [["<CeID_1,10>", "<CeID_1,2>"]]
     assert trie.child[0].tolist() == [[1, 0]]
-    assert trie.paths[1] == [["<CeID_1,2>"], ["<CeID_1,10>"]]
+    assert paths(trie, 1) == [["<CeID_1,2>"], ["<CeID_1,10>"]]
     assert trie.items == ["b", "a", "c"]
 
 
@@ -85,14 +97,15 @@ def test_trie_bijection_and_extendability():
         assert trie.items[leaf_of(trie, item_tokens(table, item))] == item
     assert sorted(trie.items) == sorted(codes)
     for d in range(trie.depth):
-        child, tokens, paths = trie.child[d], trie.tokens[d], trie.paths[d]
-        n_next = len(trie.items) if d + 1 == trie.depth else len(trie.paths[d + 1])
+        child, toks, path = trie.child[d], tokens(trie, d), paths(trie, d)
+        n_next = len(trie.items) if d + 1 == trie.depth else len(trie.path_ids[d + 1])
         # every node has a child, and each child is listed exactly once
-        assert all(row for row in tokens)
+        assert all(row for row in toks)
         assert sorted(child[child >= 0].tolist()) == list(range(n_next))
-        for n, row in enumerate(tokens):
+        assert np.array_equal(trie.cand_ids[d] >= 0, child >= 0)
+        for n, row in enumerate(toks):
             assert row == sorted(row)
             assert (child[n] >= 0).sum() == len(row)
             if d + 1 < trie.depth:
                 for tok, kid in zip(row, child[n].tolist()):
-                    assert trie.paths[d + 1][kid] == paths[n] + [tok]
+                    assert paths(trie, d + 1)[kid] == path[n] + [tok]
