@@ -106,8 +106,7 @@ def load_interactions(path: str | Path) -> InteractionDataset:
 
 
 def write_interactions(ds: InteractionDataset, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         for u in sorted(ds.sequences):
             for item, ts in ds.sequences[u]:
                 fh.write(f"{u}\t{item}\t{ts}\n")
@@ -169,12 +168,12 @@ def leave_one_out_split(ds: InteractionDataset, max_len: int = 20) -> SplitDatas
 def write_split(split: SplitDataset, out_dir: str | Path) -> None:
     """Write the split manifest as train/valid/test TSV files."""
     out_dir = Path(out_dir)
-    with (out_dir / "train.tsv").open("w", encoding="utf-8") as fh:
+    with replace_on_close(out_dir / "train.tsv") as fh:
         for u in sorted(split.train):
             for item in split.train[u]:
                 fh.write(f"{u}\t{item}\n")
     for name, mapping in (("valid", split.valid), ("test", split.test)):
-        with (out_dir / f"{name}.tsv").open("w", encoding="utf-8") as fh:
+        with replace_on_close(out_dir / f"{name}.tsv") as fh:
             for u in sorted(mapping):
                 fh.write(f"{u}\t{mapping[u]}\n")
 
@@ -262,7 +261,7 @@ def write_embedding_matrix(emb: EmbeddingMatrix, path: str | Path) -> None:
     finite = np.isfinite(emb.vectors).all(axis=1)
     if not finite.all():
         raise ValueError(f"row {emb.items[int(np.argmin(finite))]!r} has non-finite values")
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         fh.write(f"{EMB_HEADER}\n{len(emb.items)} {emb.dim}\n")
         for item, vec in zip(emb.items, emb.vectors.tolist()):
             fh.write(item + " " + " ".join(map(repr, vec)) + "\n")

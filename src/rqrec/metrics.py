@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import replace_on_close
 from .rerank import RankSide
 from .retrieval import ListRecord
 
@@ -103,14 +104,14 @@ def per_matrix(sets: list[HitSet]) -> tuple[list[list[float]], list[int]]:
 
 
 def write_per_matrix(matrix: list[list[float]], ids: list[int], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         fh.write("template," + ",".join(str(t) for t in ids) + "\n")
         for t, row in zip(ids, matrix):
             fh.write(str(t) + "," + ",".join(repr(v) for v in row) + "\n")
 
 
 def write_metrics_csv(rows: list[tuple[str, int, float]], path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         fh.write("metric,K,value\n")
         for metric, k, value in rows:
             fh.write(f"{metric},{k},{value!r}\n")

@@ -302,7 +302,8 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     outputs: dict[str, Path] = {}
     counters: dict[str, dict[str, int]] = {}
     for index_type in ("ceid", "seid"):
-        trie = build_prefix_trie(load_code_table(inputs[f"codes_{index_type}.tsv"], index_type))
+        codes = inputs[f"codes_{index_type}.tsv"]
+        trie = build_prefix_trie(load_code_table(codes, index_type))
         streams = _token_streams(context_split, trie)
         users = sorted(streams)
         contexts = [streams[user] for user in users]
@@ -312,6 +313,11 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
             raise PipelineError("retrieve", f"{ckpt} holds {len(scorers)} "
                                 f"{scorers[0].index_type} template(s), {cfg.templates} "
                                 f"{index_type} needed; rerun the 'train-scorers' stage")
+        if scorers[0].vocab != trie.vocab:
+            diff = set(scorers[0].vocab).symmetric_difference(trie.vocab)
+            first = f"first difference {min(diff)!r}" if diff else "the same tokens, reordered"
+            raise PipelineError("retrieve", f"{ckpt}: vocabulary does not match {codes.name} "
+                                f"({first}); rerun the 'train-scorers' stage")
         results, searched = beam_search_users(scorers[:cfg.templates], trie, contexts,
                                               cfg.k_retrieve, users)
         path = cfg.out_dir / f"ranked_{index_type}.jsonl"
@@ -398,7 +404,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         write_per_matrix(matrix, ids, path)
         outputs[path.name] = path
     chr_path = cfg.out_dir / "chr.csv"
-    with chr_path.open("w", encoding="utf-8") as fh:
+    with replace_on_close(chr_path) as fh:
         fh.write("direction,value\n")
         for t1, t2 in (("ceid", "seid"), ("seid", "ceid")):
             if any(h.users for h in sets_by_type[t2]):
@@ -410,7 +416,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
             fh.write(f"{t1}_vs_{t2},{value!r}\n")
     outputs["chr.csv"] = chr_path
     sweep_path = cfg.out_dir / "template_sweep.csv"
-    with sweep_path.open("w", encoding="utf-8") as fh:
+    with replace_on_close(sweep_path) as fh:
         ks = sorted(cfg.k_report)
         fh.write("num_templates," + ",".join(f"hit@{k},ndcg@{k}" for k in ks) + "\n")
         for t in range(2, cfg.templates + 1):

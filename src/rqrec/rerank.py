@@ -29,6 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import replace_on_close
 from .retrieval import ListRecord
 
 # per-pair terms, the breakdown columns after user and item
@@ -237,6 +238,6 @@ def write_score_breakdown(scores: PairScores, path: str | Path) -> None:
     rows = zip([scores.users[u] for u in scores.user.tolist()],
                [scores.items[i] for i in scores.item.tolist()],
                *(_reprs(scores.columns[c]) for c in COLUMNS))
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         fh.write("\t".join(["user", "item", *COLUMNS]) + "\n")
         fh.writelines("\t".join(row) + "\n" for row in rows)

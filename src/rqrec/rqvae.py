@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .collab import scatter_add_rows
-from .dataio import EmbeddingMatrix
+from .dataio import EmbeddingMatrix, replace_on_close
 
 log = logging.getLogger(__name__)
 
@@ -551,7 +551,7 @@ def resolve_collisions(raw_codes: dict[str, tuple[int, ...]], index_type: str) -
 
 
 def write_code_table(table: ItemCodeTable, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as fh:
+    with replace_on_close(path) as fh:
         for item in sorted(table.codes):
             fh.write(item + "\t" + "\t".join(str(c) for c in table.codes[item]) + "\n")
 
@@ -565,6 +565,8 @@ def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
             if len(parts) < 3:
                 raise ValueError("expected item and code columns")
             tup = tuple(int(c) for c in parts[1:])
+            if min(tup) < 0:
+                raise ValueError(f"negative code word {min(tup)}")
             if code_len is None:
                 code_len = len(tup) - 1
             elif len(tup) - 1 != code_len:

@@ -38,6 +38,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .dataio import replace_on_close
+
 OOV = -1  # context token outside the vocabulary: a position with zero counts
 PAD = -2  # no token: the history is shorter than the order
 
@@ -364,22 +366,24 @@ def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
     check_shared_table(scorers)
     first = scorers[0]
     tab = first.tables
-    lines = [SCORER_MAGIC,
-             f"index_type {first.index_type}",
-             f"templates {len(scorers)}",
-             f"order {first.order}",
-             f"delta {first.delta!r}",
-             f"lambda {first.backoff_lambda!r}",
-             "vocab " + " ".join(first.vocab),
-             "contexts " + " ".join(str(len(x)) for x in tab.ctx_keys),
-             "ngrams " + " ".join(str(len(x)) for x in tab.ngram_keys),
-             "counts"]
-    for k in range(first.order + 1):
-        lines += [_array_line(f"ctx{k}", tab.ctx_keys[k]),
-                  _array_line(f"ngram{k}", tab.ngram_keys[k])]
-        lines += [_array_line(f"count{k}_t{sc.template_id}", tab.counts[k][:-1, sc.column])
-                  for sc in scorers]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    header = [SCORER_MAGIC,
+              f"index_type {first.index_type}",
+              f"templates {len(scorers)}",
+              f"order {first.order}",
+              f"delta {first.delta!r}",
+              f"lambda {first.backoff_lambda!r}",
+              "vocab " + " ".join(first.vocab),
+              "contexts " + " ".join(str(len(x)) for x in tab.ctx_keys),
+              "ngrams " + " ".join(str(len(x)) for x in tab.ngram_keys),
+              "counts"]
+    with replace_on_close(path) as fh:
+        fh.writelines(line + "\n" for line in header)
+        for k in range(first.order + 1):
+            lines = [_array_line(f"ctx{k}", tab.ctx_keys[k]),
+                     _array_line(f"ngram{k}", tab.ngram_keys[k])]
+            lines += [_array_line(f"count{k}_t{sc.template_id}", tab.counts[k][:-1, sc.column])
+                      for sc in scorers]
+            fh.writelines(line + "\n" for line in lines)
 
 
 def load_scorer(path: str | Path) -> list[MarkovScorer]:

@@ -1,5 +1,6 @@
 import json
 import re
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -497,6 +498,8 @@ def test_failed_writes_leave_the_old_file(pipeline_run, tmp_path):
 
     from rqrec.pipeline import _write_manifest
     from rqrec.retrieval import ListRecord, write_ranked_lists
+    from rqrec.rqvae import ItemCodeTable, write_code_table
+    from rqrec.scorer import load_scorer, save_scorer
     _, _, cfg = pipeline_run
     out = tmp_path / "crash"
     shutil.copytree(cfg.out_dir, out)
@@ -509,7 +512,39 @@ def test_failed_writes_leave_the_old_file(pipeline_run, tmp_path):
     with pytest.raises(TypeError):
         _write_manifest(dataclasses.replace(cfg, out_dir=out), "rerank", {}, {},
                         extra={"mode": object()})
+    # the header and the arrays of orders 0..4 are written before order 5's are missing
+    scorers = load_scorer(out / "scorer_ceid.txt")
+    for sc in scorers:
+        sc.order += 1
+    with pytest.raises(IndexError):
+        save_scorer(scorers, out / "scorer_ceid.txt")
+    # item a's line is written before item b's code fails to iterate
+    with pytest.raises(TypeError):
+        write_code_table(ItemCodeTable("ceid", 1, {"a": (1, 0), "b": None}),
+                         out / "codes_ceid.tsv")
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def test_every_artifact_is_written_whole(tmp_path, monkeypatch):
+    import contextlib
+    import sys
+
+    import rqrec.dataio
+    swap, written = rqrec.dataio.replace_on_close, []
+
+    @contextlib.contextmanager
+    def recorded(path):
+        with swap(path) as fh:
+            yield fh
+        written.append(Path(path).name)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rqrec") and getattr(module, "replace_on_close", None) is swap:
+            monkeypatch.setattr(module, "replace_on_close", recorded)
+    cfg = load_config(write_config(tmp_path, **{"rerank.breakdown": "true"}))
+    run_stage(cfg, "all", synthetic=True)
+    assert sorted(written) == sorted(p.name for p in cfg.out_dir.iterdir())
+    assert "score_breakdown.tsv" in written and len(written) == len(set(written))
 
 
 def test_evaluate_rejects_two_lists_for_one_user(pipeline_run, tmp_path):
@@ -800,6 +835,97 @@ def test_cli_bad_code_names_line(pipeline_run, tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"{codes}:3: invalid literal for int() with base 10: 'x'" in err
         assert "rerun the 'build-index' stage" in err
+
+
+def test_cli_negative_code_word_names_line(pipeline_run, tmp_path, capsys):
+    import shutil
+    _, path, cfg = pipeline_run
+    for stage in ("train-scorers", "retrieve"):
+        out = tmp_path / stage
+        shutil.copytree(cfg.out_dir, out)
+        codes = out / "codes_ceid.tsv"
+        lines = codes.read_text().splitlines(keepends=True)
+        item, _, *rest = lines[2].split("\t")
+        lines[2] = "\t".join([item, "-1", *rest])
+        codes.write_text("".join(lines))
+        assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert (f"{codes}:3: negative code word -1; rerun the 'build-index' stage to rewrite it"
+                in err)
+        assert (out / "scorer_ceid.txt").read_bytes() == (cfg.out_dir / "scorer_ceid.txt").read_bytes()
+
+
+def test_cli_retrieve_refuses_a_checkpoint_of_another_code_table(pipeline_run, tmp_path, capsys):
+    import shutil
+
+    from rqrec.scorer import load_scorer
+    from rqrec.vocab import code_token
+    _, path, cfg = pipeline_run
+
+    def refused(out):
+        """`retrieve` over out fails naming the first token of ceid's two vocabularies that
+        only one holds, and writes no list."""
+        before = (out / "ranked_ceid.jsonl").read_bytes()
+        ckpt, codes = out / "scorer_ceid.txt", out / "codes_ceid.tsv"
+        old = set(load_scorer(ckpt)[0].vocab)
+        new = {code_token("ceid", level, word)
+               for tup in load_code_table(codes, "ceid").codes.values()
+               for level, word in enumerate(tup, start=1)}
+        assert old != new
+        assert main(["retrieve", "--config", str(path), "--set", f"paths.out_dir={out}"]) == 1
+        assert capsys.readouterr().err.endswith(
+            f"error [retrieve] {ckpt}: vocabulary does not match codes_ceid.tsv (first "
+            f"difference {min(old ^ new)!r}); rerun the 'train-scorers' stage\n")
+        assert (out / "ranked_ceid.jsonl").read_bytes() == before
+
+    # the codes rebuilt with another seed after the scorers were trained
+    out = tmp_path / "reseeded"
+    shutil.copytree(cfg.out_dir, out)
+    assert main(["build-index", "--config", str(path), "-q", "--seed", "99",
+                 "--set", f"paths.out_dir={out}"]) == 0
+    refused(out)
+    # a table whose tokens are a subset of the checkpoint's: an item with a token of its
+    # own dropped
+    out = tmp_path / "subset"
+    shutil.copytree(cfg.out_dir, out)
+    codes = out / "codes_ceid.tsv"
+    lines = codes.read_text().splitlines(keepends=True)
+    columns = [Counter(line.split("\t")[level] for line in lines) for level in range(1, 5)]
+    drop = next(n for n, line in enumerate(lines)
+                if any(columns[level][word] == 1
+                       for level, word in enumerate(line.split("\t")[1:])))
+    codes.write_text("".join(lines[:drop] + lines[drop + 1:]))
+    refused(out)
+
+
+def test_stages_make_each_code_token_string_once(pipeline_run, tmp_path, monkeypatch):
+    import dataclasses
+    import shutil
+    import sys
+
+    import rqrec.vocab
+    from rqrec.pipeline import stage_retrieve, stage_train_scorers
+    from rqrec.scorer import load_scorer
+    _, _, cfg = pipeline_run
+    out = tmp_path / "strings"
+    shutil.copytree(cfg.out_dir, out)
+    make, calls = rqrec.vocab.code_token, Counter()
+
+    def counted(index_type, level, word):
+        calls[index_type, level, word] += 1
+        return make(index_type, level, word)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("rqrec") and getattr(module, "code_token", None) is make:
+            monkeypatch.setattr(module, "code_token", counted)
+    distinct = sum(len(load_scorer(out / f"scorer_{t}.txt")[0].vocab) for t in ("ceid", "seid"))
+    for stage in (stage_train_scorers, stage_retrieve):
+        calls.clear()
+        stage(dataclasses.replace(cfg, out_dir=out))
+        # at most one call per distinct token of each index type
+        assert max(calls.values()) == 1 and sum(calls.values()) == distinct
+    for name in ("scorer_ceid.txt", "scorer_seid.txt", "ranked_ceid.jsonl", "ranked_seid.jsonl"):
+        assert (out / name).read_bytes() == (cfg.out_dir / name).read_bytes()
 
 
 def test_cli_malformed_embeddings_name_line(pipeline_run, tmp_path, capsys):
