@@ -83,6 +83,7 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list, k: int,
                                       return_inverse=True)
     else:
         user_row = np.arange(len(contexts))
+        context_tokens = [[trie.vocab[i] for i in c] for c in contexts]
     n_rows, n_templates = int(user_row.max(initial=-1)) + 1, len(scorers)
     counts = {"distinct_contexts": n_rows, "pairs_scored": 0, "lookup_pairs": 0}
     found: list[list] = [[None] * n_rows for _ in scorers]  # (items, scores) per template and row
@@ -114,9 +115,9 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list, k: int,
                 logp = np.full(kids.shape, -np.inf)
                 for r, (g, n) in enumerate(zip(group.tolist(), node.tolist())):
                     tokens = [trie.vocab[i] for i in trie.cand_ids[d][n].tolist() if i >= 0]
-                    context = [trie.vocab[i] for i in (*contexts[group_row[g]],
-                                                       *trie.path_ids[d][n].tolist())]
-                    lp = scorers[group_template[g]].next_token_logprobs(context, tuple(tokens))
+                    path = [trie.vocab[i] for i in trie.path_ids[d][n].tolist()]
+                    lp = scorers[group_template[g]].next_token_logprobs(
+                        context_tokens[group_row[g]] + path, tuple(tokens))
                     logp[r, :len(tokens)] = [lp[t] for t in tokens]
             rows, cols = np.nonzero(kids >= 0)
             counts["pairs_scored"] += len(rows)
