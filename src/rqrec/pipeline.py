@@ -35,8 +35,8 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
                      write_embedding_matrix, write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
-from .rerank import (DuplicateList, RankArrays, RankSide, rank_side, score_pairs, top_k,
-                     write_score_breakdown)
+from .rerank import (DuplicateList, RankArrays, RankSide, rank_arrays, rank_side, score_pairs,
+                     top_k, write_score_breakdown)
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
 from .rqvae import (assign_codes, index_counters, load_code_table, resolve_collisions,
                     train_rqvae, write_code_table)
@@ -345,13 +345,14 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     # a single-index mode reads one side and fuses the other as empty
     reads = {"ranked_ceid.jsonl": mode != "seid-only", "ranked_seid.jsonl": mode != "ceid-only"}
     inputs = _require(cfg, "rerank", *(name for name, read in reads.items() if read))
-    ranks = RankArrays()
+    sides = []
     digests: dict[Path, str] = {}
     for name in reads:
         side = rank_side([])
         if name in inputs:
             side, digests[inputs[name]] = _read_side(inputs[name])
-        ranks.add(side)
+        sides.append(side)
+    ranks = rank_arrays(*sides)
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
     out = cfg.out_dir / "fused.jsonl"
@@ -392,12 +393,12 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     split = load_split(cfg.out_dir)
     outputs: dict[str, Path] = {}
     sets_by_type = {}
-    ranks = RankArrays()
+    sides = []
     digests: dict[Path, str] = {}
     for index_type in ("ceid", "seid"):
         ranked = inputs[f"ranked_{index_type}.jsonl"]
         side, digests[ranked] = _read_side(ranked)
-        ranks.add(side)
+        sides.append(side)
         sets_by_type[index_type] = hit_sets(side, split.test, cfg.analysis_k)
         matrix, ids = per_matrix(sets_by_type[index_type])
         path = cfg.out_dir / f"per_matrix_{index_type}.csv"
@@ -415,6 +416,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
                 value = math.nan
             fh.write(f"{t1}_vs_{t2},{value!r}\n")
     outputs["chr.csv"] = chr_path
+    ranks = rank_arrays(*sides)
     sweep_path = cfg.out_dir / "template_sweep.csv"
     with replace_on_close(sweep_path) as fh:
         ks = sorted(cfg.k_report)

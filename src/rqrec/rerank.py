@@ -14,17 +14,19 @@ floats, so every term equals the per-item formula bit for bit. `score_items`
 and `fuse_and_rank` are the same code for one user.
 
 A list file enters as a `RankSide` (`rank_side`): int32 columns whose users and
-items are numbered per file, which the pipeline's stages keep in a cache of
-parsed files (see `rqrec.pipeline`); `RankArrays.add` maps those numbers into
-its own. The (user, item) pairs of all templates are sorted once per
-`RankArrays`, and a template cap selects its pairs from that order.
+items are numbered by sorted name, which the pipeline's stages keep in a cache
+of parsed files (see `rqrec.pipeline`). `rank_arrays` puts the two sides on the
+sorted union of their names, which leaves a side that holds every name as it
+is, and sorts the (user, item) pairs of all templates once; a template cap
+selects its pairs from that order. Sorted names are the only order any output
+sees: `top_k`'s ties, the breakdown rows and the sweep.
 """
 from __future__ import annotations
 
 import math
 import pickle
 from collections import namedtuple
-from itertools import chain, count
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -41,15 +43,15 @@ SelfConsistencyScore = namedtuple("SelfConsistencyScore", ("item",) + COLUMNS)
 # are numbers into the sorted names), and the users with a list under the cap
 PairScores = namedtuple("PairScores", "users items listed user item columns")
 
-# one index type's lists: the user and item names in first-seen order, then read-only
-# int32 columns of numbers into them, (user, item, rank, template) per entry in
+# one index type's lists: the sorted user and item names, then read-only int32
+# columns of numbers into them, (user, item, rank, template) per entry in
 # list-file order and (user, template) per list
 RankSide = namedtuple("RankSide", "users items user item rank template list_user list_template")
 
-# the sorted names of a `RankArrays`, each first-seen user number's position among
-# them, every (user, item) pair of all templates in sorted order, and per side each
-# entry's number among those pairs
-PairNumbering = namedtuple("PairNumbering", "users items user_pos user item entry_pair")
+# the ceid and seid sides numbered into the sorted union of their names, every
+# (user, item) pair of all templates in sorted order, and per side each entry's
+# number among those pairs
+RankArrays = namedtuple("RankArrays", "users items sides user item entry_pair")
 
 
 class DuplicateList(ValueError):
@@ -60,6 +62,15 @@ class DuplicateList(ValueError):
         self.position = position
 
 
+def _numbers(names: list[str]) -> dict[str, int]:
+    """Each distinct name's position among them sorted.
+
+    A dict, not `np.searchsorted` on a string array: numpy drops trailing NULs,
+    so 'a\x00' would land on 'a'.
+    """
+    return {name: n for n, name in enumerate(sorted(set(names)))}
+
+
 def rank_side(records: list[ListRecord]) -> RankSide:
     """One index type's lists as columns; a repeated (user, template) is an error."""
     seen: set[tuple[str, int]] = set()
@@ -68,13 +79,12 @@ def rank_side(records: list[ListRecord]) -> RankSide:
             raise DuplicateList(f"duplicate template id {r.template} for user "
                                 f"{r.user!r} in the {r.index_type} lists", n)
         seen.add((r.user, r.template))
-    users: dict[str, int] = {}
     lengths = np.array([len(r.items) for r in records], dtype=np.int64)
-    list_user = np.array([users.setdefault(r.user, len(users)) for r in records], np.int32)
-    list_template = np.array([r.template for r in records], np.int32)
+    user_names = [r.user for r in records]
     names = list(chain.from_iterable(r.items for r in records))
-    # first-seen numbers are the positions in an insertion-ordered dict
-    items = dict(zip(dict.fromkeys(names), count()))
+    users, items = _numbers(user_names), _numbers(names)
+    list_user = np.fromiter(map(users.__getitem__, user_names), np.int32, len(records))
+    list_template = np.array([r.template for r in records], np.int32)
     item = np.fromiter(map(items.__getitem__, names), np.int32, len(names))
     rank = np.arange(len(item)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # the names as new strings side by side: the ones a parse made lie among its
@@ -87,54 +97,28 @@ def rank_side(records: list[ListRecord]) -> RankSide:
     return side
 
 
-class RankArrays:
-    """The ceid, then the seid lists as int32 arrays; one `add` per index type.
-
-    A side is (user, item, rank, template) per entry in list-file order, then
-    (user, template) per list; users and items are numbered as first seen.
-    """
-
-    def __init__(self) -> None:
-        self.user_ids: dict[str, int] = {}
-        self.item_ids: dict[str, int] = {}
-        self.sides: list[tuple[np.ndarray, ...]] = []
-        self._numbering: PairNumbering | None = None
-
-    def add(self, side: RankSide) -> None:
-        users = [self.user_ids.setdefault(u, len(self.user_ids)) for u in side.users]
-        items = [self.item_ids.setdefault(i, len(self.item_ids)) for i in side.items]
-        self.sides.append((_renumber(users, side.user), _renumber(items, side.item), side.rank,
-                           side.template, _renumber(users, side.list_user), side.list_template))
-        self._numbering = None
-
-    def numbering(self) -> PairNumbering:
-        """The pairs of all templates, sorted once until the next `add`."""
-        if self._numbering is None:
-            users, user_pos = _by_name(self.user_ids)
-            items, item_pos = _by_name(self.item_ids)
-            n_items = max(len(items), 1)
-            keys = [user_pos[user] * n_items + item_pos[item] for user, item, *_ in self.sides]
-            pairs = np.unique(np.concatenate(keys))
-            self._numbering = PairNumbering(users, items, user_pos, pairs // n_items,
-                                            pairs % n_items,
-                                            [np.searchsorted(pairs, key).astype(np.int32)
-                                             for key in keys])
-        return self._numbering
-
-
-def _renumber(numbers: list[int], column: np.ndarray) -> np.ndarray:
-    """numbers[column]; where numbers are 0, 1, 2, ... (the first side, and the second
-    side's users when both files list them in one order), the column itself, so the
-    arrays share the cached side's memory instead of copying it."""
-    if numbers == list(range(len(numbers))):
+def _onto(names: list[str], union: dict[str, int], column: np.ndarray) -> np.ndarray:
+    """A column of numbers into the sorted `names`, as numbers into the sorted union;
+    a side that holds every name keeps its column, since its numbers are the union's."""
+    if len(names) == len(union):
         return column
-    return np.array(numbers, dtype=np.int32)[column]
+    return np.array([union[name] for name in names], dtype=np.int32)[column]
 
 
-def _by_name(ids: dict[str, int]) -> tuple[list[str], np.ndarray]:
-    """Sorted names, and each first-seen number's position among them."""
-    names = sorted(ids)
-    return names, np.argsort([ids[name] for name in names])
+def rank_arrays(ceid: RankSide, seid: RankSide) -> RankArrays:
+    """Both sides on one numbering, and the (user, item) pairs of all templates."""
+    users, items = _numbers(ceid.users + seid.users), _numbers(ceid.items + seid.items)
+    names = list(users), list(items)
+    sides = [side._replace(users=names[0], items=names[1],
+                           user=_onto(side.users, users, side.user),
+                           item=_onto(side.items, items, side.item),
+                           list_user=_onto(side.users, users, side.list_user))
+             for side in (ceid, seid)]
+    n_items = max(len(items), 1)
+    keys = [side.user.astype(np.int64) * n_items + side.item for side in sides]
+    pairs = np.unique(np.concatenate(keys))
+    return RankArrays(*names, sides, pairs // n_items, pairs % n_items,
+                      [np.searchsorted(pairs, key).astype(np.int32) for key in keys])
 
 
 def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
@@ -162,23 +146,20 @@ def score_pairs(ranks: RankArrays, alpha: float, tau: float,
     The capped pairs keep their order among all pairs, so they are numbered by a
     cumulative sum over a presence mask.
     """
-    numbering = ranks.numbering()
-    present = np.zeros(len(numbering.user), dtype=bool)
+    present = np.zeros(len(ranks.user), dtype=bool)
     pair_ranks, listed = [], []
-    for entry_pair, (_, _, rank, template, list_user, list_template) in zip(
-            numbering.entry_pair, ranks.sides):
-        keep = template <= max_templates
-        pair_ranks.append((entry_pair[keep], rank[keep]))
+    for entry_pair, side in zip(ranks.entry_pair, ranks.sides):
+        keep = side.template <= max_templates
+        pair_ranks.append((entry_pair[keep], side.rank[keep]))
         present[entry_pair[keep]] = True
-        listed.append(numbering.user_pos[list_user[list_template <= max_templates]])
+        listed.append(side.list_user[side.list_template <= max_templates])
     number = np.cumsum(present) - 1
     (conf_c, cons_c, s_c, n_c), (conf_s, cons_s, s_s, n_s) = (
         _type_terms(number[pair], rank, int(np.count_nonzero(present)), alpha, tau)
         for pair, rank in pair_ranks)
     columns = (conf_c, cons_c, s_c, conf_s, cons_s, s_s, s_c + s_s, n_c + n_s)
-    return PairScores(numbering.users, numbering.items, np.unique(np.concatenate(listed)),
-                      numbering.user[present], numbering.item[present],
-                      dict(zip(COLUMNS, columns)))
+    return PairScores(ranks.users, ranks.items, np.unique(np.concatenate(listed)),
+                      ranks.user[present], ranks.item[present], dict(zip(COLUMNS, columns)))
 
 
 def top_k(scores: PairScores, k_out: int) -> list[ListRecord]:
@@ -199,11 +180,9 @@ def _one_user(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
               alpha: float, tau: float) -> PairScores:
     if not ceid_lists and not seid_lists:
         raise ValueError("no ranked lists to fuse")
-    ranks = RankArrays()
-    ranks.add(rank_side(ceid_lists))
-    ranks.add(rank_side(seid_lists))
-    if len(ranks.user_ids) > 1:
-        raise ValueError(f"lists of more than one user: {sorted(ranks.user_ids)}")
+    ranks = rank_arrays(rank_side(ceid_lists), rank_side(seid_lists))
+    if len(ranks.users) > 1:
+        raise ValueError(f"lists of more than one user: {ranks.users}")
     return score_pairs(ranks, alpha, tau)
 
 

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import EntriesList
-from rqrec.rerank import (COLUMNS, PairScores, RankArrays, _by_name, _type_terms,
-                          fuse_and_rank, rank_side, score_items, score_pairs, top_k,
-                          write_score_breakdown)
+from rqrec.rerank import (COLUMNS, PairScores, _type_terms, fuse_and_rank, rank_arrays,
+                          rank_side, score_items, score_pairs, top_k, write_score_breakdown)
 from rqrec.retrieval import ListRecord
 
 
@@ -249,9 +248,7 @@ def test_batched_fusion_equals_per_item_reference_bitwise(seed):
         for cap in (1, 3, 6):
             for sides in (("ceid", "seid"), ("ceid",), ("seid",)):
                 chosen = [lists[t] if t in sides else [] for t in ("ceid", "seid")]
-                ranks = RankArrays()
-                for side in chosen:
-                    ranks.add(rank_side(side))
+                ranks = rank_arrays(*map(rank_side, chosen))
                 scores = score_pairs(ranks, alpha, 10.0, max_templates=cap)
                 fused = {f.user: f for f in top_k(scores, 7)}
                 users = sorted({x.user for side in chosen for x in side if x.template <= cap})
@@ -278,18 +275,23 @@ def test_squared_deviations_round_like_the_scalar_formula():
 
 
 def reference_sides(lists_per_side):
-    """The RankArrays.add walk over (item, score) entries that records replaced."""
-    users, items, sides = {}, {}, []
+    """The walk over (item, score) entries that records replaced, numbering users
+    and items by sorted name over both sides."""
+    users = {u: n for n, u in enumerate(sorted({x.user for lists in lists_per_side
+                                                for x in lists}))}
+    items = {i: n for n, i in enumerate(sorted({i for lists in lists_per_side
+                                                for x in lists for i, _ in x.entries}))}
+    sides = []
     for lists in lists_per_side:
         lengths = [len(x.entries) for x in lists]
-        list_user = np.array([users.setdefault(x.user, len(users)) for x in lists], np.int32)
+        list_user = np.array([users[x.user] for x in lists], np.int32)
         list_template = np.array([x.template_id for x in lists], np.int32)
-        item = np.fromiter((items.setdefault(i, len(items)) for x in lists
-                            for i, _ in x.entries), np.int32, count=sum(lengths))
+        item = np.fromiter((items[i] for x in lists for i, _ in x.entries), np.int32,
+                           count=sum(lengths))
         rank = np.fromiter((r for n in lengths for r in range(n)), np.int32, count=sum(lengths))
         sides.append((np.repeat(list_user, lengths), item, rank,
                       np.repeat(list_template, lengths), list_user, list_template))
-    return users, items, sides
+    return list(users), list(items), sides
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -301,35 +303,32 @@ def test_rank_arrays_from_records_equal_ranked_list_walk(seed):
                               rng.choice(items, size=rng.integers(0, 9), replace=False))])
               for u in rng.permutation(12) for t in rng.permutation(4)[:rng.integers(0, 5)] + 1]
              for index_type in ("ceid", "seid")]
-    ranks = RankArrays()
-    for side in lists:
-        ranks.add(rank_side([x.record() for x in side]))
-    users, item_ids, sides = reference_sides(lists)
-    assert ranks.user_ids == users and ranks.item_ids == item_ids
-    assert list(ranks.item_ids.values()) == list(range(len(item_ids)))
+    ranks = rank_arrays(*(rank_side([x.record() for x in side]) for side in lists))
+    users, item_names, sides = reference_sides(lists)
+    assert ranks.users == users and ranks.items == item_names
+    assert users == sorted(users) and item_names == sorted(item_names)
     assert len(ranks.sides) == len(sides) == 2
     for got, ref in zip(ranks.sides, sides):
-        for a, b in zip(got, ref):
+        assert (got.users, got.items) == (users, item_names)
+        for a, b in zip(got[2:], ref):
             assert a.dtype == b.dtype == np.int32 and np.array_equal(a, b)
 
 
 def per_cap_score_pairs(ranks, alpha, tau, max_templates):
     """score_pairs as it numbered the pairs of each cap: a sort and a search per cap."""
-    users, user_pos = _by_name(ranks.user_ids)
-    items, item_pos = _by_name(ranks.item_ids)
-    n_items = max(len(items), 1)
+    n_items = max(len(ranks.items), 1)
     keys, entry_ranks, listed = [], [], []
-    for user, item, rank, template, list_user, list_template in ranks.sides:
-        keep = template <= max_templates
-        keys.append(user_pos[user[keep]] * n_items + item_pos[item[keep]])
-        entry_ranks.append(rank[keep])
-        listed.append(user_pos[list_user[list_template <= max_templates]])
+    for side in ranks.sides:
+        keep = side.template <= max_templates
+        keys.append(side.user[keep].astype(np.int64) * n_items + side.item[keep])
+        entry_ranks.append(side.rank[keep])
+        listed.append(side.list_user[side.list_template <= max_templates])
     pairs = np.unique(np.concatenate(keys))
     (conf_c, cons_c, s_c, n_c), (conf_s, cons_s, s_s, n_s) = (
         _type_terms(np.searchsorted(pairs, key), rank, len(pairs), alpha, tau)
         for key, rank in zip(keys, entry_ranks))
     columns = (conf_c, cons_c, s_c, conf_s, cons_s, s_s, s_c + s_s, n_c + n_s)
-    return PairScores(users, items, np.unique(np.concatenate(listed)),
+    return PairScores(ranks.users, ranks.items, np.unique(np.concatenate(listed)),
                       pairs // n_items, pairs % n_items, dict(zip(COLUMNS, columns)))
 
 
@@ -352,16 +351,11 @@ def test_pairs_numbered_once_equal_per_cap_path_bitwise(seed):
               for u in rng.permutation(15) for t in rng.permutation(6)[:rng.integers(0, 7)] + 1]
              for index_type in ("ceid", "seid")]
     for one_side in ([sides[0], []], [[], sides[1]]):
-        ranks = RankArrays()
-        for side in one_side:
-            ranks.add(rank_side(side))
+        ranks = rank_arrays(*map(rank_side, one_side))
         for cap in range(8):
             assert_pair_scores_identical(score_pairs(ranks, 0.8, 10.0, cap),
                                          per_cap_score_pairs(ranks, 0.8, 10.0, cap))
-    ranks = RankArrays()
-    ranks.add(rank_side(sides[0]))
-    assert len(ranks.numbering().user) > 0  # numbered before the next `add`, then again
-    ranks.add(rank_side(sides[1]))
+    ranks = rank_arrays(*map(rank_side, sides))
     for alpha in (0.8, 1.0, 0.0):
         for cap in (*range(8), math.inf):
             assert_pair_scores_identical(score_pairs(ranks, alpha, 10.0, cap),
@@ -385,16 +379,33 @@ def test_breakdown_formats_each_value_like_repr(tmp_path):
 def test_rank_side_numbers_per_file_and_is_read_only():
     side = rank_side([rl("v", "ceid", 2, ["b", "a"]), rl("u", "ceid", 1, ["a", "c"]),
                       rl("v", "ceid", 1, [])])
-    assert (side.users, side.items) == (["v", "u"], ["b", "a", "c"])
-    assert side.user.tolist() == [0, 0, 1, 1] and side.item.tolist() == [0, 1, 1, 2]
+    assert (side.users, side.items) == (["u", "v"], ["a", "b", "c"])
+    assert side.user.tolist() == [1, 1, 0, 0] and side.item.tolist() == [1, 0, 0, 2]
     assert side.rank.tolist() == [0, 1, 0, 1] and side.template.tolist() == [2, 2, 1, 1]
-    assert side.list_user.tolist() == [0, 1, 0] and side.list_template.tolist() == [2, 1, 1]
+    assert side.list_user.tolist() == [1, 0, 1] and side.list_template.tolist() == [2, 1, 1]
     for column in side[2:]:
         assert column.dtype == np.int32 and not column.flags.writeable
-    # the arrays renumber a side as first seen across sides
-    ranks = RankArrays()
-    ranks.add(rank_side([rl("u", "seid", 1, ["c"])]))
-    ranks.add(side)
-    assert ranks.user_ids == {"u": 0, "v": 1} and ranks.item_ids == {"c": 0, "b": 1, "a": 2}
-    assert ranks.sides[1][0].tolist() == [1, 1, 0, 0] and ranks.sides[1][4].tolist() == [1, 0, 1]
-    assert ranks.sides[1][1].tolist() == [1, 2, 2, 0]
+    # the arrays renumber both sides by sorted name across sides
+    ranks = rank_arrays(side, rank_side([rl("t", "seid", 1, ["c", "0"])]))
+    assert (ranks.users, ranks.items) == (["t", "u", "v"], ["0", "a", "b", "c"])
+    ceid, seid = ranks.sides
+    assert ceid.user.tolist() == [2, 2, 1, 1] and ceid.list_user.tolist() == [2, 1, 2]
+    assert ceid.item.tolist() == [2, 1, 1, 3] and ceid.rank is side.rank
+    assert seid.user.tolist() == [0, 0] and seid.item.tolist() == [3, 0]
+    assert ranks.user.tolist() == [0, 0, 1, 1, 2, 2] and ranks.item.tolist() == [0, 3, 1, 3, 1, 2]
+    assert [p.tolist() for p in ranks.entry_pair] == [[5, 4, 2, 3], [1, 0]]
+
+
+def test_side_holding_every_name_keeps_its_columns():
+    both = rank_side([rl("u", "ceid", 1, ["a", "a\x00"]), rl("w", "ceid", 1, ["b"])])
+    part = rank_side([rl("w", "seid", 1, ["a\x00"])])
+    assert both.items == ["a", "a\x00", "b"] and both.item.tolist() == [0, 1, 2]
+    ranks = rank_arrays(both, part)
+    kept, mapped = ranks.sides
+    for name in ("user", "item", "list_user"):
+        assert getattr(kept, name) is getattr(both, name)
+    assert mapped.user.tolist() == [1] and mapped.item.tolist() == [1]
+    assert mapped.item is not part.item and mapped.list_user.tolist() == [1]
+    # 'a' and 'a\x00' stay two items through the fusion
+    fused = top_k(score_pairs(ranks, 0.8, 10.0), 5)
+    assert [(r.user, r.items) for r in fused] == [("u", ["a", "a\x00"]), ("w", ["a\x00", "b"])]

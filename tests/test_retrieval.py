@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import EntriesList, HashScorer, UniformScorer, ids_of, random_code_table
-from rqrec.rerank import RankArrays, fuse_and_rank, rank_side, score_pairs, top_k
+from rqrec.rerank import fuse_and_rank, rank_arrays, rank_side, score_pairs, top_k
 from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
                              beam_search_users, exhaustive_topk_oracle, ranked_list_record,
                              read_ranked_lists, write_ranked_lists)
@@ -216,9 +216,7 @@ def test_every_producer_returns_list_records(tmp_path):
     sc = HashScorer(seed=3, vocab=vocab)
     lists, _ = beam_search_users([sc], trie, [[], ids_of(vocab, [vocab[0]])], 5, ["u0", "u1"],
                                  [2])
-    ranks = RankArrays()
-    ranks.add(rank_side(lists))
-    ranks.add(rank_side([]))
+    ranks = rank_arrays(rank_side(lists), rank_side([]))
     write_ranked_lists(lists, tmp_path / "ranked.jsonl")
     produced = [*lists, beam_search_constrained(sc, trie, [], 5, user="u0"),
                 exhaustive_topk_oracle(sc, table, [], 5, user="u0"),
