@@ -35,7 +35,7 @@ from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
                      write_embedding_matrix, write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
-from .rerank import (DuplicateList, RankArrays, RankSide, rank_arrays, rank_side, score_pairs,
+from .rerank import (MalformedList, RankArrays, RankSide, rank_arrays, rank_side, score_pairs,
                      top_k, write_score_breakdown)
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
 from .rqvae import (assign_codes, index_counters, load_code_table, resolve_collisions,
@@ -106,7 +106,7 @@ def _read_side(path: Path) -> tuple[RankSide, str]:
         del lines
         try:
             side = rank_side(records)
-        except DuplicateList as exc:
+        except MalformedList as exc:
             lineno = exc.position + 1
             for n in blank:
                 lineno += n <= lineno

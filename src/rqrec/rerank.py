@@ -26,7 +26,7 @@ from __future__ import annotations
 import math
 import pickle
 from collections import namedtuple
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 import numpy as np
@@ -54,12 +54,24 @@ RankSide = namedtuple("RankSide", "users items user item rank template list_user
 RankArrays = namedtuple("RankArrays", "users items sides user item entry_pair")
 
 
-class DuplicateList(ValueError):
-    """A second list for one (user, template); `position` is its index in the records."""
+class MalformedList(ValueError):
+    """A list unfit for the columns; `position` is its index in the records."""
 
-    def __init__(self, message: str, position: int):
-        super().__init__(message)
+    def __init__(self, problem: str, records: list[ListRecord], position: int):
+        super().__init__(f"{problem} in the {records[position].index_type} lists")
         self.position = position
+
+
+def _field_problem(r: ListRecord) -> str | None:
+    """What makes one record's template, user, items or scores unfit, or None;
+    the items' own types are checked over the whole file."""
+    if type(r.template) is not int:  # nor a bool
+        return f"template {r.template!r} is not an integer"
+    if not isinstance(r.user, str):
+        return f"user {r.user!r} is not a string"
+    if not isinstance(r.items, list) or not isinstance(r.scores, list):
+        return "items and scores must be lists"
+    return None
 
 
 def _numbers(names: list[str]) -> dict[str, int]:
@@ -72,20 +84,37 @@ def _numbers(names: list[str]) -> dict[str, int]:
 
 
 def rank_side(records: list[ListRecord]) -> RankSide:
-    """One index type's lists as columns; a repeated (user, template) is an error."""
+    """One index type's lists as columns, users and items numbered by sorted name.
+
+    A field of the wrong type, a repeated (user, template) and an item repeated
+    within a list are errors that name the record's position.
+    """
     seen: set[tuple[str, int]] = set()
     for n, r in enumerate(records):
-        if (r.user, r.template) in seen:
-            raise DuplicateList(f"duplicate template id {r.template} for user "
-                                f"{r.user!r} in the {r.index_type} lists", n)
+        problem = _field_problem(r)
+        if problem is None and (r.user, r.template) in seen:
+            problem = f"duplicate template id {r.template} for user {r.user!r}"
+        if problem:
+            raise MalformedList(problem, records, n)
         seen.add((r.user, r.template))
     lengths = np.array([len(r.items) for r in records], dtype=np.int64)
     user_names = [r.user for r in records]
     names = list(chain.from_iterable(r.items for r in records))
+    if not all(map(isinstance, names, repeat(str))):
+        n, bad = next((n, i) for n, r in enumerate(records) for i in r.items
+                      if not isinstance(i, str))
+        raise MalformedList(f"item {bad!r} is not a string", records, n)
     users, items = _numbers(user_names), _numbers(names)
     list_user = np.fromiter(map(users.__getitem__, user_names), np.int32, len(records))
     list_template = np.array([r.template for r in records], np.int32)
     item = np.fromiter(map(items.__getitem__, names), np.int32, len(names))
+    # an item twice in one list is a repeated (list, item) key; the smallest is the first list
+    key = np.sort(np.repeat(np.arange(len(records)), lengths) * len(items) + item)
+    repeated = key[1:][key[1:] == key[:-1]]
+    if len(repeated):
+        n, i = divmod(int(repeated[0]), len(items))
+        raise MalformedList(f"item {list(items)[i]!r} repeated in the list of user "
+                            f"{records[n].user!r}", records, n)
     rank = np.arange(len(item)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
     # the names as new strings side by side: the ones a parse made lie among its
     # records, and a few of them kept alive would keep all the records' memory

@@ -799,6 +799,34 @@ def test_cli_malformed_ranked_list_names_line(pipeline_run, tmp_path, capsys):
         assert "rerun 'retrieve'" in err
 
 
+@pytest.mark.parametrize("edit, problem", [
+    ({"template": 1.5}, "template 1.5 is not an integer"),
+    ({"template": "1"}, "template '1' is not an integer"),
+    ({"template": True}, "template True is not an integer"),
+    ({"user": 7}, "user 7 is not a string"),
+    ({"items": "abc", "scores": [0.0, 0.0, 0.0]}, "items and scores must be lists"),
+    ({"items": ["a", "b", "c"], "scores": "xyz"}, "items and scores must be lists"),
+    ({"items": ["a", 5, "c"], "scores": [0.0, 0.0, 0.0]}, "item 5 is not a string"),
+    ({"items": ["a", "b", "a"], "scores": [0.0, 0.0, 0.0]},
+     "item 'a' repeated in the list of user"),
+], ids=["float-template", "string-template", "bool-template", "int-user", "string-items",
+        "string-scores", "int-item", "repeated-item"])
+def test_cli_malformed_list_record_names_line(pipeline_run, tmp_path, capsys, edit, problem):
+    import shutil
+    _, path, cfg = pipeline_run
+    out = tmp_path / "bad"
+    shutil.copytree(cfg.out_dir, out)
+    ranked = out / "ranked_ceid.jsonl"
+    lines = ranked.read_text().splitlines(keepends=True)
+    lines[2] = json.dumps({**json.loads(lines[2]), **edit}) + "\n"
+    ranked.write_text("".join(lines))
+    for stage in ("rerank", "analyze"):
+        assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error [{stage}]: {ranked}:3: {problem}")
+        assert "in the ceid lists; rerun 'retrieve'" in err
+
+
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
     import shutil
     _, path, cfg = pipeline_run
