@@ -35,8 +35,9 @@ class PipelineConfig:
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
 
     def validate(self) -> None:
-        if not self.k_report or min(self.k_report) < 1:
-            raise ValueError(f"k_report must list at least one K, each >= 1, "
+        ks = self.k_report
+        if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
+            raise ValueError(f"k_report must list at least one K, each >= 1 and none twice, "
                              f"got {self.k_report}")
         if self.k_retrieve < max(self.k_report):
             raise ValueError(f"k_retrieve ({self.k_retrieve}) must be >= "

@@ -77,6 +77,8 @@ def test_config_validation_before_work(tmp_path, capsys):
         load_config(write_config(tmp_path, **{"eval.k_report": "-3"}))
     with pytest.raises(ValueError, match="k_report"):
         load_config(write_config(tmp_path, **{"eval.k_report": "5,0"}))
+    with pytest.raises(ValueError, match=r"^k_report must .* none twice, got \[10, 10\]$"):
+        load_config(write_config(tmp_path, **{"eval.k_report": "10,10"}))
     with pytest.raises(ValueError, match="analysis_k"):
         load_config(write_config(tmp_path, **{"eval.analysis_k": 50}))
     with pytest.raises(ValueError, match="analysis_k"):
