@@ -83,7 +83,12 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list, k: int,
                                       return_inverse=True)
     else:
         user_row = np.arange(len(contexts))
+        # the strings of every context, and of each depth's candidate and path rows
         context_tokens = [[trie.vocab[i] for i in c] for c in contexts]
+        cand_tokens = [[tuple(trie.vocab[i] for i in row if i >= 0) for row in ids.tolist()]
+                       for ids in trie.cand_ids]
+        path_tokens = [[[trie.vocab[i] for i in row] for row in ids.tolist()]
+                       for ids in trie.path_ids]
     n_rows, n_templates = int(user_row.max(initial=-1)) + 1, len(scorers)
     counts = {"distinct_contexts": n_rows, "pairs_scored": 0, "lookup_pairs": 0}
     found: list[list] = [[None] * n_rows for _ in scorers]  # (items, scores) per template and row
@@ -114,10 +119,9 @@ def beam_search_users(scorers: list, trie: PrefixTrie, contexts: list, k: int,
             else:
                 logp = np.full(kids.shape, -np.inf)
                 for r, (g, n) in enumerate(zip(group.tolist(), node.tolist())):
-                    tokens = [trie.vocab[i] for i in trie.cand_ids[d][n].tolist() if i >= 0]
-                    path = [trie.vocab[i] for i in trie.path_ids[d][n].tolist()]
+                    tokens = cand_tokens[d][n]
                     lp = scorers[group_template[g]].next_token_logprobs(
-                        context_tokens[group_row[g]] + path, tuple(tokens))
+                        context_tokens[group_row[g]] + path_tokens[d][n], tokens)
                     logp[r, :len(tokens)] = [lp[t] for t in tokens]
             rows, cols = np.nonzero(kids >= 0)
             counts["pairs_scored"] += len(rows)
