@@ -340,7 +340,11 @@ def fuse_all_users(ranks: RankArrays, alpha: float, tau: float, k_out: int,
 
 
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
-    """Fuse each user's lists; fused.jsonl and the breakdown share one scoring pass."""
+    """Fuse each user's lists; fused.jsonl and the breakdown share one scoring pass.
+
+    The manifest records the lists read per index type (0 for a side the mode
+    does not read), the users fused and the (user, item) pairs scored.
+    """
     mode = mode or cfg.mode
     # a single-index mode reads one side and fuses the other as empty
     reads = {"ranked_ceid.jsonl": mode != "seid-only", "ranked_seid.jsonl": mode != "ceid-only"}
@@ -355,15 +359,18 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     ranks = rank_arrays(*sides)
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
+    fused = top_k(scores, cfg.k_retrieve)
     out = cfg.out_dir / "fused.jsonl"
-    write_ranked_lists(top_k(scores, cfg.k_retrieve), out)
+    write_ranked_lists(fused, out)
     outputs = {"fused.jsonl": out}
     if cfg.breakdown:
         bpath = cfg.out_dir / "score_breakdown.tsv"
         write_score_breakdown(scores, bpath)
         outputs["score_breakdown.tsv"] = bpath
-    _write_manifest(cfg, "rerank", inputs, outputs,
-                    extra={"mode": mode, "alpha": alpha}, digests=digests)
+    counters = {"lists_read": {"ceid": len(sides[0].list_user), "seid": len(sides[1].list_user)},
+                "users_fused": len(fused), "pairs_scored": len(scores.user)}
+    _write_manifest(cfg, "rerank", inputs, outputs, digests=digests,
+                    extra={"mode": mode, "alpha": alpha, "counters": counters})
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
@@ -388,7 +395,11 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
 
 
 def stage_analyze(cfg: PipelineConfig) -> None:
-    """Complementarity analysis (PER matrices, CHR) and the template-count sweep."""
+    """Complementarity analysis (PER matrices, CHR) and the template-count sweep.
+
+    The manifest records the (user, item) pairs numbered over all templates and
+    the sweep points (template counts fused).
+    """
     inputs = _require(cfg, "analyze", "ranked_ceid.jsonl", "ranked_seid.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
     outputs: dict[str, Path] = {}
@@ -421,14 +432,17 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     with replace_on_close(sweep_path) as fh:
         ks = sorted(cfg.k_report)
         fh.write("num_templates," + ",".join(f"hit@{k},ndcg@{k}" for k in ks) + "\n")
-        for t in range(2, cfg.templates + 1):
+        sweep = range(2, cfg.templates + 1)
+        for t in sweep:
             fused = fuse_all_users(ranks, cfg.alpha, cfg.tau, cfg.k_retrieve, max_templates=t)
             cells = []
             for k in ks:
                 cells += [hit_at_k(fused, split.test, k), ndcg_at_k(fused, split.test, k)]
             fh.write(str(t) + "," + ",".join(repr(c) for c in cells) + "\n")
     outputs["template_sweep.csv"] = sweep_path
-    _write_manifest(cfg, "analyze", inputs, outputs, digests=digests)
+    counters = {"pairs_numbered": len(ranks.user), "sweep_points": len(sweep)}
+    _write_manifest(cfg, "analyze", inputs, outputs, digests=digests,
+                    extra={"counters": counters})
 
 
 def run_stage(cfg: PipelineConfig, stage: str, synthetic: bool = False,

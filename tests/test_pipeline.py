@@ -328,6 +328,35 @@ def test_rerank_breakdown_table(pipeline_run):
     assert (cfg.out_dir / "fused.jsonl").read_bytes() == fused
 
 
+def test_rerank_and_analyze_counters(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import stage_analyze
+    _, _, cfg = pipeline_run
+    out = tmp_path / "counted"
+    shutil.copytree(cfg.out_dir, out)
+    run = dataclasses.replace(cfg, out_dir=out, breakdown=True)
+
+    def lines(name):
+        return (out / name).read_text().splitlines()
+
+    listed = {t: len(lines(f"ranked_{t}.jsonl")) for t in ("ceid", "seid")}
+    for mode, read in (("seid-only", ("seid",)), ("full", ("ceid", "seid"))):
+        stage_rerank(run, mode=mode)
+        counters = json.loads((out / "manifest_rerank.json").read_text())["counters"]
+        rows = lines("score_breakdown.tsv")[1:]
+        assert counters == {"lists_read": {t: listed[t] if t in read else 0 for t in listed},
+                            "users_fused": len(lines("fused.jsonl")), "pairs_scored": len(rows)}
+        assert 0 < counters["users_fused"] < counters["pairs_scored"]
+    # the lists hold cfg.templates templates, so the full breakdown has every pair
+    stage_analyze(run)
+    counters = json.loads((out / "manifest_analyze.json").read_text())["counters"]
+    assert counters == {"pairs_numbered": len(rows),
+                        "sweep_points": len(lines("template_sweep.csv")) - 1}
+    assert counters["sweep_points"] == cfg.templates - 1 > 0
+
+
 def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatch):
     import rqrec.pipeline
     from rqrec.retrieval import read_ranked_lists
