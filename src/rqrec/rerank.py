@@ -65,8 +65,8 @@ class MalformedList(ValueError):
 def _field_problem(r: ListRecord) -> str | None:
     """What makes one record's template, user, items or scores unfit, or None;
     the items' own types are checked over the whole file."""
-    if type(r.template) is not int:  # nor a bool
-        return f"template {r.template!r} is not an integer"
+    if type(r.template) is not int or not -2**31 <= r.template < 2**31:  # nor a bool
+        return f"template {r.template!r} is not a 32-bit integer"
     if not isinstance(r.user, str):
         return f"user {r.user!r} is not a string"
     if not isinstance(r.items, list) or not isinstance(r.scores, list):

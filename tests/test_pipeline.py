@@ -342,19 +342,21 @@ def test_rerank_and_analyze_counters(pipeline_run, tmp_path):
         return (out / name).read_text().splitlines()
 
     listed = {t: len(lines(f"ranked_{t}.jsonl")) for t in ("ceid", "seid")}
-    for mode, read in (("seid-only", ("seid",)), ("full", ("ceid", "seid"))):
+    # a cap below the lists' templates scores fewer pairs than the lists hold
+    for mode, read, templates in (("seid-only", ("seid",), 2), ("full", ("ceid", "seid"), 3)):
+        run.templates = templates
         stage_rerank(run, mode=mode)
         counters = json.loads((out / "manifest_rerank.json").read_text())["counters"]
         rows = lines("score_breakdown.tsv")[1:]
         assert counters == {"lists_read": {t: listed[t] if t in read else 0 for t in listed},
                             "users_fused": len(lines("fused.jsonl")), "pairs_scored": len(rows)}
         assert 0 < counters["users_fused"] < counters["pairs_scored"]
-    # the lists hold cfg.templates templates, so the full breakdown has every pair
+    # the lists hold 3 templates, so the last breakdown has every pair
     stage_analyze(run)
     counters = json.loads((out / "manifest_analyze.json").read_text())["counters"]
     assert counters == {"pairs_numbered": len(rows),
                         "sweep_points": len(lines("template_sweep.csv")) - 1}
-    assert counters["sweep_points"] == cfg.templates - 1 > 0
+    assert counters["sweep_points"] == cfg.templates - 1 == 2
 
 
 def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatch):
@@ -831,17 +833,18 @@ def test_cli_malformed_ranked_list_names_line(pipeline_run, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("edit, problem", [
-    ({"template": 1.5}, "template 1.5 is not an integer"),
-    ({"template": "1"}, "template '1' is not an integer"),
-    ({"template": True}, "template True is not an integer"),
+    ({"template": 1.5}, "template 1.5 is not a 32-bit integer"),
+    ({"template": "1"}, "template '1' is not a 32-bit integer"),
+    ({"template": True}, "template True is not a 32-bit integer"),
+    ({"template": 2**31}, "template 2147483648 is not a 32-bit integer"),
     ({"user": 7}, "user 7 is not a string"),
     ({"items": "abc", "scores": [0.0, 0.0, 0.0]}, "items and scores must be lists"),
     ({"items": ["a", "b", "c"], "scores": "xyz"}, "items and scores must be lists"),
     ({"items": ["a", 5, "c"], "scores": [0.0, 0.0, 0.0]}, "item 5 is not a string"),
     ({"items": ["a", "b", "a"], "scores": [0.0, 0.0, 0.0]},
      "item 'a' repeated in the list of user"),
-], ids=["float-template", "string-template", "bool-template", "int-user", "string-items",
-        "string-scores", "int-item", "repeated-item"])
+], ids=["float-template", "string-template", "bool-template", "large-template", "int-user",
+        "string-items", "string-scores", "int-item", "repeated-item"])
 def test_cli_malformed_list_record_names_line(pipeline_run, tmp_path, capsys, edit, problem):
     import shutil
     _, path, cfg = pipeline_run
