@@ -137,8 +137,8 @@ def _onto(names: list[str], union: dict[str, int], column: np.ndarray) -> np.nda
 def rank_arrays(ceid: RankSide, seid: RankSide) -> RankArrays:
     """Both sides on one numbering, and the (user, item) pairs of all templates."""
     users, items = _numbers(ceid.users + seid.users), _numbers(ceid.items + seid.items)
-    names = list(users), list(items)
-    sides = [side._replace(users=names[0], items=names[1],
+    user_names, item_names = list(users), list(items)
+    sides = [side._replace(users=user_names, items=item_names,
                            user=_onto(side.users, users, side.user),
                            item=_onto(side.items, items, side.item),
                            list_user=_onto(side.users, users, side.list_user))
@@ -146,7 +146,7 @@ def rank_arrays(ceid: RankSide, seid: RankSide) -> RankArrays:
     n_items = max(len(items), 1)
     keys = [side.user.astype(np.int64) * n_items + side.item for side in sides]
     pairs = np.unique(np.concatenate(keys))
-    return RankArrays(*names, sides, pairs // n_items, pairs % n_items,
+    return RankArrays(user_names, item_names, sides, pairs // n_items, pairs % n_items,
                       [np.searchsorted(pairs, key).astype(np.int32) for key in keys])
 
 
