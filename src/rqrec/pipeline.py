@@ -86,6 +86,30 @@ _SIDES: dict[str, RankSide] = {}
 _SIDES_MAX = 2
 
 
+def _decoded(path: Path, data: bytes) -> str:
+    """A list file's text; a byte that is not UTF-8 is an error naming its line."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; one more character ends its line
+        lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
+        raise ValueError(f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8; rerun "
+                         f"{_PRODUCED_BY[path.name]!r} to rewrite it") from None
+
+
+def _checked_side(path: Path, records: list[ListRecord], blank: list[int]) -> RankSide:
+    """`rank_side` of a list file's records; `blank` holds the file's empty line
+    numbers, which the reader skips, so that an error names the file's line."""
+    try:
+        return rank_side(records)
+    except MalformedList as exc:
+        lineno = exc.position + 1
+        for n in blank:
+            lineno += n <= lineno
+        raise ValueError(f"{path}:{lineno}: {exc}; rerun {_PRODUCED_BY[path.name]!r} to "
+                         "rewrite it") from None
+
+
 def _read_side(path: Path) -> tuple[RankSide, str]:
     """A ranked-list file's `RankSide` and the digest of the bytes read.
 
@@ -97,20 +121,14 @@ def _read_side(path: Path) -> tuple[RankSide, str]:
     side = _SIDES.pop(digest, None)
     if side is None:
         # bytes, text and lines are each as large as the file: hold one at a time
-        text = data.decode("utf-8")
+        text = _decoded(path, data)
         del data
         lines = text.splitlines()
         del text
-        blank = [n for n, line in enumerate(lines, 1) if not line]  # the reader skips them
+        blank = [n for n, line in enumerate(lines, 1) if not line]
         records = read_ranked_lists(path, lines)
         del lines
-        try:
-            side = rank_side(records)
-        except MalformedList as exc:
-            lineno = exc.position + 1
-            for n in blank:
-                lineno += n <= lineno
-            raise ValueError(f"{path}:{lineno}: {exc}; rerun 'retrieve' to rewrite it") from None
+        side = _checked_side(path, records, blank)
         if len(_SIDES) == _SIDES_MAX:
             del _SIDES[next(iter(_SIDES))]
     _SIDES[digest] = side
@@ -374,13 +392,23 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
 
 
 def stage_evaluate(cfg: PipelineConfig) -> None:
+    """Hit@K and NDCG@K of the fused lists over the test split.
+
+    `fused.jsonl` gets the record checks of `rerank` and `analyze`, uncached.
+    The manifest records the test users evaluated (every metric's denominator)
+    and those without a fused list, which count as misses.
+    """
     inputs = _require(cfg, "evaluate", "fused.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
+    path = inputs["fused.jsonl"]
+    lines = _decoded(path, path.read_bytes()).splitlines()
+    records = read_ranked_lists(path, lines)
     fused: dict[str, ListRecord] = {}
-    for r in read_ranked_lists(inputs["fused.jsonl"]):
-        if fused.setdefault(r.user, r) is not r:
-            raise PipelineError("evaluate", f"{inputs['fused.jsonl']} holds two lists for user "
-                                f"{r.user!r}; rerun the 'rerank' stage")
+    for r in records:  # a user that is not a string is named by the checks below
+        if isinstance(r.user, str) and fused.setdefault(r.user, r) is not r:
+            raise PipelineError("evaluate", f"{path} holds two lists for user {r.user!r}; "
+                                "rerun the 'rerank' stage")
+    _checked_side(path, records, [n for n, line in enumerate(lines, 1) if not line])
     rows = []
     for k in cfg.k_report:
         h = hit_at_k(fused, split.test, k)
@@ -391,7 +419,10 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         log.info("evaluate: hit@%d=%.4f ndcg@%d=%.4f", k, h, k, n)
     out = cfg.out_dir / "metrics.csv"
     write_metrics_csv(rows, out)
-    _write_manifest(cfg, "evaluate", inputs, {"metrics.csv": out})
+    counters = {"users_evaluated": len(split.test),
+                "users_without_list": sum(1 for u in split.test if u not in fused)}
+    _write_manifest(cfg, "evaluate", inputs, {"metrics.csv": out},
+                    extra={"counters": counters})
 
 
 def stage_analyze(cfg: PipelineConfig) -> None:

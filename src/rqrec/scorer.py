@@ -27,7 +27,9 @@ every template's count is gathered from its row.
 Template variants: template 1 trains on the full per-user streams; template
 t > 1 trains on a bootstrap resample (with replacement) of user streams seeded
 by (cfg.seed, t), emulating prompt-induced diversity. `count_ngrams` numbers
-every n-gram once; each template is one weighted `bincount` over that numbering.
+every n-gram once; each template is one weighted `bincount` over that numbering,
+and every table's context totals are the sums of its n-gram counts
+(`NgramTables.from_counts`).
 """
 from __future__ import annotations
 
@@ -76,12 +78,6 @@ class NgramTables:
     counts: list[np.ndarray]
 
     @classmethod
-    def empty(cls, order: int) -> NgramTables:
-        """One template column and no keys."""
-        keys, zero = np.zeros(0, dtype=np.int64), np.zeros((1, 1), dtype=np.int64)
-        return cls(*([a] * (order + 1) for a in (keys, zero, keys, zero)))
-
-    @classmethod
     def from_counts(cls, ctx_keys: list[np.ndarray], ngram_keys: list[np.ndarray],
                     counts: list[np.ndarray], v: int) -> NgramTables:
         """Tables whose context totals are the sums of their n-gram counts, per column."""
@@ -115,7 +111,8 @@ class MarkovScorer:
         self.template_id = template_id
         self.index_type = index_type
         self.vocab = list(vocab)
-        self.tables = tables if tables is not None else NgramTables.empty(order)
+        self.tables = (tables if tables is not None
+                       else count_ngrams({}, order, len(self.vocab), np.ones((1, 0))))
         self.column = column
 
     @cached_property
@@ -125,9 +122,8 @@ class MarkovScorer:
 
     def add_stream(self, stream) -> None:
         """Count one more id stream into this template; the scorer then has a table of its own."""
-        index = count_ngrams({"": stream}, self.order, len(self.vocab))
-        self.tables = _merge_tables(self.tables, self.column,
-                                    index.tables(np.ones((1, 1), dtype=np.int64)), len(self.vocab))
+        new = count_ngrams({"": stream}, self.order, len(self.vocab), np.ones((1, 1)))
+        self.tables = _merge_tables(self.tables, self.column, new, len(self.vocab))
         self.column = 0
 
     def context_matrix(self, contexts) -> np.ndarray:
@@ -234,41 +230,16 @@ def check_shared_table(scorers: list[MarkovScorer]) -> None:
 # ---------------------------------------------------------------------------
 # Counting
 
-@dataclass
-class NgramIndex:
-    """Every n-gram occurrence of a set of user streams, numbered once.
+def count_ngrams(streams: dict, order: int, vocab_size: int,
+                 weights: np.ndarray) -> NgramTables:
+    """Tables of the n-grams of orders 0..order in the non-empty id streams.
 
-    Per order k: `ctx_keys[k]` and `ngram_keys[k]` are the sorted keys of every
-    context and n-gram seen in any stream; `ngram_ids[k]` and `owners[k]` give
-    each occurrence's n-gram and user. Any reweighting of the users (a
-    bootstrap template) is then one `bincount` per order.
+    `weights` is (templates, users) over the non-empty streams' users, sorted:
+    column t counts user j's stream weights[t, j] times, over keys shared by
+    every column. A key with count 0 (total 0) scores as an absent one, and a
+    context with total 0 has only zero-total extensions, so the zero rows are
+    kept.
     """
-
-    users: list[str]
-    vocab_size: int
-    ctx_keys: list[np.ndarray]
-    ngram_keys: list[np.ndarray]
-    ngram_ids: list[np.ndarray]
-    owners: list[np.ndarray]
-
-    def tables(self, weights: np.ndarray) -> NgramTables:
-        """Tables with one column per row of the (templates, users) `weights`:
-        column t counts user j's stream weights[t, j] times, over the shared keys.
-
-        A key with count 0 (total 0) scores as an absent one, and a context
-        with total 0 has only zero-total extensions, so the zero rows are kept.
-        """
-        counts = []
-        for ids, own, keys in zip(self.ngram_ids, self.owners, self.ngram_keys):
-            c = np.zeros((len(keys) + 1, len(weights)), dtype=np.int64)
-            for t, w in enumerate(weights):  # one float column at a time
-                c[:-1, t] = np.bincount(ids, weights=w[own], minlength=len(keys))
-            counts.append(c)
-        return NgramTables.from_counts(self.ctx_keys, self.ngram_keys, counts, self.vocab_size)
-
-
-def count_ngrams(streams: dict, order: int, vocab_size: int) -> NgramIndex:
-    """Number the n-grams of orders 0..order in the non-empty id streams (users sorted)."""
     users = sorted(u for u, s in streams.items() if len(s))
     tok = np.concatenate([np.zeros(0, dtype=np.int64),
                           *(np.asarray(streams[u], dtype=np.int64) for u in users)])
@@ -278,7 +249,7 @@ def count_ngrams(streams: dict, order: int, vocab_size: int) -> NgramIndex:
     lengths = np.array([len(streams[u]) for u in users], dtype=np.int64)
     owner_arr = np.repeat(np.arange(len(users)), lengths)
     pos_arr = np.arange(len(tok)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    index = NgramIndex(users, vocab_size, [], [], [], [])
+    ctx_keys, ngram_keys, counts = [], [], []
     ctx = np.zeros(len(tok), dtype=np.int64)  # order-0 context id at every position
     at = np.arange(len(tok))
     for k in range(order + 1):
@@ -288,37 +259,34 @@ def count_ngrams(streams: dict, order: int, vocab_size: int) -> NgramIndex:
             keys, ctx = np.unique(ctx[deep] * vocab_size + tok[at - k], return_inverse=True)
         else:
             keys = np.zeros(min(1, len(tok)), dtype=np.int64)
-        ngram_keys, ngram_ids = np.unique(ctx * vocab_size + tok[at], return_inverse=True)
-        index.ctx_keys.append(keys)
-        index.ngram_keys.append(ngram_keys)
-        index.ngram_ids.append(ngram_ids)
-        index.owners.append(owner_arr[at])
-    return index
+        ngrams, ngram_ids = np.unique(ctx * vocab_size + tok[at], return_inverse=True)
+        owners = owner_arr[at]  # each occurrence's user
+        c = np.zeros((len(ngrams) + 1, len(weights)), dtype=np.int64)
+        for t, w in enumerate(weights):  # one float column at a time
+            c[:-1, t] = np.bincount(ngram_ids, weights=w[owners], minlength=len(ngrams))
+        ctx_keys.append(keys)
+        ngram_keys.append(ngrams)
+        counts.append(c)
+    return NgramTables.from_counts(ctx_keys, ngram_keys, counts, vocab_size)
 
 
 def _merge_tables(a: NgramTables, column: int, b: NgramTables, v: int) -> NgramTables:
     """One-template tables holding the summed counts of a's column and b's first."""
-    out = NgramTables([], [], [], [])
+    ctx_keys, ngram_keys, counts = [], [], []
     map_a = map_b = np.zeros(1, dtype=np.int64)
     for k in range(len(a.ctx_keys)):
         ka = map_a[a.ctx_keys[k] // v] * v + a.ctx_keys[k] % v
         kb = map_b[b.ctx_keys[k] // v] * v + b.ctx_keys[k] % v
-        ctx_keys = np.union1d(ka, kb)
-        map_a, map_b = np.searchsorted(ctx_keys, ka), np.searchsorted(ctx_keys, kb)
-        totals = np.zeros((len(ctx_keys) + 1, 1), dtype=np.int64)
-        totals[map_a, 0] += a.totals[k][:-1, column]
-        totals[map_b, 0] += b.totals[k][:-1, 0]
+        ctx_keys.append(np.union1d(ka, kb))
+        map_a, map_b = np.searchsorted(ctx_keys[k], ka), np.searchsorted(ctx_keys[k], kb)
         na = map_a[a.ngram_keys[k] // v] * v + a.ngram_keys[k] % v
         nb = map_b[b.ngram_keys[k] // v] * v + b.ngram_keys[k] % v
-        ngram_keys = np.union1d(na, nb)
-        counts = np.zeros((len(ngram_keys) + 1, 1), dtype=np.int64)
-        counts[np.searchsorted(ngram_keys, na), 0] += a.counts[k][:-1, column]
-        counts[np.searchsorted(ngram_keys, nb), 0] += b.counts[k][:-1, 0]
-        out.ctx_keys.append(ctx_keys)
-        out.totals.append(totals)
-        out.ngram_keys.append(ngram_keys)
-        out.counts.append(counts)
-    return out
+        ngram_keys.append(np.union1d(na, nb))
+        c = np.zeros((len(ngram_keys[k]) + 1, 1), dtype=np.int64)
+        c[np.searchsorted(ngram_keys[k], na), 0] += a.counts[k][:-1, column]
+        c[np.searchsorted(ngram_keys[k], nb), 0] += b.counts[k][:-1, 0]
+        counts.append(c)
+    return NgramTables.from_counts(ctx_keys, ngram_keys, counts, v)
 
 
 def train_markov_scorer(streams: dict, template_ids: list[int], cfg: ScorerConfig,
@@ -330,14 +298,13 @@ def train_markov_scorer(streams: dict, template_ids: list[int], cfg: ScorerConfi
     cfg.validate()
     if not any(len(s) for s in streams.values()):
         raise ValueError("no non-empty training streams")
-    index = count_ngrams(streams, cfg.order, len(vocab))
-    n = len(index.users)
+    n = sum(1 for s in streams.values() if len(s))
     weights = np.ones((len(template_ids), n), dtype=np.int64)
     for w, template_id in zip(weights, template_ids):
         if template_id != 1:
             rng = np.random.default_rng([cfg.seed, template_id])
             w[:] = np.bincount(rng.integers(0, n, size=n), minlength=n)
-    tables = index.tables(weights)
+    tables = count_ngrams(streams, cfg.order, len(vocab), weights)
     return [MarkovScorer(order=cfg.order, delta=cfg.delta, backoff_lambda=cfg.backoff_lambda,
                          template_id=template_id, index_type=index_type, vocab=vocab,
                          tables=tables, column=column)

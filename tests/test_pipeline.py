@@ -359,6 +359,27 @@ def test_rerank_and_analyze_counters(pipeline_run, tmp_path):
     assert counters["sweep_points"] == cfg.templates - 1 == 2
 
 
+def test_evaluate_counters(pipeline_run, tmp_path):
+    import dataclasses
+    import shutil
+
+    from rqrec.pipeline import stage_evaluate
+    _, _, cfg = pipeline_run
+    out = tmp_path / "counted"
+    shutil.copytree(cfg.out_dir, out)
+    test_users = [line.split("\t")[0] for line in (out / "test.tsv").read_text().splitlines()]
+    fused = (out / "fused.jsonl").read_text().splitlines(keepends=True)
+    # every test user has a list, then three of them lose it
+    for kept in (fused, fused[3:]):
+        (out / "fused.jsonl").write_text("".join(kept))
+        stage_evaluate(dataclasses.replace(cfg, out_dir=out))
+        listed = {json.loads(line)["user"] for line in kept}
+        counters = json.loads((out / "manifest_evaluate.json").read_text())["counters"]
+        assert counters == {"users_evaluated": len(test_users),
+                            "users_without_list": len(set(test_users) - listed)}
+    assert counters["users_without_list"] == 3
+
+
 def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatch):
     import rqrec.pipeline
     from rqrec.retrieval import read_ranked_lists
@@ -838,27 +859,62 @@ def test_cli_malformed_ranked_list_names_line(pipeline_run, tmp_path, capsys):
     ({"template": True}, "template True is not a 32-bit integer"),
     ({"template": 2**31}, "template 2147483648 is not a 32-bit integer"),
     ({"user": 7}, "user 7 is not a string"),
+    ({"user": ["u"]}, "user ['u'] is not a string"),
     ({"items": "abc", "scores": [0.0, 0.0, 0.0]}, "items and scores must be lists"),
     ({"items": ["a", "b", "c"], "scores": "xyz"}, "items and scores must be lists"),
     ({"items": ["a", 5, "c"], "scores": [0.0, 0.0, 0.0]}, "item 5 is not a string"),
     ({"items": ["a", "b", "a"], "scores": [0.0, 0.0, 0.0]},
      "item 'a' repeated in the list of user"),
 ], ids=["float-template", "string-template", "bool-template", "large-template", "int-user",
-        "string-items", "string-scores", "int-item", "repeated-item"])
+        "list-user", "string-items", "string-scores", "int-item", "repeated-item"])
 def test_cli_malformed_list_record_names_line(pipeline_run, tmp_path, capsys, edit, problem):
     import shutil
     _, path, cfg = pipeline_run
     out = tmp_path / "bad"
     shutil.copytree(cfg.out_dir, out)
-    ranked = out / "ranked_ceid.jsonl"
-    lines = ranked.read_text().splitlines(keepends=True)
-    lines[2] = json.dumps({**json.loads(lines[2]), **edit}) + "\n"
-    ranked.write_text("".join(lines))
-    for stage in ("rerank", "analyze"):
-        assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error [{stage}]: {ranked}:3: {problem}")
-        assert "in the ceid lists; rerun 'retrieve'" in err
+    metrics = (out / "metrics.csv").read_bytes()
+    for name, stages, lists, producer in (
+            ("ranked_ceid.jsonl", ("rerank", "analyze"), "ceid", "retrieve"),
+            ("fused.jsonl", ("evaluate",), "fused", "rerank")):
+        file = out / name
+        lines = file.read_text().splitlines(keepends=True)
+        lines[2] = json.dumps({**json.loads(lines[2]), **edit}) + "\n"
+        file.write_text("".join(lines))
+        for stage in stages:
+            assert main([stage, "--config", str(path), "-q",
+                         "--set", f"paths.out_dir={out}"]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith(f"error [{stage}]: {file}:3: {problem}")
+            assert f"in the {lists} lists; rerun '{producer}' to rewrite it" in err
+    assert (out / "metrics.csv").read_bytes() == metrics
+
+
+def test_cli_list_file_not_utf8_names_line(pipeline_run, tmp_path, capsys, monkeypatch):
+    import hashlib
+    import shutil
+
+    import rqrec.pipeline
+    _, path, cfg = pipeline_run
+    out = tmp_path / "bad"
+    shutil.copytree(cfg.out_dir, out)
+    monkeypatch.setattr(rqrec.pipeline, "_SIDES", {})
+    for name, stages, producer, at in (("ranked_seid.jsonl", ("rerank", "analyze"), "retrieve", 9),
+                                       ("fused.jsonl", ("evaluate",), "rerank", 0)):
+        file = out / name
+        good = file.read_bytes()
+        lines = good.splitlines(keepends=True)
+        lines[2] = lines[2][:at] + b"\xff" + lines[2][at + 1:]  # mid-line, then line-start
+        file.write_bytes(b"".join(lines))
+        for stage in stages:
+            assert main([stage, "--config", str(path), "-q",
+                         "--set", f"paths.out_dir={out}"]) == 1
+            err = capsys.readouterr().err
+            assert err == (f"error [{stage}]: {file}:3: byte 0xff is not UTF-8; "
+                           f"rerun '{producer}' to rewrite it\n")
+        file.write_bytes(good)
+    # only the readable ceid file was kept
+    ceid = hashlib.sha256((out / "ranked_ceid.jsonl").read_bytes()).hexdigest()
+    assert list(rqrec.pipeline._SIDES) == ["sha256:" + ceid]
 
 
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import ids_of
-from rqrec.scorer import (MarkovScorer, ScorerConfig, count_ngrams, load_scorer,
+from rqrec.scorer import (MarkovScorer, NgramTables, ScorerConfig, count_ngrams, load_scorer,
                           save_scorer, train_markov_scorer)
 
 
@@ -268,7 +268,8 @@ def test_add_stream_matches_training():
 
 
 def reference_count_ngrams(streams, order, v):
-    """count_ngrams with the per-token append loop that np.repeat replaced."""
+    """Per order, the context keys, n-gram keys, n-gram ids and owners that
+    `count_ngrams` numbers, by the per-token append loop that np.repeat replaced."""
     users = sorted(u for u, s in streams.items() if s)
     ids, owner, pos = [], [], []
     for j, u in enumerate(users):
@@ -292,7 +293,31 @@ def reference_count_ngrams(streams, order, v):
         ngram_keys, ngram_ids = np.unique(ctx * v + tok[at], return_inverse=True)
         for column, value in zip(out, (keys, ngram_keys, ngram_ids, owner[at])):
             column.append(value)
-    return users, out
+    return out
+
+
+def reference_tables(streams, order, v, weights):
+    """Keys, counts and totals per order from the append loop's occurrences: each
+    column a weighted bincount, totals summed per occurrence rather than per key."""
+    ctx_keys, ngram_keys, ngram_ids, owners = reference_count_ngrams(streams, order, v)
+    counts, totals = [], []
+    for ctx, keys, ids, own in zip(ctx_keys, ngram_keys, ngram_ids, owners):
+        c = np.zeros((len(keys) + 1, len(weights)), dtype=np.int64)
+        t = np.zeros((len(ctx) + 1, len(weights)), dtype=np.int64)
+        for column, w in enumerate(weights):
+            c[:-1, column] = np.bincount(ids, weights=w[own], minlength=len(keys))
+            t[:-1, column] = np.bincount(keys[ids] // v, weights=w[own], minlength=len(ctx))
+        counts.append(c)
+        totals.append(t)
+    return NgramTables(ctx_keys, totals, ngram_keys, counts)
+
+
+def assert_tables_equal(tables, ref):
+    for name in ("ctx_keys", "totals", "ngram_keys", "counts"):
+        arrays, ref_arrays = getattr(tables, name), getattr(ref, name)
+        assert len(arrays) == len(ref_arrays)
+        for a, b in zip(arrays, ref_arrays):
+            assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -302,21 +327,39 @@ def test_count_ngrams_equals_append_loop(seed):
     streams = {f"u{k}": rng.integers(0, 6, int(rng.integers(0, 14))).tolist()  # ids into vocab
                for k in range(15)}
     assert any(not s for s in streams.values())
+    n = sum(1 for s in streams.values() if s)
+    weights = np.concatenate([np.ones((1, n), dtype=np.int64), rng.integers(0, 4, (2, n))])
+    assert (weights == 0).any() and (weights > 1).any()
     for order in (0, 1, 3, 5):
-        index = count_ngrams(streams, order, len(vocab))
-        users, ref = reference_count_ngrams(streams, order, len(vocab))
-        assert index.users == users and index.vocab_size == len(vocab)
-        got = (index.ctx_keys, index.ngram_keys, index.ngram_ids, index.owners)
-        for arrays, ref_arrays in zip(got, ref):
-            assert len(arrays) == order + 1
-            for a, b in zip(arrays, ref_arrays):
-                assert a.dtype == b.dtype and np.array_equal(a, b)
+        tables = count_ngrams(streams, order, len(vocab), weights)
+        assert_tables_equal(tables, reference_tables(streams, order, len(vocab), weights))
+        assert tables.counts[0].shape == (len(tables.ngram_keys[0]) + 1, 3)
     # ids outside the vocabulary: the first in stream order is named
     streams["u3"] = [1, 9, 2, -1]
     streams["u7"] = [-2]
-    for fn in (count_ngrams, reference_count_ngrams):
-        with pytest.raises(ValueError, match="^stream token id 9 not in a vocabulary of 6$"):
-            fn(streams, 2, len(vocab))
+    with pytest.raises(ValueError, match="^stream token id 9 not in a vocabulary of 6$"):
+        count_ngrams(streams, 2, len(vocab), np.ones((1, n)))
+    with pytest.raises(ValueError, match="^stream token id 9 not in a vocabulary of 6$"):
+        reference_count_ngrams(streams, 2, len(vocab))
+
+
+def test_add_stream_to_a_later_template_column():
+    rng = np.random.default_rng(24)
+    vocab = [f"t{k}" for k in range(6)]
+    streams = {f"u{k}": rng.integers(0, 6, int(rng.integers(1, 15))).tolist() for k in range(9)}
+    config = cfg(order=3, seed=5)
+    scorers = train_markov_scorer(streams, [1, 2, 7], config, "ceid", vocab)
+    grown = scorers[2]
+    assert (grown.template_id, grown.column) == (7, 2)
+    new = rng.integers(0, 6, 11).tolist()
+    grown.add_stream(new)
+    # template 7's bootstrap weights, then 1 for the new stream, whose user sorts last
+    n = len(streams)
+    w7 = np.bincount(np.random.default_rng([5, 7]).integers(0, n, size=n), minlength=n)
+    assert (w7 != 1).any()  # column 0 would count other weights
+    want = count_ngrams({**streams, "v": new}, 3, len(vocab), np.append(w7, 1)[None])
+    assert grown.column == 0 and grown.tables is not scorers[0].tables
+    assert_tables_equal(grown.tables, want)
 
 
 def test_shared_index_matches_own_count():
