@@ -72,6 +72,19 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
+def decoded(path: str | Path, data: bytes, producer: str | None = None) -> str:
+    """A file's bytes as text. A byte that is not UTF-8 is an error naming its
+    line, and the stage that rewrites the file when `producer` names one."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; one more character ends its line
+        lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
+        rerun = f"; rerun {producer!r} to rewrite it" if producer else ""
+        raise ValueError(f"{path}:{lineno}: byte {data[exc.start]:#04x} is not "
+                         f"UTF-8{rerun}") from None
+
+
 def load_interactions(path: str | Path) -> InteractionDataset:
     """Parse `user<TAB>item<TAB>timestamp` lines into a dataset.
 
@@ -183,7 +196,7 @@ def load_split(out_dir: str | Path) -> SplitDataset:
     split: dict[str, dict] = {"train": {}}
     for name in ("train", "valid", "test"):
         path = Path(out_dir) / f"{name}.tsv"
-        lines = path.read_text(encoding="utf-8").splitlines()
+        lines = decoded(path, path.read_bytes(), "prepare").splitlines()
         try:
             if name == "train":
                 for line in lines:
@@ -218,8 +231,7 @@ def replace_on_close(path: str | Path):
 def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
     """Read the `ITEM_EMB v1` text format into item-sorted rows; errors name the line."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    lines = decoded(path, path.read_bytes()).splitlines()
     if not lines or lines[0] != EMB_HEADER:
         raise ValueError(f"{path}:1: expected header '{EMB_HEADER}'")
     if len(lines) < 2:

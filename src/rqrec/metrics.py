@@ -1,4 +1,10 @@
-"""Accuracy metrics under full ranking, and complementarity analysis (PER / CHR)."""
+"""Accuracy metrics under full ranking, and complementarity analysis (PER / CHR).
+
+Every metric reads ranked lists as `RankSide` columns and asks one question of
+each entry: is its item its user's held-out test item, at a rank below K?
+Hit@K and NDCG@K ask it of the fused lists, one per user; the hit sets ask it
+of every template's lists.
+"""
 from __future__ import annotations
 
 import logging
@@ -10,7 +16,6 @@ import numpy as np
 
 from .dataio import replace_on_close
 from .rerank import RankSide
-from .retrieval import ListRecord
 
 log = logging.getLogger(__name__)
 
@@ -23,41 +28,40 @@ class HitSet:
     users: set[str]
 
 
-def _target_positions(metric: str, lists: dict[str, ListRecord], test: dict[str, str],
-                      k: int) -> list[int]:
-    """0-based position of each test item found within its user's first k entries."""
+def _hits(side: RankSide, test: dict[str, str], k: int) -> np.ndarray:
+    """Per entry: its item is its user's test item and its rank is below k."""
+    item_no = {item: n for n, item in enumerate(side.items)}
+    target = np.array([item_no.get(test.get(user), -1) for user in side.users], dtype=np.int64)
+    return (side.item == target[side.user]) & (side.rank < k)
+
+
+def _target_ranks(side: RankSide, test: dict[str, str], k: int) -> list[int]:
+    """Rank of each test item found within its user's first k entries, in test
+    order; the side holds one list per user, and a user without one misses."""
     if not test:
         raise ValueError("empty test split")
-    missing = sum(1 for u in test if u not in lists)
-    if missing:
-        log.warning("%s@%d: %d user(s) missing a ranked list, counted as misses",
-                    metric, k, missing)
-    tops = ((lists[u].items[:k], target) for u, target in test.items() if u in lists)
-    return [top.index(target) for top, target in tops if target in top]
+    hit = _hits(side, test, k)
+    rank = dict(zip([side.users[u] for u in side.user[hit].tolist()], side.rank[hit].tolist()))
+    return [rank[user] for user in test if user in rank]
 
 
-def hit_at_k(lists: dict[str, ListRecord], test: dict[str, str], k: int) -> float:
+def hit_at_k(side: RankSide, test: dict[str, str], k: int) -> float:
     """Fraction of test users whose held-out item is within the first k entries."""
-    return len(_target_positions("hit", lists, test, k)) / len(test)
+    return len(_target_ranks(side, test, k)) / len(test)
 
 
-def ndcg_at_k(lists: dict[str, ListRecord], test: dict[str, str], k: int) -> float:
+def ndcg_at_k(side: RankSide, test: dict[str, str], k: int) -> float:
     """Single-relevant-item NDCG: gain 1/log2(rank + 2) at 0-based rank < k."""
     total = 0.0  # a plain loop: sum() of floats is compensated from Python 3.12 on
-    for position in _target_positions("ndcg", lists, test, k):
-        total += 1.0 / math.log2(position + 2)
+    for rank in _target_ranks(side, test, k):
+        total += 1.0 / math.log2(rank + 2)
     return total / len(test)
 
 
 def hit_sets(side: RankSide, test: dict[str, str], k: int = 10) -> list[HitSet]:
-    """Per-template hit sets (users whose test item is in that template's top-k).
-
-    An entry is a hit when its item is its user's test item and its rank is
-    below k; every template with a list gets a set, empty or not.
-    """
-    item_no = {item: n for n, item in enumerate(side.items)}
-    target = np.array([item_no.get(test.get(user), -1) for user in side.users], dtype=np.int64)
-    hit = (side.item == target[side.user]) & (side.rank < k)
+    """Per-template hit sets (users whose test item is in that template's top-k);
+    every template with a list gets a set, empty or not."""
+    hit = _hits(side, test, k)
     users: dict[int, set[str]] = {t: set() for t in np.unique(side.list_template).tolist()}
     for t, u in zip(side.template[hit].tolist(), side.user[hit].tolist()):
         users[t].add(side.users[u])

@@ -8,15 +8,17 @@ upstream artifact is an error naming the stage to run first. Ranked lists and
 manifests are written to a temporary file and moved into place, the manifest
 last, so a reader never sees a partial file.
 
+Every list file goes through one parse, `_read_side`, into its `RankSide`
+(int32 columns); `evaluate` reads `fused.jsonl` through it uncached.
 `rerank` and `analyze` read the ranked lists through one cache per process,
 keyed by the sha256 of the bytes read and bounded at two entries (a stage
-reads at most two list files). An entry is the file's `RankSide`, its int32
-columns, never its records. A stage hashes each list file once, from the same
-read that a parse would use, parses only bytes new to the process, and
-records that digest in its manifest. The cache pays where one process runs
-several of these stages over the same lists: the rerank ablation modes and
-`analyze`, or `all`, where `analyze` reuses what `rerank` parsed. A single
-stage pays a hash per file, which its manifest no longer repeats.
+reads at most two list files). An entry is the file's `RankSide`, never its
+records. A stage hashes each list file once, from the same read that a parse
+would use, parses only bytes new to the process, and records that digest in
+its manifest. The cache pays where one process runs several of these stages
+over the same lists: the rerank ablation modes and `analyze`, or `all`, where
+`analyze` reuses what `rerank` parsed. A single stage pays a hash per file,
+which its manifest no longer repeats.
 """
 from __future__ import annotations
 
@@ -26,10 +28,12 @@ import logging
 import math
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .collab import train_collab_state
 from .config import PipelineConfig
-from .dataio import (EmbeddingMatrix, SplitDataset, kcore_filter,
+from .dataio import (EmbeddingMatrix, SplitDataset, decoded, kcore_filter,
                      leave_one_out_split, load_embedding_matrix,
                      load_interactions, load_split, replace_on_close,
                      write_embedding_matrix, write_interactions, write_split)
@@ -86,49 +90,36 @@ _SIDES: dict[str, RankSide] = {}
 _SIDES_MAX = 2
 
 
-def _decoded(path: Path, data: bytes) -> str:
-    """A list file's text; a byte that is not UTF-8 is an error naming its line."""
-    try:
-        return data.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        # the bytes before the bad one decode; one more character ends its line
-        lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
-        raise ValueError(f"{path}:{lineno}: byte {data[exc.start]:#04x} is not UTF-8; rerun "
-                         f"{_PRODUCED_BY[path.name]!r} to rewrite it") from None
+def _read_side(path: Path, cached: bool = True) -> tuple[RankSide, str]:
+    """A ranked-list file's checked `RankSide` and the digest of the bytes read.
 
-
-def _checked_side(path: Path, records: list[ListRecord], blank: list[int]) -> RankSide:
-    """`rank_side` of a list file's records; `blank` holds the file's empty line
-    numbers, which the reader skips, so that an error names the file's line."""
-    try:
-        return rank_side(records)
-    except MalformedList as exc:
-        lineno = exc.position + 1
-        for n in blank:
-            lineno += n <= lineno
-        raise ValueError(f"{path}:{lineno}: {exc}; rerun {_PRODUCED_BY[path.name]!r} to "
-                         "rewrite it") from None
-
-
-def _read_side(path: Path) -> tuple[RankSide, str]:
-    """A ranked-list file's `RankSide` and the digest of the bytes read.
-
-    The file is parsed only when those bytes are new to the process; a file
-    that does not parse raises `path:lineno` and is not cached.
+    This is every list file's one parse. A byte that is not UTF-8, a line that
+    is not a record and a record unfit for the columns each raise `path:lineno`
+    and the stage that rewrites the file. A `cached` read parses only bytes
+    new to the process, and keeps a side that parsed.
     """
     data = path.read_bytes()
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    side = _SIDES.pop(digest, None)
+    side = _SIDES.pop(digest, None) if cached else None
     if side is None:
+        rerun = _PRODUCED_BY[path.name]
         # bytes, text and lines are each as large as the file: hold one at a time
-        text = _decoded(path, data)
+        text = decoded(path, data, rerun)
         del data
         lines = text.splitlines()
         del text
         blank = [n for n, line in enumerate(lines, 1) if not line]
         records = read_ranked_lists(path, lines)
         del lines
-        side = _checked_side(path, records, blank)
+        try:
+            side = rank_side(records)
+        except MalformedList as exc:
+            lineno = exc.position + 1  # a record's line, past the empty ones the reader skips
+            for n in blank:
+                lineno += n <= lineno
+            raise ValueError(f"{path}:{lineno}: {exc}; rerun {rerun!r} to rewrite it") from None
+        if not cached:
+            return side, digest
         if len(_SIDES) == _SIDES_MAX:
             del _SIDES[next(iter(_SIDES))]
     _SIDES[digest] = side
@@ -352,9 +343,9 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
 
 
 def fuse_all_users(ranks: RankArrays, alpha: float, tau: float, k_out: int,
-                   max_templates: int) -> dict[str, ListRecord]:
+                   max_templates: int) -> RankSide:
     """Per-user fusion over the lists with template id <= max_templates."""
-    return {r.user: r for r in top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)}
+    return top_k(score_pairs(ranks, alpha, tau, max_templates), k_out)[0]
 
 
 def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
@@ -377,16 +368,21 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     ranks = rank_arrays(*sides)
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
-    fused = top_k(scores, cfg.k_retrieve)
+    fused, s_total = top_k(scores, cfg.k_retrieve)
+    names = [fused.items[i] for i in fused.item.tolist()]
+    values = s_total.tolist()
+    # entries are in user order, each of a listed user: a list ends where the next starts
+    ends = np.searchsorted(fused.user, fused.list_user, "right").tolist()
     out = cfg.out_dir / "fused.jsonl"
-    write_ranked_lists(fused, out)
+    write_ranked_lists([ListRecord(fused.users[u], "fused", 0, names[a:b], values[a:b])
+                        for u, a, b in zip(fused.list_user.tolist(), [0] + ends, ends)], out)
     outputs = {"fused.jsonl": out}
     if cfg.breakdown:
         bpath = cfg.out_dir / "score_breakdown.tsv"
         write_score_breakdown(scores, bpath)
         outputs["score_breakdown.tsv"] = bpath
     counters = {"lists_read": {"ceid": len(sides[0].list_user), "seid": len(sides[1].list_user)},
-                "users_fused": len(fused), "pairs_scored": len(scores.user)}
+                "users_fused": len(fused.list_user), "pairs_scored": len(scores.user)}
     _write_manifest(cfg, "rerank", inputs, outputs, digests=digests,
                     extra={"mode": mode, "alpha": alpha, "counters": counters})
 
@@ -394,21 +390,21 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
 def stage_evaluate(cfg: PipelineConfig) -> None:
     """Hit@K and NDCG@K of the fused lists over the test split.
 
-    `fused.jsonl` gets the record checks of `rerank` and `analyze`, uncached.
-    The manifest records the test users evaluated (every metric's denominator)
-    and those without a fused list, which count as misses.
+    `fused.jsonl` gets the parse and record checks of `rerank` and `analyze`,
+    uncached. The manifest records the test users evaluated (every metric's
+    denominator) and those without a fused list, which count as misses.
     """
     inputs = _require(cfg, "evaluate", "fused.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
     path = inputs["fused.jsonl"]
-    lines = _decoded(path, path.read_bytes()).splitlines()
-    records = read_ranked_lists(path, lines)
-    fused: dict[str, ListRecord] = {}
-    for r in records:  # a user that is not a string is named by the checks below
-        if isinstance(r.user, str) and fused.setdefault(r.user, r) is not r:
-            raise PipelineError("evaluate", f"{path} holds two lists for user {r.user!r}; "
-                                "rerun the 'rerank' stage")
-    _checked_side(path, records, [n for n, line in enumerate(lines, 1) if not line])
+    fused, digest = _read_side(path, cached=False)
+    if len(fused.list_user) > len(fused.users):  # a user with two lists
+        twice = fused.users[np.bincount(fused.list_user).argmax()]
+        raise PipelineError("evaluate", f"{path} holds two lists for user {twice!r}; "
+                            "rerun the 'rerank' stage")
+    without = len(set(split.test).difference(fused.users))
+    if without:
+        log.warning("evaluate: %d user(s) missing a ranked list, counted as misses", without)
     rows = []
     for k in cfg.k_report:
         h = hit_at_k(fused, split.test, k)
@@ -419,9 +415,8 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         log.info("evaluate: hit@%d=%.4f ndcg@%d=%.4f", k, h, k, n)
     out = cfg.out_dir / "metrics.csv"
     write_metrics_csv(rows, out)
-    counters = {"users_evaluated": len(split.test),
-                "users_without_list": sum(1 for u in split.test if u not in fused)}
-    _write_manifest(cfg, "evaluate", inputs, {"metrics.csv": out},
+    counters = {"users_evaluated": len(split.test), "users_without_list": without}
+    _write_manifest(cfg, "evaluate", inputs, {"metrics.csv": out}, digests={path: digest},
                     extra={"counters": counters})
 
 

@@ -19,7 +19,10 @@ of parsed files (see `rqrec.pipeline`). `rank_arrays` puts the two sides on the
 sorted union of their names, which leaves a side that holds every name as it
 is, and sorts the (user, item) pairs of all templates once; a template cap
 selects its pairs from that order. Sorted names are the only order any output
-sees: `top_k`'s ties, the breakdown rows and the sweep.
+sees: `top_k`'s ties, the breakdown rows and the sweep. `top_k` returns the
+fused lists as columns too, a `RankSide` of template 0 and each entry's
+s_total, which is what the metrics read; only `fused.jsonl`'s writer and
+`fuse_and_rank` make records of them.
 """
 from __future__ import annotations
 
@@ -191,18 +194,19 @@ def score_pairs(ranks: RankArrays, alpha: float, tau: float,
                       ranks.user[present], ranks.item[present], dict(zip(COLUMNS, columns)))
 
 
-def top_k(scores: PairScores, k_out: int) -> list[ListRecord]:
-    """Each listed user's top k_out; ties break by appearance count, then item id."""
+def top_k(scores: PairScores, k_out: int) -> tuple[RankSide, np.ndarray]:
+    """Each listed user's top k_out as one template-0 list, and each entry's s_total;
+    ties break by appearance count, then item id."""
     order = np.lexsort((scores.item, -scores.columns["appearances"],
                         -scores.columns["s_total"], scores.user))
     user = scores.user[order]
-    top = order[np.arange(len(order)) - np.searchsorted(user, user) < k_out]
-    lo, hi = (np.searchsorted(scores.user[top], scores.listed, side).tolist()
-              for side in ("left", "right"))
-    names = [scores.items[i] for i in scores.item[top].tolist()]
-    values = scores.columns["s_total"][top].tolist()
-    return [ListRecord(scores.users[u], "fused", 0, names[a:b], values[a:b])
-            for u, a, b in zip(scores.listed.tolist(), lo, hi)]
+    rank = np.arange(len(order)) - np.searchsorted(user, user)
+    top = order[rank < k_out]
+    side = RankSide(scores.users, scores.items, scores.user[top].astype(np.int32),
+                    scores.item[top].astype(np.int32), rank[rank < k_out].astype(np.int32),
+                    np.zeros(len(top), np.int32), scores.listed,
+                    np.zeros(len(scores.listed), np.int32))
+    return side, scores.columns["s_total"][top]
 
 
 def _one_user(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
@@ -231,7 +235,9 @@ def fuse_and_rank(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
     Single-index ablations pass an empty list for the dropped side; Conf-only
     and Cons-only ablations set alpha to 1 or 0.
     """
-    return top_k(_one_user(ceid_lists, seid_lists, alpha, tau), k_out)[0]
+    side, s_total = top_k(_one_user(ceid_lists, seid_lists, alpha, tau), k_out)
+    return ListRecord(side.users[0], "fused", 0, [side.items[i] for i in side.item.tolist()],
+                      s_total.tolist())
 
 
 def _reprs(x: np.ndarray) -> list[str]:

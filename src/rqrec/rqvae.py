@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .collab import scatter_add_rows
-from .dataio import EmbeddingMatrix, replace_on_close
+from .dataio import EmbeddingMatrix, decoded, replace_on_close
 
 log = logging.getLogger(__name__)
 
@@ -559,7 +559,8 @@ def write_code_table(table: ItemCodeTable, path: str | Path) -> None:
 def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
     codes: dict[str, tuple[int, ...]] = {}
     code_len = None
-    for lineno, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
+    text = decoded(path, Path(path).read_bytes(), "build-index")
+    for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split("\t")
         try:
             if len(parts) < 3:

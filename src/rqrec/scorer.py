@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import replace_on_close
+from .dataio import decoded, replace_on_close
 
 OOV = -1  # context token outside the vocabulary: a position with zero counts
 PAD = -2  # no token: the history is shorter than the order
@@ -355,7 +355,7 @@ def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
 
 def load_scorer(path: str | Path) -> list[MarkovScorer]:
     """The scorers of templates 1..T: columns 0..T-1 of one shared table."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = decoded(path, Path(path).read_bytes(), "train-scorers").splitlines()
     try:
         if not lines or lines[0] != SCORER_MAGIC:
             found = lines[0] if lines else "an empty file"

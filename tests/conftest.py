@@ -76,3 +76,13 @@ class EntriesList:
     def record(self) -> ListRecord:
         return ListRecord(self.user, self.index_type, self.template_id, self.items(),
                           [s for _, s in self.entries])
+
+
+def fused_lists(side, s_total) -> dict[str, ListRecord]:
+    """`top_k`'s columns as one record per listed user, entry by entry."""
+    lists = {side.users[u]: ListRecord(side.users[u], "fused", 0, [], [])
+             for u in side.list_user.tolist()}
+    for u, i, score in zip(side.user.tolist(), side.item.tolist(), s_total.tolist()):
+        lists[side.users[u]].items.append(side.items[i])
+        lists[side.users[u]].scores.append(score)
+    return lists

@@ -14,7 +14,7 @@ from rqrec.config import load_config
 from rqrec.dataio import EmbeddingMatrix
 from rqrec.metrics import HitSet, chr_avg, hit_at_k, ndcg_at_k, per
 from rqrec.pipeline import run_stage, stage_evaluate, stage_rerank
-from rqrec.rerank import fuse_and_rank, score_items
+from rqrec.rerank import fuse_and_rank, rank_side, score_items
 from rqrec.retrieval import ListRecord, beam_search_constrained, exhaustive_topk_oracle
 from rqrec.rqvae import (RqVaeConfig, _forward, _gradients, finite_difference_gradients,
                          gradient_check, initialize_model, max_relative_error,
@@ -232,11 +232,12 @@ def test_criterion_07_metric_oracles():
     # NDCG <= Hit and monotonicity in K on random evaluations
     items = [f"i{k}" for k in range(15)]
     for _ in range(50):
-        lists, test = {}, {}
+        records, test = [], {}
         for u in range(8):
             ranked = list(rng.permutation(items)[:10])
-            lists[f"u{u}"] = rl(f"u{u}", "fused", 0, ranked)
+            records.append(rl(f"u{u}", "fused", 0, ranked))
             test[f"u{u}"] = items[int(rng.integers(0, 15))]
+        lists = rank_side(records)
         prev_h = prev_n = 0.0
         for k in range(1, 11):
             h, n = hit_at_k(lists, test, k), ndcg_at_k(lists, test, k)

@@ -15,7 +15,7 @@ def rl(user, items):
 
 
 def test_hit_examples():
-    lists = {f"u{k}": rl(f"u{k}", ["hit", "x", "y"]) for k in range(4)}
+    lists = rank_side([rl(f"u{k}", ["hit", "x", "y"]) for k in range(4)])
     test = {f"u{k}": "hit" for k in range(4)}
     assert hit_at_k(lists, test, 3) == 1.0
     test_miss = {f"u{k}": "absent" for k in range(4)}
@@ -25,20 +25,20 @@ def test_hit_examples():
 
 
 def test_hit_respects_k():
-    lists = {"u": rl("u", ["a", "b", "c"])}
+    lists = rank_side([rl("u", ["a", "b", "c"])])
     assert hit_at_k(lists, {"u": "c"}, 2) == 0.0
     assert hit_at_k(lists, {"u": "c"}, 3) == 1.0
 
 
 def test_missing_list_counts_as_miss():
-    lists = {"u0": rl("u0", ["t"])}
+    lists = rank_side([rl("u0", ["t"])])
     test = {"u0": "t", "u1": "t"}
     assert hit_at_k(lists, test, 1) == 0.5
     assert ndcg_at_k(lists, test, 1) == 0.5
 
 
 def test_ndcg_examples():
-    lists = {"u": rl("u", ["a", "b", "c"])}
+    lists = rank_side([rl("u", ["a", "b", "c"])])
     assert ndcg_at_k(lists, {"u": "a"}, 3) == 1.0
     assert ndcg_at_k(lists, {"u": "b"}, 3) == pytest.approx(0.6309297535714575, abs=1e-9)
     assert ndcg_at_k(lists, {"u": "zzz"}, 3) == 0.0
@@ -48,18 +48,52 @@ def test_ndcg_le_hit_and_monotone_in_k():
     rng = np.random.default_rng(0)
     items = [f"i{k}" for k in range(12)]
     for _ in range(30):
-        lists = {}
+        records = []
         test = {}
         for u in range(10):
             perm = list(rng.permutation(items)[:8])
-            lists[f"u{u}"] = rl(f"u{u}", perm)
+            records.append(rl(f"u{u}", perm))
             test[f"u{u}"] = items[int(rng.integers(0, 12))]
+        lists = rank_side(records)
         prev_h = prev_n = 0.0
         for k in range(1, 9):
             h, n = hit_at_k(lists, test, k), ndcg_at_k(lists, test, k)
             assert n <= h + 1e-12
             assert h >= prev_h - 1e-12 and n >= prev_n - 1e-12
             prev_h, prev_n = h, n
+
+
+def reference_positions(lists: dict[str, ListRecord], test: dict[str, str], k: int) -> list[int]:
+    """The metrics' old walk: each user's list by name, and `list.index` in its first k."""
+    tops = ((lists[u].items[:k], target) for u, target in test.items() if u in lists)
+    return [top.index(target) for top, target in tops if target in top]
+
+
+def reference_hit(lists, test, k):
+    return len(reference_positions(lists, test, k)) / len(test)
+
+
+def reference_ndcg(lists, test, k):
+    total = 0.0
+    for position in reference_positions(lists, test, k):
+        total += 1.0 / math.log2(position + 2)
+    return total / len(test)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_hit_ndcg_equal_the_dict_walk(seed):
+    rng = np.random.default_rng(seed)
+    items = [f"i{j}" for j in range(30)]
+    names = [f"u{u:02d}" for u in range(40)]
+    # users without a list, lists of any length, and targets outside every list
+    lists = {u: rl(u, rng.choice(items, size=rng.integers(0, 12), replace=False).tolist())
+             for u in names if rng.random() < 0.8}
+    test = {u: f"i{rng.integers(0, 36)}" for u in rng.permutation(names).tolist()}
+    assert list(test) != sorted(test)  # NDCG sums in test order, not the side's user order
+    side = rank_side(list(lists.values()))
+    for k in (1, 3, 10, 20):  # 20 is above every list's length
+        assert hit_at_k(side, test, k) == reference_hit(lists, test, k)
+        assert ndcg_at_k(side, test, k) == reference_ndcg(lists, test, k)
 
 
 def test_per_examples():

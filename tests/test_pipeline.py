@@ -380,6 +380,31 @@ def test_evaluate_counters(pipeline_run, tmp_path):
     assert counters["users_without_list"] == 3
 
 
+def test_missing_lists_are_logged_once(pipeline_run, tmp_path, caplog):
+    import dataclasses
+    import logging
+    import shutil
+
+    from rqrec.pipeline import stage_analyze, stage_evaluate
+    _, _, cfg = pipeline_run
+    out = tmp_path / "missing"
+    shutil.copytree(cfg.out_dir, out)
+    run = dataclasses.replace(cfg, out_dir=out)
+    assert run.k_report == [5, 10]
+    fused = (out / "fused.jsonl").read_text().splitlines(keepends=True)
+    (out / "fused.jsonl").write_text("".join(fused[3:]))
+    dropped = {json.loads(line)["user"] for line in fused[:3]}
+    for name in ("ranked_ceid.jsonl", "ranked_seid.jsonl"):  # the sweep fuses no list for them
+        lines = (out / name).read_text().splitlines(keepends=True)
+        (out / name).write_text("".join(ln for ln in lines
+                                        if json.loads(ln)["user"] not in dropped))
+    with caplog.at_level(logging.WARNING):
+        stage_evaluate(run)
+        stage_analyze(run)
+    warned = [r.getMessage() for r in caplog.records if "missing a ranked list" in r.getMessage()]
+    assert warned == ["evaluate: 3 user(s) missing a ranked list, counted as misses"]
+
+
 def test_breakdown_agrees_with_fused_under_template_cap(pipeline_run, monkeypatch):
     import rqrec.pipeline
     from rqrec.retrieval import read_ranked_lists
@@ -614,11 +639,16 @@ def test_evaluate_rejects_two_lists_for_one_user(pipeline_run, tmp_path):
     rec = json.loads(lines[3])
     rec["items"].reverse()
     rec["scores"].reverse()
-    path.write_text("".join(lines) + json.dumps(rec) + "\n")
-    with pytest.raises(PipelineError, match=re.escape(
-            f"{path} holds two lists for user '{rec['user']}'; rerun the 'rerank' stage")):
-        stage_evaluate(dataclasses.replace(cfg, out_dir=out))
-    assert (out / "metrics.csv").read_bytes() == (cfg.out_dir / "metrics.csv").read_bytes()
+    # a second template-0 list fails the record checks; one of template 3 fails evaluate's own
+    for template, error, message in (
+            (0, ValueError, f"{path}:{len(lines) + 1}: duplicate template id 0 for user "
+                            f"'{rec['user']}' in the fused lists; rerun 'rerank' to rewrite it"),
+            (3, PipelineError, f"{path} holds two lists for user '{rec['user']}'; rerun the "
+                               "'rerank' stage")):
+        path.write_text("".join(lines) + json.dumps({**rec, "template": template}) + "\n")
+        with pytest.raises(error, match=re.escape(message)):
+            stage_evaluate(dataclasses.replace(cfg, out_dir=out))
+        assert (out / "metrics.csv").read_bytes() == (cfg.out_dir / "metrics.csv").read_bytes()
 
 
 def test_template_sweep_full_row_equals_metrics(pipeline_run):
@@ -915,6 +945,31 @@ def test_cli_list_file_not_utf8_names_line(pipeline_run, tmp_path, capsys, monke
     # only the readable ceid file was kept
     ceid = hashlib.sha256((out / "ranked_ceid.jsonl").read_bytes()).hexdigest()
     assert list(rqrec.pipeline._SIDES) == ["sha256:" + ceid]
+
+
+NOT_UTF8 = {  # file: the stage that reads it, the hint its error ends with
+    "test.tsv": ("evaluate", "rerun 'prepare' to rewrite it"),
+    "codes_seid.tsv": ("train-scorers", "rerun 'build-index' to rewrite it"),
+    "scorer_ceid.txt": ("retrieve", "rerun 'train-scorers' to rewrite it"),
+    # the hint build-index adds to every collab.emb error
+    "collab.emb": ("build-index", "rerun the 'embed-collab' stage"),
+}
+
+
+@pytest.mark.parametrize("name", list(NOT_UTF8))
+def test_cli_input_not_utf8_names_line(pipeline_run, tmp_path, capsys, name):
+    import shutil
+    _, path, cfg = pipeline_run
+    stage, rerun = NOT_UTF8[name]
+    out = tmp_path / "bad"
+    shutil.copytree(cfg.out_dir, out)
+    file = out / name
+    lines = file.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
+    file.write_bytes(b"".join(lines))
+    assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error [{stage}]: {file}:3: byte 0xff is not UTF-8; {rerun}\n"
 
 
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import EntriesList
+from conftest import EntriesList, fused_lists
 from rqrec.rerank import (COLUMNS, PairScores, _type_terms, fuse_and_rank, rank_arrays,
                           rank_side, score_items, score_pairs, top_k, write_score_breakdown)
 from rqrec.retrieval import ListRecord
@@ -250,7 +250,7 @@ def test_batched_fusion_equals_per_item_reference_bitwise(seed):
                 chosen = [lists[t] if t in sides else [] for t in ("ceid", "seid")]
                 ranks = rank_arrays(*map(rank_side, chosen))
                 scores = score_pairs(ranks, alpha, 10.0, max_templates=cap)
-                fused = {f.user: f for f in top_k(scores, 7)}
+                fused = fused_lists(*top_k(scores, 7))
                 users = sorted({x.user for side in chosen for x in side if x.template <= cap})
                 assert list(fused) == users
                 for user in users:
@@ -407,5 +407,6 @@ def test_side_holding_every_name_keeps_its_columns():
     assert mapped.user.tolist() == [1] and mapped.item.tolist() == [1]
     assert mapped.item is not part.item and mapped.list_user.tolist() == [1]
     # 'a' and 'a\x00' stay two items through the fusion
-    fused = top_k(score_pairs(ranks, 0.8, 10.0), 5)
-    assert [(r.user, r.items) for r in fused] == [("u", ["a", "a\x00"]), ("w", ["a\x00", "b"])]
+    fused = fused_lists(*top_k(score_pairs(ranks, 0.8, 10.0), 5))
+    assert [(r.user, r.items) for r in fused.values()] == [("u", ["a", "a\x00"]),
+                                                           ("w", ["a\x00", "b"])]

@@ -3,7 +3,8 @@ import re
 import numpy as np
 import pytest
 
-from conftest import EntriesList, HashScorer, UniformScorer, ids_of, random_code_table
+from conftest import (EntriesList, HashScorer, UniformScorer, fused_lists, ids_of,
+                      random_code_table)
 from rqrec.rerank import fuse_and_rank, rank_arrays, rank_side, score_pairs, top_k
 from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
                              beam_search_users, exhaustive_topk_oracle, ranked_list_record,
@@ -220,7 +221,7 @@ def test_every_producer_returns_list_records(tmp_path):
     write_ranked_lists(lists, tmp_path / "ranked.jsonl")
     produced = [*lists, beam_search_constrained(sc, trie, [], 5, user="u0"),
                 exhaustive_topk_oracle(sc, table, [], 5, user="u0"),
-                *top_k(score_pairs(ranks, 0.8, 10.0), 4),
+                *fused_lists(*top_k(score_pairs(ranks, 0.8, 10.0), 4)).values(),
                 fuse_and_rank(lists[:1], [], 0.8, 10.0, 4),
                 *read_ranked_lists(tmp_path / "ranked.jsonl")]
     assert len(produced) == 9

@@ -49,3 +49,25 @@ def test_tracer_wrapped_names_exist():
             missing.append(f"rqrec.{mod}.{cls}.{meth}")
     assert not missing, f"names wrapped by perfbench/tracer.py are gone: {missing}"
     assert tracer._FUNCTIONS and tracer._METHODS
+
+
+def test_traced_tiny_fusion_counts(tmp_path, monkeypatch):
+    """The tiny `fusion` sequence traced the way the benchmark traces it: the list
+    parse, the template sweep and the metrics each still feed their per-layer
+    metric, so a reshaped function cannot drop out of the trace unnoticed."""
+    import json
+    import subprocess
+    import sys
+    monkeypatch.syspath_prepend(str(PERFBENCH))  # run.py imports its neighbours
+    run = load_perfbench("run")
+    trace = tmp_path / "trace.json"
+    (tmp_path / "spec.json").write_text(json.dumps(run.make_spec("fusion", "tiny", 1, str(trace))))
+    proc = subprocess.run([sys.executable, str(PERFBENCH / "child.py"), "spec.json"],
+                          cwd=tmp_path, env=run.child_env(), capture_output=True, text=True,
+                          timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    metrics = run.summarize(json.loads(trace.read_text()))
+    # the two ranked files once each (cached) and fused.jsonl once per evaluate
+    assert metrics["retrieval.read_calls"] == 7
+    assert metrics["pipeline.fuse_all_users_calls"] == 9  # sweep points 2..10
+    assert metrics["metrics.hit_ndcg_s"] > 0
