@@ -6,7 +6,7 @@ import logging
 import sys
 
 from .config import RERANK_MODES, load_config
-from .pipeline import STAGES, PipelineError, run_stage
+from .pipeline import STAGES, run_stage
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,14 +44,12 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error [config]: {exc}", file=sys.stderr)
         return 2
-    try:
-        run_stage(cfg, args.stage, synthetic=args.synthetic)
-    except PipelineError as exc:
-        print(f"error {exc}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError, RuntimeError) as exc:
-        print(f"error [{args.stage}]: {exc}", file=sys.stderr)
-        return 1
+    for stage in STAGES if args.stage == "all" else (args.stage,):
+        try:
+            run_stage(cfg, stage, synthetic=args.synthetic)
+        except (ValueError, OSError, RuntimeError) as exc:  # PipelineError is a RuntimeError
+            print(f"error [{stage}]: {exc}", file=sys.stderr)
+            return 1
     return 0
 
 

@@ -5,6 +5,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from .collab import CollabConfig
+from .dataio import decoded
 from .rqvae import RqVaeConfig
 from .scorer import ScorerConfig
 from .synth import SyntheticConfig
@@ -71,74 +72,66 @@ class PipelineConfig:
         return out
 
 
-_SECTIONS = {
-    "synthetic": ("synthetic", SyntheticConfig),
-    "collab": ("collab", CollabConfig),
-    "rqvae_ceid": ("rqvae_ceid", RqVaeConfig),
-    "rqvae_seid": ("rqvae_seid", RqVaeConfig),
-    "scorer": ("scorer", ScorerConfig),
-}
+_SECTIONS = ("synthetic", "collab", "rqvae_ceid", "rqvae_seid", "scorer")
 
-_TOP_KEYS = {
-    "paths.out_dir": ("out_dir", Path),
-    "paths.interactions": ("interactions", Path),
-    "paths.semantic_emb": ("semantic_emb", Path),
-    "pipeline.seed": ("seed", int),
-    "pipeline.templates": ("templates", int),
-    "data.kcore": ("kcore", int),
-    "data.max_len": ("max_len", int),
-    "retrieval.k": ("k_retrieve", int),
-    "eval.k_report": ("k_report", "int_list"),
-    "eval.analysis_k": ("analysis_k", int),
-    "rerank.alpha": ("alpha", float),
-    "rerank.tau": ("tau", float),
-    "rerank.mode": ("mode", str),
-    "rerank.breakdown": ("breakdown", "bool"),
+_TOP_KEYS = {  # dotted key -> PipelineConfig field
+    "paths.out_dir": "out_dir",
+    "paths.interactions": "interactions",
+    "paths.semantic_emb": "semantic_emb",
+    "pipeline.seed": "seed",
+    "pipeline.templates": "templates",
+    "data.kcore": "kcore",
+    "data.max_len": "max_len",
+    "retrieval.k": "k_retrieve",
+    "eval.k_report": "k_report",
+    "eval.analysis_k": "analysis_k",
+    "rerank.alpha": "alpha",
+    "rerank.tau": "tau",
+    "rerank.mode": "mode",
+    "rerank.breakdown": "breakdown",
 }
 
 
 def _flatten(cfg: PipelineConfig) -> dict[str, object]:
     out: dict[str, object] = {}
-    for dotted, (attr, _) in _TOP_KEYS.items():
+    for dotted, attr in _TOP_KEYS.items():
         value = getattr(cfg, attr)
         out[dotted] = ",".join(str(v) for v in value) if isinstance(value, list) else value
-    for section, (attr, cls) in _SECTIONS.items():
-        sub = getattr(cfg, attr)
-        for f in fields(cls):
+    for section in _SECTIONS:
+        sub = getattr(cfg, section)
+        for f in fields(sub):
             out[f"{section}.{f.name}"] = getattr(sub, f.name)
     return out
 
 
-def _coerce(kind, raw: str):
-    if kind is Path:
-        return Path(raw)
-    if kind == "bool":
+def _coerce(default, raw: str):
+    """raw as a value of the default's type."""
+    if isinstance(default, bool):
         if raw.lower() not in ("true", "1", "yes", "false", "0", "no"):
             raise ValueError(raw)
         return raw.lower() in ("true", "1", "yes")
-    if kind == "int_list":
+    if isinstance(default, list):
         return [int(x) for x in raw.split(",") if x.strip()]
-    return kind(raw)
+    return type(default)(raw)
 
 
 def apply_setting(cfg: PipelineConfig, dotted: str, raw: str) -> None:
     """Set one `section.key = value` entry, with type coercion."""
     if dotted in _TOP_KEYS:
-        attr, kind = _TOP_KEYS[dotted]
-        targets = [cfg]
+        attr, targets = _TOP_KEYS[dotted], [cfg]
     else:
         section, _, attr = dotted.partition(".")
-        aliases = dict(_SECTIONS)
-        aliases["rqvae"] = ("rqvae", RqVaeConfig)  # shorthand applying to both index types
-        if section not in aliases or attr not in {f.name for f in fields(aliases[section][1])}:
+        targets = [getattr(cfg, section)] if section in _SECTIONS else []
+        if section == "rqvae":  # shorthand applying to both index types
+            targets = [cfg.rqvae_ceid, cfg.rqvae_seid]
+        if not targets or attr not in {f.name for f in fields(targets[0])}:
             raise ValueError(f"unknown config key {dotted!r}")
-        kind = type(getattr(aliases[section][1](), attr))
-        targets = ([cfg.rqvae_ceid, cfg.rqvae_seid] if section == "rqvae"
-                   else [getattr(cfg, aliases[section][0])])
+    default = getattr(type(targets[0])(), attr)
     try:
-        value = _coerce(kind, raw)
+        value = _coerce(default, raw)
     except ValueError:
-        name = {"int_list": "comma-separated ints"}.get(kind, getattr(kind, "__name__", kind))
+        name = ("comma-separated ints" if isinstance(default, list)
+                else type(default).__name__)
         raise ValueError(f"{dotted}: expected {name}, got {raw!r}") from None
     for target in targets:
         setattr(target, attr, value)
@@ -151,7 +144,7 @@ def load_config(path: str | Path | None,
     cfg = PipelineConfig()
     entries: list[tuple[str, str, str]] = []  # key, value, where a file entry came from
     if path is not None:
-        for lineno, line in enumerate(Path(path).read_text("utf-8").splitlines(), 1):
+        for lineno, line in enumerate(decoded(path, Path(path).read_bytes()).splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -1,4 +1,5 @@
-"""Interaction logs, k-core filtering, leave-one-out splits, and embedding matrix I/O."""
+"""Interaction logs, k-core filtering, leave-one-out splits, embedding matrix I/O, and the
+refusal of a bad input file, which names the stage that writes the file."""
 from __future__ import annotations
 
 import logging
@@ -72,17 +73,39 @@ class EmbeddingMatrix:
         return self.vectors.shape[1]
 
 
-def decoded(path: str | Path, data: bytes, producer: str | None = None) -> str:
-    """A file's bytes as text. A byte that is not UTF-8 is an error naming its
-    line, and the stage that rewrites the file when `producer` names one."""
+# out_dir file -> the stage that writes it, which a refusal of the file names
+PRODUCED_BY = {
+    "train.tsv": "prepare",
+    "valid.tsv": "prepare",
+    "test.tsv": "prepare",
+    "collab.emb": "embed-collab",
+    "codes_ceid.tsv": "build-index",
+    "codes_seid.tsv": "build-index",
+    "scorer_ceid.txt": "train-scorers",
+    "scorer_seid.txt": "train-scorers",
+    "ranked_ceid.jsonl": "retrieve",
+    "ranked_seid.jsonl": "retrieve",
+    "fused.jsonl": "rerank",
+}
+
+
+def refusal(path: str | Path, problem: str, lineno: int | None = None) -> str:
+    """`path[:lineno]: problem`, and the stage to rerun when one writes the file."""
+    where = str(path) if lineno is None else f"{path}:{lineno}"
+    producer = PRODUCED_BY.get(Path(path).name)
+    rerun = f"; rerun {producer!r} to rewrite it" if producer else ""
+    return f"{where}: {problem}{rerun}"
+
+
+def decoded(path: str | Path, data: bytes) -> str:
+    """A file's bytes as text. A byte that is not UTF-8 is a refusal naming its line."""
     try:
         return data.decode("utf-8")
     except UnicodeDecodeError as exc:
         # the bytes before the bad one decode; one more character ends its line
         lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
-        rerun = f"; rerun {producer!r} to rewrite it" if producer else ""
-        raise ValueError(f"{path}:{lineno}: byte {data[exc.start]:#04x} is not "
-                         f"UTF-8{rerun}") from None
+        raise ValueError(refusal(path, f"byte {data[exc.start]:#04x} is not UTF-8",
+                                 lineno)) from None
 
 
 def load_interactions(path: str | Path) -> InteractionDataset:
@@ -93,21 +116,21 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     path = Path(path)
     raw: dict[str, list[tuple[str, int]]] = {}
     skipped = 0
-    with path.open("r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split("\t")
-            if len(parts) != 3 or not parts[0] or not parts[1]:
-                skipped += 1
-                continue
-            try:
-                ts = int(parts[2])
-            except ValueError:
-                skipped += 1
-                continue
-            raw.setdefault(parts[0], []).append((parts[1], ts))
+    text = decoded(path, path.read_bytes())
+    # lines end as a text-mode read ends them; an id may hold any other line break
+    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+        if not line:
+            continue
+        parts = line.split("\t")
+        if len(parts) != 3 or not parts[0] or not parts[1]:
+            skipped += 1
+            continue
+        try:
+            ts = int(parts[2])
+        except ValueError:
+            skipped += 1
+            continue
+        raw.setdefault(parts[0], []).append((parts[1], ts))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
     if not raw:
@@ -196,7 +219,7 @@ def load_split(out_dir: str | Path) -> SplitDataset:
     split: dict[str, dict] = {"train": {}}
     for name in ("train", "valid", "test"):
         path = Path(out_dir) / f"{name}.tsv"
-        lines = decoded(path, path.read_bytes(), "prepare").splitlines()
+        lines = decoded(path, path.read_bytes()).splitlines()
         try:
             if name == "train":
                 for line in lines:
@@ -206,8 +229,7 @@ def load_split(out_dir: str | Path) -> SplitDataset:
                 split[name] = dict(line.split("\t") for line in lines)
         except ValueError:  # a line with no tab or with two
             lineno = next(n for n, line in enumerate(lines, 1) if line.count("\t") != 1)
-            raise ValueError(f"{path}:{lineno}: expected 'user<TAB>item'; rerun the 'prepare' "
-                             "stage to rewrite it") from None
+            raise ValueError(refusal(path, "expected 'user<TAB>item'", lineno)) from None
     return SplitDataset(**split)
 
 
@@ -233,36 +255,37 @@ def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
     path = Path(path)
     lines = decoded(path, path.read_bytes()).splitlines()
     if not lines or lines[0] != EMB_HEADER:
-        raise ValueError(f"{path}:1: expected header '{EMB_HEADER}'")
+        raise ValueError(refusal(path, f"expected header '{EMB_HEADER}'", 1))
     if len(lines) < 2:
-        raise ValueError(f"{path}:2: missing 'n d' size line")
+        raise ValueError(refusal(path, "missing 'n d' size line", 2))
     try:
         n, d = (int(x) for x in lines[1].split())
     except ValueError:
-        raise ValueError(f"{path}:2: malformed size line {lines[1]!r}") from None
+        raise ValueError(refusal(path, f"malformed size line {lines[1]!r}", 2)) from None
     if n < 0 or d < 1:
-        raise ValueError(f"{path}:2: size line {lines[1]!r} needs n >= 0 rows and "
-                         "d >= 1 dimensions")
+        raise ValueError(refusal(path, f"size line {lines[1]!r} needs n >= 0 rows and "
+                                       "d >= 1 dimensions", 2))
     rows: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines[2:2 + n], start=3):
         parts = line.split()
         if len(parts) != d + 1:
-            raise ValueError(f"{path}:{lineno}: expected {d + 1} fields, got {len(parts)}")
+            raise ValueError(refusal(path, f"expected {d + 1} fields, got {len(parts)}", lineno))
         item = parts[0]
         if item in rows:
-            raise ValueError(f"{path}:{lineno}: duplicate item id {item!r}")
+            raise ValueError(refusal(path, f"duplicate item id {item!r}", lineno))
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise ValueError(f"{path}:{lineno}: non-numeric value") from None
+            raise ValueError(refusal(path, "non-numeric value", lineno)) from None
         if not np.all(np.isfinite(vec)):
-            raise ValueError(f"{path}:{lineno}: non-finite value")
+            raise ValueError(refusal(path, "non-finite value", lineno))
         rows[item] = vec
     if len(rows) != n:
-        raise ValueError(f"{path}: expected {n} rows, found {len(rows)}")
+        raise ValueError(refusal(path, f"expected {n} rows, found {len(rows)}"))
     for lineno, line in enumerate(lines[2 + n:], start=3 + n):
         if line.strip():
-            raise ValueError(f"{path}:{lineno}: a row beyond the {n} the size line declares")
+            raise ValueError(refusal(path, f"a row beyond the {n} the size line declares",
+                                     lineno))
     items = sorted(rows)
     vectors = np.array([rows[i] for i in items], dtype=np.float64).reshape(n, d)
     return EmbeddingMatrix(items, vectors)

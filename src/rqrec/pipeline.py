@@ -33,9 +33,9 @@ import numpy as np
 from . import __version__
 from .collab import train_collab_state
 from .config import PipelineConfig
-from .dataio import (EmbeddingMatrix, SplitDataset, decoded, kcore_filter,
+from .dataio import (PRODUCED_BY, EmbeddingMatrix, SplitDataset, decoded, kcore_filter,
                      leave_one_out_split, load_embedding_matrix,
-                     load_interactions, load_split, replace_on_close,
+                     load_interactions, load_split, refusal, replace_on_close,
                      write_embedding_matrix, write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
                       write_metrics_csv, write_per_matrix)
@@ -53,26 +53,9 @@ log = logging.getLogger(__name__)
 STAGES = ("prepare", "embed-collab", "build-index", "train-scorers",
           "retrieve", "rerank", "evaluate", "analyze")
 
-# artifact -> stage that produces it, for resumability diagnostics
-_PRODUCED_BY = {
-    "train.tsv": "prepare",
-    "valid.tsv": "prepare",
-    "test.tsv": "prepare",
-    "collab.emb": "embed-collab",
-    "codes_ceid.tsv": "build-index",
-    "codes_seid.tsv": "build-index",
-    "scorer_ceid.txt": "train-scorers",
-    "scorer_seid.txt": "train-scorers",
-    "ranked_ceid.jsonl": "retrieve",
-    "ranked_seid.jsonl": "retrieve",
-    "fused.jsonl": "rerank",
-}
-
 
 class PipelineError(RuntimeError):
-    def __init__(self, stage: str, message: str):
-        super().__init__(f"[{stage}] {message}")
-        self.stage = stage
+    """A stage refusing its inputs or its results; whoever ran the stage names it."""
 
 
 def _sha256(path: Path) -> str:
@@ -102,9 +85,8 @@ def _read_side(path: Path, cached: bool = True) -> tuple[RankSide, str]:
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
     side = _SIDES.pop(digest, None) if cached else None
     if side is None:
-        rerun = _PRODUCED_BY[path.name]
         # bytes, text and lines are each as large as the file: hold one at a time
-        text = decoded(path, data, rerun)
+        text = decoded(path, data)
         del data
         lines = text.splitlines()
         del text
@@ -117,7 +99,7 @@ def _read_side(path: Path, cached: bool = True) -> tuple[RankSide, str]:
             lineno = exc.position + 1  # a record's line, past the empty ones the reader skips
             for n in blank:
                 lineno += n <= lineno
-            raise ValueError(f"{path}:{lineno}: {exc}; rerun {rerun!r} to rewrite it") from None
+            raise ValueError(refusal(path, str(exc), lineno)) from None
         if not cached:
             return side, digest
         if len(_SIDES) == _SIDES_MAX:
@@ -126,14 +108,14 @@ def _read_side(path: Path, cached: bool = True) -> tuple[RankSide, str]:
     return side, digest
 
 
-def _require(cfg: PipelineConfig, stage: str, *names: str) -> dict[str, Path]:
+def _require(cfg: PipelineConfig, *names: str) -> dict[str, Path]:
     found = {}
     for name in names:
         p = cfg.out_dir / name
         if not p.exists():
-            producer = _PRODUCED_BY.get(name)
+            producer = PRODUCED_BY.get(name)
             hint = f"; run the {producer!r} stage first" if producer else ""
-            raise PipelineError(stage, f"missing input {p}{hint}")
+            raise PipelineError(f"missing input {p}{hint}")
         found[name] = p
     return found
 
@@ -181,12 +163,12 @@ def stage_prepare(cfg: PipelineConfig, synthetic: bool = False) -> None:
         outputs["semantic_emb"] = cfg.semantic_emb
     else:
         if not cfg.interactions.exists():
-            raise PipelineError("prepare", f"interactions file not found: {cfg.interactions}")
+            raise PipelineError(f"interactions file not found: {cfg.interactions}")
         ds = load_interactions(cfg.interactions)
         inputs["interactions"] = cfg.interactions
     filtered = kcore_filter(ds, cfg.kcore)
     if not filtered.users:
-        raise PipelineError("prepare", f"{cfg.kcore}-core filtering removed every user")
+        raise PipelineError(f"{cfg.kcore}-core filtering removed every user")
     split = leave_one_out_split(filtered, cfg.max_len)
     write_split(split, cfg.out_dir)
     for name in ("train.tsv", "valid.tsv", "test.tsv"):
@@ -199,7 +181,7 @@ def stage_prepare(cfg: PipelineConfig, synthetic: bool = False) -> None:
 
 
 def stage_embed_collab(cfg: PipelineConfig) -> None:
-    inputs = _require(cfg, "embed-collab", "train.tsv")
+    inputs = _require(cfg, "train.tsv")
     split = load_split(cfg.out_dir)
     state = train_collab_state(SplitDataset(train=split.train, valid={}, test={}), cfg.collab)
     out = cfg.out_dir / "collab.emb"
@@ -213,19 +195,15 @@ def stage_build_index(cfg: PipelineConfig) -> None:
 
     The manifest records each index type's index_counters.
     """
-    inputs = _require(cfg, "build-index", "collab.emb")
+    inputs = _require(cfg, "collab.emb")
     if not cfg.semantic_emb.exists():
-        raise PipelineError("build-index",
-                            f"semantic embeddings not found: {cfg.semantic_emb}")
+        raise PipelineError(f"semantic embeddings not found: {cfg.semantic_emb}")
     inputs["semantic_emb"] = cfg.semantic_emb
-    try:
-        collab = load_embedding_matrix(inputs["collab.emb"])
-    except ValueError as exc:
-        raise ValueError(f"{exc}; rerun the {_PRODUCED_BY['collab.emb']!r} stage") from None
+    collab = load_embedding_matrix(inputs["collab.emb"])
     semantic = load_embedding_matrix(cfg.semantic_emb)
     common = set(collab.items) & set(semantic.items)
     if not common:
-        raise PipelineError("build-index", "no items shared by both embedding sources")
+        raise PipelineError("no items shared by both embedding sources")
     dropped = len(collab.items) + len(semantic.items) - 2 * len(common)
     if dropped:
         log.warning("build-index: %d embedding row(s) outside the common item set", dropped)
@@ -234,14 +212,14 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     for index_type, emb, sub_cfg in (("ceid", collab, cfg.rqvae_ceid),
                                      ("seid", semantic, cfg.rqvae_seid)):
         if len(common) < sub_cfg.codebook_size:  # k-means starts a codeword from each item
-            raise PipelineError("build-index", f"{len(common)} items, fewer than "
+            raise PipelineError(f"{len(common)} items, fewer than "
                                 f"rqvae_{index_type}.codebook_size ({sub_cfg.codebook_size})")
         keep = [k for k, item in enumerate(emb.items) if item in common]
         restricted = EmbeddingMatrix([emb.items[k] for k in keep], emb.vectors[keep])
         try:
             model = train_rqvae(restricted, sub_cfg)
         except RuntimeError as exc:  # training diverged
-            raise PipelineError("build-index", f"rqvae_{index_type}: {exc}") from exc
+            raise PipelineError(f"rqvae_{index_type}: {exc}") from exc
         raw_codes = assign_codes(model, restricted)
         counters[index_type] = index_counters(model, raw_codes)
         table = resolve_collisions(raw_codes, index_type)
@@ -270,8 +248,7 @@ def stage_train_scorers(cfg: PipelineConfig) -> None:
 
     The manifest records the n-gram rows per order of every scorer.
     """
-    inputs = _require(cfg, "train-scorers", "train.tsv",
-                      "codes_ceid.tsv", "codes_seid.tsv")
+    inputs = _require(cfg, "train.tsv", "codes_ceid.tsv", "codes_seid.tsv")
     split = load_split(cfg.out_dir)
     outputs: dict[str, Path] = {}
     ngram_rows: dict[str, list[int]] = {}
@@ -301,7 +278,7 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
     child) pairs scored, the distinct key lookups and the users without a list
     (no codable history).
     """
-    inputs = _require(cfg, "retrieve", "train.tsv", "valid.tsv", "codes_ceid.tsv",
+    inputs = _require(cfg, "train.tsv", "valid.tsv", "codes_ceid.tsv",
                       "codes_seid.tsv", "scorer_ceid.txt", "scorer_seid.txt")
     split = load_split(cfg.out_dir)
     context_split = SplitDataset(
@@ -319,14 +296,14 @@ def stage_retrieve(cfg: PipelineConfig) -> None:
         ckpt = inputs[f"scorer_{index_type}.txt"]
         scorers = load_scorer(ckpt)
         if scorers[0].index_type != index_type or len(scorers) < cfg.templates:
-            raise PipelineError("retrieve", f"{ckpt} holds {len(scorers)} "
-                                f"{scorers[0].index_type} template(s), {cfg.templates} "
-                                f"{index_type} needed; rerun the 'train-scorers' stage")
+            raise PipelineError(refusal(
+                ckpt, f"holds {len(scorers)} {scorers[0].index_type} template(s), "
+                      f"{cfg.templates} {index_type} needed"))
         if scorers[0].vocab != trie.vocab:
             diff = set(scorers[0].vocab).symmetric_difference(trie.vocab)
             first = f"first difference {min(diff)!r}" if diff else "the same tokens, reordered"
-            raise PipelineError("retrieve", f"{ckpt}: vocabulary does not match {codes.name} "
-                                f"({first}); rerun the 'train-scorers' stage")
+            raise PipelineError(refusal(
+                ckpt, f"vocabulary does not match {codes.name} ({first})"))
         results, searched = beam_search_users(scorers[:cfg.templates], trie, contexts,
                                               cfg.k_retrieve, users)
         path = cfg.out_dir / f"ranked_{index_type}.jsonl"
@@ -357,7 +334,7 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     mode = mode or cfg.mode
     # a single-index mode reads one side and fuses the other as empty
     reads = {"ranked_ceid.jsonl": mode != "seid-only", "ranked_seid.jsonl": mode != "ceid-only"}
-    inputs = _require(cfg, "rerank", *(name for name, read in reads.items() if read))
+    inputs = _require(cfg, *(name for name, read in reads.items() if read))
     sides = []
     digests: dict[Path, str] = {}
     for name in reads:
@@ -394,14 +371,13 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     uncached. The manifest records the test users evaluated (every metric's
     denominator) and those without a fused list, which count as misses.
     """
-    inputs = _require(cfg, "evaluate", "fused.jsonl", "test.tsv")
+    inputs = _require(cfg, "fused.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
     path = inputs["fused.jsonl"]
     fused, digest = _read_side(path, cached=False)
     if len(fused.list_user) > len(fused.users):  # a user with two lists
         twice = fused.users[np.bincount(fused.list_user).argmax()]
-        raise PipelineError("evaluate", f"{path} holds two lists for user {twice!r}; "
-                            "rerun the 'rerank' stage")
+        raise PipelineError(refusal(path, f"holds two lists for user {twice!r}"))
     without = len(set(split.test).difference(fused.users))
     if without:
         log.warning("evaluate: %d user(s) missing a ranked list, counted as misses", without)
@@ -410,7 +386,7 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
         h = hit_at_k(fused, split.test, k)
         n = ndcg_at_k(fused, split.test, k)
         if n > h + 1e-12:
-            raise PipelineError("evaluate", f"NDCG@{k} ({n}) exceeds Hit@{k} ({h})")
+            raise PipelineError(f"NDCG@{k} ({n}) exceeds Hit@{k} ({h})")
         rows += [("hit", k, h), ("ndcg", k, n)]
         log.info("evaluate: hit@%d=%.4f ndcg@%d=%.4f", k, h, k, n)
     out = cfg.out_dir / "metrics.csv"
@@ -426,7 +402,7 @@ def stage_analyze(cfg: PipelineConfig) -> None:
     The manifest records the (user, item) pairs numbered over all templates and
     the sweep points (template counts fused).
     """
-    inputs = _require(cfg, "analyze", "ranked_ceid.jsonl", "ranked_seid.jsonl", "test.tsv")
+    inputs = _require(cfg, "ranked_ceid.jsonl", "ranked_seid.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
     outputs: dict[str, Path] = {}
     sets_by_type = {}
@@ -493,4 +469,4 @@ def run_stage(cfg: PipelineConfig, stage: str, synthetic: bool = False,
         for name in STAGES:
             run_stage(cfg, name, synthetic=synthetic, mode=mode)
     else:
-        raise PipelineError(stage, "unknown stage")
+        raise PipelineError(f"unknown stage {stage!r}")

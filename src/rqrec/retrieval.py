@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import replace_on_close
+from .dataio import decoded, refusal, replace_on_close
 from .rqvae import ItemCodeTable
 from .scorer import MarkovScorer, check_shared_table
 from .vocab import PrefixTrie, code_token
@@ -218,7 +218,7 @@ def read_ranked_lists(path: str | Path, lines: list[str] | None = None) -> list[
     already; errors still name `path`.
     """
     if lines is None:
-        lines = Path(path).read_text(encoding="utf-8").splitlines()
+        lines = decoded(path, Path(path).read_bytes()).splitlines()
     out = []
     for lineno, line in enumerate(lines, 1):
         try:
@@ -228,6 +228,5 @@ def read_ranked_lists(path: str | Path, lines: list[str] | None = None) -> list[
                     raise ValueError("items and scores differ in length")
                 out.append(rec)
         except (ValueError, TypeError) as exc:
-            raise ValueError(f"{path}:{lineno}: malformed ranked list ({exc!r}); rerun "
-                             "'retrieve' ('rerank' for fused.jsonl) to rewrite it") from None
+            raise ValueError(refusal(path, f"malformed ranked list ({exc!r})", lineno)) from None
     return out

@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .collab import scatter_add_rows
-from .dataio import EmbeddingMatrix, decoded, replace_on_close
+from .dataio import EmbeddingMatrix, decoded, refusal, replace_on_close
 
 log = logging.getLogger(__name__)
 
@@ -559,7 +559,7 @@ def write_code_table(table: ItemCodeTable, path: str | Path) -> None:
 def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
     codes: dict[str, tuple[int, ...]] = {}
     code_len = None
-    text = decoded(path, Path(path).read_bytes(), "build-index")
+    text = decoded(path, Path(path).read_bytes())
     for lineno, line in enumerate(text.splitlines(), 1):
         parts = line.split("\t")
         try:
@@ -575,9 +575,8 @@ def load_code_table(path: str | Path, index_type: str) -> ItemCodeTable:
             if parts[0] in codes:
                 raise ValueError(f"duplicate item {parts[0]!r}")
         except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}; rerun the 'build-index' stage to "
-                             "rewrite it") from None
+            raise ValueError(refusal(path, str(exc), lineno)) from None
         codes[parts[0]] = tup
     if not codes:
-        raise ValueError(f"{path}: empty code table")
+        raise ValueError(refusal(path, "empty code table"))
     return ItemCodeTable(index_type=index_type, code_len=code_len, codes=codes)

@@ -40,7 +40,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dataio import decoded, replace_on_close
+from .dataio import decoded, refusal, replace_on_close
 
 OOV = -1  # context token outside the vocabulary: a position with zero counts
 PAD = -2  # no token: the history is shorter than the order
@@ -355,7 +355,7 @@ def save_scorer(scorers: list[MarkovScorer], path: str | Path) -> None:
 
 def load_scorer(path: str | Path) -> list[MarkovScorer]:
     """The scorers of templates 1..T: columns 0..T-1 of one shared table."""
-    lines = decoded(path, Path(path).read_bytes(), "train-scorers").splitlines()
+    lines = decoded(path, Path(path).read_bytes()).splitlines()
     try:
         if not lines or lines[0] != SCORER_MAGIC:
             found = lines[0] if lines else "an empty file"
@@ -409,7 +409,7 @@ def load_scorer(path: str | Path) -> list[MarkovScorer]:
                 counts[k][:-1, t] = array(at + 2 + t, f"count{k}_t{t + 1}", ngram_sizes[k])
         tables = NgramTables.from_counts(ctx_keys, ngram_keys, counts, len(vocab))
     except ValueError as exc:
-        raise ValueError(f"{path}: {exc}; rerun the 'train-scorers' stage") from None
+        raise ValueError(refusal(path, str(exc))) from None
     return [MarkovScorer(order=order, delta=delta, backoff_lambda=lam, template_id=t,
                          index_type=header["index_type"], vocab=vocab, tables=tables,
                          column=t - 1)

@@ -54,6 +54,15 @@ def test_load_empty_is_error(tmp_path):
         load_interactions(p)
 
 
+def test_load_ends_lines_as_a_text_mode_read(tmp_path):
+    # \r\n and a lone \r end a line; \x85, which str.splitlines would also split on, does not
+    p = tmp_path / "x.tsv"
+    p.write_bytes("u1\ta\t1\r\nu1\tb\x85c\t2\ru2\td\t3\n".encode("utf-8"))
+    ds = load_interactions(p)
+    assert ds.sequences == {"u1": [("a", 1), ("b\x85c", 2)], "u2": [("d", 3)]}
+    assert ds.skipped_lines == 0
+
+
 def test_load_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_interactions(tmp_path / "nope.tsv")

@@ -643,8 +643,8 @@ def test_evaluate_rejects_two_lists_for_one_user(pipeline_run, tmp_path):
     for template, error, message in (
             (0, ValueError, f"{path}:{len(lines) + 1}: duplicate template id 0 for user "
                             f"'{rec['user']}' in the fused lists; rerun 'rerank' to rewrite it"),
-            (3, PipelineError, f"{path} holds two lists for user '{rec['user']}'; rerun the "
-                               "'rerank' stage")):
+            (3, PipelineError, f"{path}: holds two lists for user '{rec['user']}'; rerun "
+                               "'rerank' to rewrite it")):
         path.write_text("".join(lines) + json.dumps({**rec, "template": template}) + "\n")
         with pytest.raises(error, match=re.escape(message)):
             stage_evaluate(dataclasses.replace(cfg, out_dir=out))
@@ -951,8 +951,7 @@ NOT_UTF8 = {  # file: the stage that reads it, the hint its error ends with
     "test.tsv": ("evaluate", "rerun 'prepare' to rewrite it"),
     "codes_seid.tsv": ("train-scorers", "rerun 'build-index' to rewrite it"),
     "scorer_ceid.txt": ("retrieve", "rerun 'train-scorers' to rewrite it"),
-    # the hint build-index adds to every collab.emb error
-    "collab.emb": ("build-index", "rerun the 'embed-collab' stage"),
+    "collab.emb": ("build-index", "rerun 'embed-collab' to rewrite it"),
 }
 
 
@@ -970,6 +969,57 @@ def test_cli_input_not_utf8_names_line(pipeline_run, tmp_path, capsys, name):
     assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
     err = capsys.readouterr().err
     assert err == f"error [{stage}]: {file}:3: byte 0xff is not UTF-8; {rerun}\n"
+
+
+# out_dir file -> the first stage that reads it (load_split reads all three split files)
+READ_FIRST_BY = {
+    "train.tsv": "embed-collab", "valid.tsv": "embed-collab", "test.tsv": "embed-collab",
+    "collab.emb": "build-index",
+    "codes_ceid.tsv": "train-scorers", "codes_seid.tsv": "train-scorers",
+    "scorer_ceid.txt": "retrieve", "scorer_seid.txt": "retrieve",
+    "ranked_ceid.jsonl": "rerank", "ranked_seid.jsonl": "rerank",
+    "fused.jsonl": "evaluate",
+}
+
+
+def test_cli_every_produced_file_not_utf8_names_its_producer(pipeline_run, tmp_path, capsys,
+                                                              monkeypatch):
+    import shutil
+
+    import rqrec.pipeline
+    from rqrec.dataio import PRODUCED_BY
+    # a file the table gains without a reader here fails, and so does one it loses
+    assert set(READ_FIRST_BY) == set(PRODUCED_BY)
+    _, path, cfg = pipeline_run
+    out = tmp_path / "bad"
+    shutil.copytree(cfg.out_dir, out)
+    monkeypatch.setattr(rqrec.pipeline, "_SIDES", {})
+    for name, stage in READ_FIRST_BY.items():
+        file = out / name
+        good = file.read_bytes()
+        lines = good.splitlines(keepends=True)
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
+        file.write_bytes(b"".join(lines))
+        assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
+        assert capsys.readouterr().err == (f"error [{stage}]: {file}:3: byte 0xff is not UTF-8; "
+                                           f"rerun '{PRODUCED_BY[name]}' to rewrite it\n")
+        file.write_bytes(good)
+
+
+@pytest.mark.parametrize("name, stage, code", [("interactions", "prepare", 1),
+                                               ("config", "config", 2)])
+def test_cli_outside_input_not_utf8_names_line(pipeline_run, tmp_path, capsys, name, stage, code):
+    _, path, cfg = pipeline_run
+    good = cfg.interactions if name == "interactions" else path
+    lines = good.read_bytes().splitlines(keepends=True)
+    lines[1] = lines[1][:1] + b"\xff" + lines[1][2:]
+    file = tmp_path / name
+    file.write_bytes(b"".join(lines))
+    config, interactions = (path, file) if name == "interactions" else (file, cfg.interactions)
+    assert main(["prepare", "--config", str(config), "-q", "--set", f"paths.out_dir={tmp_path}",
+                 "--set", f"paths.interactions={interactions}"]) == code
+    # outside input: no stage writes it, so there is no stage to rerun
+    assert capsys.readouterr().err == f"error [{stage}]: {file}:2: byte 0xff is not UTF-8\n"
 
 
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
@@ -990,7 +1040,7 @@ def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
         assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
         err = capsys.readouterr().err
         assert f"{split}:{lineno}: expected 'user<TAB>item'" in err
-        assert "rerun the 'prepare' stage" in err
+        assert "rerun 'prepare' to rewrite it" in err
 
 
 def test_cli_bad_code_names_line(pipeline_run, tmp_path, capsys):
@@ -1007,7 +1057,7 @@ def test_cli_bad_code_names_line(pipeline_run, tmp_path, capsys):
         assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
         err = capsys.readouterr().err
         assert f"{codes}:3: invalid literal for int() with base 10: 'x'" in err
-        assert "rerun the 'build-index' stage" in err
+        assert "rerun 'build-index' to rewrite it" in err
 
 
 def test_cli_negative_code_word_names_line(pipeline_run, tmp_path, capsys):
@@ -1023,8 +1073,7 @@ def test_cli_negative_code_word_names_line(pipeline_run, tmp_path, capsys):
         codes.write_text("".join(lines))
         assert main([stage, "--config", str(path), "-q", "--set", f"paths.out_dir={out}"]) == 1
         err = capsys.readouterr().err
-        assert (f"{codes}:3: negative code word -1; rerun the 'build-index' stage to rewrite it"
-                in err)
+        assert f"{codes}:3: negative code word -1; rerun 'build-index' to rewrite it" in err
         scorer = "scorer_ceid.txt"
         assert (out / scorer).read_bytes() == (cfg.out_dir / scorer).read_bytes()
 
@@ -1048,8 +1097,8 @@ def test_cli_retrieve_refuses_a_checkpoint_of_another_code_table(pipeline_run, t
         assert old != new
         assert main(["retrieve", "--config", str(path), "--set", f"paths.out_dir={out}"]) == 1
         assert capsys.readouterr().err.endswith(
-            f"error [retrieve] {ckpt}: vocabulary does not match codes_ceid.tsv (first "
-            f"difference {min(old ^ new)!r}); rerun the 'train-scorers' stage\n")
+            f"error [retrieve]: {ckpt}: vocabulary does not match codes_ceid.tsv (first "
+            f"difference {min(old ^ new)!r}); rerun 'train-scorers' to rewrite it\n")
         assert (out / "ranked_ceid.jsonl").read_bytes() == before
 
     # the codes rebuilt with another seed after the scorers were trained
@@ -1126,9 +1175,27 @@ def test_cli_malformed_embeddings_name_line(pipeline_run, tmp_path, capsys):
         assert main(args) == 1
         err = capsys.readouterr().err
         # collab.emb names the stage that writes it; semantic.emb is outside input
-        hint = "; rerun the 'embed-collab' stage" if name == "collab.emb" else ""
+        hint = "; rerun 'embed-collab' to rewrite it" if name == "collab.emb" else ""
         assert err == f"error [build-index]: {message}{hint}\n"
         emb.write_text(good)
+
+
+def test_cli_all_names_the_stage_that_failed(pipeline_run, tmp_path, capsys):
+    import shutil
+    _, path, cfg = pipeline_run
+    out = tmp_path / "all"
+    out.mkdir()
+    emb = out / "semantic.emb"
+    shutil.copy(cfg.semantic_emb, emb)
+    lines = emb.read_text().splitlines(keepends=True)
+    lines[2] = lines[2].rsplit(" ", 1)[0] + "\n"  # a row one field short
+    emb.write_text("".join(lines))
+    fields = len(lines[3].split())
+    assert main(["all", "--config", str(path), "-q", "--set", f"paths.out_dir={out}",
+                 "--set", f"paths.semantic_emb={emb}"]) == 1
+    assert capsys.readouterr().err == (f"error [build-index]: {emb}:3: expected {fields} "
+                                       f"fields, got {fields - 1}\n")
+    assert (out / "collab.emb").exists() and not (out / "codes_ceid.tsv").exists()
 
 
 def test_build_index_codes_ignore_embedding_row_order(pipeline_run, tmp_path, caplog):
@@ -1159,7 +1226,7 @@ def test_cli_catalog_smaller_than_codebook_names_the_key(tmp_path, capsys):
     path = write_config(tmp_path, **{"synthetic.n_items": 6})  # codebook_size 8
     assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 1
     err = capsys.readouterr().err
-    assert "error [build-index] 6 items, fewer than rqvae_ceid.codebook_size (8)" in err
+    assert "error [build-index]: 6 items, fewer than rqvae_ceid.codebook_size (8)" in err
     assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
 
 
@@ -1169,7 +1236,7 @@ def test_cli_diverging_quantizer_names_index_and_epoch(tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 1
     err = capsys.readouterr().err
-    assert re.search(r"error \[build-index\] rqvae_ceid: non-finite loss at epoch \d+\n", err)
+    assert re.search(r"error \[build-index\]: rqvae_ceid: non-finite loss at epoch \d+\n", err)
     assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
 
 

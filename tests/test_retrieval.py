@@ -253,6 +253,15 @@ def test_malformed_record_names_line(tmp_path, bad):
         read_ranked_lists(p)
 
 
+def test_read_refuses_a_byte_that_is_not_utf8(tmp_path):
+    good = ranked_list_record(ListRecord("u0", "ceid", 1, ["a"], [-0.5])).encode()
+    p = tmp_path / "ranked_ceid.jsonl"
+    p.write_bytes(good + b"\n" + good[:9] + b"\xff" + good[10:] + b"\n")
+    with pytest.raises(ValueError, match=f"^{re.escape(str(p))}:2: byte 0xff is not UTF-8; "
+                                         "rerun 'retrieve' to rewrite it$"):
+        read_ranked_lists(p)
+
+
 class CallsOnly:
     """Exposes only the `next_token_logprobs` contract of the scorer it wraps."""
 

@@ -412,7 +412,7 @@ def test_load_refuses_truncated_checkpoint(tmp_path):
     with pytest.raises(ValueError, match="lacks ngrams.*train-scorers"):
         load_scorer(p)
     # a malformed number names the file and the stage to rerun
-    named = rf"^{re.escape(str(p))}: .+; rerun the 'train-scorers' stage$"
+    named = rf"^{re.escape(str(p))}: .+; rerun 'train-scorers' to rewrite it$"
 
     def replaced(tag, first):
         """The checkpoint lines with the first value of line `tag` replaced."""
@@ -427,12 +427,13 @@ def test_load_refuses_truncated_checkpoint(tmp_path):
     # a negative count, and keys out of order: lookups binary-search the keys
     p.write_text("\n".join(replaced("count1_t2", "-50")) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 'count1_t2' holds a "
-                                         r"negative count; rerun the 'train-scorers' stage$"):
+                                         r"negative count; rerun 'train-scorers' to rewrite it$"):
         load_scorer(p)
     at = next(n for n, ln in enumerate(lines) if ln.startswith("ngram1 "))
     tag, *keys = lines[at].split(" ")
     assert len(keys) > 1
     p.write_text("\n".join(lines[:at] + [" ".join([tag, *keys[::-1]])] + lines[at + 1:]) + "\n")
     with pytest.raises(ValueError, match=rf"^{re.escape(str(p))}: line 'ngram1': keys are not "
-                                         r"strictly increasing; rerun the 'train-scorers' stage$"):
+                                         r"strictly increasing; rerun 'train-scorers' to "
+                                         r"rewrite it$"):
         load_scorer(p)
