@@ -144,7 +144,8 @@ def load_config(path: str | Path | None,
     cfg = PipelineConfig()
     entries: list[tuple[str, str, str]] = []  # key, value, where a file entry came from
     if path is not None:
-        for lineno, line in enumerate(decoded(path, Path(path).read_bytes()).splitlines(), 1):
+        text = decoded(path, Path(path).read_bytes(), produced=False)
+        for lineno, line in enumerate(text.splitlines(), 1):
             line = line.strip()
             if not line or line.startswith("#"):
                 continue

@@ -89,15 +89,20 @@ PRODUCED_BY = {
 }
 
 
-def refusal(path: str | Path, problem: str, lineno: int | None = None) -> str:
-    """`path[:lineno]: problem`, and the stage to rerun when one writes the file."""
+def refusal(path: str | Path, problem: str, lineno: int | None = None,
+            produced: bool = True) -> str:
+    """`path[:lineno]: problem`, and the stage to rerun when one writes the file.
+
+    An outside input (`produced` false: the interactions, the semantic
+    embeddings, the config) gets no hint, whatever its name.
+    """
     where = str(path) if lineno is None else f"{path}:{lineno}"
-    producer = PRODUCED_BY.get(Path(path).name)
+    producer = PRODUCED_BY.get(Path(path).name) if produced else None
     rerun = f"; rerun {producer!r} to rewrite it" if producer else ""
     return f"{where}: {problem}{rerun}"
 
 
-def decoded(path: str | Path, data: bytes) -> str:
+def decoded(path: str | Path, data: bytes, produced: bool = True) -> str:
     """A file's bytes as text. A byte that is not UTF-8 is a refusal naming its line."""
     try:
         return data.decode("utf-8")
@@ -105,20 +110,24 @@ def decoded(path: str | Path, data: bytes) -> str:
         # the bytes before the bad one decode; one more character ends its line
         lineno = len((data[:exc.start] + b".").decode("utf-8").splitlines())
         raise ValueError(refusal(path, f"byte {data[exc.start]:#04x} is not UTF-8",
-                                 lineno)) from None
+                                 lineno, produced)) from None
 
 
 def load_interactions(path: str | Path) -> InteractionDataset:
     """Parse `user<TAB>item<TAB>timestamp` lines into a dataset.
 
-    Malformed lines are skipped and counted; an empty result is an error.
+    Malformed lines are skipped and counted; an empty result is an error. An id
+    holding a line break (one `str.splitlines` ends a line at, such as U+0085)
+    is refused with its line: the split files, code tables and embeddings that
+    carry ids are read a line per `splitlines` line.
     """
     path = Path(path)
     raw: dict[str, list[tuple[str, int]]] = {}
     skipped = 0
-    text = decoded(path, path.read_bytes())
-    # lines end as a text-mode read ends them; an id may hold any other line break
-    for line in text.replace("\r\n", "\n").replace("\r", "\n").split("\n"):
+    text = decoded(path, path.read_bytes(), produced=False)
+    # lines end as a text-mode read ends them, so a line break inside an id is found
+    lines = text.replace("\r\n", "\n").replace("\r", "\n").split("\n")
+    for lineno, line in enumerate(lines, 1):
         if not line:
             continue
         parts = line.split("\t")
@@ -130,6 +139,10 @@ def load_interactions(path: str | Path) -> InteractionDataset:
         except ValueError:
             skipped += 1
             continue
+        for name in parts[:2]:
+            if name.splitlines() != [name]:
+                raise ValueError(refusal(path, f"id {name!r} holds a line break", lineno,
+                                         produced=False))
         raw.setdefault(parts[0], []).append((parts[1], ts))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)
@@ -250,42 +263,45 @@ def replace_on_close(path: str | Path):
         tmp.unlink(missing_ok=True)
 
 
-def load_embedding_matrix(path: str | Path) -> EmbeddingMatrix:
-    """Read the `ITEM_EMB v1` text format into item-sorted rows; errors name the line."""
+def load_embedding_matrix(path: str | Path, produced: bool = True) -> EmbeddingMatrix:
+    """Read the `ITEM_EMB v1` text format into item-sorted rows; errors name the line,
+    and the stage to rerun for a `produced` file."""
     path = Path(path)
-    lines = decoded(path, path.read_bytes()).splitlines()
+    lines = decoded(path, path.read_bytes(), produced).splitlines()
+
+    def refused(problem: str, lineno: int | None = None) -> ValueError:
+        return ValueError(refusal(path, problem, lineno, produced))
+
     if not lines or lines[0] != EMB_HEADER:
-        raise ValueError(refusal(path, f"expected header '{EMB_HEADER}'", 1))
+        raise refused(f"expected header '{EMB_HEADER}'", 1)
     if len(lines) < 2:
-        raise ValueError(refusal(path, "missing 'n d' size line", 2))
+        raise refused("missing 'n d' size line", 2)
     try:
         n, d = (int(x) for x in lines[1].split())
     except ValueError:
-        raise ValueError(refusal(path, f"malformed size line {lines[1]!r}", 2)) from None
+        raise refused(f"malformed size line {lines[1]!r}", 2) from None
     if n < 0 or d < 1:
-        raise ValueError(refusal(path, f"size line {lines[1]!r} needs n >= 0 rows and "
-                                       "d >= 1 dimensions", 2))
+        raise refused(f"size line {lines[1]!r} needs n >= 0 rows and d >= 1 dimensions", 2)
     rows: dict[str, np.ndarray] = {}
     for lineno, line in enumerate(lines[2:2 + n], start=3):
         parts = line.split()
         if len(parts) != d + 1:
-            raise ValueError(refusal(path, f"expected {d + 1} fields, got {len(parts)}", lineno))
+            raise refused(f"expected {d + 1} fields, got {len(parts)}", lineno)
         item = parts[0]
         if item in rows:
-            raise ValueError(refusal(path, f"duplicate item id {item!r}", lineno))
+            raise refused(f"duplicate item id {item!r}", lineno)
         try:
             vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
         except ValueError:
-            raise ValueError(refusal(path, "non-numeric value", lineno)) from None
+            raise refused("non-numeric value", lineno) from None
         if not np.all(np.isfinite(vec)):
-            raise ValueError(refusal(path, "non-finite value", lineno))
+            raise refused("non-finite value", lineno)
         rows[item] = vec
     if len(rows) != n:
-        raise ValueError(refusal(path, f"expected {n} rows, found {len(rows)}"))
+        raise refused(f"expected {n} rows, found {len(rows)}")
     for lineno, line in enumerate(lines[2 + n:], start=3 + n):
         if line.strip():
-            raise ValueError(refusal(path, f"a row beyond the {n} the size line declares",
-                                     lineno))
+            raise refused(f"a row beyond the {n} the size line declares", lineno)
     items = sorted(rows)
     vectors = np.array([rows[i] for i in items], dtype=np.float64).reshape(n, d)
     return EmbeddingMatrix(items, vectors)

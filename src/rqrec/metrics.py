@@ -28,32 +28,46 @@ class HitSet:
     users: set[str]
 
 
-def _hits(side: RankSide, test: dict[str, str], k: int) -> np.ndarray:
+def numbered_targets(users: list[str], items: list[str], test: dict[str, str]) -> np.ndarray:
+    """Each user's test item as a number into `items`, -1 where it has none there.
+
+    Sides on the same names share these numbers: a stage numbers the targets of
+    its fused lists once and passes them to every metric.
+    """
+    item_no = {item: n for n, item in enumerate(items)}
+    return np.array([item_no.get(test.get(user), -1) for user in users], dtype=np.int64)
+
+
+def _hits(side: RankSide, target: np.ndarray, k: int) -> np.ndarray:
     """Per entry: its item is its user's test item and its rank is below k."""
-    item_no = {item: n for n, item in enumerate(side.items)}
-    target = np.array([item_no.get(test.get(user), -1) for user in side.users], dtype=np.int64)
     return (side.item == target[side.user]) & (side.rank < k)
 
 
-def _target_ranks(side: RankSide, test: dict[str, str], k: int) -> list[int]:
+def _target_ranks(side: RankSide, test: dict[str, str], k: int,
+                  target: np.ndarray | None) -> list[int]:
     """Rank of each test item found within its user's first k entries, in test
-    order; the side holds one list per user, and a user without one misses."""
+    order; the side holds one list per user, and a user without one misses.
+    `target` is `numbered_targets` of the side's names, numbered here when None."""
     if not test:
         raise ValueError("empty test split")
-    hit = _hits(side, test, k)
+    if target is None:
+        target = numbered_targets(side.users, side.items, test)
+    hit = _hits(side, target, k)
     rank = dict(zip([side.users[u] for u in side.user[hit].tolist()], side.rank[hit].tolist()))
     return [rank[user] for user in test if user in rank]
 
 
-def hit_at_k(side: RankSide, test: dict[str, str], k: int) -> float:
+def hit_at_k(side: RankSide, test: dict[str, str], k: int,
+             target: np.ndarray | None = None) -> float:
     """Fraction of test users whose held-out item is within the first k entries."""
-    return len(_target_ranks(side, test, k)) / len(test)
+    return len(_target_ranks(side, test, k, target)) / len(test)
 
 
-def ndcg_at_k(side: RankSide, test: dict[str, str], k: int) -> float:
+def ndcg_at_k(side: RankSide, test: dict[str, str], k: int,
+              target: np.ndarray | None = None) -> float:
     """Single-relevant-item NDCG: gain 1/log2(rank + 2) at 0-based rank < k."""
     total = 0.0  # a plain loop: sum() of floats is compensated from Python 3.12 on
-    for rank in _target_ranks(side, test, k):
+    for rank in _target_ranks(side, test, k, target):
         total += 1.0 / math.log2(rank + 2)
     return total / len(test)
 
@@ -61,7 +75,7 @@ def ndcg_at_k(side: RankSide, test: dict[str, str], k: int) -> float:
 def hit_sets(side: RankSide, test: dict[str, str], k: int = 10) -> list[HitSet]:
     """Per-template hit sets (users whose test item is in that template's top-k);
     every template with a list gets a set, empty or not."""
-    hit = _hits(side, test, k)
+    hit = _hits(side, numbered_targets(side.users, side.items, test), k)
     users: dict[int, set[str]] = {t: set() for t in np.unique(side.list_template).tolist()}
     for t, u in zip(side.template[hit].tolist(), side.user[hit].tolist()):
         users[t].add(side.users[u])

@@ -37,7 +37,7 @@ from .dataio import (PRODUCED_BY, EmbeddingMatrix, SplitDataset, decoded, kcore_
                      leave_one_out_split, load_embedding_matrix,
                      load_interactions, load_split, refusal, replace_on_close,
                      write_embedding_matrix, write_interactions, write_split)
-from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, per_matrix,
+from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, numbered_targets, per_matrix,
                       write_metrics_csv, write_per_matrix)
 from .rerank import (MalformedList, RankArrays, RankSide, rank_arrays, rank_side, score_pairs,
                      top_k, write_score_breakdown)
@@ -200,7 +200,7 @@ def stage_build_index(cfg: PipelineConfig) -> None:
         raise PipelineError(f"semantic embeddings not found: {cfg.semantic_emb}")
     inputs["semantic_emb"] = cfg.semantic_emb
     collab = load_embedding_matrix(inputs["collab.emb"])
-    semantic = load_embedding_matrix(cfg.semantic_emb)
+    semantic = load_embedding_matrix(cfg.semantic_emb, produced=False)
     common = set(collab.items) & set(semantic.items)
     if not common:
         raise PipelineError("no items shared by both embedding sources")
@@ -382,9 +382,10 @@ def stage_evaluate(cfg: PipelineConfig) -> None:
     if without:
         log.warning("evaluate: %d user(s) missing a ranked list, counted as misses", without)
     rows = []
+    target = numbered_targets(fused.users, fused.items, split.test)
     for k in cfg.k_report:
-        h = hit_at_k(fused, split.test, k)
-        n = ndcg_at_k(fused, split.test, k)
+        h = hit_at_k(fused, split.test, k, target)
+        n = ndcg_at_k(fused, split.test, k, target)
         if n > h + 1e-12:
             raise PipelineError(f"NDCG@{k} ({n}) exceeds Hit@{k} ({h})")
         rows += [("hit", k, h), ("ndcg", k, n)]
@@ -435,11 +436,14 @@ def stage_analyze(cfg: PipelineConfig) -> None:
         ks = sorted(cfg.k_report)
         fh.write("num_templates," + ",".join(f"hit@{k},ndcg@{k}" for k in ks) + "\n")
         sweep = range(2, cfg.templates + 1)
+        # every cap's fused lists are on the names of `ranks`: one numbering serves them all
+        target = numbered_targets(ranks.users, ranks.items, split.test)
         for t in sweep:
             fused = fuse_all_users(ranks, cfg.alpha, cfg.tau, cfg.k_retrieve, max_templates=t)
             cells = []
             for k in ks:
-                cells += [hit_at_k(fused, split.test, k), ndcg_at_k(fused, split.test, k)]
+                cells += [hit_at_k(fused, split.test, k, target),
+                          ndcg_at_k(fused, split.test, k, target)]
             fh.write(str(t) + "," + ",".join(repr(c) for c in cells) + "\n")
     outputs["template_sweep.csv"] = sweep_path
     counters = {"pairs_numbered": len(ranks.user), "sweep_points": len(sweep)}

@@ -10,19 +10,24 @@ S = S^ceid + S^seid with a missing side contributing 0.
 
 All users are fused in one array pass over int32 entry arrays (`RankArrays`).
 `np.bincount` adds in entry (list-file) order and `**2`/`exp` run on Python
-floats, so every term equals the per-item formula bit for bit. `score_items`
+floats, so every term equals the per-item formula bit for bit. A side's terms
+sort its pairs' mean ranks once (`np.unique`): exp(-mean/tau) is evaluated per
+distinct mean, and each entry's (rank - mean)**2 is read from a table of the
+(distinct mean, rank) cells the entries use, each evaluated once. `score_items`
 and `fuse_and_rank` are the same code for one user.
 
 A list file enters as a `RankSide` (`rank_side`): int32 columns whose users and
 items are numbered by sorted name, which the pipeline's stages keep in a cache
 of parsed files (see `rqrec.pipeline`). `rank_arrays` puts the two sides on the
 sorted union of their names, which leaves a side that holds every name as it
-is, and sorts the (user, item) pairs of all templates once; a template cap
-selects its pairs from that order. Sorted names are the only order any output
-sees: `top_k`'s ties, the breakdown rows and the sweep. `top_k` returns the
-fused lists as columns too, a `RankSide` of template 0 and each entry's
-s_total, which is what the metrics read; only `fused.jsonl`'s writer and
-`fuse_and_rank` make records of them.
+is, and numbers every entry's (user, item) pair, over all templates, with one
+`np.unique(..., return_inverse=True)`; a template cap selects its pairs from
+that order. Sorted names are the only order any output sees: `top_k`'s ties,
+the breakdown rows and the sweep. `top_k` orders each user's pairs with one
+stable argsort of an int64 key (see there) and returns the fused lists as
+columns too, a `RankSide` of template 0 and each entry's s_total, which is what
+the metrics read; only `fused.jsonl`'s writer and `fuse_and_rank` make records
+of them.
 """
 from __future__ import annotations
 
@@ -147,10 +152,16 @@ def rank_arrays(ceid: RankSide, seid: RankSide) -> RankArrays:
                            list_user=_onto(side.users, users, side.list_user))
              for side in (ceid, seid)]
     n_items = max(len(items), 1)
-    keys = [side.user.astype(np.int64) * n_items + side.item for side in sides]
-    pairs = np.unique(np.concatenate(keys))
+    keys = np.concatenate([side.user.astype(np.int64) * n_items + side.item for side in sides])
+    pairs, entry_pair = np.unique(keys, return_inverse=True)
     return RankArrays(user_names, item_names, sides, pairs // n_items, pairs % n_items,
-                      [np.searchsorted(pairs, key).astype(np.int32) for key in keys])
+                      np.split(entry_pair.astype(np.int32), [len(sides[0].user)]))
+
+
+def _dense(x: np.ndarray) -> tuple[np.ndarray, int]:
+    """Each element's rank among the distinct values of x, and how many there are."""
+    values, inverse = np.unique(x, return_inverse=True)
+    return inverse, len(values)
 
 
 def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
@@ -159,14 +170,35 @@ def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
     return np.array([fn(v) for v in values.tolist()], dtype=np.float64)[inverse]
 
 
+def _squared_deviations(rank: np.ndarray, means: np.ndarray, mean_no: np.ndarray) -> np.ndarray:
+    """(rank - means[mean_no]) ** 2 per entry, from a table of (distinct mean, rank).
+
+    Only the cells some entry uses are evaluated, each once as a Python float:
+    rank - mean is the same IEEE subtraction numpy makes, and ** is the scalar
+    formula's pow, which can round otherwise than numpy's d * d. The table has a
+    row per distinct mean and a column per rank up to the largest.
+    """
+    width = int(rank.max(initial=0)) + 1
+    cell = mean_no * width + rank
+    used = np.zeros(len(means) * width, dtype=bool)
+    used[cell] = True
+    cells = np.flatnonzero(used)
+    table = np.empty(len(used))
+    table[cells] = [(r - m) ** 2 for m, r in zip(means[cells // width].tolist(),
+                                                (cells % width).tolist())]
+    return table[cell]
+
+
 def _type_terms(pair: np.ndarray, rank: np.ndarray, n_pairs: int, alpha: float,
                 tau: float) -> tuple[np.ndarray, ...]:
     """(Conf, Cons, S^x, appearances) per pair for one index type; 0 where absent."""
     count = np.bincount(pair, minlength=n_pairs)
     mean = np.bincount(pair, weights=rank, minlength=n_pairs) / np.maximum(count, 1)
-    sq_dev = _scalar_map(lambda d: d ** 2, rank - mean[pair])
+    means, mean_no = np.unique(mean, return_inverse=True)
+    sq_dev = _squared_deviations(rank, means, mean_no[pair])
     var = np.bincount(pair, weights=sq_dev, minlength=n_pairs) / np.maximum(count - 1, 1)
-    conf = np.where(count > 0, _scalar_map(math.exp, -mean / tau), 0.0)
+    conf_of = np.array([math.exp(-m / tau) for m in means.tolist()], dtype=np.float64)
+    conf = np.where(count > 0, conf_of[mean_no], 0.0)
     cons = np.where(count > 1, _scalar_map(math.exp, -np.sqrt(var) / tau), 0.0)
     return conf, cons, alpha * conf + (1.0 - alpha) * cons, count
 
@@ -196,9 +228,21 @@ def score_pairs(ranks: RankArrays, alpha: float, tau: float,
 
 def top_k(scores: PairScores, k_out: int) -> tuple[RankSide, np.ndarray]:
     """Each listed user's top k_out as one template-0 list, and each entry's s_total;
-    ties break by appearance count, then item id."""
-    order = np.lexsort((scores.item, -scores.columns["appearances"],
-                        -scores.columns["s_total"], scores.user))
+    ties break by appearance count, then item id.
+
+    The order is one stable argsort of the int64 key user * n + r, where r is the
+    dense rank of (-s_total, -appearances) among its n distinct values. The key
+    sorts by user, then r, which orders -s_total first and -appearances second,
+    as the sort keys (user, -s_total, -appearances, item) do. The pairs arrive
+    in (user, item) order, so the stable sort leaves equal keys in item order:
+    the order is that of the four-key lexsort.
+    """
+    s_rank, _ = _dense(-scores.columns["s_total"])
+    a_rank, n_a = _dense(-scores.columns["appearances"])
+    # s_rank * n_a + a_rank < pairs**2 <= 2**62 and n <= pairs <= 2**31 (pair numbers
+    # are int32), so user * n + r < 2**31 * 2**31 cannot overflow int64
+    r, n = _dense(s_rank * n_a + a_rank)
+    order = np.argsort(scores.user.astype(np.int64) * n + r, kind="stable")
     user = scores.user[order]
     rank = np.arange(len(order)) - np.searchsorted(user, user)
     top = order[rank < k_out]

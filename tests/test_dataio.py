@@ -57,10 +57,14 @@ def test_load_empty_is_error(tmp_path):
 def test_load_ends_lines_as_a_text_mode_read(tmp_path):
     # \r\n and a lone \r end a line; \x85, which str.splitlines would also split on, does not
     p = tmp_path / "x.tsv"
-    p.write_bytes("u1\ta\t1\r\nu1\tb\x85c\t2\ru2\td\t3\n".encode("utf-8"))
+    p.write_bytes("u1\ta\t1\r\nu1\tb\t2\ru2\td\t3\n".encode("utf-8"))
     ds = load_interactions(p)
-    assert ds.sequences == {"u1": [("a", 1), ("b\x85c", 2)], "u2": [("d", 3)]}
+    assert ds.sequences == {"u1": [("a", 1), ("b", 2)], "u2": [("d", 3)]}
     assert ds.skipped_lines == 0
+    # so an id holding \x85 stays whole, and is refused on the line a text-mode read gives it
+    p.write_bytes("u1\ta\t1\r\nu2\td\t3\ru1\tb\x85c\t2\n".encode("utf-8"))
+    with pytest.raises(ValueError, match=re.escape(f"{p}:3: id 'b\\x85c' holds a line break")):
+        load_interactions(p)
 
 
 def test_load_missing_file(tmp_path):

@@ -237,6 +237,53 @@ def test_golden_artifact_digests(pipeline_run):
     assert got == GOLDEN_DIGESTS
 
 
+# sha256 of what rerank (in each mode) and then evaluate write over the lists of the
+# run above; `full` runs with rerank.breakdown = true, and its fused.jsonl and
+# metrics.csv are the run's own. Pinned with GOLDEN_DIGESTS and kept the same way.
+MODE_DIGESTS = {
+    "ceid-only": {
+        "fused.jsonl": "3e13e2ba6952df71a15121d04972dfa98426bff113f2e959911f1caba4e0cb4d",
+        "metrics.csv": "6f5573d6840fe7e9bdb8e051a9a0fa47cc9e7fcb9054d4dc3327f7667c8939a0",
+    },
+    "seid-only": {
+        "fused.jsonl": "6de7f44209b5ce48e47c060c3732df2c1b2e018785045eed4f0a48f4fa15a82e",
+        "metrics.csv": "0c815173d820d06436455da1d2649ad6f09c351e11f719ad23826ba14f941e4a",
+    },
+    "conf-only": {
+        "fused.jsonl": "5ad3fc722fc079c96feb03d5864eba00713c53ab8bb93052f1fc3a3190163335",
+        "metrics.csv": "060b0059cb228d068da84b541ffc03503dd5c235f03a3a12d6f03a74ffe63635",
+    },
+    "cons-only": {
+        "fused.jsonl": "ad0c138f51039a03b3d30ac9083e5e7790130c82f493bd88b58bfcee786d204b",
+        "metrics.csv": "479dff0d378095afe37a1078cf505b105642127114870db9f8759713729877e7",
+    },
+    "full": {
+        "fused.jsonl": "ffdd68ade1db74063c2f086f1a99354b9ee66176dffb7f25c775f480529394a9",
+        "metrics.csv": "14b59926beacd4bf10543c1f226aad964ca8ca9075b789c1bffce658d00d9fb5",
+        "score_breakdown.tsv": "792437996e98ddabc06aa7c338f6955158e1e030e8a404e982221e561b1c69f6",
+    },
+}
+
+
+def test_golden_digests_of_every_rerank_mode(pipeline_run, tmp_path):
+    import dataclasses
+    import hashlib
+    import shutil
+
+    from rqrec.pipeline import stage_evaluate
+    _, _, cfg = pipeline_run
+    out = tmp_path / "modes"
+    shutil.copytree(cfg.out_dir, out)
+    got = {}
+    for mode, names in MODE_DIGESTS.items():
+        run = dataclasses.replace(cfg, out_dir=out, breakdown="score_breakdown.tsv" in names)
+        stage_rerank(run, mode=mode)
+        stage_evaluate(run)
+        got[mode] = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+                     for name in names}
+    assert got == MODE_DIGESTS
+
+
 EXPECTED_ARTIFACTS = [
     "train.tsv", "valid.tsv", "test.tsv", "collab.emb",
     "codes_ceid.tsv", "codes_seid.tsv",
@@ -478,6 +525,47 @@ def test_stages_parse_each_list_file_once_per_process(pipeline_run, monkeypatch)
                      ("analyze", None): []}
     # the parsed (cold) stages above and the cached (warm) ones write the same bytes
     assert {name: (cfg.out_dir / name).read_bytes() for name in LIST_OUTPUTS} == before
+
+
+def test_stages_number_the_test_targets_once(pipeline_run, tmp_path, monkeypatch):
+    import dataclasses
+    import shutil
+
+    import rqrec.metrics
+    import rqrec.pipeline
+    _, _, cfg = pipeline_run
+    out = tmp_path / "targets"
+    shutil.copytree(cfg.out_dir, out)
+    run = dataclasses.replace(cfg, out_dir=out)
+    numberings, metric_targets = [], []
+    numbered = rqrec.pipeline.numbered_targets
+
+    def counting(users, items, test):
+        numberings.append(numbered(users, items, test))
+        return numberings[-1]
+
+    def recording(metric):
+        def call(side, test, k, target=None):
+            metric_targets.append(target)
+            # a passed numbering is the one the metric would make of the side
+            assert np.array_equal(target, numbered(side.users, side.items, test))
+            return metric(side, test, k, target)
+        return call
+
+    monkeypatch.setattr(rqrec.pipeline, "numbered_targets", counting)
+    for name in ("hit_at_k", "ndcg_at_k"):
+        monkeypatch.setattr(rqrec.pipeline, name, recording(getattr(rqrec.metrics, name)))
+    for stage in (rqrec.pipeline.stage_evaluate, rqrec.pipeline.stage_analyze):
+        numberings.clear()
+        metric_targets.clear()
+        stage(run)
+        # one numbering per stage, handed to every Hit and NDCG call: 2 K x 1 list set in
+        # evaluate, 2 K x 2 sweep points in analyze
+        assert len(numberings) == 1
+        assert len(metric_targets) == 4 * (1 if stage is rqrec.pipeline.stage_evaluate else 2)
+        assert all(target is numberings[0] for target in metric_targets)
+    for name in ("metrics.csv", "template_sweep.csv"):
+        assert (out / name).read_bytes() == (cfg.out_dir / name).read_bytes()
 
 
 def test_list_cache_keys_on_bytes_not_paths(pipeline_run, tmp_path, monkeypatch):
@@ -1020,6 +1108,52 @@ def test_cli_outside_input_not_utf8_names_line(pipeline_run, tmp_path, capsys, n
                  "--set", f"paths.interactions={interactions}"]) == code
     # outside input: no stage writes it, so there is no stage to rerun
     assert capsys.readouterr().err == f"error [{stage}]: {file}:2: byte 0xff is not UTF-8\n"
+
+
+@pytest.mark.parametrize("key, name, stage, code", [
+    ("paths.interactions", "train.tsv", "prepare", 1),
+    ("paths.semantic_emb", "collab.emb", "build-index", 1),
+    ("config", "fused.jsonl", "config", 2)])
+def test_cli_outside_input_named_like_an_output_gets_no_hint(pipeline_run, tmp_path, capsys,
+                                                             key, name, stage, code):
+    import shutil
+    _, path, cfg = pipeline_run
+    out = tmp_path / "out"
+    shutil.copytree(cfg.out_dir, out)
+    good = {"paths.interactions": cfg.interactions, "paths.semantic_emb": cfg.semantic_emb,
+            "config": path}[key]
+    lines = good.read_bytes().splitlines(keepends=True)
+    lines[2] = lines[2][:1] + b"\xff" + lines[2][2:]
+    file = tmp_path / "outside" / name  # not in the out_dir, named like a file of it
+    file.parent.mkdir()
+    file.write_bytes(b"".join(lines))
+    config = file if key == "config" else path
+    sets = [] if key == "config" else ["--set", f"{key}={file}"]
+    assert main([stage if key != "config" else "prepare", "--config", str(config), "-q",
+                 "--set", f"paths.out_dir={out}", *sets]) == code
+    assert capsys.readouterr().err == f"error [{stage}]: {file}:3: byte 0xff is not UTF-8\n"
+
+
+# every character str.splitlines ends a line at that a text-mode read keeps in a line
+LINE_BREAKS_IN_A_LINE = ["\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("brk", LINE_BREAKS_IN_A_LINE)
+@pytest.mark.parametrize("field", ["user", "item"])
+def test_cli_prepare_refuses_an_id_holding_a_line_break(tmp_path, capsys, brk, field):
+    users, items = [f"u{u}" for u in range(6)], ["a", "b", "c", "d"]
+    (users if field == "user" else items)[1] = f"x{brk}y"
+    rows = [f"{u}\t{i}\t{t}" for u in users for t, i in enumerate(items)]
+    file = tmp_path / "interactions.tsv"
+    file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["prepare", "--config", str(write_config(tmp_path)), "-q",
+                 "--set", f"paths.out_dir={out}", "--set", f"paths.interactions={file}",
+                 "--set", "data.kcore=1"]) == 1
+    lineno = rows.index(next(row for row in rows if brk in row)) + 1
+    assert capsys.readouterr().err == (f"error [prepare]: {file}:{lineno}: id "
+                                       f"{f'x{brk}y'!r} holds a line break\n")
+    assert not (out / "train.tsv").exists()
 
 
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):

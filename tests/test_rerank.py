@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from conftest import EntriesList, fused_lists
-from rqrec.rerank import (COLUMNS, PairScores, _type_terms, fuse_and_rank, rank_arrays,
-                          rank_side, score_items, score_pairs, top_k, write_score_breakdown)
+from rqrec.rerank import (COLUMNS, PairScores, _scalar_map, _type_terms, fuse_and_rank,
+                          rank_arrays, rank_side, score_items, score_pairs, top_k,
+                          write_score_breakdown)
 from rqrec.retrieval import ListRecord
 
 
@@ -410,3 +411,115 @@ def test_side_holding_every_name_keeps_its_columns():
     fused = fused_lists(*top_k(score_pairs(ranks, 0.8, 10.0), 5))
     assert [(r.user, r.items) for r in fused.values()] == [("u", ["a", "a\x00"]),
                                                            ("w", ["a\x00", "b"])]
+
+
+# The references below are the previous forms of the three steps every fusion
+# call runs: entries numbered by a search into the sorted pairs, squared
+# deviations mapped per distinct deviation, and the pairs ordered by a four-key
+# lexsort. The steps must equal them bit for bit.
+
+def searchsorted_pairs(ranks):
+    """The pairs and each side's entry numbers: a sort, then a search per side."""
+    n_items = max(len(ranks.items), 1)
+    keys = [side.user.astype(np.int64) * n_items + side.item for side in ranks.sides]
+    pairs = np.unique(np.concatenate(keys))
+    return (pairs // n_items, pairs % n_items,
+            [np.searchsorted(pairs, key).astype(np.int32) for key in keys])
+
+
+def scalar_map_type_terms(pair, rank, n_pairs, alpha, tau):
+    """_type_terms mapping every deviation and mean through a float sort of its own."""
+    count = np.bincount(pair, minlength=n_pairs)
+    mean = np.bincount(pair, weights=rank, minlength=n_pairs) / np.maximum(count, 1)
+    sq_dev = _scalar_map(lambda d: d ** 2, rank - mean[pair])
+    var = np.bincount(pair, weights=sq_dev, minlength=n_pairs) / np.maximum(count - 1, 1)
+    conf = np.where(count > 0, _scalar_map(math.exp, -mean / tau), 0.0)
+    cons = np.where(count > 1, _scalar_map(math.exp, -np.sqrt(var) / tau), 0.0)
+    return conf, cons, alpha * conf + (1.0 - alpha) * cons, count
+
+
+def lexsort_top_k(scores, k_out):
+    """top_k's columns (user, item, rank, s_total) with the pairs in lexsort order."""
+    order = np.lexsort((scores.item, -scores.columns["appearances"],
+                        -scores.columns["s_total"], scores.user))
+    user = scores.user[order]
+    rank = np.arange(len(order)) - np.searchsorted(user, user)
+    top = order[rank < k_out]
+    return (scores.user[top].astype(np.int32), scores.item[top].astype(np.int32),
+            rank[rank < k_out].astype(np.int32), scores.columns["s_total"][top])
+
+
+def assert_bitwise(got, want):
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def tied_lists(users):
+    """Lists whose fusion ties: per user, x and y have equal ranks in other orders
+    (equal s_total and appearances); b, seen at rank 0 twice, ties a, seen at
+    rank 0 once, on s_total when alpha is 1 (conf-only) but not on appearances;
+    and 24 one-item lists make 24 pairs with equal keys, more than an insertion
+    sort handles. Every user gets the same lists, so s_total ties across users."""
+    ceid, seid = [], []
+    for user in users:
+        ceid += [rl(user, "ceid", 1, ["y", "q", "x", "p"]), rl(user, "ceid", 2, ["x", "p", "y"]),
+                 rl(user, "ceid", 3, ["a"]), rl(user, "ceid", 4, ["b"]),
+                 rl(user, "ceid", 5, ["b"])]
+        seid += [rl(user, "seid", t, [f"z{t:02d}"]) for t in range(1, 25)]
+    return ceid, seid
+
+
+def fusion_cases(seed):
+    """(ceid, seid) record lists: random lists of many users; each side alone; one
+    user; the tied lists (with a random side for one case)."""
+    rng = np.random.default_rng(seed)
+    items = [f"i{j:02d}" for j in range(40)]
+
+    def random_side(index_type, users):
+        return [rl(u, index_type, int(t), rng.choice(items, size=rng.integers(0, 12),
+                                                    replace=False))
+                for u in users for t in rng.permutation(8)[:rng.integers(0, 9)] + 1]
+
+    users = [f"u{u:02d}" for u in rng.permutation(20)]
+    ceid, seid = random_side("ceid", users), random_side("seid", users)
+    one = random_side("ceid", ["w"]) + [rl("w", "ceid", 9, ["i00", "i01"])]
+    tied_c, tied_s = tied_lists(["t1", "t0", "t2"])
+    return [(ceid, seid), (ceid, []), ([], seid), (one, []), (one, random_side("seid", ["w"])),
+            (tied_c, tied_s), (tied_c, random_side("seid", ["t0", "t1", "t2"]))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2, 3])
+def test_fusion_steps_equal_their_sorting_references(seed):
+    for ceid, seid in fusion_cases(seed):
+        ranks = rank_arrays(rank_side(ceid), rank_side(seid))
+        user, item, entry_pair = searchsorted_pairs(ranks)
+        assert_bitwise((ranks.user, ranks.item, *ranks.entry_pair), (user, item, *entry_pair))
+        for pair, side in zip(ranks.entry_pair, ranks.sides):
+            for alpha, tau in ((0.8, 10.0), (0.3, 3.0)):
+                assert_bitwise(_type_terms(pair, side.rank, len(ranks.user), alpha, tau),
+                               scalar_map_type_terms(pair, side.rank, len(ranks.user),
+                                                     alpha, tau))
+        for alpha in (0.8, 1.0, 0.0):
+            for cap in (2, 5, math.inf):
+                scores = score_pairs(ranks, alpha, 10.0, cap)
+                for k_out in (1, 3, 30):
+                    side, s_total = top_k(scores, k_out)
+                    assert_bitwise((side.user, side.item, side.rank, s_total),
+                                   lexsort_top_k(scores, k_out))
+
+
+def test_tied_lists_tie():
+    # the ties the reference test relies on are there
+    ranks = rank_arrays(*map(rank_side, tied_lists(["t1", "t0", "t2"])))
+    for alpha in (0.8, 1.0):
+        scores = score_pairs(ranks, alpha, 10.0)
+        s_total, appearances = scores.columns["s_total"], scores.columns["appearances"]
+        row = {(scores.users[u], scores.items[i]): n
+               for n, (u, i) in enumerate(zip(scores.user.tolist(), scores.item.tolist()))}
+        x, y, a, b = (row["t0", name] for name in "xyab")
+        assert s_total[x] == s_total[y] == s_total[row["t2", "x"]]
+        assert appearances[x] == appearances[y]
+        assert (s_total[a] == s_total[b]) == (alpha == 1.0) and appearances[b] > appearances[a]
+        zs = [row["t0", f"z{t:02d}"] for t in range(1, 25)]
+        assert len(set(zip(s_total[zs].tolist(), appearances[zs].tolist()))) == 1
