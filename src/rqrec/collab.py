@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
@@ -45,34 +44,79 @@ def _flat_index(rows: np.ndarray, width: int) -> np.ndarray:
     return (np.asarray(rows, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
 
 
-def scatter_column_blocks(n_rows: int, rows: np.ndarray, d: int,
-                          block: Callable[[int, int], np.ndarray],
-                          flat: np.ndarray | None = None) -> np.ndarray:
-    """Sum value rows into an (n_rows, d) zero array at `rows`, in column blocks.
+def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`, in order.
 
-    `block(c, w)` returns columns c..c+w of the values, one row per entry of
-    `rows`, so no caller holds more than one block of them at a time.
     `np.bincount` adds its weights to each cell in entry order, so the result
     equals, bit for bit, an unbuffered `np.add` scatter (the ufunc's `at`)
-    over the same rows. Blocks are `min(d, _BLOCK)` columns wide; `flat` may
-    pass `_flat_index(rows, min(d, _BLOCK))` built beforehand.
+    over the same rows. It sums `min(d, _BLOCK)` columns per call.
     """
+    d = values.shape[1]
     width = min(d, _BLOCK)
-    if flat is None:
-        flat = _flat_index(rows, width)
+    flat = _flat_index(rows, width)
     out = np.empty((n_rows, d))
     for c in range(0, d, width):
         w = min(width, d - c)
         out[:, c:c + w] = np.bincount(flat if w == width else _flat_index(rows, w),
-                                      weights=block(c, w).ravel(),
+                                      weights=values[:, c:c + w].ravel(),
                                       minlength=n_rows * w).reshape(n_rows, w)
     return out
 
 
-def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`, in order."""
-    return scatter_column_blocks(n_rows, rows, values.shape[1],
-                                 lambda c, w: values[:, c:c + w])
+@dataclass(frozen=True)
+class RankFold:
+    """An ordered scatter-add, planned to run one rank at a time.
+
+    The destination rows that get entries are ordered by their entry count,
+    descending and stable. A row's r-th entry, in entry order, is its rank-r
+    term, and the rows holding one are the first c_r of that order. So
+    `entries[bounds[r]:bounds[r + 1]]` lists the rank-r entries of rows
+    `order[:c_r]`, and one `acc[:c_r] += values` adds a whole rank. Every
+    cell then adds its terms in entry order, as `np.bincount` and `np.add.at`
+    do, so the sums are theirs bit for bit. The loop runs once per rank, up
+    to the largest entry count.
+    """
+
+    order: np.ndarray     # destination rows with entries, by entry count
+    entries: np.ndarray   # entry ids, rank by rank, each rank in `order`
+    bounds: list[int]     # rank r holds entries[bounds[r]:bounds[r + 1]]
+
+    @classmethod
+    def of(cls, n_rows: int, rows: np.ndarray) -> RankFold:
+        count = np.bincount(rows, minlength=n_rows)
+        order = np.argsort(-count, kind="stable")[:np.count_nonzero(count)]
+        count = count[order]
+        position = np.zeros(n_rows, dtype=np.intp)
+        position[order] = np.arange(len(order))
+        # the entries row by row, each row's in entry order: the narrowest
+        # unsigned type lets a stable sort of up to 2^16 rows be a radix sort
+        grouped = np.argsort(position[rows].astype(np.min_scalar_type(len(order))),
+                             kind="stable")
+        rank = np.arange(len(rows)) - np.repeat(np.cumsum(count) - count, count)
+        bounds = np.concatenate([[0], np.cumsum(np.bincount(rank))])
+        entries = np.empty_like(grouped)
+        entries[bounds[rank] + np.repeat(np.arange(len(order)), count)] = grouped
+        return cls(order, entries, bounds.tolist())
+
+    def scatter(self, out: np.ndarray, source: np.ndarray, src: np.ndarray | None = None,
+                coef: np.ndarray | None = None, subtract: bool = False) -> None:
+        """Add (or subtract) each entry's `coef * source[src]` to out's rows, rank by rank.
+
+        `src` (the entry ids when not given) and `coef`, a column of factors
+        (none when not given), are laid out as `entries`. Subtracting b is
+        adding -b, bit for bit.
+        """
+        src = self.entries if src is None else src
+        op = np.subtract if subtract else np.add
+        acc = out[self.order]
+        buf = np.empty_like(acc)
+        for lo, hi in zip(self.bounds[:-1], self.bounds[1:]):
+            terms, sums = buf[:hi - lo], acc[:hi - lo]
+            source.take(src[lo:hi], axis=0, out=terms, mode="clip")  # no buffered copy
+            if coef is not None:
+                np.multiply(terms, coef[lo:hi], out=terms)
+            op(sums, terms, out=sums)
+        out[self.order] = acc
 
 
 @dataclass
@@ -84,17 +128,17 @@ class NormalizedAdjacency:
     user_rows: np.ndarray   # edge endpoints, user side (global row index)
     item_rows: np.ndarray   # edge endpoints, item side (global row index)
     weights: np.ndarray     # 1/sqrt(deg_u * deg_i) per edge
-    # both directions of every edge, user side first: destination rows, source
-    # rows and weights, and the flat destination index for the last width seen
-    _dst: np.ndarray = field(init=False, repr=False)
+    # both directions of every edge, user side first, as one rank fold over
+    # the destination rows, with each entry's source row and weight
+    _fold: RankFold = field(init=False, repr=False)
     _src: np.ndarray = field(init=False, repr=False)
     _w: np.ndarray = field(init=False, repr=False)
-    _flat: np.ndarray | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self) -> None:
-        self._dst = np.concatenate([self.user_rows, self.item_rows])
-        self._src = np.concatenate([self.item_rows, self.user_rows])
-        self._w = np.concatenate([self.weights, self.weights])[:, None]
+        self._fold = RankFold.of(self.n_nodes, np.concatenate([self.user_rows, self.item_rows]))
+        entries = self._fold.entries
+        self._src = np.concatenate([self.item_rows, self.user_rows])[entries]
+        self._w = np.concatenate([self.weights, self.weights])[entries][:, None]
 
     @property
     def n_nodes(self) -> int:
@@ -109,17 +153,9 @@ class NormalizedAdjacency:
         """
         if x.shape[0] != self.n_nodes:
             raise ValueError(f"expected {self.n_nodes} rows, got {x.shape[0]}")
-        d = x.shape[1]
-        width = min(d, _BLOCK)
-        if self._flat is None or self._flat.size != self._dst.size * width:
-            self._flat = _flat_index(self._dst, width)
-
-        def block(c: int, w: int) -> np.ndarray:
-            vals = np.take(x[:, c:c + w], self._src, axis=0)
-            vals *= self._w
-            return vals
-
-        return scatter_column_blocks(self.n_nodes, self._dst, d, block, self._flat)
+        out = np.zeros((self.n_nodes, x.shape[1]))
+        self._fold.scatter(out, x, self._src, self._w)
+        return out
 
 
 def build_adjacency(train: dict[str, list[str]],
@@ -203,32 +239,40 @@ def _sample_negatives(rng: np.random.Generator, users: np.ndarray, edge_keys: np
 
 
 def _loss_and_gradient(prop: np.ndarray, tu: np.ndarray, tp: np.ndarray, tn: np.ndarray,
-                       epoch: int) -> tuple[float, np.ndarray]:
-    """Mean ranking loss over (user, positive, negative) rows and its gradient."""
-    p_user = prop[tu]
+                       epoch: int, folds: tuple[RankFold, RankFold],
+                       work: np.ndarray) -> tuple[float, np.ndarray]:
+    """Mean ranking loss over (user, positive, negative) rows and its gradient.
+
+    `folds` are `RankFold.of(len(prop), rows)` for `tu` and `tp`, and `work`
+    is a (3, len(tu), d) array for the gathered rows, whatever it holds.
+    Training makes both once, so no epoch faults in fresh pages for its three
+    largest arrays.
+    """
+    p_user, p_diff, scratch = work
+    # the rows are in range: "clip" only spares np.take a buffered copy
+    prop.take(tu, axis=0, out=p_user, mode="clip")
     with np.errstate(invalid="ignore", over="ignore"):
-        p_diff = prop[tp]
-        p_diff -= prop[tn]
-        diff = np.sum(p_user * p_diff, axis=1)
+        prop.take(tp, axis=0, out=p_diff, mode="clip")
+        prop.take(tn, axis=0, out=scratch, mode="clip")
+        p_diff -= scratch
+        diff = np.sum(np.multiply(p_user, p_diff, out=scratch), axis=1)
         loss = bpr_loss(diff)
     if not np.isfinite(loss):
         raise RuntimeError(f"collaborative training diverged at epoch {epoch}")
 
     g = (-_sigmoid(-diff) / len(diff))[:, None]   # dL/d(diff) per triple
-    t = len(tu)
-
-    def block(c: int, w: int) -> np.ndarray:
-        # values of the user rows, then the positives, then the negatives
-        vals = np.empty((3 * t, w))
-        np.multiply(g, p_diff[:, c:c + w], out=vals[:t])
-        np.multiply(g, p_user[:, c:c + w], out=vals[t:2 * t])
-        np.negative(vals[t:2 * t], out=vals[2 * t:])
-        return vals
-
-    # one ordered scatter over all three parts: positives and negatives share
-    # item rows, so their order fixes the sums
-    return loss, scatter_column_blocks(len(prop), np.concatenate([tu, tp, tn]),
-                                       prop.shape[1], block)
+    # each triple adds g * p_diff to its user's row, g * p_user to its
+    # positive's and -(g * p_user) to its negative's. Every cell sums its
+    # terms in the order of [tu, tp, tn]: user rows and item rows are
+    # disjoint, and an item row takes all its positives before its negatives
+    users, positives = folds
+    p_diff *= g
+    p_user *= g
+    grad = np.zeros_like(prop)
+    users.scatter(grad, p_diff)
+    positives.scatter(grad, p_user)
+    RankFold.of(len(prop), tn).scatter(grad, p_user, subtract=True)
+    return loss, grad
 
 
 def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
@@ -252,6 +296,8 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     degree = np.bincount(u_idx, minlength=n_users)
     reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
     tu, tp = u_idx[reps], pos_idx[reps]
+    folds = RankFold.of(n_users + n_items, tu), RankFold.of(n_users + n_items, tp)
+    work = np.empty((3, len(tu), cfg.dim))
 
     losses: list[float] = []
     redrawn = 0
@@ -259,7 +305,7 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
         prop = propagate(adj, emb, cfg.layers)
         neg, n_redrawn = _sample_negatives(rng, tu, edge_keys, degree, n_items)
         redrawn += n_redrawn
-        loss, grad_prop = _loss_and_gradient(prop, tu, tp, neg + n_users, epoch)
+        loss, grad_prop = _loss_and_gradient(prop, tu, tp, neg + n_users, epoch, folds, work)
         losses.append(loss)
         # propagation operator is symmetric, so the backward pass reuses it
         emb -= cfg.learning_rate * propagate(adj, grad_prop, cfg.layers)

@@ -152,10 +152,32 @@ def rank_arrays(ceid: RankSide, seid: RankSide) -> RankArrays:
                            list_user=_onto(side.users, users, side.list_user))
              for side in (ceid, seid)]
     n_items = max(len(items), 1)
-    keys = np.concatenate([side.user.astype(np.int64) * n_items + side.item for side in sides])
-    pairs, entry_pair = np.unique(keys, return_inverse=True)
+    pairs, entry_pair = _dense_keys(np.concatenate([side.user.astype(np.int64) * n_items + side.item
+                                                    for side in sides]))
     return RankArrays(user_names, item_names, sides, pairs // n_items, pairs % n_items,
-                      np.split(entry_pair.astype(np.int32), [len(sides[0].user)]))
+                      np.split(entry_pair, [len(sides[0].user)]))
+
+
+def _dense_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The sorted distinct keys, and each key's int32 number among them.
+
+    One sort, and a running count of the key changes along it: what
+    `np.unique(keys, return_inverse=True)` gives, without its int64 inverse
+    and its second sorted copy. Equal keys get one number, so the order of
+    ties, and the sort's stability, changes nothing.
+    """
+    order = np.argsort(keys)
+    keys = keys[order]
+    change = np.empty(len(keys), dtype=bool)
+    change[:1] = True
+    np.not_equal(keys[1:], keys[:-1], out=change[1:])
+    distinct = keys[change]
+    number = np.cumsum(change, dtype=np.int32)
+    number -= 1
+    del keys, change  # freed before the inverse is allocated
+    inverse = np.empty(len(order), dtype=np.int32)
+    inverse[order] = number
+    return distinct, inverse
 
 
 def _dense(x: np.ndarray) -> tuple[np.ndarray, int]:

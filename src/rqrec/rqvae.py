@@ -150,32 +150,45 @@ def quantize_batch(latents: np.ndarray, codebooks: list[np.ndarray]
 # MLP forward/backward
 
 def _mlp_forward(weights: list[np.ndarray], biases: list[np.ndarray],
-                 x: np.ndarray) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]]]:
-    """Affine layers with ReLU between them (none after the last). Returns caches."""
-    caches = []
+                 x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Affine layers with ReLU between them (none after the last).
+
+    Returns the output and each layer's input. The bias and the ReLU are
+    applied in place, so no pre-activation is kept: the backward pass reads
+    the next layer's input, and max(pre, 0) > 0 holds exactly where pre > 0
+    does, NaN and -0.0 included.
+    """
+    inputs = []
     h = x
     last = len(weights) - 1
     for k, (w, b) in enumerate(zip(weights, biases)):
-        pre = h @ w + b
-        caches.append((h, pre))
-        h = np.maximum(pre, 0.0) if k < last else pre
-    return h, caches
+        inputs.append(h)
+        h = h @ w
+        h += b
+        if k < last:
+            np.maximum(h, 0.0, out=h)
+    return h, inputs
 
 
-def _mlp_backward(weights: list[np.ndarray], caches: list[tuple[np.ndarray, np.ndarray]],
-                  grad_out: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray], np.ndarray]:
-    grad_w = [np.zeros(0)] * len(weights)
-    grad_b = [np.zeros(0)] * len(weights)
+def _mlp_backward(weights: list[np.ndarray], inputs: list[np.ndarray], grad_out: np.ndarray,
+                  grads: dict[str, np.ndarray], part: str,
+                  input_grad: bool = True) -> np.ndarray | None:
+    """Backpropagate grad_out through the layers whose inputs _mlp_forward returned.
+
+    Layer k's weight and bias gradients are written into grads[f"{part}{k}_w"]
+    and grads[f"{part}{k}_b"]. Returns the input gradient, or None (and skips
+    the first layer's product) when input_grad is false.
+    """
     g = grad_out
     last = len(weights) - 1
     for k in range(last, -1, -1):
-        inp, pre = caches[k]
         if k < last:
-            g = g * (pre > 0.0)
-        grad_w[k] = inp.T @ g
-        grad_b[k] = g.sum(axis=0)
-        g = g @ weights[k].T
-    return grad_w, grad_b, g
+            g = g * (inputs[k + 1] > 0.0)
+        np.matmul(inputs[k].T, g, out=grads[f"{part}{k}_w"])
+        np.sum(g, axis=0, out=grads[f"{part}{k}_b"])
+        if k or input_grad:
+            g = g @ weights[k].T
+    return g if input_grad else None
 
 
 def encode(model: RqVaeModel, x: np.ndarray) -> np.ndarray:
@@ -216,12 +229,13 @@ def parameter_arrays(model: RqVaeModel) -> dict[str, np.ndarray]:
 @dataclass
 class _ForwardPass:
     x_star: np.ndarray
+    delta: np.ndarray          # x_star - batch
     codes: np.ndarray          # (B, L)
     residuals: np.ndarray      # (B, L+1, d), residuals[:, 0] = z
     l_rec: float
     l_rq: float
-    enc_caches: list[tuple[np.ndarray, np.ndarray]]
-    dec_caches: list[tuple[np.ndarray, np.ndarray]]
+    enc_inputs: list[np.ndarray]   # each layer's input, as _mlp_forward returns them
+    dec_inputs: list[np.ndarray]
 
     @property
     def losses(self) -> tuple[float, float]:
@@ -232,42 +246,46 @@ def _forward(model: RqVaeModel, batch: np.ndarray) -> _ForwardPass:
     """Encode, quantize and decode one batch; losses are batch means."""
     if batch.ndim != 2 or batch.shape[0] == 0:
         raise ValueError("batch must be non-empty and 2-D")
-    z, enc_caches = _mlp_forward(model.encoder_weights, model.encoder_biases, batch)
+    z, enc_inputs = _mlp_forward(model.encoder_weights, model.encoder_biases, batch)
     codes, residuals, z_star = quantize_batch(z, model.codebooks)
-    x_star, dec_caches = _mlp_forward(model.decoder_weights, model.decoder_biases, z_star)
-    l_rec = float(np.mean(np.sum((batch - x_star) ** 2, axis=1)))
+    x_star, dec_inputs = _mlp_forward(model.decoder_weights, model.decoder_biases, z_star)
+    delta = x_star - batch   # squares to (batch - x_star) ** 2, bit for bit
+    l_rec = float(np.mean(np.sum(delta ** 2, axis=1)))
     # numerically both sg branches share the same value: (1 + beta) * ||r_l||^2
     level_err = np.sum(residuals[:, 1:] ** 2, axis=2)       # (B, L): ||r_{l-1} - e||^2
     l_rq = float((1.0 + model.config.beta) * np.mean(np.sum(level_err, axis=1)))
-    return _ForwardPass(x_star, codes, residuals, l_rec, l_rq, enc_caches, dec_caches)
+    return _ForwardPass(x_star, delta, codes, residuals, l_rec, l_rq, enc_inputs, dec_inputs)
 
 
-def _gradients(model: RqVaeModel, batch: np.ndarray, fp: _ForwardPass
-               ) -> dict[str, np.ndarray]:
+def _gradients(model: RqVaeModel, batch: np.ndarray, fp: _ForwardPass,
+               out: dict[str, np.ndarray] | None = None) -> dict[str, np.ndarray]:
     """The analytic gradient of every parameter array at the forward pass `fp`.
 
-    Names and order follow parameter_arrays. The optimizer steps on this
-    gradient, and gradient_check verifies it.
+    Names and order follow parameter_arrays. It is written into `out`, arrays
+    shaped as parameter_arrays' (the optimizer passes views of its gradient
+    vector), or into new arrays when `out` is not given, and returned. The
+    optimizer steps on this gradient, and gradient_check verifies it.
     """
+    if out is None:
+        out = {name: np.empty_like(a) for name, a in parameter_arrays(model).items()}
     n = batch.shape[0]
     beta = model.config.beta
     residuals = fp.residuals
 
     # decoder gradients from the reconstruction loss
-    d_xstar = 2.0 * (fp.x_star - batch) / n
-    dec_gw, dec_gb, d_zstar = _mlp_backward(model.decoder_weights, fp.dec_caches, d_xstar)
+    d_xstar = 2.0 * fp.delta / n
+    d_zstar = _mlp_backward(model.decoder_weights, fp.dec_inputs, d_xstar, out, "dec")
 
-    # encoder: straight-through reconstruction gradient + commitment branch
+    # encoder: straight-through reconstruction gradient + commitment branch;
+    # the batch's own gradient is not needed
     d_z = d_zstar + (2.0 * beta / n) * residuals[:, 1:].sum(axis=1)
-    enc_gw, enc_gb, _ = _mlp_backward(model.encoder_weights, fp.enc_caches, d_z)
+    _mlp_backward(model.encoder_weights, fp.enc_inputs, d_z, out, "enc", input_grad=False)
 
     # codebooks: sg-protected term, grad e_w = (2/B) * sum_{c_l=w} (e_w - r_{l-1})
-    cb_grads = []
     for l, cb in enumerate(model.codebooks):
-        cb_grads.append(scatter_add_rows(len(cb), fp.codes[:, l],
-                                         (-2.0 / n) * residuals[:, l + 1]))
-
-    return _named_arrays(enc_gw, enc_gb, dec_gw, dec_gb, cb_grads)
+        out[f"cb{l}"][...] = scatter_add_rows(len(cb), fp.codes[:, l],
+                                              (-2.0 / n) * residuals[:, l + 1])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -279,14 +297,18 @@ class _AdamW:
     The constructor copies the model's arrays into one float64 vector, in
     parameter_arrays order, and rebinds them as views of it. parameter_arrays
     stays a dict of live views, and one in-place update steps every array.
+    `grads` holds views of the gradient vector in the same layout, for
+    _gradients to write into.
     """
 
     def __init__(self, model: RqVaeModel, weight_decay: float):
-        self.params = np.concatenate([a.reshape(-1) for a in parameter_arrays(model).values()])
+        arrays = parameter_arrays(model)
+        self.params = np.concatenate([a.reshape(-1) for a in arrays.values()])
         _bind_views(model, self.params)
         self.weight_decay = weight_decay
         self.m, self.v, self.grad, self._scratch = (np.zeros_like(self.params)
                                                      for _ in range(4))
+        self.grads = dict(zip(arrays, _views(self.grad, arrays.values())))
         self.t = 0
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
 
@@ -295,13 +317,15 @@ class _AdamW:
         p -= lr * ((m/bc1) / (sqrt(v/bc2) + eps) + weight_decay*p)
 
         One operation at a time, in that order, so every result is bitwise that
-        of the formula applied to each array on its own.
+        of the formula applied to each array on its own. `grads` is copied into
+        the gradient vector unless it is `self.grads`, whose views are in it.
         """
         self.t += 1
         bc1 = 1.0 - self.b1 ** self.t
         bc2 = 1.0 - self.b2 ** self.t
         p, m, v, g, s = self.params, self.m, self.v, self.grad, self._scratch
-        np.concatenate([a.reshape(-1) for a in grads.values()], out=g)
+        if grads is not self.grads:
+            np.concatenate([a.reshape(-1) for a in grads.values()], out=g)
         np.multiply(m, self.b1, out=m)
         np.multiply(g, 1.0 - self.b1, out=s)
         np.add(m, s, out=m)
@@ -315,26 +339,30 @@ class _AdamW:
         np.add(s, self.eps, out=s)
         np.divide(m, bc1, out=u)
         np.divide(u, s, out=u)
-        np.multiply(p, self.weight_decay, out=s)
-        np.add(u, s, out=u)
+        # With no decay, p*0 is a zero of p's sign, and adding it to u can
+        # only turn a -0.0 update into +0.0, where p >= +0.0. p - (+-0.0) is
+        # then the same p, so for finite p the two passes change nothing.
+        if self.weight_decay:
+            np.multiply(p, self.weight_decay, out=s)
+            np.add(u, s, out=u)
         np.multiply(u, lr, out=u)
         np.subtract(p, u, out=p)
 
 
+def _views(flat: np.ndarray, arrays) -> list[np.ndarray]:
+    """Views of `flat` shaped as `arrays`, laid out one after another."""
+    ends = np.cumsum([a.size for a in arrays]).tolist()
+    return [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
+
+
 def _bind_views(model: RqVaeModel, flat: np.ndarray) -> None:
     """Replace the model's arrays by views of `flat`, laid out in parameter_arrays order."""
-    offset = 0
-
-    def view(a: np.ndarray) -> np.ndarray:
-        nonlocal offset
-        offset += a.size
-        return flat[offset - a.size:offset].reshape(a.shape)
-
+    views = iter(_views(flat, parameter_arrays(model).values()))
     for weights, biases in ((model.encoder_weights, model.encoder_biases),
                             (model.decoder_weights, model.decoder_biases)):
         for k in range(len(weights)):
-            weights[k], biases[k] = view(weights[k]), view(biases[k])
-    model.codebooks[:] = [view(cb) for cb in model.codebooks]
+            weights[k], biases[k] = next(views), next(views)
+    model.codebooks[:] = [next(views) for _ in model.codebooks]
 
 
 def _layer_dims(d_in: int, d_out: int, cfg: RqVaeConfig) -> list[int]:
@@ -410,7 +438,7 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
         for start in range(0, n, cfg.batch_size):
             batch = x[perm[start:start + cfg.batch_size]]
             fp = _checked_forward(model, batch, epoch)
-            opt.step(_gradients(model, batch, fp), lr)
+            opt.step(_gradients(model, batch, fp, opt.grads), lr)
             used[np.arange(len(model.codebooks)), fp.codes] = True
             share = batch.shape[0] / n  # 1.0 for one batch, which keeps its loss bitwise
             l_rec += share * fp.l_rec

@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from rqrec.collab import (CollabConfig, _sample_negatives, _sigmoid, bpr_loss, build_adjacency,
-                          propagate, scatter_add_rows, train_collab_state)
+from rqrec.collab import (CollabConfig, RankFold, _loss_and_gradient, _sample_negatives, _sigmoid,
+                          bpr_loss, build_adjacency, propagate, scatter_add_rows,
+                          train_collab_state)
 from rqrec.dataio import SplitDataset
 
 
@@ -168,19 +171,170 @@ def random_train(rng, n_users, n_items, max_len):
             for u in range(n_users)}
 
 
-@pytest.mark.parametrize("d", [3, 20, 48])
-def test_apply_bitwise_equals_add_at_reference(d):
-    rng = np.random.default_rng(d)
-    train = random_train(rng, 40, 30, 12)
+def zipf_train(rng, n_users, n_items, per_user, exponent=1.2):
+    # item popularity falls as 1/rank^exponent: a few items hold most edges
+    p = 1.0 / np.arange(1, n_items + 1) ** exponent
+    return {f"u{u:04d}": [f"i{i:04d}" for i in rng.choice(n_items, size=per_user, replace=False,
+                                                        p=p / p.sum())]
+            for u in range(n_users)}
+
+
+def graph_of(train):
     users = sorted(train)
-    items = sorted({i for seq in train.values() for i in seq})
-    adj = build_adjacency(train, users, items)
-    x = wide_range_values(rng, adj.n_nodes, d)
+    return build_adjacency(train, users, sorted({i for seq in train.values() for i in seq}))
+
+
+def with_negative_zeros(rng, x):
+    # whole rows of -0.0, so that some cells add only -0.0 terms, and scattered ones
+    x[rng.choice(len(x), size=max(1, len(x) // 8), replace=False)] = -0.0
+    x[rng.random(x.shape) < 0.05] = -0.0
+    return x
+
+
+def add_at_apply(adj, x):
     ref = np.zeros_like(x)
     np.add.at(ref, adj.user_rows, adj.weights[:, None] * x[adj.item_rows])
     np.add.at(ref, adj.item_rows, adj.weights[:, None] * x[adj.user_rows])
-    assert adj.apply(x).tobytes() == ref.tobytes()
-    assert adj.apply(x).tobytes() == ref.tobytes()   # again, from the cached index
+    return ref
+
+
+@pytest.mark.parametrize("d", [1, 3, 16, 17, 20, 48])
+def test_apply_bitwise_equals_add_at_reference(d):
+    rng = np.random.default_rng(d)
+    uniform = random_train(rng, 40, 30, 12)
+    uniform["u_none"] = []                            # a node of degree 0
+    skewed = zipf_train(rng, 300, 80, 6)              # item degrees up to ~200
+    for train in (uniform, skewed):
+        adj = graph_of(train)
+        x = with_negative_zeros(rng, wide_range_values(rng, adj.n_nodes, d))
+        ref = add_at_apply(adj, x)
+        assert adj.apply(x).tobytes() == ref.tobytes()
+        assert adj.apply(x).tobytes() == ref.tobytes()   # again, from the same plan
+    assert adj.apply(x).flags.c_contiguous
+    degree = np.bincount(np.concatenate([adj.user_rows, adj.item_rows]))
+    assert degree.max() > 20 * np.median(degree)
+
+
+def add_at_loss_and_gradient(prop, tu, tp, tn):
+    """The np.add.at gradient over [tu, tp, tn] that the folds replaced."""
+    p_diff = prop[tp] - prop[tn]
+    diff = np.sum(prop[tu] * p_diff, axis=1)
+    g = (-_sigmoid(-diff) / len(diff))[:, None]
+    grad = np.zeros_like(prop)
+    np.add.at(grad, tu, g * p_diff)
+    np.add.at(grad, tp, g * prop[tu])
+    np.add.at(grad, tn, -(g * prop[tu]))
+    return bpr_loss(diff), grad
+
+
+def triples(train, negatives_per_positive, rng):
+    adj = graph_of(train)
+    n_users, n_items = adj.n_users, adj.n_items
+    reps = np.repeat(np.arange(len(adj.user_rows)), negatives_per_positive)
+    tu, tp = adj.user_rows[reps], adj.item_rows[reps]
+    neg, _ = _sample_negatives(rng, tu, adj.user_rows * n_items + adj.item_rows - n_users,
+                               np.bincount(adj.user_rows, minlength=n_users), n_items)
+    return adj, tu, tp, neg + n_users
+
+
+@pytest.mark.parametrize("d", [1, 16, 17, 48])
+def test_loss_and_gradient_bitwise_equals_add_at_reference(d):
+    rng = np.random.default_rng(40 + d)
+    train = random_train(rng, 30, 12, 10)
+    train["u_all"] = [f"i{i:03d}" for i in range(12)]   # owns every item: keeps its first draw
+    adj, tu, tp, tn = triples(train, 3, rng)
+    assert np.any(tp == tn)   # that user's negatives are its positives
+    prop = with_negative_zeros(rng, rng.normal(size=(adj.n_nodes, d))
+                               * 10.0 ** rng.integers(-4, 1, size=(adj.n_nodes, 1)))
+    ref_loss, ref = add_at_loss_and_gradient(prop, tu, tp, tn)
+    folds = RankFold.of(adj.n_nodes, tu), RankFold.of(adj.n_nodes, tp)
+    work = np.full((3, len(tu), d), np.nan)   # stale contents must not leak in
+    for _ in range(2):
+        loss, grad = _loss_and_gradient(prop, tu, tp, tn, 0, folds, work)
+        assert loss == ref_loss
+        assert grad.tobytes() == ref.tobytes()
+
+
+# ---------------------------------------------------------------------------
+# Memory: the folds hold no more than the column-block scatters they replaced
+
+def column_block_scatter(n_rows, rows, d, block, flat=None):
+    # the bincount scatter the folds replaced: 16 columns of values at a time
+    width = min(d, 16)
+    if flat is None:
+        flat = (rows[:, None] * width + np.arange(width)).ravel()
+    out = np.empty((n_rows, d))
+    for c in range(0, d, width):
+        w = min(width, d - c)
+        idx = flat if w == width else (rows[:, None] * w + np.arange(w)).ravel()
+        out[:, c:c + w] = np.bincount(idx, weights=block(c, w).ravel(),
+                                      minlength=n_rows * w).reshape(n_rows, w)
+    return out
+
+
+def column_block_apply(adj, x, flat):
+    """NormalizedAdjacency.apply as it was, its flat index `flat` built beforehand."""
+    dst = np.concatenate([adj.user_rows, adj.item_rows])
+    src = np.concatenate([adj.item_rows, adj.user_rows])
+    w = np.concatenate([adj.weights, adj.weights])[:, None]
+
+    def block(c, width):
+        vals = np.take(x[:, c:c + width], src, axis=0)
+        vals *= w
+        return vals
+
+    return column_block_scatter(adj.n_nodes, dst, x.shape[1], block, flat)
+
+
+def column_block_loss_and_gradient(prop, tu, tp, tn):
+    p_user = prop[tu]
+    p_diff = prop[tp]
+    p_diff -= prop[tn]
+    diff = np.sum(p_user * p_diff, axis=1)
+    loss = bpr_loss(diff)
+    g = (-_sigmoid(-diff) / len(diff))[:, None]
+    t = len(tu)
+
+    def block(c, w):
+        vals = np.empty((3 * t, w))
+        np.multiply(g, p_diff[:, c:c + w], out=vals[:t])
+        np.multiply(g, p_user[:, c:c + w], out=vals[t:2 * t])
+        np.negative(vals[t:2 * t], out=vals[2 * t:])
+        return vals
+
+    return loss, column_block_scatter(len(prop), np.concatenate([tu, tp, tn]), prop.shape[1],
+                                      block)
+
+
+def traced_peak(fn):
+    """The tracemalloc peak of one call, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
+
+
+def test_folds_peak_no_higher_than_column_blocks():
+    # the size of the benchmark's catalog: 360 users, 240 items, d 48
+    rng = np.random.default_rng(50)
+    adj, tu, tp, tn = triples(zipf_train(rng, 360, 240, 8, exponent=0.8), 1, rng)
+    prop = rng.normal(size=(adj.n_nodes, 48))
+    dst = np.concatenate([adj.user_rows, adj.item_rows])
+    flat = (dst[:, None] * 16 + np.arange(16)).ravel()   # the old apply's cached index
+
+    peak, out = traced_peak(lambda: adj.apply(prop))
+    ref_peak, ref = traced_peak(lambda: column_block_apply(adj, prop, flat))
+    assert out.tobytes() == ref.tobytes()
+    assert peak <= ref_peak, (peak, ref_peak)
+
+    folds = RankFold.of(adj.n_nodes, tu), RankFold.of(adj.n_nodes, tp)
+    peak, (_, grad) = traced_peak(lambda: _loss_and_gradient(
+        prop, tu, tp, tn, 0, folds, np.empty((3, len(tu), prop.shape[1]))))
+    ref_peak, (_, ref) = traced_peak(lambda: column_block_loss_and_gradient(prop, tu, tp, tn))
+    assert grad.tobytes() == ref.tobytes()
+    assert peak <= ref_peak, (peak, ref_peak)
 
 
 def per_triple_negatives(rng, pos_sets, users, n_items):

@@ -7,6 +7,7 @@ from rqrec.rqvae import (RqVaeConfig, RqVaeModel, _AdamW, _forward, _gradients, 
                          initialize_model, kmeans_init, load_code_table, max_relative_error,
                          parameter_arrays, quantize_batch, resolve_collisions, train_rqvae,
                          write_code_table)
+from rqvae_reference import reference_codes, reference_train_rqvae
 
 
 def emb_of(x):
@@ -474,3 +475,24 @@ def test_code_table_duplicate_item_is_error(tmp_path):
     p.write_text("A\t5\t2\t0\nC\t1\t1\t0\nA\t5\t2\t1\n")
     with pytest.raises(ValueError, match=r"codes\.tsv:3: duplicate item 'A'"):
         load_code_table(p, "ceid")
+
+
+# ---------------------------------------------------------------------------
+# the trimmed epoch against the untrimmed reference
+
+@pytest.mark.parametrize("code_len", [1, 3])
+@pytest.mark.parametrize("n_layers", [1, 5])
+@pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+@pytest.mark.parametrize("n", [24, 70])  # one batch; two full batches and a ragged one
+def test_training_bitwise_equals_the_untrimmed_reference(n, weight_decay, n_layers, code_len):
+    emb = clustered_embeddings(n=n, dim=6, clusters=4, seed=30)
+    cfg = RqVaeConfig(latent_dim=4, code_len=code_len, codebook_size=12, hidden_dim=8,
+                      n_layers=n_layers, epochs=8, batch_size=32, learning_rate=1e-2,
+                      weight_decay=weight_decay, seed=31)
+    got, ref = train_rqvae(emb, cfg), reference_train_rqvae(emb, cfg)
+    for (name, a), b in zip(parameter_arrays(got).items(), parameter_arrays(ref).values()):
+        assert a.tobytes() == b.tobytes(), name
+    assert got.loss_history == ref.loss_history
+    assert got.reseeds == ref.reseeds and sum(got.reseeds) > 0
+    codes = np.array(list(assign_codes(got, emb).values()))
+    assert codes.tobytes() == reference_codes(ref, emb).tobytes()
