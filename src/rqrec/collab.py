@@ -240,11 +240,11 @@ def _sample_negatives(rng: np.random.Generator, users: np.ndarray, edge_keys: np
 
 def _loss_and_gradient(prop: np.ndarray, tu: np.ndarray, tp: np.ndarray, tn: np.ndarray,
                        epoch: int, folds: tuple[RankFold, RankFold],
-                       work: np.ndarray) -> tuple[float, np.ndarray]:
+                       work: list[np.ndarray]) -> tuple[float, np.ndarray]:
     """Mean ranking loss over (user, positive, negative) rows and its gradient.
 
     `folds` are `RankFold.of(len(prop), rows)` for `tu` and `tp`, and `work`
-    is a (3, len(tu), d) array for the gathered rows, whatever it holds.
+    three (len(tu), d) arrays for the gathered rows, whatever they hold.
     Training makes both once, so no epoch faults in fresh pages for its three
     largest arrays.
     """
@@ -297,7 +297,7 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
     tu, tp = u_idx[reps], pos_idx[reps]
     folds = RankFold.of(n_users + n_items, tu), RankFold.of(n_users + n_items, tp)
-    work = np.empty((3, len(tu), cfg.dim))
+    work = [np.empty((len(tu), cfg.dim)) for _ in range(3)]
 
     losses: list[float] = []
     redrawn = 0

@@ -248,7 +248,7 @@ def test_loss_and_gradient_bitwise_equals_add_at_reference(d):
                                * 10.0 ** rng.integers(-4, 1, size=(adj.n_nodes, 1)))
     ref_loss, ref = add_at_loss_and_gradient(prop, tu, tp, tn)
     folds = RankFold.of(adj.n_nodes, tu), RankFold.of(adj.n_nodes, tp)
-    work = np.full((3, len(tu), d), np.nan)   # stale contents must not leak in
+    work = [np.full((len(tu), d), np.nan) for _ in range(3)]   # stale contents must not leak
     for _ in range(2):
         loss, grad = _loss_and_gradient(prop, tu, tp, tn, 0, folds, work)
         assert loss == ref_loss
@@ -331,7 +331,7 @@ def test_folds_peak_no_higher_than_column_blocks():
 
     folds = RankFold.of(adj.n_nodes, tu), RankFold.of(adj.n_nodes, tp)
     peak, (_, grad) = traced_peak(lambda: _loss_and_gradient(
-        prop, tu, tp, tn, 0, folds, np.empty((3, len(tu), prop.shape[1]))))
+        prop, tu, tp, tn, 0, folds, [np.empty((len(tu), 48)) for _ in range(3)]))
     ref_peak, (_, ref) = traced_peak(lambda: column_block_loss_and_gradient(prop, tu, tp, tn))
     assert grad.tobytes() == ref.tobytes()
     assert peak <= ref_peak, (peak, ref_peak)
