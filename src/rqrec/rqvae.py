@@ -308,7 +308,7 @@ class _AdamW:
         self.weight_decay = weight_decay
         self.m, self.v, self.grad, self._scratch = (np.zeros_like(self.params)
                                                      for _ in range(4))
-        self.grads = dict(zip(arrays, _views(self.grad, arrays.values())))
+        self.grads = dict(zip(arrays, _views(self.grad, list(arrays.values()))))
         self.t = 0
         self.b1, self.b2, self.eps = 0.9, 0.999, 1e-8
 
@@ -349,7 +349,7 @@ class _AdamW:
         np.subtract(p, u, out=p)
 
 
-def _views(flat: np.ndarray, arrays) -> list[np.ndarray]:
+def _views(flat: np.ndarray, arrays: list[np.ndarray]) -> list[np.ndarray]:
     """Views of `flat` shaped as `arrays`, laid out one after another."""
     ends = np.cumsum([a.size for a in arrays]).tolist()
     return [flat[end - a.size:end].reshape(a.shape) for a, end in zip(arrays, ends)]
@@ -357,7 +357,7 @@ def _views(flat: np.ndarray, arrays) -> list[np.ndarray]:
 
 def _bind_views(model: RqVaeModel, flat: np.ndarray) -> None:
     """Replace the model's arrays by views of `flat`, laid out in parameter_arrays order."""
-    views = iter(_views(flat, parameter_arrays(model).values()))
+    views = iter(_views(flat, list(parameter_arrays(model).values())))
     for weights, biases in ((model.encoder_weights, model.encoder_biases),
                             (model.decoder_weights, model.decoder_biases)):
         for k in range(len(weights)):

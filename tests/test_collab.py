@@ -203,10 +203,12 @@ def test_apply_bitwise_equals_add_at_reference(d):
     rng = np.random.default_rng(d)
     uniform = random_train(rng, 40, 30, 12)
     uniform["u_none"] = []                            # a node of degree 0
+    uniform["u_one"] = ["i000"]                       # whose one term is -0.0 below
     skewed = zipf_train(rng, 300, 80, 6)              # item degrees up to ~200
     for train in (uniform, skewed):
         adj = graph_of(train)
         x = with_negative_zeros(rng, wide_range_values(rng, adj.n_nodes, d))
+        x[adj.n_users] = -0.0                         # the first item's row
         ref = add_at_apply(adj, x)
         assert adj.apply(x).tobytes() == ref.tobytes()
         assert adj.apply(x).tobytes() == ref.tobytes()   # again, from the same plan
