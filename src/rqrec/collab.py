@@ -209,13 +209,15 @@ class CollabState:
 
 
 def _sample_negatives(rng: np.random.Generator, users: np.ndarray, edge_keys: np.ndarray,
-                      degree: np.ndarray, n_items: int) -> tuple[np.ndarray, int]:
+                      positives: set[int], degree: np.ndarray, n_items: int
+                      ) -> tuple[np.ndarray, int]:
     """One uniform item per triple, redrawn while it is a positive of its user.
 
-    `edge_keys` are the sorted `u * n_items + i` keys of the observed pairs.
-    Draws go in triple order, so the RNG stream is that of checking every
-    triple in turn. A user who owns every item keeps the first draw. Returns
-    the negatives and the number of redraws.
+    `edge_keys` are the sorted `u * n_items + i` keys of the observed pairs,
+    and `positives` the same keys as a set, built once per training. Draws go
+    in triple order, so the RNG stream is that of checking every triple in
+    turn. A user who owns every item keeps the first draw. Returns the
+    negatives and the number of redraws.
     """
     neg = rng.integers(0, n_items, size=len(users))
     keys = users * n_items + neg
@@ -223,7 +225,6 @@ def _sample_negatives(rng: np.random.Generator, users: np.ndarray, edge_keys: np
     hits = np.flatnonzero(edge_keys[at] == keys)
     if not len(hits):
         return neg, 0
-    positives = set(edge_keys.tolist())
     redrawn = 0
     for k in hits.tolist():
         u = int(users[k])
@@ -293,6 +294,7 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     # their keys and the user degrees drive negative sampling
     u_idx, pos_idx = adj.user_rows, adj.item_rows
     edge_keys = u_idx * n_items + (pos_idx - n_users)
+    positives = set(edge_keys.tolist())
     degree = np.bincount(u_idx, minlength=n_users)
     reps = np.repeat(np.arange(len(u_idx)), cfg.neg_samples_per_positive)
     tu, tp = u_idx[reps], pos_idx[reps]
@@ -303,7 +305,7 @@ def train_collab_state(split: SplitDataset, cfg: CollabConfig) -> CollabState:
     redrawn = 0
     for epoch in range(cfg.epochs):
         prop = propagate(adj, emb, cfg.layers)
-        neg, n_redrawn = _sample_negatives(rng, tu, edge_keys, degree, n_items)
+        neg, n_redrawn = _sample_negatives(rng, tu, edge_keys, positives, degree, n_items)
         redrawn += n_redrawn
         loss, grad_prop = _loss_and_gradient(prop, tu, tp, neg + n_users, epoch, folds, work)
         losses.append(loss)

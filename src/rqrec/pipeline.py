@@ -22,11 +22,22 @@ which its manifest no longer repeats.
 """
 from __future__ import annotations
 
+import contextlib
+import ctypes
 import hashlib
 import json
 import logging
+import logging.handlers
 import math
+import os
+import pickle
+import signal
+import sys
+import threading
+from collections.abc import Callable, Iterator
+from itertools import product
 from pathlib import Path
+from typing import TypeVar
 
 import numpy as np
 
@@ -42,13 +53,16 @@ from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, numbered_targets, 
 from .rerank import (MalformedList, RankArrays, RankSide, rank_arrays, rank_side, score_pairs,
                      top_k, write_score_breakdown)
 from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
-from .rqvae import (assign_codes, index_counters, load_code_table, resolve_collisions,
-                    train_rqvae, write_code_table)
+from .rqvae import (RqVaeConfig, RqVaeModel, assign_codes, index_counters, load_code_table,
+                    resolve_collisions, train_rqvae, write_code_table)
 from .scorer import load_scorer, save_scorer, train_markov_scorer
 from .synth import generate_synthetic
 from .vocab import PrefixTrie, build_prefix_trie
 
 log = logging.getLogger(__name__)
+
+A = TypeVar("A")
+B = TypeVar("B")
 
 STAGES = ("prepare", "embed-collab", "build-index", "train-scorers",
           "retrieve", "rerank", "evaluate", "analyze")
@@ -147,6 +161,162 @@ def _write_manifest(cfg: PipelineConfig, stage: str,
 
 
 # ---------------------------------------------------------------------------
+# Two independent calls at once
+
+def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | None:
+    """The loaded OpenBLAS's thread-count getter and setter, or None.
+
+    The library is found in /proc/self/maps, so only on Linux. None also where
+    the BLAS is another (MKL, Accelerate) or an OpenMP build of OpenBLAS, whose
+    thread pool a forked process must not use.
+    """
+    if sys.platform != "linux":
+        return None
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="replace") as fh:
+            # a line is "address perms offset dev inode path"
+            paths = sorted({line.split(None, 5)[-1].rstrip("\n") for line in fh
+                            if "openblas" in line.lower()})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # the scipy-openblas wheels prefix every symbol; ILP64 builds add a suffix
+        for prefix, suffix in product(("scipy_openblas", "openblas"), ("64_", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is None or set_ is None:
+                continue
+            get.argtypes, get.restype = [], ctypes.c_int
+            set_.argtypes, set_.restype = [ctypes.c_int], None
+            parallel = getattr(lib, f"{prefix}_get_parallel{suffix}", None)
+            if parallel is not None:
+                parallel.argtypes, parallel.restype = [], ctypes.c_int
+                if parallel() == 2:  # 0 serial, 1 pthreads, 2 OpenMP
+                    return None
+            return get, set_
+    return None
+
+
+class _Collected(logging.handlers.QueueHandler):
+    """Appends each record to a list, formatted as for another process."""
+
+    def enqueue(self, record: logging.LogRecord) -> None:
+        self.queue.append(record)
+
+
+@contextlib.contextmanager
+def _collecting(records: list[logging.LogRecord]) -> Iterator[None]:
+    """While open, the `rqrec` loggers' records go to `records`, not to any handler."""
+    logger = logging.getLogger("rqrec")
+    saved = logger.handlers, logger.propagate
+    logger.handlers, logger.propagate = [_Collected(records)], False
+    try:
+        yield
+    finally:
+        logger.handlers, logger.propagate = saved
+
+
+def _replay(records: list[logging.LogRecord]) -> None:
+    for record in records:
+        logging.getLogger(record.name).handle(record)
+
+
+def side_by_side(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
+    """`(first(), second())`, with `first` run in a forked worker while `second` runs here.
+
+    Only where OpenBLAS is found and this process runs no other thread (a
+    forked copy of a lock another thread holds stays locked): its thread count
+    is held at one while both run, as two threaded BLAS calls on the same cores
+    slow each other down several times over. Elsewhere the two calls run here,
+    one after the other.
+
+    Either way the result is that of the two calls in turn. Their `rqrec` log
+    records are handled here, `first`'s before `second`'s. An error of `first`
+    is raised in preference to one of `second`, so when `second` fails, the
+    worker is waited for. A worker that ends without a result raises
+    `PipelineError`. Any other way out of here (KeyboardInterrupt) kills the
+    worker. The worker is reaped on every path.
+    """
+    blas = _openblas_threads() if threading.active_count() == 1 else None
+    if blas is None:
+        return first(), second()
+    get_threads, set_threads = blas
+    threads = get_threads()
+    set_threads(1)  # before the fork: the worker inherits it
+    try:
+        return _forked(first, second)
+    finally:
+        set_threads(threads)
+
+
+def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
+    read_fd, write_fd = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        raise
+    if pid == 0:
+        # the worker: report through the pipe, then leave without running exit
+        # handlers or flushing the stdio buffers it inherited
+        code = 1
+        try:
+            os.close(read_fd)
+            records: list[logging.LogRecord] = []
+            with _collecting(records):
+                try:
+                    result = ("ok", first())
+                except BaseException as exc:  # re-raised by the parent
+                    result = ("err", exc)
+            with open(write_fd, "wb") as pipe:
+                pickle.dump((result, records), pipe, pickle.HIGHEST_PROTOCOL)
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)
+    reaped = False
+    try:
+        with open(read_fd, "rb") as pipe:
+            records = []
+            failure: Exception | None = None
+            try:
+                with _collecting(records):
+                    value = second()
+            except Exception as exc:  # raised below unless the worker failed too
+                failure = exc
+            report = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    try:
+        (kind, result), worker_records = pickle.loads(report)
+    except (EOFError, pickle.UnpicklingError):  # nothing, or less than a whole report
+        code = os.waitstatus_to_exitcode(status)
+        how = f"exit status {code}"
+        if code < 0:
+            try:
+                how = f"signal {signal.Signals(-code).name}"
+            except ValueError:  # a real-time signal has no name
+                how = f"signal {-code}"
+        raise PipelineError(f"the forked worker ended by {how} without a result") from None
+    _replay(worker_records)
+    _replay(records)
+    if kind == "err":
+        raise result
+    if failure is not None:
+        raise failure
+    return result, value
+
+
+# ---------------------------------------------------------------------------
 # Stages
 
 def stage_prepare(cfg: PipelineConfig, synthetic: bool = False) -> None:
@@ -190,10 +360,20 @@ def stage_embed_collab(cfg: PipelineConfig) -> None:
                     extra={"counters": state.counters()})
 
 
+def _trained_quantizer(index_type: str, emb: EmbeddingMatrix, sub_cfg: RqVaeConfig
+                       ) -> RqVaeModel:
+    try:
+        return train_rqvae(emb, sub_cfg)
+    except RuntimeError as exc:  # training diverged
+        raise PipelineError(f"rqvae_{index_type}: {exc}") from exc
+
+
 def stage_build_index(cfg: PipelineConfig) -> None:
     """Train one quantizer per embedding source and emit collision-free code tables.
 
-    The manifest records each index type's index_counters.
+    Both quantizers are trained before either table is written (at once, see
+    `side_by_side`), so a training that fails leaves every file as it was. The
+    manifest records each index type's index_counters.
     """
     inputs = _require(cfg, "collab.emb")
     if not cfg.semantic_emb.exists():
@@ -207,20 +387,22 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     dropped = len(collab.items) + len(semantic.items) - 2 * len(common)
     if dropped:
         log.warning("build-index: %d embedding row(s) outside the common item set", dropped)
-    outputs: dict[str, Path] = {}
-    counters: dict[str, dict] = {}
+    restricted: dict[str, EmbeddingMatrix] = {}
     for index_type, emb, sub_cfg in (("ceid", collab, cfg.rqvae_ceid),
                                      ("seid", semantic, cfg.rqvae_seid)):
         if len(common) < sub_cfg.codebook_size:  # k-means starts a codeword from each item
             raise PipelineError(f"{len(common)} items, fewer than "
                                 f"rqvae_{index_type}.codebook_size ({sub_cfg.codebook_size})")
         keep = [k for k, item in enumerate(emb.items) if item in common]
-        restricted = EmbeddingMatrix([emb.items[k] for k in keep], emb.vectors[keep])
-        try:
-            model = train_rqvae(restricted, sub_cfg)
-        except RuntimeError as exc:  # training diverged
-            raise PipelineError(f"rqvae_{index_type}: {exc}") from exc
-        raw_codes = assign_codes(model, restricted)
+        restricted[index_type] = EmbeddingMatrix([emb.items[k] for k in keep], emb.vectors[keep])
+    # the two trainings share nothing: CEID's runs in a worker while SEID's runs here
+    models = dict(zip(restricted, side_by_side(
+        lambda: _trained_quantizer("ceid", restricted["ceid"], cfg.rqvae_ceid),
+        lambda: _trained_quantizer("seid", restricted["seid"], cfg.rqvae_seid))))
+    outputs: dict[str, Path] = {}
+    counters: dict[str, dict] = {}
+    for index_type, model in models.items():
+        raw_codes = assign_codes(model, restricted[index_type])
         counters[index_type] = index_counters(model, raw_codes)
         table = resolve_collisions(raw_codes, index_type)
         codes_path = cfg.out_dir / f"codes_{index_type}.tsv"

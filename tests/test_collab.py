@@ -234,7 +234,8 @@ def triples(train, negatives_per_positive, rng):
     n_users, n_items = adj.n_users, adj.n_items
     reps = np.repeat(np.arange(len(adj.user_rows)), negatives_per_positive)
     tu, tp = adj.user_rows[reps], adj.item_rows[reps]
-    neg, _ = _sample_negatives(rng, tu, adj.user_rows * n_items + adj.item_rows - n_users,
+    edge_keys = adj.user_rows * n_items + adj.item_rows - n_users
+    neg, _ = _sample_negatives(rng, tu, edge_keys, set(edge_keys.tolist()),
                                np.bincount(adj.user_rows, minlength=n_users), n_items)
     return adj, tu, tp, neg + n_users
 
@@ -367,7 +368,8 @@ def test_negative_sampling_matches_per_triple_loop():
     a, b = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(5):
         ref, ref_draws = per_triple_negatives(a, pos_sets, users, n_items)
-        got, redrawn = _sample_negatives(b, users, edge_keys, degree, n_items)
+        got, redrawn = _sample_negatives(b, users, edge_keys, set(edge_keys.tolist()),
+                                          degree, n_items)
         assert np.array_equal(got, ref)
         assert redrawn == ref_draws > 0
         assert b.bit_generator.state == a.bit_generator.state

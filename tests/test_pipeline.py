@@ -1374,6 +1374,159 @@ def test_cli_diverging_quantizer_names_index_and_epoch(tmp_path, capsys):
     assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
 
 
+def test_cli_diverging_seid_quantizer_writes_no_code_table(tmp_path, capsys):
+    import numpy as np
+    path = write_config(tmp_path, **{"rqvae_seid.learning_rate": 1e150})
+    with np.errstate(all="ignore"):
+        assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 1
+    err = capsys.readouterr().err
+    assert re.search(r"error \[build-index\]: rqvae_seid: non-finite loss at epoch \d+\n", err)
+    assert (tmp_path / "run" / "collab.emb").exists()
+    assert not (tmp_path / "run" / "codes_ceid.tsv").exists()
+
+
+# ---------------------------------------------------------------------------
+# side_by_side: the forked worker of build-index
+
+def blas_threads():
+    """The loaded OpenBLAS's thread count, or None where build-index does not fork."""
+    from rqrec.pipeline import _openblas_threads
+    blas = _openblas_threads()
+    return blas[0]() if blas else None
+
+
+@pytest.fixture
+def forking():
+    """The BLAS thread count before the test; afterwards, no child and the same count."""
+    import os
+
+    from rqrec.pipeline import _openblas_threads
+    blas = _openblas_threads()
+    if blas is None:
+        pytest.skip("no OpenBLAS thread-count functions found: side_by_side does not fork")
+    threads = blas[0]()
+    yield threads
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert blas[0]() == threads
+
+
+def test_side_by_side_returns_both_results_at_one_blas_thread(forking):
+    import os
+
+    from rqrec.pipeline import side_by_side
+    first, second = side_by_side(lambda: (os.getpid(), blas_threads()),
+                                 lambda: (os.getpid(), blas_threads()))
+    assert first[0] != second[0] == os.getpid()
+    assert first[1] == second[1] == 1
+
+
+def test_side_by_side_raises_the_workers_exception(forking):
+    from rqrec.pipeline import side_by_side
+
+    def fails():
+        raise ValueError("worker failed")
+    with pytest.raises(ValueError, match="^worker failed$"):
+        side_by_side(fails, lambda: 2)
+
+
+def test_side_by_side_prefers_the_workers_error_to_its_own(forking):
+    from rqrec.pipeline import side_by_side
+
+    def worker():
+        raise KeyError("worker")
+
+    def here():
+        raise ValueError("here")
+    with pytest.raises(KeyError, match="worker"):
+        side_by_side(worker, here)
+
+
+def test_side_by_side_raises_its_own_error_after_a_worker_that_succeeded(forking, tmp_path):
+    from rqrec.pipeline import side_by_side
+    done = tmp_path / "done"
+
+    def here():
+        raise ValueError("here")
+    with pytest.raises(ValueError, match="^here$"):
+        side_by_side(done.touch, here)
+    assert done.exists()
+
+
+def test_side_by_side_names_the_signal_of_a_worker_that_died(forking):
+    import os
+    import signal
+
+    from rqrec.pipeline import side_by_side
+    with pytest.raises(PipelineError, match="signal SIGKILL without a result"):
+        side_by_side(lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: 2)
+    with pytest.raises(PipelineError, match="exit status 3 without a result"):
+        side_by_side(lambda: os._exit(3), lambda: 2)
+
+
+def test_side_by_side_kills_the_worker_when_interrupted(forking, tmp_path):
+    import os
+    import time
+
+    from rqrec.pipeline import side_by_side
+    pid_file = tmp_path / "pid"
+
+    def worker():
+        pid_file.write_text(str(os.getpid()))
+        time.sleep(60)
+
+    def interrupted():
+        while not pid_file.exists() or not pid_file.read_text():
+            time.sleep(0.01)
+        raise KeyboardInterrupt
+    start = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        side_by_side(worker, interrupted)
+    assert time.perf_counter() - start < 30
+    with pytest.raises(ProcessLookupError):
+        os.kill(int(pid_file.read_text()), 0)
+
+
+def test_build_index_forked_equals_in_process(pipeline_run, tmp_path, monkeypatch, caplog, forking):
+    import dataclasses
+    import logging
+    import os
+    import shutil
+
+    import rqrec.pipeline
+    _, _, cfg = pipeline_run
+    out = tmp_path / "forked"
+    shutil.copytree(cfg.out_dir, out)
+    run = dataclasses.replace(cfg, out_dir=out, semantic_emb=out / "semantic.emb")
+    names = ("codes_ceid.tsv", "codes_seid.tsv", "manifest_build_index.json")
+    caplog.set_level(logging.INFO, logger="rqrec")
+    logged = {}
+    for forked in (True, False):
+        if not forked:
+            monkeypatch.setattr(rqrec.pipeline, "_openblas_threads", lambda: None)
+        for name in names:
+            (out / name).unlink()
+        caplog.clear()
+        rqrec.pipeline.stage_build_index(run)
+        logged[forked] = [(r.name, r.getMessage(), r.process) for r in caplog.records]
+        if forked:
+            files = {name: (out / name).read_bytes() for name in names}
+    assert files == {name: (out / name).read_bytes() for name in names}
+    assert files["codes_ceid.tsv"] == (cfg.out_dir / "codes_ceid.tsv").read_bytes()
+    assert [r[:2] for r in logged[True]] == [r[:2] for r in logged[False]]
+    trained = [r for r in logged[True] if r[1].startswith("rqvae: trained")]
+    # CEID's record comes from the worker, and first; then SEID's, then both tables'
+    assert [(name, process == os.getpid()) for name, _, process in trained] == [
+        ("rqrec.rqvae", False), ("rqrec.rqvae", True)]
+    assert [m.split(" codes")[0] for _, m, _ in logged[True][2:]] == [
+        "build-index: ceid", "build-index: seid"]
+
+
+def test_all_leaves_no_process_behind(tmp_path, forking):
+    cfg = load_config(write_config(tmp_path))
+    run_stage(cfg, "all", synthetic=True)
+
+
 def test_all_with_one_template(tmp_path):
     path = write_config(tmp_path, **{"pipeline.templates": 1})
     assert main(["all", "--config", str(path), "--synthetic", "-q"]) == 0
