@@ -27,7 +27,6 @@ import ctypes
 import hashlib
 import json
 import logging
-import logging.handlers
 import math
 import os
 import pickle
@@ -201,11 +200,21 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
     return None
 
 
-class _Collected(logging.handlers.QueueHandler):
-    """Appends each record to a list, formatted as for another process."""
+class _Collected(logging.Handler):
+    """Appends each record to a list, its message formatted as for another process.
 
-    def enqueue(self, record: logging.LogRecord) -> None:
-        self.queue.append(record)
+    The formatting is `QueueHandler.prepare`'s; `logging.handlers` itself is not
+    imported, as it would load the socket modules into every stage.
+    """
+
+    def __init__(self, records: list[logging.LogRecord]) -> None:
+        super().__init__()
+        self.records = records
+
+    def emit(self, record: logging.LogRecord) -> None:
+        record.msg, record.args = self.format(record), None
+        record.exc_info = record.exc_text = record.stack_info = None
+        self.records.append(record)
 
 
 @contextlib.contextmanager
