@@ -282,8 +282,13 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
                     result = ("ok", first())
                 except BaseException as exc:  # re-raised by the parent
                     result = ("err", exc)
+            try:
+                report = pickle.dumps((result, records), pickle.HIGHEST_PROTOCOL)
+            except Exception as exc:  # a value or error that does not pickle
+                failed = PipelineError(f"the forked worker's result does not pickle: {exc}")
+                report = pickle.dumps((("err", failed), records), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
-                pickle.dump((result, records), pipe, pickle.HIGHEST_PROTOCOL)
+                pipe.write(report)
             code = 0
         finally:
             os._exit(code)
@@ -315,6 +320,7 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
                 how = f"signal {signal.Signals(-code).name}"
             except ValueError:  # a real-time signal has no name
                 how = f"signal {-code}"
+        _replay(records)
         raise PipelineError(f"the forked worker ended by {how} without a result") from None
     _replay(worker_records)
     _replay(records)

@@ -1453,15 +1453,30 @@ def test_side_by_side_raises_its_own_error_after_a_worker_that_succeeded(forking
     assert done.exists()
 
 
-def test_side_by_side_names_the_signal_of_a_worker_that_died(forking):
+def test_side_by_side_names_the_signal_of_a_worker_that_died(forking, caplog):
+    import logging
     import os
     import signal
 
     from rqrec.pipeline import side_by_side
+
+    def here():
+        logging.getLogger("rqrec.test").warning("here ran")
+        return 2
     with pytest.raises(PipelineError, match="signal SIGKILL without a result"):
-        side_by_side(lambda: os.kill(os.getpid(), signal.SIGKILL), lambda: 2)
+        side_by_side(lambda: os.kill(os.getpid(), signal.SIGKILL), here)
+    # the records of this side are still handled
+    assert [r.getMessage() for r in caplog.records] == ["here ran"]
     with pytest.raises(PipelineError, match="exit status 3 without a result"):
         side_by_side(lambda: os._exit(3), lambda: 2)
+
+
+def test_side_by_side_names_a_worker_result_that_does_not_pickle(forking):
+    import threading
+
+    from rqrec.pipeline import side_by_side
+    with pytest.raises(PipelineError, match="result does not pickle: cannot pickle"):
+        side_by_side(threading.Lock, lambda: 2)
 
 
 def test_side_by_side_kills_the_worker_when_interrupted(forking, tmp_path):
