@@ -34,35 +34,6 @@ class CollabConfig:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
 
 
-# Columns summed per bincount call: bounds the int64 flat index, and the block
-# of values it adds, to 16 entries per scattered row, whatever the row width.
-_BLOCK = 16
-
-
-def _flat_index(rows: np.ndarray, width: int) -> np.ndarray:
-    """Cell ids `row * width + col` of a (len(rows), width) block, row-major."""
-    return (np.asarray(rows, dtype=np.int64)[:, None] * width + np.arange(width)).ravel()
-
-
-def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
-    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`, in order.
-
-    `np.bincount` adds its weights to each cell in entry order, so the result
-    equals, bit for bit, an unbuffered `np.add` scatter (the ufunc's `at`)
-    over the same rows. It sums `min(d, _BLOCK)` columns per call.
-    """
-    d = values.shape[1]
-    width = min(d, _BLOCK)
-    flat = _flat_index(rows, width)
-    out = np.empty((n_rows, d))
-    for c in range(0, d, width):
-        w = min(width, d - c)
-        out[:, c:c + w] = np.bincount(flat if w == width else _flat_index(rows, w),
-                                      weights=values[:, c:c + w].ravel(),
-                                      minlength=n_rows * w).reshape(n_rows, w)
-    return out
-
-
 @dataclass(frozen=True)
 class RankFold:
     """An ordered scatter-add, planned to run one rank at a time.

@@ -228,7 +228,11 @@ def write_split(split: SplitDataset, out_dir: str | Path) -> None:
 
 
 def load_split(out_dir: str | Path) -> SplitDataset:
-    """Read train/valid/test.tsv; a line that is not 'user<TAB>item' names path:lineno."""
+    """Read train/valid/test.tsv; a line that is not 'user<TAB>item' names path:lineno.
+
+    So does the second line of a user in valid.tsv or test.tsv, which hold one
+    item per user.
+    """
     split: dict[str, dict] = {"train": {}}
     for name in ("train", "valid", "test"):
         path = Path(out_dir) / f"{name}.tsv"
@@ -243,6 +247,13 @@ def load_split(out_dir: str | Path) -> SplitDataset:
         except ValueError:  # a line with no tab or with two
             lineno = next(n for n, line in enumerate(lines, 1) if line.count("\t") != 1)
             raise ValueError(refusal(path, "expected 'user<TAB>item'", lineno)) from None
+        if name != "train" and len(split[name]) < len(lines):  # a user listed twice
+            seen = set()
+            for lineno, line in enumerate(lines, 1):
+                u = line.split("\t")[0]
+                if u in seen:
+                    raise ValueError(refusal(path, f"user {u!r} listed twice", lineno))
+                seen.add(u)
     return SplitDataset(**split)
 
 

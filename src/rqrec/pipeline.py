@@ -22,7 +22,6 @@ which its manifest no longer repeats.
 """
 from __future__ import annotations
 
-import contextlib
 import ctypes
 import hashlib
 import json
@@ -33,7 +32,7 @@ import pickle
 import signal
 import sys
 import threading
-from collections.abc import Callable, Iterator
+from collections.abc import Callable
 from itertools import product
 from pathlib import Path
 from typing import TypeVar
@@ -200,40 +199,6 @@ def _openblas_threads() -> tuple[Callable[[], int], Callable[[int], None]] | Non
     return None
 
 
-class _Collected(logging.Handler):
-    """Appends each record to a list, its message formatted as for another process.
-
-    The formatting is `QueueHandler.prepare`'s; `logging.handlers` itself is not
-    imported, as it would load the socket modules into every stage.
-    """
-
-    def __init__(self, records: list[logging.LogRecord]) -> None:
-        super().__init__()
-        self.records = records
-
-    def emit(self, record: logging.LogRecord) -> None:
-        record.msg, record.args = self.format(record), None
-        record.exc_info = record.exc_text = record.stack_info = None
-        self.records.append(record)
-
-
-@contextlib.contextmanager
-def _collecting(records: list[logging.LogRecord]) -> Iterator[None]:
-    """While open, the `rqrec` loggers' records go to `records`, not to any handler."""
-    logger = logging.getLogger("rqrec")
-    saved = logger.handlers, logger.propagate
-    logger.handlers, logger.propagate = [_Collected(records)], False
-    try:
-        yield
-    finally:
-        logger.handlers, logger.propagate = saved
-
-
-def _replay(records: list[logging.LogRecord]) -> None:
-    for record in records:
-        logging.getLogger(record.name).handle(record)
-
-
 def side_by_side(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
     """`(first(), second())`, with `first` run in a forked worker while `second` runs here.
 
@@ -243,12 +208,13 @@ def side_by_side(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]
     slow each other down several times over. Elsewhere the two calls run here,
     one after the other.
 
-    Either way the result is that of the two calls in turn. Their `rqrec` log
-    records are handled here, `first`'s before `second`'s. An error of `first`
-    is raised in preference to one of `second`, so when `second` fails, the
-    worker is waited for. A worker that ends without a result raises
-    `PipelineError`. Any other way out of here (KeyboardInterrupt) kills the
-    worker. The worker is reaped on every path.
+    Either way the result is that of the two calls in turn. `first` must not
+    log: a record it made in the worker would go to the handlers the worker
+    inherited, not to the stage's. An error of `first` is raised in preference
+    to one of `second`, so when `second` fails, the worker is waited for. A
+    worker that ends without a result raises `PipelineError`. Any other way
+    out of here (KeyboardInterrupt) kills the worker. The worker is reaped on
+    every path.
     """
     blas = _openblas_threads() if threading.active_count() == 1 else None
     if blas is None:
@@ -276,17 +242,15 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
         code = 1
         try:
             os.close(read_fd)
-            records: list[logging.LogRecord] = []
-            with _collecting(records):
-                try:
-                    result = ("ok", first())
-                except BaseException as exc:  # re-raised by the parent
-                    result = ("err", exc)
             try:
-                report = pickle.dumps((result, records), pickle.HIGHEST_PROTOCOL)
+                result = ("ok", first())
+            except BaseException as exc:  # re-raised by the parent
+                result = ("err", exc)
+            try:
+                report = pickle.dumps(result, pickle.HIGHEST_PROTOCOL)
             except Exception as exc:  # a value or error that does not pickle
                 failed = PipelineError(f"the forked worker's result does not pickle: {exc}")
-                report = pickle.dumps((("err", failed), records), pickle.HIGHEST_PROTOCOL)
+                report = pickle.dumps(("err", failed), pickle.HIGHEST_PROTOCOL)
             with open(write_fd, "wb") as pipe:
                 pipe.write(report)
             code = 0
@@ -296,11 +260,9 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
     reaped = False
     try:
         with open(read_fd, "rb") as pipe:
-            records = []
             failure: Exception | None = None
             try:
-                with _collecting(records):
-                    value = second()
+                value = second()
             except Exception as exc:  # raised below unless the worker failed too
                 failure = exc
             report = pipe.read()
@@ -311,7 +273,7 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
     try:
-        (kind, result), worker_records = pickle.loads(report)
+        kind, result = pickle.loads(report)
     except (EOFError, pickle.UnpicklingError):  # nothing, or less than a whole report
         code = os.waitstatus_to_exitcode(status)
         how = f"exit status {code}"
@@ -320,10 +282,7 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
                 how = f"signal {signal.Signals(-code).name}"
             except ValueError:  # a real-time signal has no name
                 how = f"signal {-code}"
-        _replay(records)
         raise PipelineError(f"the forked worker ended by {how} without a result") from None
-    _replay(worker_records)
-    _replay(records)
     if kind == "err":
         raise result
     if failure is not None:
@@ -414,6 +373,9 @@ def stage_build_index(cfg: PipelineConfig) -> None:
     models = dict(zip(restricted, side_by_side(
         lambda: _trained_quantizer("ceid", restricted["ceid"], cfg.rqvae_ceid),
         lambda: _trained_quantizer("seid", restricted["seid"], cfg.rqvae_seid))))
+    for index_type, model in models.items():
+        log.info("rqvae_%s: trained %d epochs, l_rec %.6f -> %.6f", index_type,
+                 model.config.epochs, model.loss_history[0][0], model.loss_history[-1][0])
     outputs: dict[str, Path] = {}
     counters: dict[str, dict] = {}
     for index_type, model in models.items():

@@ -15,16 +15,12 @@ sg-protected codebook term. All arithmetic is 64-bit.
 """
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .collab import scatter_add_rows
 from .dataio import EmbeddingMatrix, decoded, refusal, replace_on_close
-
-log = logging.getLogger(__name__)
 
 
 @dataclass
@@ -87,6 +83,19 @@ class ItemCodeTable:
 
 # ---------------------------------------------------------------------------
 # k-means and quantization
+
+def scatter_add_rows(n_rows: int, rows: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Sum the rows of `values` into an (n_rows, d) zero array at `rows`, in order.
+
+    `np.bincount` adds its weights to each cell in entry order, so the result
+    equals, bit for bit, an unbuffered `np.add` scatter (the ufunc's `at`)
+    over the same rows.
+    """
+    d = values.shape[1]
+    cells = np.asarray(rows, dtype=np.int64)[:, None] * d + np.arange(d)
+    return np.bincount(cells.ravel(), weights=values.ravel(),
+                       minlength=n_rows * d).reshape(n_rows, d)
+
 
 def kmeans_init(latents: np.ndarray, n_centroids: int, iters: int,
                 rng: np.random.Generator) -> np.ndarray:
@@ -453,8 +462,6 @@ def train_rqvae(embeddings: EmbeddingMatrix, cfg: RqVaeConfig) -> RqVaeModel:
             model.loss_history.append((l_rec, l_rq))
     if cfg.epochs:
         model.loss_history.append(_checked_forward(model, x, cfg.epochs - 1).losses)
-    log.info("rqvae: trained %d epochs, l_rec %.6f -> %.6f", cfg.epochs,
-             model.loss_history[0][0], model.loss_history[-1][0])
     return model
 
 

@@ -1,5 +1,5 @@
-"""Shared test helpers: deterministic pseudo-random scorers, random code tables and an
-(item, score)-pair ranked list."""
+"""Shared test helpers: deterministic pseudo-random scorers, random code tables, an
+(item, score)-pair ranked list, and the `np.add.at` scatter that ordered scatters equal."""
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -86,3 +86,14 @@ def fused_lists(side, s_total) -> dict[str, ListRecord]:
         lists[side.users[u]].items.append(side.items[i])
         lists[side.users[u]].scores.append(score)
     return lists
+
+
+def add_at_reference(n_rows, rows, values):
+    out = np.zeros((n_rows, values.shape[1]))
+    np.add.at(out, rows, values)
+    return out
+
+
+def wide_range_values(rng, n, d):
+    # magnitudes over 12 decades, so that any change of summation order shows
+    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))

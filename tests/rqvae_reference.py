@@ -14,11 +14,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from rqrec.collab import scatter_add_rows
 from rqrec.dataio import EmbeddingMatrix
 from rqrec.rqvae import (RqVaeConfig, RqVaeModel, _bind_views, _init_affine, _layer_dims,
                          _named_arrays, _sq_dists, kmeans_init, parameter_arrays,
-                         quantize_batch)
+                         quantize_batch, scatter_add_rows)
 
 
 def _mlp_forward(weights, biases, x):

@@ -3,9 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from conftest import add_at_reference, wide_range_values
 from rqrec.collab import (CollabConfig, RankFold, _loss_and_gradient, _sample_negatives, _sigmoid,
-                          bpr_loss, build_adjacency, propagate, scatter_add_rows,
-                          train_collab_state)
+                          bpr_loss, build_adjacency, propagate, train_collab_state)
 from rqrec.dataio import SplitDataset
 
 
@@ -121,49 +121,6 @@ def test_divergence_names_epoch():
 
 # ---------------------------------------------------------------------------
 # Ordered scatters: bitwise equal to the np.add.at code they replace
-
-def add_at_reference(n_rows, rows, values):
-    out = np.zeros((n_rows, values.shape[1]))
-    np.add.at(out, rows, values)
-    return out
-
-
-def wide_range_values(rng, n, d):
-    # magnitudes over 12 decades, so that any change of summation order shows
-    return rng.normal(size=(n, d)) * 10.0 ** rng.integers(-6, 6, size=(n, 1))
-
-
-@pytest.mark.parametrize("d", [1, 5, 16, 20, 48])
-def test_scatter_add_rows_bitwise_equals_add_at(d):
-    rng = np.random.default_rng(d)
-    rows = np.concatenate([np.repeat(np.arange(9), 7), rng.integers(0, 12, size=300)])
-    rng.shuffle(rows)
-    values = wide_range_values(rng, len(rows), d)
-    got = scatter_add_rows(12, rows, values)
-    assert got.shape == (12, d) and got.flags.c_contiguous
-    assert got.tobytes() == add_at_reference(12, rows, values).tobytes()
-
-
-def test_scatter_add_rows_keeps_the_order_of_overlapping_parts():
-    # the gradient's layout: user rows, then positives and negatives that
-    # share item rows; only one scatter over all three parts in this order
-    # equals the three np.add.at calls
-    rng = np.random.default_rng(5)
-    n_users, n_items, t, d = 6, 4, 400, 8
-    tu = rng.integers(0, n_users, size=t)
-    tp = n_users + rng.integers(0, n_items, size=t)
-    tn = n_users + rng.integers(0, n_items, size=t)
-    a, b = wide_range_values(rng, t, d), wide_range_values(rng, t, d)
-    ref = np.zeros((n_users + n_items, d))
-    np.add.at(ref, tu, a)
-    np.add.at(ref, tp, b)
-    np.add.at(ref, tn, -b)
-    got = scatter_add_rows(len(ref), np.concatenate([tu, tp, tn]), np.concatenate([a, b, -b]))
-    assert got.tobytes() == ref.tobytes()
-    summed = (scatter_add_rows(len(ref), tu, a) + scatter_add_rows(len(ref), tp, b)
-              + scatter_add_rows(len(ref), tn, -b))
-    assert summed.tobytes() != ref.tobytes()
-
 
 def random_train(rng, n_users, n_items, max_len):
     return {f"u{u:03d}": [f"i{i:03d}" for i in rng.choice(n_items, size=rng.integers(1, max_len),

@@ -209,6 +209,17 @@ def test_split_file_roundtrip(tmp_path):
     assert load_split(tmp_path) == split
 
 
+@pytest.mark.parametrize("name", ["valid.tsv", "test.tsv"])
+def test_load_split_refuses_a_user_listed_twice(tmp_path, name):
+    write_split(leave_one_out_split(seq_ds({"u1": ["a", "b", "c"], "u2": ["c", "a", "b"]})),
+                tmp_path)
+    path = tmp_path / name
+    write_lines(path, ["u1\tp", "u2\tq", "u1\tr"])
+    with pytest.raises(ValueError) as err:
+        load_split(tmp_path)
+    assert str(err.value) == f"{path}:3: user 'u1' listed twice; rerun 'prepare' to rewrite it"
+
+
 def test_emb_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     emb = EmbeddingMatrix([f"i{k}" for k in range(5)], rng.normal(size=(5, 4)))

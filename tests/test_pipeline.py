@@ -1528,13 +1528,14 @@ def test_build_index_forked_equals_in_process(pipeline_run, tmp_path, monkeypatc
             files = {name: (out / name).read_bytes() for name in names}
     assert files == {name: (out / name).read_bytes() for name in names}
     assert files["codes_ceid.tsv"] == (cfg.out_dir / "codes_ceid.tsv").read_bytes()
+    # every record is made here, the worker makes none
+    assert {process for records in logged.values() for _, _, process in records} == {os.getpid()}
     assert [r[:2] for r in logged[True]] == [r[:2] for r in logged[False]]
-    trained = [r for r in logged[True] if r[1].startswith("rqvae: trained")]
-    # CEID's record comes from the worker, and first; then SEID's, then both tables'
-    assert [(name, process == os.getpid()) for name, _, process in trained] == [
-        ("rqrec.rqvae", False), ("rqrec.rqvae", True)]
-    assert [m.split(" codes")[0] for _, m, _ in logged[True][2:]] == [
-        "build-index: ceid", "build-index: seid"]
+    # CEID's training first, then SEID's, then both tables'
+    assert [(name, m.split(" epochs")[0].split(" codes")[0]) for name, m, _ in logged[True]] == [
+        ("rqrec.pipeline", f"rqvae_ceid: trained {cfg.rqvae_ceid.epochs}"),
+        ("rqrec.pipeline", f"rqvae_seid: trained {cfg.rqvae_seid.epochs}"),
+        ("rqrec.pipeline", "build-index: ceid"), ("rqrec.pipeline", "build-index: seid")]
 
 
 def test_all_leaves_no_process_behind(tmp_path, forking):

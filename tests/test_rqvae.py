@@ -1,12 +1,15 @@
+import logging
+
 import numpy as np
 import pytest
 
+from conftest import add_at_reference, wide_range_values
 from rqrec.dataio import EmbeddingMatrix
 from rqrec.rqvae import (RqVaeConfig, RqVaeModel, _AdamW, _forward, _gradients, _sq_dists,
                          assign_codes, finite_difference_gradients, gradient_check,
                          initialize_model, kmeans_init, load_code_table, max_relative_error,
-                         parameter_arrays, quantize_batch, resolve_collisions, train_rqvae,
-                         write_code_table)
+                         parameter_arrays, quantize_batch, resolve_collisions,
+                         scatter_add_rows, train_rqvae, write_code_table)
 from rqvae_reference import reference_codes, reference_train_rqvae
 
 
@@ -19,6 +22,41 @@ def clustered_embeddings(n=300, dim=12, clusters=6, seed=0):
     centers = rng.normal(0, 3.0, size=(clusters, dim))
     x = centers[rng.integers(0, clusters, n)] + rng.normal(0, 0.3, size=(n, dim))
     return emb_of(x)
+
+
+# ---------------------------------------------------------------------------
+# the ordered scatter of the codebook gradients and k-means: bitwise np.add.at
+
+@pytest.mark.parametrize("d", [1, 5, 16, 20, 48])
+def test_scatter_add_rows_bitwise_equals_add_at(d):
+    rng = np.random.default_rng(d)
+    rows = np.concatenate([np.repeat(np.arange(9), 7), rng.integers(0, 12, size=300)])
+    rng.shuffle(rows)
+    values = wide_range_values(rng, len(rows), d)
+    got = scatter_add_rows(12, rows, values)
+    assert got.shape == (12, d) and got.flags.c_contiguous
+    assert got.tobytes() == add_at_reference(12, rows, values).tobytes()
+
+
+def test_scatter_add_rows_keeps_the_order_of_overlapping_parts():
+    # a ranking-loss gradient's layout: user rows, then positives and negatives
+    # that share item rows; only one scatter over all three parts in this
+    # order equals the three np.add.at calls
+    rng = np.random.default_rng(5)
+    n_users, n_items, t, d = 6, 4, 400, 8
+    tu = rng.integers(0, n_users, size=t)
+    tp = n_users + rng.integers(0, n_items, size=t)
+    tn = n_users + rng.integers(0, n_items, size=t)
+    a, b = wide_range_values(rng, t, d), wide_range_values(rng, t, d)
+    ref = np.zeros((n_users + n_items, d))
+    np.add.at(ref, tu, a)
+    np.add.at(ref, tp, b)
+    np.add.at(ref, tn, -b)
+    got = scatter_add_rows(len(ref), np.concatenate([tu, tp, tn]), np.concatenate([a, b, -b]))
+    assert got.tobytes() == ref.tobytes()
+    summed = (scatter_add_rows(len(ref), tu, a) + scatter_add_rows(len(ref), tp, b)
+              + scatter_add_rows(len(ref), tn, -b))
+    assert summed.tobytes() != ref.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +287,14 @@ def test_train_same_seed_identical():
     for ca, cb_ in zip(a.codebooks, b.codebooks):
         assert np.array_equal(ca, cb_)
     assert a.loss_history == b.loss_history
+
+
+def test_train_logs_nothing(caplog):
+    # build-index trains CEID's quantizer in a forked worker, whose records
+    # would not reach the stage's handlers
+    caplog.set_level(logging.DEBUG, logger="rqrec")
+    train_rqvae(clustered_embeddings(n=40, seed=11), RqVaeConfig(epochs=3, seed=7, **SMALL))
+    assert caplog.records == []
 
 
 def test_train_divergence_names_epoch():
