@@ -36,6 +36,9 @@ class PipelineConfig:
     scorer: ScorerConfig = field(default_factory=ScorerConfig)
 
     def validate(self) -> None:
+        for key, value in _flatten(self).items():
+            if key.endswith(".seed") and value < 0:  # numpy's generators take none
+                raise ValueError(f"{key} must be >= 0, got {value}")
         ks = self.k_report
         if not ks or min(ks) < 1 or len(set(ks)) < len(ks):
             raise ValueError(f"k_report must list at least one K, each >= 1 and none twice, "

@@ -119,7 +119,8 @@ def load_interactions(path: str | Path) -> InteractionDataset:
     Malformed lines are skipped and counted; an empty result is an error. An id
     holding a line break (one `str.splitlines` ends a line at, such as U+0085)
     is refused with its line: the split files, code tables and embeddings that
-    carry ids are read a line per `splitlines` line.
+    carry ids are read a line per `splitlines` line. So is an item id holding
+    whitespace, which `.emb` rows are split at.
     """
     path = Path(path)
     raw: dict[str, list[tuple[str, int]]] = {}
@@ -143,6 +144,9 @@ def load_interactions(path: str | Path) -> InteractionDataset:
             if name.splitlines() != [name]:
                 raise ValueError(refusal(path, f"id {name!r} holds a line break", lineno,
                                          produced=False))
+        if parts[1].split() != [parts[1]]:
+            raise ValueError(refusal(path, f"item id {parts[1]!r} holds whitespace", lineno,
+                                     produced=False))
         raw.setdefault(parts[0], []).append((parts[1], ts))
     if skipped:
         log.warning("%s: skipped %d malformed line(s)", path, skipped)

@@ -9,16 +9,15 @@ manifests are written to a temporary file and moved into place, the manifest
 last, so a reader never sees a partial file.
 
 Every list file goes through one parse, `_read_side`, into its `RankSide`
-(int32 columns); `evaluate` reads `fused.jsonl` through it uncached.
-`rerank` and `analyze` read the ranked lists through one cache per process,
-keyed by the sha256 of the bytes read and bounded at two entries (a stage
-reads at most two list files). An entry is the file's `RankSide`, never its
-records. A stage hashes each list file once, from the same read that a parse
-would use, parses only bytes new to the process, and records that digest in
-its manifest. The cache pays where one process runs several of these stages
-over the same lists: the rerank ablation modes and `analyze`, or `all`, where
-`analyze` reuses what `rerank` parsed. A single stage pays a hash per file,
-which its manifest no longer repeats.
+(int32 columns). The process keeps one slot per list-file name
+(`ranked_ceid.jsonl`, `ranked_seid.jsonl`, `fused.jsonl`): the sha256 of the
+bytes and the `RankSide` of that name's last good parse, never its records. A
+stage hashes each list file once, from the same read that a parse would use,
+parses only bytes its slot does not hold, and records that digest in its
+manifest. The slots pay where one process runs several of these stages over
+the same lists: the rerank ablation modes, `evaluate` and `analyze`, or `all`,
+where `analyze` reuses what `rerank` parsed. A single stage pays a hash per
+file, which its manifest no longer repeats.
 """
 from __future__ import annotations
 
@@ -48,9 +47,9 @@ from .dataio import (PRODUCED_BY, EmbeddingMatrix, SplitDataset, decoded, kcore_
                      write_embedding_matrix, write_interactions, write_split)
 from .metrics import (chr_avg, hit_at_k, hit_sets, ndcg_at_k, numbered_targets, per_matrix,
                       write_metrics_csv, write_per_matrix)
-from .rerank import (MalformedList, RankArrays, RankSide, rank_arrays, rank_side, score_pairs,
-                     top_k, write_score_breakdown)
-from .retrieval import ListRecord, beam_search_users, read_ranked_lists, write_ranked_lists
+from .rerank import (MalformedList, RankArrays, RankSide, fused_records, rank_arrays, rank_side,
+                     score_pairs, top_k, write_score_breakdown)
+from .retrieval import beam_search_users, read_ranked_lists, write_ranked_lists
 from .rqvae import (RqVaeConfig, RqVaeModel, assign_codes, index_counters, load_code_table,
                     resolve_collisions, train_rqvae, write_code_table)
 from .scorer import load_scorer, save_scorer, train_markov_scorer
@@ -78,45 +77,40 @@ def _sha256(path: Path) -> str:
     return "sha256:" + h.hexdigest()
 
 
-# sha256 of a ranked-list file's bytes -> its parsed side, least recently used first.
-# Shared by the whole process on purpose: equal bytes give an equal side wherever
-# they were read. Two entries hold the most a stage reads.
-_SIDES: dict[str, RankSide] = {}
-_SIDES_MAX = 2
+# list-file name -> the digest and side of its last good parse. Shared by the
+# whole process on purpose: equal bytes give an equal side wherever they were read.
+_SIDES: dict[str, tuple[str, RankSide]] = {}
 
 
-def _read_side(path: Path, cached: bool = True) -> tuple[RankSide, str]:
+def _read_side(path: Path) -> tuple[RankSide, str]:
     """A ranked-list file's checked `RankSide` and the digest of the bytes read.
 
     This is every list file's one parse. A byte that is not UTF-8, a line that
     is not a record and a record unfit for the columns each raise `path:lineno`
-    and the stage that rewrites the file. A `cached` read parses only bytes
-    new to the process, and keeps a side that parsed.
+    and the stage that rewrites the file. Bytes that the slot of the file's
+    name holds are not parsed again, and a side that parsed takes that slot.
     """
     data = path.read_bytes()
     digest = "sha256:" + hashlib.sha256(data).hexdigest()
-    side = _SIDES.pop(digest, None) if cached else None
-    if side is None:
-        # bytes, text and lines are each as large as the file: hold one at a time
-        text = decoded(path, data)
-        del data
-        lines = text.splitlines()
-        del text
-        blank = [n for n, line in enumerate(lines, 1) if not line]
-        records = read_ranked_lists(path, lines)
-        del lines
-        try:
-            side = rank_side(records)
-        except MalformedList as exc:
-            lineno = exc.position + 1  # a record's line, past the empty ones the reader skips
-            for n in blank:
-                lineno += n <= lineno
-            raise ValueError(refusal(path, str(exc), lineno)) from None
-        if not cached:
-            return side, digest
-        if len(_SIDES) == _SIDES_MAX:
-            del _SIDES[next(iter(_SIDES))]
-    _SIDES[digest] = side
+    held = _SIDES.get(path.name)
+    if held is not None and held[0] == digest:
+        return held[1], digest
+    # bytes, text and lines are each as large as the file: hold one at a time
+    text = decoded(path, data)
+    del data
+    lines = text.splitlines()
+    del text
+    blank = [n for n, line in enumerate(lines, 1) if not line]
+    records = read_ranked_lists(path, lines)
+    del lines
+    try:
+        side = rank_side(records)
+    except MalformedList as exc:
+        lineno = exc.position + 1  # a record's line, past the empty ones the reader skips
+        for n in blank:
+            lineno += n <= lineno
+        raise ValueError(refusal(path, str(exc), lineno)) from None
+    _SIDES[path.name] = digest, side
     return side, digest
 
 
@@ -212,9 +206,9 @@ def side_by_side(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]
     log: a record it made in the worker would go to the handlers the worker
     inherited, not to the stage's. An error of `first` is raised in preference
     to one of `second`, so when `second` fails, the worker is waited for. A
-    worker that ends without a result raises `PipelineError`. Any other way
-    out of here (KeyboardInterrupt) kills the worker. The worker is reaped on
-    every path.
+    worker that ends without a result, or whose result or error does not
+    unpickle here, raises `PipelineError`. Any other way out of here
+    (KeyboardInterrupt) kills the worker. The worker is reaped on every path.
     """
     blas = _openblas_threads() if threading.active_count() == 1 else None
     if blas is None:
@@ -283,6 +277,8 @@ def _forked(first: Callable[[], A], second: Callable[[], B]) -> tuple[A, B]:
             except ValueError:  # a real-time signal has no name
                 how = f"signal {-code}"
         raise PipelineError(f"the forked worker ended by {how} without a result") from None
+    except Exception as exc:  # a whole report whose rebuild fails, e.g. an error's __init__
+        raise PipelineError(f"the forked worker's result does not unpickle: {exc}") from None
     if kind == "err":
         raise result
     if failure is not None:
@@ -505,13 +501,8 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
     alpha = {"conf-only": 1.0, "cons-only": 0.0}.get(mode, cfg.alpha)
     scores = score_pairs(ranks, alpha, cfg.tau, cfg.templates)
     fused, s_total = top_k(scores, cfg.k_retrieve)
-    names = [fused.items[i] for i in fused.item.tolist()]
-    values = s_total.tolist()
-    # entries are in user order, each of a listed user: a list ends where the next starts
-    ends = np.searchsorted(fused.user, fused.list_user, "right").tolist()
     out = cfg.out_dir / "fused.jsonl"
-    write_ranked_lists([ListRecord(fused.users[u], "fused", 0, names[a:b], values[a:b])
-                        for u, a, b in zip(fused.list_user.tolist(), [0] + ends, ends)], out)
+    write_ranked_lists(fused_records(fused, s_total), out)
     outputs = {"fused.jsonl": out}
     if cfg.breakdown:
         bpath = cfg.out_dir / "score_breakdown.tsv"
@@ -526,14 +517,14 @@ def stage_rerank(cfg: PipelineConfig, mode: str | None = None) -> None:
 def stage_evaluate(cfg: PipelineConfig) -> None:
     """Hit@K and NDCG@K of the fused lists over the test split.
 
-    `fused.jsonl` gets the parse and record checks of `rerank` and `analyze`,
-    uncached. The manifest records the test users evaluated (every metric's
+    `fused.jsonl` gets the parse and record checks of `rerank` and `analyze`.
+    The manifest records the test users evaluated (every metric's
     denominator) and those without a fused list, which count as misses.
     """
     inputs = _require(cfg, "fused.jsonl", "test.tsv")
     split = load_split(cfg.out_dir)
     path = inputs["fused.jsonl"]
-    fused, digest = _read_side(path, cached=False)
+    fused, digest = _read_side(path)
     if len(fused.list_user) > len(fused.users):  # a user with two lists
         twice = fused.users[np.bincount(fused.list_user).argmax()]
         raise PipelineError(refusal(path, f"holds two lists for user {twice!r}"))

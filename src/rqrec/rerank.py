@@ -10,24 +10,25 @@ S = S^ceid + S^seid with a missing side contributing 0.
 
 All users are fused in one array pass over int32 entry arrays (`RankArrays`).
 `np.bincount` adds in entry (list-file) order and `**2`/`exp` run on Python
-floats, so every term equals the per-item formula bit for bit. A side's terms
-sort its pairs' mean ranks once (`np.unique`): exp(-mean/tau) is evaluated per
+floats, so every term equals the per-item formula bit for bit. Distinct values
+are numbered one way, `_dense_keys`: one argsort and an int32 inverse. A side's
+terms sort its pairs' mean ranks once: exp(-mean/tau) is evaluated per
 distinct mean, and each entry's (rank - mean)**2 is read from a table of the
 (distinct mean, rank) cells the entries use, each evaluated once. `score_items`
 and `fuse_and_rank` are the same code for one user.
 
 A list file enters as a `RankSide` (`rank_side`): int32 columns whose users and
-items are numbered by sorted name, which the pipeline's stages keep in a cache
-of parsed files (see `rqrec.pipeline`). `rank_arrays` puts the two sides on the
+items are numbered by sorted name, which the pipeline's stages keep in one slot
+per list file (see `rqrec.pipeline`). `rank_arrays` puts the two sides on the
 sorted union of their names, which leaves a side that holds every name as it
 is, and numbers every entry's (user, item) pair, over all templates, with one
-`np.unique(..., return_inverse=True)`; a template cap selects its pairs from
-that order. Sorted names are the only order any output sees: `top_k`'s ties,
-the breakdown rows and the sweep. `top_k` orders each user's pairs with one
-stable argsort of an int64 key (see there) and returns the fused lists as
-columns too, a `RankSide` of template 0 and each entry's s_total, which is what
-the metrics read; only `fused.jsonl`'s writer and `fuse_and_rank` make records
-of them.
+`_dense_keys` call; a template cap selects its pairs from that order. Sorted
+names are the only order any output sees: `top_k`'s ties, the breakdown rows
+and the sweep. `top_k` orders each user's pairs with one stable argsort of an
+int64 key (see there) and returns the fused lists as columns too, a `RankSide`
+of template 0 and each entry's s_total, which is what the metrics read; only
+`fused_records` makes records of them, for `fused.jsonl`'s writer and
+`fuse_and_rank`.
 """
 from __future__ import annotations
 
@@ -180,15 +181,9 @@ def _dense_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return distinct, inverse
 
 
-def _dense(x: np.ndarray) -> tuple[np.ndarray, int]:
-    """Each element's rank among the distinct values of x, and how many there are."""
-    values, inverse = np.unique(x, return_inverse=True)
-    return inverse, len(values)
-
-
 def _scalar_map(fn, x: np.ndarray) -> np.ndarray:
     """fn of every element as a Python float; each distinct value is evaluated once."""
-    values, inverse = np.unique(x, return_inverse=True)
+    values, inverse = _dense_keys(x)
     return np.array([fn(v) for v in values.tolist()], dtype=np.float64)[inverse]
 
 
@@ -201,7 +196,7 @@ def _squared_deviations(rank: np.ndarray, means: np.ndarray, mean_no: np.ndarray
     row per distinct mean and a column per rank up to the largest.
     """
     width = int(rank.max(initial=0)) + 1
-    cell = mean_no * width + rank
+    cell = mean_no.astype(np.int64) * width + rank
     used = np.zeros(len(means) * width, dtype=bool)
     used[cell] = True
     cells = np.flatnonzero(used)
@@ -216,7 +211,7 @@ def _type_terms(pair: np.ndarray, rank: np.ndarray, n_pairs: int, alpha: float,
     """(Conf, Cons, S^x, appearances) per pair for one index type; 0 where absent."""
     count = np.bincount(pair, minlength=n_pairs)
     mean = np.bincount(pair, weights=rank, minlength=n_pairs) / np.maximum(count, 1)
-    means, mean_no = np.unique(mean, return_inverse=True)
+    means, mean_no = _dense_keys(mean)
     sq_dev = _squared_deviations(rank, means, mean_no[pair])
     var = np.bincount(pair, weights=sq_dev, minlength=n_pairs) / np.maximum(count - 1, 1)
     conf_of = np.array([math.exp(-m / tau) for m in means.tolist()], dtype=np.float64)
@@ -259,12 +254,12 @@ def top_k(scores: PairScores, k_out: int) -> tuple[RankSide, np.ndarray]:
     in (user, item) order, so the stable sort leaves equal keys in item order:
     the order is that of the four-key lexsort.
     """
-    s_rank, _ = _dense(-scores.columns["s_total"])
-    a_rank, n_a = _dense(-scores.columns["appearances"])
-    # s_rank * n_a + a_rank < pairs**2 <= 2**62 and n <= pairs <= 2**31 (pair numbers
-    # are int32), so user * n + r < 2**31 * 2**31 cannot overflow int64
-    r, n = _dense(s_rank * n_a + a_rank)
-    order = np.argsort(scores.user.astype(np.int64) * n + r, kind="stable")
+    _, s_rank = _dense_keys(-scores.columns["s_total"])
+    a_values, a_rank = _dense_keys(-scores.columns["appearances"])
+    # s_rank * len(a_values) + a_rank < pairs**2 <= 2**62 and len(r_values) <= pairs
+    # <= 2**31 (pair numbers are int32), so the key user * len(r_values) + r < 2**62
+    r_values, r = _dense_keys(s_rank.astype(np.int64) * len(a_values) + a_rank)
+    order = np.argsort(scores.user.astype(np.int64) * len(r_values) + r, kind="stable")
     user = scores.user[order]
     rank = np.arange(len(order)) - np.searchsorted(user, user)
     top = order[rank < k_out]
@@ -273,6 +268,16 @@ def top_k(scores: PairScores, k_out: int) -> tuple[RankSide, np.ndarray]:
                     np.zeros(len(top), np.int32), scores.listed,
                     np.zeros(len(scores.listed), np.int32))
     return side, scores.columns["s_total"][top]
+
+
+def fused_records(side: RankSide, s_total: np.ndarray) -> list[ListRecord]:
+    """`top_k`'s columns as one record per listed user, in user order."""
+    names = [side.items[i] for i in side.item.tolist()]
+    values = s_total.tolist()
+    # entries are in user order, each of a listed user: a list ends where the next starts
+    ends = np.searchsorted(side.user, side.list_user, "right").tolist()
+    return [ListRecord(side.users[u], "fused", 0, names[a:b], values[a:b])
+            for u, a, b in zip(side.list_user.tolist(), [0] + ends, ends)]
 
 
 def _one_user(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
@@ -301,14 +306,12 @@ def fuse_and_rank(ceid_lists: list[ListRecord], seid_lists: list[ListRecord],
     Single-index ablations pass an empty list for the dropped side; Conf-only
     and Cons-only ablations set alpha to 1 or 0.
     """
-    side, s_total = top_k(_one_user(ceid_lists, seid_lists, alpha, tau), k_out)
-    return ListRecord(side.users[0], "fused", 0, [side.items[i] for i in side.item.tolist()],
-                      s_total.tolist())
+    return fused_records(*top_k(_one_user(ceid_lists, seid_lists, alpha, tau), k_out))[0]
 
 
 def _reprs(x: np.ndarray) -> list[str]:
     """repr of every element, made once per distinct bit pattern (-0.0 keeps its sign)."""
-    bits, inverse = np.unique(x.view(np.int64), return_inverse=True)
+    bits, inverse = _dense_keys(x.view(np.int64))
     return np.array([repr(v) for v in bits.view(x.dtype).tolist()], dtype=object)[
         inverse].tolist()
 

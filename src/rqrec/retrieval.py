@@ -12,7 +12,7 @@ each group's top k. Users with the same scorer context share one group.
 
 Contexts, candidates and paths are ids in the trie's id space (`rqrec.vocab`);
 a scorer that is not a `MarkovScorer` over the trie's vocabulary gets strings
-made from `trie.vocab`. `exhaustive_topk_oracle` makes its own from the table.
+made from `trie.vocab`.
 """
 from __future__ import annotations
 
@@ -23,9 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from .dataio import decoded, refusal, replace_on_close
-from .rqvae import ItemCodeTable
 from .scorer import MarkovScorer, check_shared_table
-from .vocab import PrefixTrie, code_token
+from .vocab import PrefixTrie
 
 
 # one ranked list, in memory and in the JSONL interchange format (fields in file order)
@@ -161,40 +160,6 @@ def beam_search_constrained(scorer, trie: PrefixTrie, context, k: int, user: str
     """
     lists, _ = beam_search_users([scorer], trie, [context], k, [user], [template_id])
     return lists[0]
-
-
-def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
-                           k: int, user: str = "", template_id: int = 0) -> ListRecord:
-    """Score every item's full code path directly from the table and sort.
-
-    Independent of the trie and its ids: the context is token strings, and
-    per-step candidate sets are recovered by scanning the table for items
-    sharing the current prefix. Intended as a test oracle for small tables.
-    """
-    if len(table.codes) > 10_000:
-        raise ValueError("oracle is for small tables (<= 10000 items)")
-    depth = table.code_len_total
-    # candidate tokens for every observed word prefix
-    successors: dict[tuple[int, ...], set[str]] = {}
-    for tup in table.codes.values():
-        for step in range(depth):
-            tok = code_token(table.index_type, step + 1, tup[step])
-            successors.setdefault(tup[:step], set()).add(tok)
-    scored = []
-    for item in sorted(table.codes):
-        tup = table.codes[item]
-        total = 0.0
-        toks: list[str] = []
-        for step in range(depth):
-            tok = code_token(table.index_type, step + 1, tup[step])
-            logps = scorer.next_token_logprobs(context + toks,
-                                               tuple(sorted(successors[tup[:step]])))
-            total += logps[tok]
-            toks.append(tok)
-        scored.append((total, tup, item))
-    scored.sort(key=lambda s: (-s[0], s[1]))
-    return ListRecord(user, table.index_type, template_id,
-                      [item for _, _, item in scored[:k]], [total for total, _, _ in scored[:k]])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
-"""Shared test helpers: deterministic pseudo-random scorers, random code tables, an
-(item, score)-pair ranked list, and the `np.add.at` scatter that ordered scatters equal."""
+"""Shared test helpers: deterministic pseudo-random scorers, random code tables, the
+exhaustive top-k oracle of beam search, an (item, score)-pair ranked list, and the
+`np.add.at` scatter that ordered scatters equal."""
 import hashlib
 import math
 from dataclasses import dataclass, field
@@ -8,6 +9,7 @@ import numpy as np
 
 from rqrec.retrieval import ListRecord
 from rqrec.rqvae import ItemCodeTable, resolve_collisions
+from rqrec.vocab import code_token
 
 
 class HashScorer:
@@ -60,6 +62,40 @@ def random_code_table(rng: np.random.Generator, n_items: int, vocab_size: int,
     raw = {f"i{k:0{width}d}": tuple(int(w) for w in rng.integers(0, vocab_size, code_len))
            for k in range(n_items)}
     return resolve_collisions(raw, index_type)
+
+
+def exhaustive_topk_oracle(scorer, table: ItemCodeTable, context: list[str],
+                           k: int, user: str = "", template_id: int = 0) -> ListRecord:
+    """Score every item's full code path directly from the table and sort.
+
+    Independent of the trie and its ids: the context is token strings, and
+    per-step candidate sets are recovered by scanning the table for items
+    sharing the current prefix. Intended as a test oracle for small tables.
+    """
+    if len(table.codes) > 10_000:
+        raise ValueError("oracle is for small tables (<= 10000 items)")
+    depth = table.code_len_total
+    # candidate tokens for every observed word prefix
+    successors: dict[tuple[int, ...], set[str]] = {}
+    for tup in table.codes.values():
+        for step in range(depth):
+            tok = code_token(table.index_type, step + 1, tup[step])
+            successors.setdefault(tup[:step], set()).add(tok)
+    scored = []
+    for item in sorted(table.codes):
+        tup = table.codes[item]
+        total = 0.0
+        toks: list[str] = []
+        for step in range(depth):
+            tok = code_token(table.index_type, step + 1, tup[step])
+            logps = scorer.next_token_logprobs(context + toks,
+                                               tuple(sorted(successors[tup[:step]])))
+            total += logps[tok]
+            toks.append(tok)
+        scored.append((total, tup, item))
+    scored.sort(key=lambda s: (-s[0], s[1]))
+    return ListRecord(user, table.index_type, template_id,
+                      [item for _, _, item in scored[:k]], [total for total, _, _ in scored[:k]])
 
 
 @dataclass

@@ -9,13 +9,13 @@ import time
 import numpy as np
 import pytest
 
-from conftest import HashScorer, ids_of, random_code_table
+from conftest import HashScorer, exhaustive_topk_oracle, ids_of, random_code_table
 from rqrec.config import load_config
 from rqrec.dataio import EmbeddingMatrix
 from rqrec.metrics import HitSet, chr_avg, hit_at_k, ndcg_at_k, per
 from rqrec.pipeline import run_stage, stage_evaluate, stage_rerank
 from rqrec.rerank import fuse_and_rank, rank_side, score_items
-from rqrec.retrieval import ListRecord, beam_search_constrained, exhaustive_topk_oracle
+from rqrec.retrieval import ListRecord, beam_search_constrained
 from rqrec.rqvae import (RqVaeConfig, _forward, _gradients, finite_difference_gradients,
                          gradient_check, initialize_model, max_relative_error,
                          parameter_arrays, quantize_batch, resolve_collisions, train_rqvae)

@@ -61,6 +61,18 @@ def test_config_seed_derivation(tmp_path):
     assert cfg3.collab.seed == 5  # explicit value wins over derivation
 
 
+def test_config_refuses_a_negative_seed(tmp_path, capsys):
+    for args, key in ((["--set", "pipeline.seed=-3"], "pipeline.seed"),
+                      (["--seed", "-3"], "pipeline.seed"),
+                      *((["--set", f"{section}.seed=-3"], f"{section}.seed")
+                        for section in ("synthetic", "collab", "rqvae_ceid", "rqvae_seid",
+                                        "scorer"))):
+        assert main(["prepare", "--config", str(write_config(tmp_path)), *args]) == 2
+        assert capsys.readouterr().err == f"error [config]: {key} must be >= 0, got -3\n"
+    cfg = load_config(write_config(tmp_path), overrides=["pipeline.seed=0", "collab.seed=0"])
+    assert (cfg.seed, cfg.collab.seed, cfg.scorer.seed) == (0, 0, 4)
+
+
 def test_config_unknown_key_rejected(tmp_path):
     with pytest.raises(ValueError, match="unknown config key"):
         load_config(write_config(tmp_path, **{"nonsense.key": 1}))
@@ -512,17 +524,17 @@ def test_stages_parse_each_list_file_once_per_process(pipeline_run, monkeypatch)
     _, _, cfg = pipeline_run
     before = {name: (cfg.out_dir / name).read_bytes() for name in LIST_OUTPUTS}
     calls = counting_parser(monkeypatch)
-    reads = {}
+    reads = []
     for stage, mode in (("rerank", "ceid-only"), ("rerank", "full"), ("evaluate", None),
+                        ("evaluate", None), ("rerank", "conf-only"), ("rerank", "full"),
                         ("analyze", None)):
         calls.clear()
         run_stage(cfg, stage, mode=mode)
-        reads[stage, mode] = list(calls)
-    # evaluate reads fused.jsonl straight from the reader, uncached
-    assert reads == {("rerank", "ceid-only"): ["ranked_ceid.jsonl"],
-                     ("rerank", "full"): ["ranked_seid.jsonl"],
-                     ("evaluate", None): ["fused.jsonl"],
-                     ("analyze", None): []}
+        reads.append(list(calls))
+    # one slot per file name: evaluate parses the fused.jsonl that rerank just wrote, once,
+    # and keeps both ranked sides for a rerank in another mode
+    assert reads == [["ranked_ceid.jsonl"], ["ranked_seid.jsonl"], ["fused.jsonl"], [], [], [],
+                     []]
     # the parsed (cold) stages above and the cached (warm) ones write the same bytes
     assert {name: (cfg.out_dir / name).read_bytes() for name in LIST_OUTPUTS} == before
 
@@ -594,11 +606,11 @@ def test_list_cache_keys_on_bytes_not_paths(pipeline_run, tmp_path, monkeypatch)
     assert manifest["inputs"]["ranked_seid.jsonl"] == (
         "sha256:" + hashlib.sha256(path.read_bytes()).hexdigest())
     assert (out / "fused.jsonl").read_bytes() != (cfg.out_dir / "fused.jsonl").read_bytes()
-    # at most two sides, the two read last, with read-only columns
+    # one slot per file name, holding the bytes read last, with read-only columns
     sides = rqrec.pipeline._SIDES
-    assert list(sides) == [manifest["inputs"]["ranked_ceid.jsonl"],
-                           manifest["inputs"]["ranked_seid.jsonl"]]
-    for side in sides.values():
+    assert {name: digest for name, (digest, _) in sides.items()} == {
+        name: manifest["inputs"][name] for name in ("ranked_ceid.jsonl", "ranked_seid.jsonl")}
+    for _, side in sides.values():
         for column in side[2:]:
             assert column.dtype == np.int32 and not column.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
@@ -606,12 +618,14 @@ def test_list_cache_keys_on_bytes_not_paths(pipeline_run, tmp_path, monkeypatch)
     path.write_text("".join(lines))
     calls.clear()
     stage_rerank(copy)
-    assert calls == ["ranked_seid.jsonl"] and len(sides) == 2
+    assert calls == ["ranked_seid.jsonl"] and list(sides) == ["ranked_ceid.jsonl",
+                                                              "ranked_seid.jsonl"]
     assert (out / "fused.jsonl").read_bytes() == (cfg.out_dir / "fused.jsonl").read_bytes()
 
 
 def test_duplicate_template_line_rejected(pipeline_run, tmp_path, monkeypatch):
     import dataclasses
+    import hashlib
     import shutil
 
     import rqrec.pipeline
@@ -632,7 +646,9 @@ def test_duplicate_template_line_rejected(pipeline_run, tmp_path, monkeypatch):
     # never cached: every call parses the file again
     assert calls == ["ranked_ceid.jsonl", "ranked_seid.jsonl", "ranked_seid.jsonl",
                      "ranked_seid.jsonl"]
-    assert len(rqrec.pipeline._SIDES) == 1
+    ceid = hashlib.sha256((out / "ranked_ceid.jsonl").read_bytes()).hexdigest()
+    assert {name: digest for name, (digest, _) in rqrec.pipeline._SIDES.items()} == {
+        "ranked_ceid.jsonl": "sha256:" + ceid}
     # the reader skips blank lines, and the line named is still the file's
     path.write_text("".join(lines[:5] + ["\n"] + lines[4:]))
     with pytest.raises(ValueError, match=re.escape(f"{path}:7: duplicate template id")):
@@ -1032,7 +1048,8 @@ def test_cli_list_file_not_utf8_names_line(pipeline_run, tmp_path, capsys, monke
         file.write_bytes(good)
     # only the readable ceid file was kept
     ceid = hashlib.sha256((out / "ranked_ceid.jsonl").read_bytes()).hexdigest()
-    assert list(rqrec.pipeline._SIDES) == ["sha256:" + ceid]
+    assert {name: digest for name, (digest, _) in rqrec.pipeline._SIDES.items()} == {
+        "ranked_ceid.jsonl": "sha256:" + ceid}
 
 
 NOT_UTF8 = {  # file: the stage that reads it, the hint its error ends with
@@ -1154,6 +1171,28 @@ def test_cli_prepare_refuses_an_id_holding_a_line_break(tmp_path, capsys, brk, f
     assert capsys.readouterr().err == (f"error [prepare]: {file}:{lineno}: id "
                                        f"{f'x{brk}y'!r} holds a line break\n")
     assert not (out / "train.tsv").exists()
+
+
+def test_cli_prepare_refuses_an_item_id_holding_whitespace(tmp_path, capsys):
+    # `.emb` rows split at whitespace, so such an id would fail build-index; a user id may
+    users, items = [f"u {u}" for u in range(6)], ["a", "b", "c", "d"]
+    file = tmp_path / "interactions.tsv"
+    out = tmp_path / "out"
+    args = ["prepare", "--config", str(write_config(tmp_path)), "-q", "--set",
+            f"paths.out_dir={out}", "--set", f"paths.interactions={file}", "--set", "data.kcore=1"]
+    for item in (" b", "b ", "a b", "a\u00a0b"):
+        items[1] = item
+        rows = [f"{u}\t{i}\t{t}" for u in users for t, i in enumerate(items)]
+        file.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        assert main(args) == 1
+        assert capsys.readouterr().err == (f"error [prepare]: {file}:2: item id {item!r} "
+                                           "holds whitespace\n")
+        assert not (out / "train.tsv").exists()
+    items[1] = "b"
+    file.write_text("\n".join(f"{u}\t{i}\t{t}" for u in users for t, i in enumerate(items))
+                    + "\n", encoding="utf-8")
+    assert main(args) == 0
+    assert (out / "train.tsv").read_text().startswith("u 0\t")
 
 
 def test_cli_truncated_split_names_line(pipeline_run, tmp_path, capsys):
@@ -1477,6 +1516,18 @@ def test_side_by_side_names_a_worker_result_that_does_not_pickle(forking):
     from rqrec.pipeline import side_by_side
     with pytest.raises(PipelineError, match="result does not pickle: cannot pickle"):
         side_by_side(threading.Lock, lambda: 2)
+
+
+def test_side_by_side_names_a_worker_error_that_does_not_unpickle(forking):
+    from rqrec.pipeline import side_by_side
+    from rqrec.rerank import MalformedList
+    from rqrec.retrieval import ListRecord
+
+    def worker():  # its __init__ takes three arguments, its pickle holds one
+        raise MalformedList("bad", [ListRecord("u", "ceid", 1, [], [])], 0)
+    with pytest.raises(PipelineError, match=r"result does not unpickle: "
+                                            r"MalformedList\.__init__\(\) missing"):
+        side_by_side(worker, lambda: 2)
 
 
 def test_side_by_side_kills_the_worker_when_interrupted(forking, tmp_path):

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import EntriesList, fused_lists
-from rqrec.rerank import (COLUMNS, PairScores, _scalar_map, _type_terms, fuse_and_rank,
+from rqrec.rerank import (COLUMNS, PairScores, _dense_keys, _scalar_map, _type_terms,
+                          fuse_and_rank,
                           rank_arrays, rank_side, score_items, score_pairs, top_k,
                           write_score_breakdown)
 from rqrec.retrieval import ListRecord
@@ -523,3 +524,15 @@ def test_tied_lists_tie():
         assert (s_total[a] == s_total[b]) == (alpha == 1.0) and appearances[b] > appearances[a]
         zs = [row["t0", f"z{t:02d}"] for t in range(1, 25)]
         assert len(set(zip(s_total[zs].tolist(), appearances[zs].tolist()))) == 1
+
+
+@pytest.mark.parametrize("x", [[3.5, -1.0, 3.5, 0.25, -1.0, 3.5, 0.25],
+                               np.random.default_rng(0).integers(-3, 4, 200) / 4,
+                               [0.0, -0.0, 1.0, -0.0, 0.0, -1.0], [2.0], []],
+                         ids=["ties", "many-ties", "signed-zeros", "one", "none"])
+def test_dense_keys_equal_unique_with_inverse(x):
+    x = np.asarray(x, dtype=np.float64)
+    values, inverse = _dense_keys(x)
+    want_values, want_inverse = np.unique(x, return_inverse=True)
+    assert values.dtype == np.float64 and np.array_equal(values, want_values)
+    assert inverse.dtype == np.int32 and np.array_equal(inverse, want_inverse)

@@ -3,12 +3,12 @@ import re
 import numpy as np
 import pytest
 
-from conftest import (EntriesList, HashScorer, UniformScorer, fused_lists, ids_of,
-                      random_code_table)
+from conftest import (EntriesList, HashScorer, UniformScorer, exhaustive_topk_oracle,
+                      fused_lists, ids_of, random_code_table)
 from rqrec.rerank import fuse_and_rank, rank_arrays, rank_side, score_pairs, top_k
 from rqrec.retrieval import (ListRecord, RankedList, beam_search_constrained,
-                             beam_search_users, exhaustive_topk_oracle, ranked_list_record,
-                             read_ranked_lists, write_ranked_lists)
+                             beam_search_users, ranked_list_record, read_ranked_lists,
+                             write_ranked_lists)
 from rqrec.rqvae import ItemCodeTable
 from rqrec.scorer import ScorerConfig, train_markov_scorer
 from rqrec.vocab import build_prefix_trie, code_token
